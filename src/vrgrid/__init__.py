@@ -22,7 +22,6 @@ from .bank import (  # noqa: F401
     element_primitive,
 )
 from .certify import (  # noqa: F401
-    SearchConfig,
     GradientCheckConfig,
     iss_gain,
     search_certificate,

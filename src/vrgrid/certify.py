@@ -1,4 +1,4 @@
-"""Certificate verification, feasibility search, and sampled stability checks.
+"""Certificate construction and verification, and sampled stability checks.
 
 Verification evaluates three conditions on a candidate certificate:
 
@@ -16,17 +16,14 @@ with varsigma = lambda_min(Omega_0) and alpha = lambda_max(Phi) / l_g^2,
 because the dropped cross terms are nonnegative under the sector condition.
 The disturbance-to-state gain slope is sqrt(alpha / varsigma).
 
-The search is a projected supergradient ascent on the concave objective
-min(sigma, xi, -psi, varsigma) over the certificate parameters, run from a
-deterministic analytic warm start followed by seeded random restarts. All
-margins are degree-1 homogeneous in the parameters, so any strictly
-feasible point can reach the target margin by scaling; the returned
-certificate is always re-verified independently of the search path.
+:func:`search_certificate` builds a certificate in closed form from
+(r_g, l_g, omega_g) and the branch count (P = I and scaled identities
+elsewhere, see its docstring) and checks it once with
+:func:`verify_certificate`, whose report alone decides validity.
 """
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional
 
 import numpy as np
 
@@ -36,7 +33,6 @@ from .persidskii import (
     IssCertificate,
     VerifyReport,
     assemble_psi,
-    assemble_psi_blocks,
     lyapunov_gradients,
 )
 from .plant import system_matrix
@@ -106,333 +102,62 @@ def iss_gain(cert_or_report):
 
 
 # --------------------------------------------------------------------------
-# Feasibility search
+# Closed-form certificate
 # --------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class SearchConfig:
-    starts: int = 32
-    max_iters: int = 5000
-    target: float = 1e-6
-    seed: int = 0
-
-
-@dataclass(frozen=True)
 class SearchResult:
-    certificate: Optional[IssCertificate]
-    report: Optional[VerifyReport]
+    certificate: IssCertificate
+    report: VerifyReport
     feasible: bool
-    best_objective: float
     starts_run: int
 
 
-def _mat2(v3):
-    return np.array([[v3[0], v3[2]], [v3[2], v3[1]]])
+def search_certificate(p, bank, mode="rederived"):
+    """Closed-form certificate for a stable linear part, verified once.
 
+    With the branch weight c = min(0.01, r_g / (4 max(M, 1) |A|^2 l_g^2)),
+    |A|^2 = (r_g / l_g)^2 + omega_g^2 (A is normal), and
 
-def _vec3(mat):
-    return np.array([mat[0, 0], mat[1, 1], mat[0, 1]])
+        P = I, Lambda_k = c I, Omega_0 = (r_g / l_g) I, Omega_k = (c / l_g) I,
+        Upsilon_{0,k} = (1 / l_g) I, Upsilon_{s,l} = (2 c / l_g) I,
+        Phi = 4 (l_g / r_g) I,
 
-
-def _grad_pairs_to_vec3(pairs):
-    # d(x' S y)/d[s11, s22, s12] summed over (x, y) pairs, S symmetric
-    g = np.zeros(3)
-    for x, y in pairs:
-        g[0] += x[0] * y[0]
-        g[1] += x[1] * y[1]
-        g[2] += x[0] * y[1] + x[1] * y[0]
-    return g
-
-
-class _Problem:
-    """Search workspace: scales, pair index, and margin/gradient evaluation."""
-
-    def __init__(self, p, m):
-        self.a = system_matrix(p)
-        self.l_g = p.l_g
-        self.inv_lg = 1.0 / p.l_g
-        self.m = m
-        self.pairs = [(s, l) for s in range(m + 1) for l in range(s + 1, m + 1)]
-        # Block-wise natural scales keep the scaled parameters O(1).
-        self.s_p = 1.0
-        self.s_lam = p.l_g
-        self.s_om = np.full((m + 1, 2), 1.0)
-        self.s_om[0] = p.r_g / p.l_g
-        if self.pairs:
-            col = np.array([self.inv_lg if s == 0 else 1.0 for s, _l in self.pairs])
-            self.s_ups = np.repeat(col[:, None], 2, axis=1)
-        else:
-            self.s_ups = np.zeros((0, 2))
-        self.s_phi = p.l_g / p.r_g
-
-    def to_actual(self, th):
-        ups = np.zeros((self.m + 1, self.m + 1, 2))
-        for i, (s, l) in enumerate(self.pairs):
-            ups[s, l] = th["ups"][i] * self.s_ups[i]
-        return {
-            "p_mat": _mat2(th["p3"] * self.s_p),
-            "lam": th["lam"] * self.s_lam,
-            "omega": th["om"] * self.s_om,
-            "ups": ups,
-            "phi": _mat2(th["phi3"] * self.s_phi),
-        }
-
-    def to_cert(self, th, mode="rederived"):
-        act = self.to_actual(th)
-        return IssCertificate(
-            p_mat=act["p_mat"],
-            lam=act["lam"],
-            omega=act["omega"],
-            phi=act["phi"],
-            upsilon=act["ups"],
-            mode=mode,
-        )
-
-    def assemble(self, act):
-        blocks = assemble_psi_blocks(
-            self.a, self.l_g, act["p_mat"], act["lam"], act["omega"], act["ups"],
-            rederived=True,
-        )
-        blocks[(self.m + 1, self.m + 1)] = -act["phi"]
-        return linalg.block_assemble(blocks, self.m + 2)
-
-    def margins(self, th):
-        """(margins array [sigma, xi, -psi, varsigma], gradient closures by index)."""
-        act = self.to_actual(th)
-        m = self.m
-
-        lmi_p = act["p_mat"] + np.diag(act["lam"].sum(axis=0)) if m else act["p_mat"]
-        eig_p = linalg.sym_eig(lmi_p)
-        sigma = float(eig_p.eigenvalues[0])
-        v_sig = eig_p.eigenvectors[:, 0]
-
-        xi_diag = act["omega"].sum(axis=0)
-        for s, l in self.pairs:
-            xi_diag = xi_diag + act["ups"][s, l]
-        j_xi = int(np.argmin(xi_diag))
-        xi = float(xi_diag[j_xi])
-
-        psi = self.assemble(act)
-        eig_psi = linalg.sym_eig(psi)
-        psi_max = float(eig_psi.eigenvalues[-1])
-        u = eig_psi.eigenvectors[:, -1]
-
-        j_vs = int(np.argmin(act["omega"][0]))
-        varsigma = float(act["omega"][0, j_vs])
-
-        margins = np.array([sigma, xi, -psi_max, varsigma])
-        grads = {
-            0: lambda: self._grad_sigma(v_sig),
-            1: lambda: self._grad_xi(j_xi),
-            2: lambda: self._grad_neg_psi(u),
-            3: lambda: self._grad_varsigma(j_vs),
-        }
-        return margins, grads
-
-    def _zero_grad(self):
-        return {
-            "p3": np.zeros(3),
-            "lam": np.zeros((self.m, 2)),
-            "om": np.zeros((self.m + 1, 2)),
-            "ups": np.zeros((len(self.pairs), 2)),
-            "phi3": np.zeros(3),
-        }
-
-    def _scale_grad(self, g):
-        g["p3"] *= self.s_p
-        g["lam"] *= self.s_lam
-        g["om"] *= self.s_om
-        if len(self.pairs):
-            g["ups"] *= self.s_ups
-        g["phi3"] *= self.s_phi
-        return g
-
-    def _grad_sigma(self, v):
-        g = self._zero_grad()
-        g["p3"] = _grad_pairs_to_vec3([(v, v)])
-        for k in range(self.m):
-            g["lam"][k] = v * v
-        return self._scale_grad(g)
-
-    def _grad_xi(self, j):
-        g = self._zero_grad()
-        g["om"][:, j] = 1.0
-        if len(self.pairs):
-            g["ups"][:, j] = 1.0
-        return self._scale_grad(g)
-
-    def _grad_varsigma(self, j):
-        g = self._zero_grad()
-        g["om"][0, j] = 1.0
-        return self._scale_grad(g)
-
-    def _grad_neg_psi(self, u):
-        """Gradient of -lambda_max(Psi) = -u' (dPsi/dtheta) u blockwise."""
-        m = self.m
-        blocks = [u[2 * i:2 * i + 2] for i in range(m + 2)]
-        u0 = blocks[0]
-        uw = blocks[m + 1]
-        au0 = self.a @ u0
-        g = self._zero_grad()
-
-        p_pairs = [(2.0 * au0, u0), (2.0 * u0, uw)]
-        for k in range(1, m + 1):
-            p_pairs.append((-2.0 * self.inv_lg * u0, blocks[k]))
-        g["p3"] = _grad_pairs_to_vec3(p_pairs)
-
-        for k in range(1, m + 1):
-            uk = blocks[k]
-            g["lam"][k - 1] += 2.0 * au0 * uk
-            g["lam"][k - 1] += -2.0 * self.inv_lg * uk * uk
-            g["lam"][k - 1] += 2.0 * uk * uw
-        for s, l in self.pairs:
-            if s >= 1:
-                us, ul = blocks[s], blocks[l]
-                g["lam"][s - 1] += -2.0 * self.inv_lg * us * ul
-                g["lam"][l - 1] += -2.0 * self.inv_lg * us * ul
-
-        g["om"][0] = u0 * u0
-        for k in range(1, m + 1):
-            g["om"][k] = blocks[k] * blocks[k]
-        for i, (s, l) in enumerate(self.pairs):
-            g["ups"][i] = 2.0 * blocks[s] * blocks[l]
-
-        g["phi3"] = -_grad_pairs_to_vec3([(uw, uw)])
-
-        for key in g:
-            g[key] = -g[key]
-        return self._scale_grad(g)
-
-    def project(self, th):
-        th["lam"] = np.maximum(th["lam"], 0.0)
-        th["om"] = np.maximum(th["om"], 0.0)
-        th["ups"] = np.maximum(th["ups"], 0.0)
-        for key in ("p3", "phi3"):
-            eig = linalg.sym_eig(_mat2(th[key]))
-            w = np.maximum(eig.eigenvalues, 0.0)
-            th[key] = _vec3(eig.eigenvectors @ np.diag(w) @ eig.eigenvectors.T)
-        return th
-
-    def warm_theta(self):
-        """Analytic strictly feasible candidate for a stable linear part.
-
-        With P = I and Upsilon_{0,k} = (1/l_g) I the (0, k) cross blocks
-        reduce to c A'; a Schur bound then keeps the whole matrix strictly
-        negative whenever M c l_g |A|^2 <= (r_g / l_g) / 4, which fixes the
-        branch weight c for any admissible parameters.
-        """
-        a_norm2 = self.a[0, 0] ** 2 + self.a[0, 1] ** 2   # |A|^2 (A is normal)
-        r_g = -self.a[0, 0] * self.l_g
-        c = min(0.01, 0.25 * r_g / (max(self.m, 1) * a_norm2 * self.l_g ** 2))
-        th = {
-            "p3": np.array([1.0, 1.0, 0.0]),
-            "lam": np.full((self.m, 2), c / self.s_lam),   # Lambda_k = c I
-            "om": np.zeros((self.m + 1, 2)),
-            "ups": np.zeros((len(self.pairs), 2)),
-            "phi3": np.array([4.0, 4.0, 0.0]),
-        }
-        th["om"][0] = 1.0                       # Omega_0 = (r_g / l_g) I
-        th["om"][1:] = c * self.inv_lg          # Omega_k = (c / l_g) I
-        for i, (s, l) in enumerate(self.pairs):
-            if s == 0:
-                th["ups"][i] = 1.0              # Upsilon_{0,k} = (1 / l_g) I
-            else:
-                th["ups"][i] = 2.0 * c * self.inv_lg
-        return th
-
-    def random_theta(self, rng):
-        th = {
-            "p3": np.array([rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0), rng.uniform(-0.3, 0.3)]),
-            "lam": rng.uniform(0.0, 0.2, size=(self.m, 2)),
-            "om": rng.uniform(0.1, 2.0, size=(self.m + 1, 2)),
-            "ups": rng.uniform(0.0, 2.0, size=(len(self.pairs), 2)),
-            "phi3": np.array([rng.uniform(1.0, 8.0), rng.uniform(1.0, 8.0), 0.0]),
-        }
-        return self.project(th)
-
-
-def _theta_copy(th):
-    return {k: v.copy() for k, v in th.items()}
-
-
-def _ascend(problem, th, cfg):
-    """Projected supergradient ascent on the min-margin objective.
-
-    Infeasible iterates take Polyak steps toward the (known) target level;
-    once any strictly positive margin appears, degree-1 homogeneity allows
-    jumping straight to the target by rescaling the whole parameter vector.
+    the (0, k) cross blocks of Psi reduce to c A', the (s, l) cross blocks
+    vanish, and the diagonal blocks are -(r_g / l_g) I for the state,
+    -(c / l_g) I per branch and -Phi for the disturbance.
+    A Schur bound then keeps the whole matrix strictly negative whenever
+    M c l_g |A|^2 <= (r_g / l_g) / 4, which fixes the branch weight c for
+    any admissible parameters. The bound only motivates the construction:
+    validity is decided by :func:`verify_certificate`, whose report is
+    attached to the returned certificate.
     """
-    th = problem.project(_theta_copy(th))
-    best_th = _theta_copy(th)
-    best_obj = -math.inf
-    for it in range(cfg.max_iters):
-        margins, grads = problem.margins(th)
-        obj = float(margins.min())
-        if obj > best_obj:
-            best_obj = obj
-            best_th = _theta_copy(th)
-        if best_obj >= cfg.target:
-            break
-        if obj > 0.0:
-            factor = 1.1 * cfg.target / obj
-            if factor > 1.0:
-                for key in th:
-                    th[key] = th[key] * factor
-                continue
-        active = int(np.argmin(margins))
-        g = grads[active]()
-        norm2 = sum(float(np.sum(v * v)) for v in g.values())
-        if norm2 == 0.0:
-            break
-        step = (max(cfg.target, 0.05 * abs(obj)) - obj) / norm2
-        for key in th:
-            th[key] = th[key] + step * g[key]
-        th = problem.project(th)
-    return best_th, best_obj
-
-
-def search_certificate(p, bank, cfg=None):
-    """Multi-start projected supergradient feasibility search.
-
-    Start 0 is a deterministic analytic warm start; the remaining starts
-    are seeded random initializations. The search stops early once a start
-    reaches the target margin. The best candidate is re-verified with
-    :func:`verify_certificate` before being returned; an infeasible result
-    still carries the best margins found.
-    """
-    cfg = cfg or SearchConfig()
     m = bank.branch_count
     if m > 8:
-        raise ValueError(f"search supports at most 8 branches, bank has {m}")
+        raise ValueError(f"certification supports at most 8 branches, bank has {m}")
     classify_bank(bank)
 
-    problem = _Problem(p, m)
-    best_th = None
-    best_obj = -math.inf
-    starts_run = 0
-    for start in range(max(1, cfg.starts)):
-        if start == 0:
-            th0 = problem.warm_theta()
-        else:
-            rng = np.random.default_rng([cfg.seed, start])
-            th0 = problem.random_theta(rng)
-        th, obj = _ascend(problem, th0, cfg)
-        starts_run += 1
-        if obj > best_obj:
-            best_obj = obj
-            best_th = th
-        if best_obj >= cfg.target:
-            break
-
-    cert = problem.to_cert(best_th)
+    a = p.r_g / p.l_g
+    c = min(0.01, p.r_g / (4.0 * max(m, 1) * (a ** 2 + p.omega_g ** 2) * p.l_g ** 2))
+    omega = np.full((m + 1, 2), c / p.l_g)
+    omega[0] = a
+    upsilon = np.zeros((m + 1, m + 1, 2))
+    upsilon[np.triu_indices(m + 1, 1)] = 2.0 * c / p.l_g
+    upsilon[0, 1:] = 1.0 / p.l_g
+    cert = IssCertificate(
+        p_mat=np.eye(2),
+        lam=np.full((m, 2), c),
+        omega=omega,
+        phi=(4.0 * p.l_g / p.r_g) * np.eye(2),
+        upsilon=upsilon,
+        mode=mode,
+    )
     report = verify_certificate(p, bank, cert)
-    cert = replace(cert, report=report)
     return SearchResult(
-        certificate=cert,
+        certificate=replace(cert, report=report),
         report=report,
         feasible=report.valid,
-        best_objective=best_obj,
-        starts_run=starts_run,
+        starts_run=1,
     )
 
 

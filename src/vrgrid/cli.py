@@ -26,7 +26,7 @@ import numpy as np
 from . import __version__
 from ._kernels import NUMBA_ENABLED
 from .bank import SectorViolation, VrBank, VrBranch, bank_fingerprint, classify_bank
-from .certify import SearchConfig, iss_gain, search_certificate
+from .certify import iss_gain, search_certificate
 from .persidskii import IssCertificate
 from .plant import GridParams
 from .sim import Scenario, SimulationAbort, check_dissipation, compute_metrics, integrate
@@ -165,26 +165,17 @@ def _parse_scenario(section, p):
 class CertifySettings:
     enabled: bool
     mode: str
-    search: SearchConfig
 
 
 def _parse_certify(section):
-    _check_keys(section, "certify", required=(), optional=("enabled", "mode", "search"))
+    _check_keys(section, "certify", required=(), optional=("enabled", "mode"))
     enabled = section.get("enabled", False)
     if not isinstance(enabled, bool):
         raise ConfigError("certify.enabled", "certify.enabled must be a boolean")
     mode = section.get("mode", "rederived")
     if mode not in ("rederived", "verbatim"):
         raise ConfigError("certify.mode", "certify.mode must be 'rederived' or 'verbatim'")
-    search = section.get("search", {})
-    _check_keys(search, "certify.search", required=(), optional=("starts", "max_iters", "target", "seed"))
-    cfg = SearchConfig(
-        starts=int(_number(search, "certify.search", "starts", default=32, minimum=1)),
-        max_iters=int(_number(search, "certify.search", "max_iters", default=5000, minimum=1)),
-        target=_number(search, "certify.search", "target", default=1e-6, strict_min=0.0),
-        seed=int(_number(search, "certify.search", "seed", default=0, minimum=0)),
-    )
-    return CertifySettings(enabled=enabled, mode=mode, search=cfg)
+    return CertifySettings(enabled=enabled, mode=mode)
 
 
 @dataclass(frozen=True)
@@ -237,6 +228,8 @@ def load_config(path):
     name = doc.get("name", path.stem)
     if not isinstance(name, str) or not name:
         raise ConfigError("name", "name must be a non-empty string")
+    if name in (".", "..") or any(ch in name for ch in "/\\\0"):
+        raise ConfigError("name", f"name must be a single path component, got {name!r}")
 
     grid = _parse_grid(doc["grid"])
     bank = _parse_bank(doc["bank"])
@@ -346,7 +339,6 @@ def _manifest(cfg, extra=None):
         "numpy_version": np.__version__,
         "numba_enabled": NUMBA_ENABLED,
         "scenario_seed": cfg.scenario.seed if cfg.scenario.kind == "random_resistance" else None,
-        "search_seed": cfg.certify.search.seed if cfg.certify.enabled else None,
     }
     if extra:
         doc.update(extra)
@@ -363,14 +355,18 @@ def _emit_error(exit_code, kind, field, message):
 def _apply_overrides(cfg, args):
     if getattr(args, "out", None):
         cfg = replace(cfg, output=replace(cfg.output, directory=args.out))
-    if getattr(args, "decimation", None):
-        cfg = replace(cfg, output=replace(cfg.output, decimation=args.decimation))
+    decimation = getattr(args, "decimation", None)
+    if decimation is not None:
+        if decimation < 1:
+            raise ConfigError("output.decimation", f"--decimation must be >= 1, got {decimation}")
+        cfg = replace(cfg, output=replace(cfg.output, decimation=decimation))
     if getattr(args, "mode", None):
         cfg = replace(cfg, certify=replace(cfg.certify, mode=args.mode))
-    if getattr(args, "seed", None) is not None:
-        if cfg.scenario.kind == "random_resistance":
+    if getattr(args, "seed", None) is not None and cfg.scenario.kind == "random_resistance":
+        try:
             cfg = replace(cfg, scenario=replace(cfg.scenario, seed=args.seed))
-        cfg = replace(cfg, certify=replace(cfg.certify, search=replace(cfg.certify.search, seed=args.seed)))
+        except ValueError as exc:
+            raise ConfigError("seed", f"--seed: {exc}") from exc
     return cfg
 
 
@@ -378,20 +374,10 @@ def _run_certification(cfg):
     """(certificate-with-report, payload, feasible, warnings)."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        result = search_certificate(cfg.grid, cfg.bank, cfg.certify.search)
-        cert = replace(result.certificate, mode=cfg.certify.mode)
-        from .certify import verify_certificate
-
-        report = verify_certificate(cfg.grid, cfg.bank, cert)
-        cert = replace(cert, report=report)
+        result = search_certificate(cfg.grid, cfg.bank, cfg.certify.mode)
     messages = sorted({str(w.message) for w in caught})
-    payload = certificate_payload(cert, cfg.bank, messages)
-    payload["search"] = {
-        "feasible": result.feasible,
-        "best_objective": result.best_objective,
-        "starts_run": result.starts_run,
-    }
-    return cert, payload, result.feasible and report.valid, messages
+    payload = certificate_payload(result.certificate, cfg.bank, messages)
+    return result.certificate, payload, result.feasible, messages
 
 
 def cmd_simulate(args):
@@ -540,27 +526,27 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp):
-        sp.add_argument("--out", help="override the output directory")
-        sp.add_argument("--seed", type=int, help="override scenario and search seeds")
+    seed_help = "override the random_resistance scenario seed"
 
     sp = sub.add_parser("simulate", help="run one scenario config")
     sp.add_argument("config")
     sp.add_argument("--decimation", type=int, help="trajectory CSV decimation factor")
     sp.add_argument("--mode", choices=("rederived", "verbatim"))
-    common(sp)
+    sp.add_argument("--out", help="override the output directory")
+    sp.add_argument("--seed", type=int, help=seed_help)
     sp.set_defaults(func=cmd_simulate)
 
-    sp = sub.add_parser("certify", help="search and verify a stability certificate")
+    sp = sub.add_parser("certify", help="build and verify a stability certificate")
     sp.add_argument("config")
     sp.add_argument("--mode", choices=("rederived", "verbatim"))
-    common(sp)
+    sp.add_argument("--out", help="override the output directory")
     sp.set_defaults(func=cmd_certify)
 
     sp = sub.add_parser("compare", help="run every config in a directory, emit a metric table")
     sp.add_argument("dir")
     sp.add_argument("--decimation", type=int)
-    common(sp)
+    sp.add_argument("--out", help="override the output directory")
+    sp.add_argument("--seed", type=int, help=seed_help)
     sp.set_defaults(func=cmd_compare)
     return parser
 

@@ -200,10 +200,30 @@ def lyapunov_gradients(cert, bank, pts):
     return grad
 
 
-def assemble_psi_blocks(a_mat, l_g, p_mat, lam, omega, upsilon, rederived=True):
-    """Block dictionary of Psi over z = (x, r_1..r_M, w); see module docstring."""
-    m = lam.shape[0]
-    inv_lg = 1.0 / l_g
+def assemble_psi(p, cert, mode=None):
+    """Assemble the symmetric 2(M+2) matrix Psi for the given grid params.
+
+    The blocks are laid out over z = (x, r_1..r_M, w); see the module
+    docstring. ``mode`` defaults to the certificate's own mode. The verbatim
+    layout with two or more branches emits a warning: its (s, l) cross
+    blocks use the weight of branch l twice where the derivative expansion
+    requires the sum of both branch weights.
+    """
+    mode = mode or cert.mode
+    if mode not in ("rederived", "verbatim"):
+        raise ValueError(f"mode must be 'rederived' or 'verbatim', got {mode!r}")
+    m = cert.branch_count
+    rederived = mode == "rederived"
+    if not rederived and m >= 2:
+        warnings.warn(
+            "verbatim Psi layout duplicates the branch-l weight in the (s, l) "
+            "cross blocks; use mode='rederived' for the identity-consistent form",
+            UserWarning,
+            stacklevel=2,
+        )
+    a_mat = system_matrix(p)
+    inv_lg = 1.0 / p.l_g
+    p_mat, lam, omega, upsilon = cert.p_mat, cert.lam, cert.omega, cert.upsilon
     blocks = {}
 
     ap = a_mat.T @ p_mat
@@ -219,35 +239,8 @@ def assemble_psi_blocks(a_mat, l_g, p_mat, lam, omega, upsilon, rederived=True):
             else:
                 cross = -2.0 * inv_lg * lam[l - 1]
             blocks[(s, l)] = np.diag(cross + upsilon[s, l])
-    blocks[(0, m + 1)] = p_mat.copy()
-    return blocks
-
-
-def assemble_psi(p, cert, mode=None):
-    """Assemble the symmetric 2(M+2) matrix Psi for the given grid params.
-
-    ``mode`` defaults to the certificate's own mode. The verbatim layout
-    with two or more branches emits a warning: its (s, l) cross blocks use
-    the weight of branch l twice where the derivative expansion requires
-    the sum of both branch weights.
-    """
-    mode = mode or cert.mode
-    if mode not in ("rederived", "verbatim"):
-        raise ValueError(f"mode must be 'rederived' or 'verbatim', got {mode!r}")
-    m = cert.branch_count
-    rederived = mode == "rederived"
-    if not rederived and m >= 2:
-        warnings.warn(
-            "verbatim Psi layout duplicates the branch-l weight in the (s, l) "
-            "cross blocks; use mode='rederived' for the identity-consistent form",
-            UserWarning,
-            stacklevel=2,
-        )
-    blocks = assemble_psi_blocks(
-        system_matrix(p), p.l_g, cert.p_mat, cert.lam, cert.omega, cert.upsilon,
-        rederived=rederived,
-    )
-    blocks[(m + 1, m + 1)] = -cert.phi if rederived else cert.phi.copy()
+    blocks[(0, m + 1)] = p_mat
+    blocks[(m + 1, m + 1)] = -cert.phi if rederived else cert.phi
     return linalg.block_assemble(blocks, m + 2)
 
 

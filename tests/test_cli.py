@@ -83,6 +83,47 @@ def test_simulate_unknown_key_rejected(tmp_path):
     assert res.returncode == 2
     assert "inductance" in json.loads(res.stdout.splitlines()[0])["error"]["field"]
 
+    # the certify section has no search block
+    doc = small_config(certify={"enabled": True, "search": {"starts": 32}})
+    path = write_config(tmp_path / "search.json", doc)
+    res = run_cli("simulate", str(path), "--out", str(tmp_path / "o"))
+    assert res.returncode == 2
+    assert json.loads(res.stdout.splitlines()[0])["error"]["field"] == "certify.search"
+
+
+def test_config_name_must_stay_inside_out_dir(tmp_path):
+    d = tmp_path / "cfgs"
+    d.mkdir()
+    write_config(d / "escape.json", small_config(name="../../escaped"))
+    out = tmp_path / "out" / "x" / "y"
+    before = set(tmp_path.rglob("*"))
+    res = run_cli("compare", str(d), "--out", str(out))
+    assert res.returncode == 2
+    assert json.loads(res.stdout.splitlines()[0])["error"]["field"] == "name"
+    assert set(tmp_path.rglob("*")) == before
+
+
+def test_seed_override_validated(tmp_path):
+    doc = small_config(scenario={
+        "kind": "random_resistance", "t_end": 0.01, "dt": 1e-5, "seed": 7,
+        "t_start": 0.002, "t_stop": 0.008,
+    })
+    path = write_config(tmp_path / "rr.json", doc)
+    res = run_cli("simulate", str(path), "--seed", "-1", "--out", str(tmp_path / "o"))
+    assert res.returncode == 2, res.stderr
+    assert json.loads(res.stdout.splitlines()[0])["error"]["field"] == "seed"
+    assert "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize("decimation", ["0", "-5"])
+def test_decimation_override_must_be_positive(tmp_path, decimation):
+    path = write_config(tmp_path / "cfg.json", small_config())
+    out = tmp_path / "o"
+    res = run_cli("simulate", str(path), "--decimation", decimation, "--out", str(out))
+    assert res.returncode == 2
+    assert json.loads(res.stdout.splitlines()[0])["error"]["field"] == "output.decimation"
+    assert not out.exists()
+
 
 def test_simulate_numeric_abort_exit3(tmp_path):
     # dt at the upper limit makes the cubic loop RK4-unstable during the pulse
@@ -213,10 +254,10 @@ def test_compare_mismatched_scenarios(tmp_path):
 
 
 def test_certify_infeasible_exit4(tmp_path, monkeypatch, capsys):
-    """Exit code 4 with a best-margin report when the search comes back infeasible.
+    """Exit code 4 with a margin report when the certificate is infeasible.
 
     Any positive-resistance loop admits a certificate, so the infeasible
-    branch is exercised by stubbing the search result."""
+    branch is exercised by stubbing the construction result."""
     import vrgrid.cli as cli
     from vrgrid.certify import SearchResult, verify_certificate
     from vrgrid.persidskii import IssCertificate
@@ -224,21 +265,21 @@ def test_certify_infeasible_exit4(tmp_path, monkeypatch, capsys):
     doc = small_config(bank=[], certify={"enabled": True})
     path = write_config(tmp_path / "cfg.json", doc)
 
-    def fake_search(p, bank, cfg=None):
+    def fake_search(p, bank, mode="rederived"):
         cert = IssCertificate(p_mat=np.zeros((2, 2)), lam=np.zeros((0, 2)),
                               omega=np.zeros((1, 2)), phi=np.zeros((2, 2)))
         report = verify_certificate(p, bank, cert)
         from dataclasses import replace
 
         return SearchResult(certificate=replace(cert, report=report), report=report,
-                            feasible=False, best_objective=0.0, starts_run=1)
+                            feasible=False, starts_run=1)
 
     monkeypatch.setattr(cli, "search_certificate", fake_search)
     args = cli.build_parser().parse_args(["certify", str(path), "--out", str(tmp_path / "o")])
     assert args.func(args) == 4
     err = json.loads(capsys.readouterr().out.splitlines()[0])["error"]
     assert err["kind"] == "infeasible"
-    # the best margins found are still reported in the certificate artifact
+    # the margins are still reported in the certificate artifact
     payload = json.loads((tmp_path / "o" / "certificate.json").read_text())
     assert payload["valid"] is False
     assert "sigma" in payload["margins"]
