@@ -4,7 +4,17 @@ Everything in this module is compiled with numba's ``njit`` when numba is
 importable. Setting the environment variable ``VRGRID_DISABLE_NUMBA=1``
 before import (or running without numba installed) selects the pure
 Python/NumPy fallback path instead; the fallback computes the same values,
-only slower. ``benchmarks/bench_kernels.py`` compares the two paths.
+only slower.
+
+As plain Python, ``rk4_loop`` pays for a ``series_sum`` ->
+``element_value`` dispatch on numpy scalars four times per axis per step.
+The fallback integrator is therefore ``specialized_rk4_loop``:
+``build_rk4_loop`` generates the RK4 loop for one bank, with every element
+inlined from ``_ELEMENT_EXPR`` as a Python-float expression, and computes
+the same trajectory bit for bit, about seven times faster. ``vrgrid.sim``
+picks one of the two by ``NUMBA_ENABLED``; the uncompiled ``rk4_loop``
+stays the reference that the tests compare against.
+``benchmarks/bench_kernels.py`` times all three.
 """
 
 import math
@@ -69,6 +79,18 @@ def element_value(code, p1, p2, x):
     if x < -p2:
         return -p1 * p2
     return p1 * x
+
+
+# element_value as Python-float expressions, one per kind, in the same
+# operation order; {x} is the state and {p1}/{p2} are names bound to the
+# element parameters in the namespace of the generated loop.
+_ELEMENT_EXPR = {
+    LINEAR: "{p1} * {x}",
+    CUBIC: "{p1} * {x} * {x} * {x}",
+    SINH: "{p1} * sinh({p2} * {x})",
+    TANH: "{p1} * tanh({p2} * {x})",
+    SATURATION: "({p1} * {p2} if {x} > {p2} else -{p1} * {p2} if {x} < -{p2} else {p1} * {x})",
+}
 
 
 @njit(cache=True)
@@ -148,6 +170,98 @@ def rk4_loop(y0d, y0q, dt, n_steps, lg, wg, rg_seq, dist_d, dist_q,
         if not (math.isfinite(yd) and math.isfinite(yq)):
             return out, n + 1
     return out, -1
+
+
+_RK4_SOURCE = """
+def run(y0d, y0q, dt, n_steps, lg, wg, rg_seq, dist_d, dist_q):
+    out = np.empty((n_steps + 1, 2))
+    o = memoryview(out.reshape(-1))
+    rg = memoryview(np.asarray(rg_seq, dtype=np.float64))
+    dd = memoryview(np.asarray(dist_d, dtype=np.float64))
+    dq = memoryview(np.asarray(dist_q, dtype=np.float64))
+    yd = o[0] = float(y0d)
+    yq = o[1] = float(y0q)
+    dt = float(dt)
+    wg = float(wg)
+    inv_lg = 1.0 / float(lg)
+    try:
+        for n in range(n_steps):
+            a = -rg[n] * inv_lg
+            vd = dd[n]
+            vq = dq[n]
+
+            k1d = a * yd + wg * yq - inv_lg * ({sd_yd} + vd)
+            k1q = -wg * yd + a * yq - inv_lg * ({sq_yq} + vq)
+
+            td = yd + 0.5 * dt * k1d
+            tq = yq + 0.5 * dt * k1q
+            k2d = a * td + wg * tq - inv_lg * ({sd_td} + vd)
+            k2q = -wg * td + a * tq - inv_lg * ({sq_tq} + vq)
+
+            td = yd + 0.5 * dt * k2d
+            tq = yq + 0.5 * dt * k2q
+            k3d = a * td + wg * tq - inv_lg * ({sd_td} + vd)
+            k3q = -wg * td + a * tq - inv_lg * ({sq_tq} + vq)
+
+            td = yd + dt * k3d
+            tq = yq + dt * k3q
+            k4d = a * td + wg * tq - inv_lg * ({sd_td} + vd)
+            k4q = -wg * td + a * tq - inv_lg * ({sq_tq} + vq)
+
+            yd = yd + dt / 6.0 * (k1d + 2.0 * k2d + 2.0 * k3d + k4d)
+            yq = yq + dt / 6.0 * (k1q + 2.0 * k2q + 2.0 * k3q + k4q)
+            o[2 * n + 2] = yd
+            o[2 * n + 3] = yq
+            if not (isfinite(yd) and isfinite(yq)):
+                return out, n + 1
+    except OverflowError:
+        # math.sinh raises where numba's sinh returns inf: the same abort
+        o[2 * n + 2] = o[2 * n + 3] = nan
+        return out, n + 1
+    return out, -1
+"""
+
+
+def build_rk4_loop(codes_d, p1_d, p2_d, codes_q, p1_q, p2_q):
+    """Generate ``rk4_loop`` for one bank as straight-line Python.
+
+    Takes the ``flatten_bank`` arrays and returns
+    ``run(y0d, y0q, dt, n_steps, lg, wg, rg_seq, dist_d, dist_q)``, which
+    returns what ``rk4_loop`` returns for that bank, bit for bit: every
+    ``series_sum`` is inlined as ``0.0 + e0 + e1 ...`` in element order, on
+    Python floats read from and written to ``memoryview``s over float64
+    arrays. A term that overflows in ``math.sinh`` aborts the step it is in,
+    with that row set to NaN. Element parameters are bound as names in the
+    namespace of the generated code, never formatted into its text.
+    """
+    namespace = {"np": np, "sinh": math.sinh, "tanh": math.tanh,
+                 "isfinite": math.isfinite, "nan": math.nan}
+
+    def series(axis, codes, p1s, p2s, x):
+        terms = ["0.0"]
+        for i, code in enumerate(codes):
+            if int(code) not in _ELEMENT_EXPR:
+                raise ValueError(f"unknown element code {code!r}")
+            p1, p2 = f"p1_{axis}{i}", f"p2_{axis}{i}"
+            namespace[p1], namespace[p2] = float(p1s[i]), float(p2s[i])
+            terms.append(_ELEMENT_EXPR[int(code)].format(p1=p1, p2=p2, x=x))
+        return " + ".join(terms)
+
+    source = _RK4_SOURCE.format(
+        sd_yd=series("d", codes_d, p1_d, p2_d, "yd"),
+        sd_td=series("d", codes_d, p1_d, p2_d, "td"),
+        sq_yq=series("q", codes_q, p1_q, p2_q, "yq"),
+        sq_tq=series("q", codes_q, p1_q, p2_q, "tq"),
+    )
+    exec(compile(source, "<vrgrid rk4_loop>", "exec"), namespace)
+    return namespace["run"]
+
+
+def specialized_rk4_loop(y0d, y0q, dt, n_steps, lg, wg, rg_seq, dist_d, dist_q,
+                         codes_d, p1_d, p2_d, codes_q, p1_q, p2_q):
+    """``rk4_loop`` with its signature and values, run on ``build_rk4_loop``."""
+    run = build_rk4_loop(codes_d, p1_d, p2_d, codes_q, p1_q, p2_q)
+    return run(y0d, y0q, dt, n_steps, lg, wg, rg_seq, dist_d, dist_q)
 
 
 @njit(cache=True)

@@ -20,13 +20,20 @@ from typing import Optional
 
 import numpy as np
 
-from ._kernels import rk4_loop
+from . import _kernels
 from .bank import flatten_bank
 from .certify import iss_gain
 from .persidskii import lyapunov_values
 from .plant import as_dq
 
 MAX_DT = 1e-4
+# t_end / dt bound, checked before anything is allocated. A certified
+# simulate at decimation 1 peaks near 0.3 GB per million steps, so this cap
+# (five times the longest bundled horizon) keeps a run under ~1.5 GB.
+MAX_STEPS = 5_000_000
+
+# numba compiles the generic kernel; plain Python runs a loop built per bank
+rk4_loop = _kernels.rk4_loop if _kernels.NUMBA_ENABLED else _kernels.specialized_rk4_loop
 
 
 class SimulationAbort(RuntimeError):
@@ -69,8 +76,10 @@ class Scenario:
             raise ValueError(f"unknown scenario kind {self.kind!r}")
         if not (0.0 < self.dt <= MAX_DT):
             raise ValueError(f"dt must be in (0, {MAX_DT}], got {self.dt!r}")
-        if self.t_end <= 0.0:
-            raise ValueError("t_end must be > 0")
+        if not 0.0 < self.t_end < math.inf:
+            raise ValueError("t_end must be finite and > 0")
+        if self.t_end / self.dt > MAX_STEPS:
+            raise ValueError(f"t_end / dt must be <= {MAX_STEPS}, got {self.t_end / self.dt:.6g}")
         if self.kind == "voltage_pulse":
             if self.pulse_axis not in ("d", "q"):
                 raise ValueError(f"pulse axis must be 'd' or 'q', got {self.pulse_axis!r}")

@@ -138,6 +138,37 @@ def test_simulate_numeric_abort_exit3(tmp_path):
     assert json.loads(res.stdout.splitlines()[0])["error"]["kind"] == "numeric"
 
 
+def test_simulate_sinh_overflow_exit3(tmp_path):
+    # without numba, math.sinh raises OverflowError on the diverging state;
+    # it must end as the same numeric abort that numba's inf produces
+    doc = small_config(
+        bank=[[{"kind": "sinh", "a": 1.0, "b": 1.0}]],
+        scenario={"kind": "voltage_pulse", "t_end": 0.05, "dt": 1e-4,
+                  "axis": "d", "amplitude_fraction": 0.4, "t_on": 0.01, "t_off": 0.02},
+    )
+    path = write_config(tmp_path / "sinh.json", doc)
+    res = run_cli("simulate", str(path), "--out", str(tmp_path / "o"),
+                  env={"VRGRID_DISABLE_NUMBA": "1"})
+    assert res.returncode == 3, res.stderr
+    assert json.loads(res.stdout.splitlines()[0])["error"]["kind"] == "numeric"
+    assert "Traceback" not in res.stderr
+
+
+def test_step_cap_rejected_before_allocation(tmp_path):
+    from vrgrid.cli import ConfigError, load_config
+    from vrgrid.sim import MAX_STEPS
+
+    # 1e9 steps: over the cap, so load_config fails before any array exists
+    doc = small_config(scenario={"kind": "custom", "t_end": 1e3, "dt": 1e-6})
+    with pytest.raises(ConfigError) as err:
+        load_config(write_config(tmp_path / "long.json", doc))
+    assert err.value.field == "scenario"
+    assert str(MAX_STEPS) in str(err.value)
+
+    doc = small_config(scenario={"kind": "custom", "t_end": MAX_STEPS * 1e-6 / 2, "dt": 1e-6})
+    assert load_config(write_config(tmp_path / "ok.json", doc)).scenario.n_steps == MAX_STEPS // 2
+
+
 def test_certify_m0_bundled(tmp_path):
     out = tmp_path / "m0"
     res = run_cli("certify", str(CONFIG_DIR / "certify_m0.json"), "--out", str(out))

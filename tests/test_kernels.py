@@ -5,8 +5,9 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
-from vrgrid import _kernels
+from vrgrid import _kernels, sim
 from vrgrid._kernels import (
     element_primitive,
     element_value,
@@ -43,20 +44,83 @@ def test_series_sum_matches_python_fallback(rng):
         assert series_sum(codes, p1, p2, x) == py_sum(codes, p1, p2, x)
 
 
-def test_rk4_loop_matches_python_fallback():
-    codes = np.array([_kernels.LINEAR, _kernels.CUBIC], dtype=np.int64)
-    p1 = np.array([1.0, 0.25])
-    p2 = np.array([0.0, 0.0])
-    n = 200
-    rg = np.full(n + 1, 0.0276)
-    dist = np.full(n + 1, 40.0)
-    zeros = np.zeros(n + 1)
-    args = (2.0, -1.0, 1e-6, n, 3.67e-4, 377.0, rg, dist, zeros,
-            codes, p1, p2, codes, p1, p2)
-    jit_out, jit_bad = rk4_loop(*args)
-    py_out, py_bad = python_impl(rk4_loop)(*args)
-    assert jit_bad == py_bad == -1
-    np.testing.assert_array_equal(jit_out, py_out)
+def _rk4_args(bank_d, bank_q, *, n=200, dt=1e-6, y0=(2.0, -1.0), dist=40.0, rg=None):
+    def pack(bank):
+        return (np.array([k for k, _, _ in bank], dtype=np.int64),
+                np.array([p for _, p, _ in bank], dtype=float),
+                np.array([q for _, _, q in bank], dtype=float))
+
+    rg_seq = np.full(n + 1, 0.0276) if rg is None else rg
+    dist_d = np.full(n + 1, dist)
+    dist_q = -0.5 * dist_d
+    return (y0[0], y0[1], dt, n, 3.67e-4, 377.0, rg_seq, dist_d, dist_q,
+            *pack(bank_d), *pack(bank_q))
+
+
+def _random_bank(rng):
+    return [(int(rng.integers(0, 5)), float(rng.uniform(0.1, 3.0)), float(rng.uniform(0.2, 2.0)))
+            for _ in range(int(rng.integers(0, 9)))]
+
+
+def _random_case(seed):
+    rng = np.random.default_rng(seed)
+    n = 300
+    rg = 0.0276 * rng.uniform(0.1, 1.9, n + 1)
+    return _rk4_args(_random_bank(rng), _random_bank(rng), n=n, dt=2e-6, rg=rg,
+                     y0=tuple(rng.uniform(-3.0, 3.0, 2)))
+
+
+SATURATION = [(_kernels.SATURATION, 2.0, 1.5)]
+RK4_CASES = {
+    "linear_cubic": _rk4_args([(_kernels.LINEAR, 1.0, 0.0), (_kernels.CUBIC, 0.25, 0.0)],
+                              [(_kernels.LINEAR, 1.0, 0.0), (_kernels.CUBIC, 0.25, 0.0)]),
+    **{f"kind{code}": _rk4_args([(code, p1, p2)], [(code, p1, p2)], n=400, dt=1e-5)
+       for code, p1, p2 in KINDS},
+    "all_kinds_d_empty_q": _rk4_args(KINDS, [], n=300, dt=1e-5),
+    **{f"random{seed}": _random_case(seed) for seed in range(8)},
+    # the state starts exactly on the clip points +x_sat (d) and -x_sat (q)
+    "saturation_at_x_sat": _rk4_args(SATURATION, SATURATION, n=1, y0=(1.5, -1.5), dist=0.0),
+    # a diverging cubic overflows to inf, a huge linear state to nan
+    "abort_inf": _rk4_args([(_kernels.CUBIC, 0.5, 0.0)], [], n=400, dt=1e-4, y0=(50.0, 0.0)),
+    "abort_nan": _rk4_args([(_kernels.LINEAR, 1.0, 0.0)], [(_kernels.LINEAR, 1.0, 0.0)],
+                           n=10, dt=1e-4, y0=(1e307, -1e307)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RK4_CASES))
+def test_rk4_loop_matches_python_fallback(case):
+    # the integrator vrgrid.sim runs (numba, or the loop built per bank)
+    # against the uncompiled generic kernel, bit for bit
+    args = RK4_CASES[case]
+    out, bad = sim.rk4_loop(*args)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ref_out, ref_bad = python_impl(rk4_loop)(*args)
+    assert bad == ref_bad
+    if case.startswith("abort"):
+        assert bad > 0
+        np.testing.assert_array_equal(out[:bad + 1], ref_out[:bad + 1])
+    else:
+        assert bad == -1
+        np.testing.assert_array_equal(out, ref_out)
+
+
+def test_sinh_overflow_aborts_at_its_step():
+    # math.sinh raises OverflowError where numba's sinh returns inf; either
+    # way the run stops at the step whose sinh overflowed
+    bank = [(_kernels.SINH, 1.0, 1.0)]
+    args = _rk4_args(bank, bank, n=2000, dt=1e-4, y0=(20.0, 0.0))
+    out, bad = sim.rk4_loop(*args)
+    assert bad > 0
+    assert not np.all(np.isfinite(out[bad]))
+    ref_out, ref_bad = python_impl(rk4_loop)(*args[:3], bad - 1, *args[4:])
+    assert ref_bad == -1
+    np.testing.assert_array_equal(out[:bad], ref_out)
+
+
+def test_build_rk4_loop_rejects_unknown_code():
+    codes = np.array([_kernels.SATURATION + 1], dtype=np.int64)
+    with pytest.raises(ValueError, match="unknown element code"):
+        _kernels.build_rk4_loop(codes, np.ones(1), np.ones(1), codes, np.ones(1), np.ones(1))
 
 
 def test_jacobi_matches_python_fallback(rng):

@@ -39,6 +39,10 @@ def test_scenario_validation():
         scenario_random_resistance(p, seed=1, lo_fraction=0.0)
     with pytest.raises(ValueError):
         Scenario(kind="mystery", t_end=1.0, dt=1e-6)
+    with pytest.raises(ValueError, match="t_end / dt"):
+        Scenario(kind="custom", t_end=1e3, dt=1e-6)                  # 1e9 steps
+    with pytest.raises(ValueError):
+        Scenario(kind="custom", t_end=math.inf, dt=1e-6)
 
 
 def test_zero_disturbance_zero_state_is_identically_zero(banks):
