@@ -9,17 +9,12 @@ certified dissipation inequality.
 __version__ = "0.1.0"
 
 from .bank import (  # noqa: F401
-    BankClassification,
     SectorViolation,
     VrBank,
     VrBranch,
     VrElement,
     classify_bank,
     default_banks,
-    eval_bank,
-    eval_branch,
-    eval_element,
-    element_primitive,
 )
 from .certify import (  # noqa: F401
     GradientCheckConfig,
@@ -30,17 +25,12 @@ from .certify import (  # noqa: F401
 )
 from .persidskii import (  # noqa: F401
     IssCertificate,
-    PersidskiiModel,
     VerifyReport,
     assemble_psi,
-    lyapunov_gradient,
-    lyapunov_value,
-    to_persidskii,
 )
 from .plant import (  # noqa: F401
     GridParams,
     coupling_matrix,
-    error_derivative,
     feedforward_v0,
     nominal_params,
     open_loop_derivative,

@@ -60,8 +60,6 @@ SINH = 2
 TANH = 3
 SATURATION = 4
 
-_LN2 = 0.6931471805599453
-
 
 @njit(cache=True)
 def element_value(code, p1, p2, x):
@@ -91,29 +89,6 @@ _ELEMENT_EXPR = {
     TANH: "{p1} * tanh({p2} * {x})",
     SATURATION: "({p1} * {p2} if {x} > {p2} else -{p1} * {p2} if {x} < -{p2} else {p1} * {x})",
 }
-
-
-@njit(cache=True)
-def _ln_cosh(y):
-    # overflow-safe log(cosh(y))
-    a = abs(y)
-    return a + math.log1p(math.exp(-2.0 * a)) - _LN2
-
-
-@njit(cache=True)
-def element_primitive(code, p1, p2, x):
-    if code == LINEAR:
-        return 0.5 * p1 * x * x
-    if code == CUBIC:
-        return 0.25 * p1 * x * x * x * x
-    if code == SINH:
-        return (p1 / p2) * (math.cosh(p2 * x) - 1.0)
-    if code == TANH:
-        return (p1 / p2) * _ln_cosh(p2 * x)
-    a = abs(x)
-    if a <= p2:
-        return 0.5 * p1 * x * x
-    return p1 * p2 * a - 0.5 * p1 * p2 * p2
 
 
 @njit(cache=True)

@@ -21,6 +21,10 @@ saturation     k, x_sat    k * clip(x, -x_sat, x_sat)   (bounded)
 Closed-form primitives (integral of the map from 0 to x) back the composite
 Lyapunov function; all five kinds have primitives that diverge as |x| grows
 even when the map itself is bounded.
+
+Maps and primitives are evaluated over arrays (a point is a one-row array);
+the integrators run ``vrgrid._kernels`` on the ``flatten_bank`` arrays.
+:func:`classify_bank` is the sampled sector check every loaded bank passes.
 """
 
 import hashlib
@@ -31,8 +35,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-
-_LN2 = 0.6931471805599453
 
 _KIND_CODES = {
     "linear": _kernels.LINEAR,
@@ -50,10 +52,25 @@ _PARAM_NAMES = {
     "saturation": ("k", "x_sat"),
 }
 
-# Kinds whose map is radially unbounded; all kinds have divergent primitives.
-_UNBOUNDED_MAP = {"linear", "cubic", "sinh"}
-
 KINDS = tuple(sorted(_KIND_CODES))
+
+# Magnitudes of the sampled sector check (nine decades), mirrored about zero.
+_PROBE_MAX = 100.0
+_PROBE_MIN = _PROBE_MAX * 1e-9
+_PROBE_SAMPLES = 128
+
+
+def json_number(value):
+    """A JSON number (not a bool or string) as a finite float, else ValueError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"must be a number, got {type(value).__name__}")
+    try:
+        value = float(value)
+    except OverflowError:
+        raise ValueError("is too large for a float") from None
+    if not math.isfinite(value):
+        raise ValueError(f"must be finite, got {value!r}")
+    return value
 
 
 class SectorViolation(ValueError):
@@ -103,10 +120,6 @@ class VrElement:
     def code(self):
         return _KIND_CODES[self.kind]
 
-    @property
-    def map_unbounded(self):
-        return self.kind in _UNBOUNDED_MAP
-
     def to_config(self):
         names = _PARAM_NAMES[self.kind]
         record = {"kind": self.kind, names[0]: self.p1}
@@ -116,8 +129,10 @@ class VrElement:
 
     @classmethod
     def from_config(cls, record):
+        if not isinstance(record, dict):
+            raise ValueError(f"element record must be an object, got {type(record).__name__}")
         kind = record.get("kind")
-        if kind not in _KIND_CODES:
+        if not isinstance(kind, str) or kind not in _KIND_CODES:
             raise ValueError(f"unknown element kind {kind!r}; expected one of {KINDS}")
         names = _PARAM_NAMES[kind]
         extra = set(record) - {"kind", *names}
@@ -126,8 +141,13 @@ class VrElement:
         missing = [n for n in names if n not in record]
         if missing:
             raise ValueError(f"{kind} element: missing parameter(s) {missing}")
-        p2 = float(record[names[1]]) if len(names) == 2 else 0.0
-        return cls(kind, float(record[names[0]]), p2)
+        params = []
+        for name in names:
+            try:
+                params.append(json_number(record[name]))
+            except ValueError as exc:
+                raise ValueError(f"{kind} element: parameter {name!r} {exc}") from None
+        return cls(kind, *params)
 
 
 def linear(k):
@@ -150,14 +170,6 @@ def saturation(k, x_sat):
     return VrElement("saturation", k, x_sat)
 
 
-def eval_element(e, x):
-    """Value of one element at scalar x (exactly 0 at x = 0)."""
-    x = float(x)
-    if not math.isfinite(x):
-        raise ValueError(f"element input must be finite, got {x!r}")
-    return _kernels.element_value(e.code, e.p1, e.p2, x)
-
-
 def element_values(e, xs):
     """Vectorized element map over an array of inputs."""
     xs = np.asarray(xs, dtype=float)
@@ -172,19 +184,6 @@ def element_values(e, xs):
     return e.p1 * np.clip(xs, -e.p2, e.p2)
 
 
-def element_primitive(e, x):
-    """Closed-form primitive of one element, normalized to 0 at x = 0."""
-    x = float(x)
-    if not math.isfinite(x):
-        raise ValueError(f"element input must be finite, got {x!r}")
-    return _kernels.element_primitive(e.code, e.p1, e.p2, x)
-
-
-def _ln_cosh(y):
-    a = np.abs(y)
-    return a + np.log1p(np.exp(-2.0 * a)) - _LN2
-
-
 def element_primitives(e, xs):
     """Vectorized closed-form primitives."""
     xs = np.asarray(xs, dtype=float)
@@ -195,7 +194,8 @@ def element_primitives(e, xs):
     if e.kind == "sinh":
         return (e.p1 / e.p2) * (np.cosh(e.p2 * xs) - 1.0)
     if e.kind == "tanh":
-        return (e.p1 / e.p2) * _ln_cosh(e.p2 * xs)
+        a = np.abs(e.p2 * xs)  # overflow-safe log(cosh(b * x))
+        return (e.p1 / e.p2) * (a + np.log1p(np.exp(-2.0 * a)) - math.log(2.0))
     a = np.abs(xs)
     inside = 0.5 * e.p1 * xs ** 2
     outside = e.p1 * e.p2 * a - 0.5 * e.p1 * e.p2 ** 2
@@ -233,17 +233,19 @@ class VrBranch:
 
     @classmethod
     def from_config(cls, record):
+        def elements(records, what):
+            if not isinstance(records, (list, tuple)):
+                raise ValueError(f"{what} must be a list of element records, got {type(records).__name__}")
+            return tuple(VrElement.from_config(r) for r in records)
+
         if isinstance(record, dict):
             extra = set(record) - {"d", "q"}
             if extra:
                 raise ValueError(f"branch record: unknown key(s) {sorted(extra)}")
             if "d" not in record or "q" not in record:
                 raise ValueError("per-axis branch record needs both 'd' and 'q'")
-            return cls(
-                tuple(VrElement.from_config(r) for r in record["d"]),
-                tuple(VrElement.from_config(r) for r in record["q"]),
-            )
-        return cls.of(tuple(VrElement.from_config(r) for r in record))
+            return cls(elements(record["d"], "branch 'd'"), elements(record["q"], "branch 'q'"))
+        return cls.of(elements(record, "branch record"))
 
 
 @dataclass(frozen=True)
@@ -256,37 +258,12 @@ class VrBank:
     def branch_count(self):
         return len(self.branches)
 
-    @property
-    def series_counts(self):
-        return tuple(len(b.elements_d) for b in self.branches)
-
     def to_config(self):
         return [b.to_config() for b in self.branches]
 
     @classmethod
     def from_config(cls, records):
         return cls(tuple(VrBranch.from_config(r) for r in records))
-
-
-def eval_branch(branch, x_dq):
-    """Branch map at one dq point: series sum per axis."""
-    xd = float(x_dq[0])
-    xq = float(x_dq[1])
-    d = 0.0
-    q = 0.0
-    for e in branch.elements_d:
-        d += eval_element(e, xd)
-    for e in branch.elements_q:
-        q += eval_element(e, xq)
-    return np.array([d, q])
-
-
-def eval_bank(bank, x_dq):
-    """Total bank map at one dq point: sum of branch maps."""
-    out = np.zeros(2)
-    for branch in bank.branches:
-        out += eval_branch(branch, x_dq)
-    return out
 
 
 def branch_values(branch, pts):
@@ -309,17 +286,6 @@ def bank_values(bank, pts):
     return out
 
 
-def branch_primitives(branch, x_dq):
-    """Per-axis sums of element primitives for one branch at one dq point."""
-    d = 0.0
-    q = 0.0
-    for e in branch.elements_d:
-        d += element_primitive(e, x_dq[0])
-    for e in branch.elements_q:
-        q += element_primitive(e, x_dq[1])
-    return np.array([d, q])
-
-
 def branch_primitive_values(branch, pts):
     """Vectorized per-axis primitive sums over an (N, 2) array."""
     pts = np.asarray(pts, dtype=float)
@@ -329,26 +295,6 @@ def branch_primitive_values(branch, pts):
     for e in branch.elements_q:
         out[..., 1] += element_primitives(e, pts[..., 1])
     return out
-
-
-@dataclass(frozen=True)
-class BankClassification:
-    """Sector/unboundedness summary used to size and order the stability LMIs.
-
-    ``p_index`` counts branches whose map is radially unbounded on both
-    axes; ``mu_index`` counts branches whose primitive integrals diverge
-    (all shipped kinds do). ``permutation`` reorders branches so the
-    unbounded-map ones come first; 0 <= p_index <= mu_index <= branch count.
-    """
-
-    p_index: int
-    mu_index: int
-    all_sector_valid: bool
-    permutation: tuple
-
-    def __post_init__(self):
-        if not 0 <= self.p_index <= self.mu_index <= len(self.permutation):
-            raise ValueError("classification indices must satisfy 0 <= p <= mu <= M")
 
 
 def _axis_sector_check(elements, xs, branch_idx, axis):
@@ -362,38 +308,19 @@ def _axis_sector_check(elements, xs, branch_idx, axis):
         raise SectorViolation(branch_idx, axis, float(xs[i]), float(vals[i]))
 
 
-def classify_bank(bank, probe_range=100.0, samples=256):
-    """Classify a bank: sampled sector check plus analytic unboundedness.
+def classify_bank(bank):
+    """Sampled sector check: x * r(x) > 0 on every axis of every branch.
 
-    The sector condition is tested on a symmetric log-spaced grid (zero
-    excluded) spanning nine decades below ``probe_range``; unboundedness is
-    decided analytically from the element kinds, not by sampling. A sampled
-    violation raises :class:`SectorViolation` naming branch, axis, sample.
+    The grid is symmetric about zero (zero excluded), with
+    ``_PROBE_SAMPLES`` log-spaced magnitudes from ``_PROBE_MIN`` to
+    ``_PROBE_MAX`` on each side. A violation raises
+    :class:`SectorViolation` naming branch, axis and sample.
     """
-    if probe_range <= 0.0:
-        raise ValueError("probe_range must be > 0")
-    if samples < 100:
-        raise ValueError("samples must be >= 100")
-
-    half = samples // 2
-    mags = np.geomspace(probe_range * 1e-9, probe_range, half)
+    mags = np.geomspace(_PROBE_MIN, _PROBE_MAX, _PROBE_SAMPLES)
     xs = np.concatenate([-mags[::-1], mags])
-
     for idx, branch in enumerate(bank.branches):
         _axis_sector_check(branch.elements_d, xs, idx, "d")
         _axis_sector_check(branch.elements_q, xs, idx, "q")
-
-    unbounded = [
-        all(any(e.map_unbounded for e in elems) for elems in (b.elements_d, b.elements_q))
-        for b in bank.branches
-    ]
-    order = sorted(range(len(bank.branches)), key=lambda k: (not unbounded[k], k))
-    return BankClassification(
-        p_index=sum(unbounded),
-        mu_index=len(bank.branches),
-        all_sector_valid=True,
-        permutation=tuple(order),
-    )
 
 
 def flatten_bank(bank):

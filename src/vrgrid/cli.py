@@ -25,11 +25,12 @@ import numpy as np
 
 from . import __version__
 from ._kernels import NUMBA_ENABLED
-from .bank import SectorViolation, VrBank, VrBranch, bank_fingerprint, classify_bank
+from .bank import SectorViolation, VrBank, VrBranch, bank_fingerprint, classify_bank, json_number
 from .certify import iss_gain, search_certificate
 from .persidskii import IssCertificate
 from .plant import GridParams
-from .sim import Scenario, SimulationAbort, check_dissipation, compute_metrics, integrate
+from .sim import (Scenario, SimulationAbort, check_dissipation, compute_metrics, integrate,
+                  scenario_constant, scenario_random_resistance, scenario_voltage_pulse)
 
 SCHEMA_VERSION = 1
 
@@ -59,24 +60,27 @@ def _check_keys(obj, path, required, optional=()):
 def _number(obj, path, key, default=None, minimum=None, strict_min=None, maximum=None):
     if key not in obj:
         return default
-    value = obj[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
-        raise ConfigError(f"{path}.{key}", f"{path}.{key} must be a finite number")
+    try:
+        value = json_number(obj[key])
+    except ValueError:
+        raise ConfigError(f"{path}.{key}", f"{path}.{key} must be a finite number") from None
     if minimum is not None and value < minimum:
         raise ConfigError(f"{path}.{key}", f"{path}.{key} must be >= {minimum}, got {value}")
     if strict_min is not None and value <= strict_min:
         raise ConfigError(f"{path}.{key}", f"{path}.{key} must be > {strict_min}, got {value}")
     if maximum is not None and value > maximum:
         raise ConfigError(f"{path}.{key}", f"{path}.{key} must be <= {maximum}, got {value}")
-    return float(value)
+    return value
 
 
 def _pair(obj, path, key, default):
     value = obj.get(key, default)
-    if (not isinstance(value, (list, tuple)) or len(value) != 2
-            or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in value)):
-        raise ConfigError(f"{path}.{key}", f"{path}.{key} must be a [d, q] pair of numbers")
-    return float(value[0]), float(value[1])
+    if isinstance(value, (list, tuple)) and len(value) == 2:
+        try:
+            return json_number(value[0]), json_number(value[1])
+        except ValueError:
+            pass
+    raise ConfigError(f"{path}.{key}", f"{path}.{key} must be a [d, q] pair of finite numbers")
 
 
 def _parse_grid(section):
@@ -87,8 +91,11 @@ def _parse_grid(section):
     v_g_ref = _pair(section, "grid", "v_g_ref", (392.0, 0.0))
     i_ref = _pair(section, "grid", "i_ref", (10.0, 0.0))
     # frequency is configured in Hz; the model consumes rad/s
-    return GridParams(r_g=r_g, l_g=l_g, omega_g=2.0 * math.pi * freq,
-                      v_g_ref=v_g_ref, i_ref=i_ref)
+    try:
+        return GridParams(r_g=r_g, l_g=l_g, omega_g=2.0 * math.pi * freq,
+                          v_g_ref=v_g_ref, i_ref=i_ref)
+    except ValueError as exc:
+        raise ConfigError("grid", f"grid: {exc}") from exc
 
 
 def _parse_bank(section):
@@ -100,7 +107,12 @@ def _parse_bank(section):
             branches.append(VrBranch.from_config(record))
         except ValueError as exc:
             raise ConfigError(f"bank[{i}]", f"bank[{i}]: {exc}") from exc
-    return VrBank(tuple(branches))
+    bank = VrBank(tuple(branches))
+    try:
+        classify_bank(bank)
+    except SectorViolation as exc:
+        raise ConfigError(f"bank[{exc.branch}]", f"bank[{exc.branch}]: {exc}") from exc
+    return bank
 
 
 def _parse_scenario(section, p):
@@ -111,8 +123,6 @@ def _parse_scenario(section, p):
         if kind == "voltage_pulse":
             _check_keys(section, "scenario", required=common,
                         optional=("axis", "amplitude_fraction", "t_on", "t_off"))
-            from .sim import scenario_voltage_pulse
-
             axis = section.get("axis", "d")
             if axis not in ("d", "q"):
                 raise ConfigError("scenario.axis", "scenario.axis must be 'd' or 'q'")
@@ -128,8 +138,6 @@ def _parse_scenario(section, p):
         if kind == "random_resistance":
             _check_keys(section, "scenario", required=common + ("seed",),
                         optional=("lo_fraction", "hi_fraction", "t_start", "t_stop", "resample_period"))
-            from .sim import scenario_random_resistance
-
             seed = section["seed"]
             if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < 2 ** 64:
                 raise ConfigError("scenario.seed", "scenario.seed must be an integer in [0, 2**64)")
@@ -146,8 +154,6 @@ def _parse_scenario(section, p):
             )
         if kind == "custom":
             _check_keys(section, "scenario", required=common, optional=("v_g_const",))
-            from .sim import scenario_constant
-
             return scenario_constant(
                 p,
                 t_end=_number(section, "scenario", "t_end", strict_min=0.0),
@@ -218,7 +224,7 @@ def load_config(path):
         raise ConfigError("", f"cannot read config {path}: {exc}") from exc
     try:
         doc = json.loads(raw.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, over-long ints, deep nesting
         raise ConfigError("", f"config {path} is not valid JSON: {exc}") from exc
 
     _check_keys(doc, "", required=("schema_version", "grid", "bank", "scenario"),
@@ -383,9 +389,6 @@ def _run_certification(cfg):
 def cmd_simulate(args):
     try:
         cfg = _apply_overrides(load_config(args.config), args)
-        classify_bank(cfg.bank)
-    except SectorViolation as exc:
-        return _emit_error(2, "config", f"bank[{exc.branch}]", str(exc))
     except ConfigError as exc:
         return _emit_error(2, "config", exc.field, str(exc))
 
@@ -425,9 +428,6 @@ def cmd_certify(args):
         cfg = _apply_overrides(load_config(args.config), args)
         if not cfg.certify.enabled:
             raise ConfigError("certify.enabled", "certify.enabled must be true for the certify command")
-        classify_bank(cfg.bank)
-    except SectorViolation as exc:
-        return _emit_error(2, "config", f"bank[{exc.branch}]", str(exc))
     except ConfigError as exc:
         return _emit_error(2, "config", exc.field, str(exc))
 
@@ -472,11 +472,7 @@ def cmd_compare(args):
     configs = []
     try:
         for path in paths:
-            cfg = _apply_overrides(load_config(path), args)
-            classify_bank(cfg.bank)
-            configs.append(cfg)
-    except SectorViolation as exc:
-        return _emit_error(2, "config", f"bank[{exc.branch}]", str(exc))
+            configs.append(_apply_overrides(load_config(path), args))
     except ConfigError as exc:
         return _emit_error(2, "config", exc.field, str(exc))
 

@@ -1,10 +1,12 @@
-"""Diagonal-nonlinearity (Persidskii-form) view of the error dynamics.
+"""Diagonal-nonlinearity (Persidskii-form) certificates of the error dynamics.
 
-The closed loop splits into a linear part A0 = A, one channel
+The closed loop has a linear part A0 = A, one channel
 A_k = -(1/l_g) I per bank branch acting on the branch map r_k, and the
 disturbance input phi = -(1/l_g) vg_err:
 
     d(ierr)/dt = A0 ierr + sum_k A_k r_k(ierr) + phi.
+
+:func:`assemble_psi` builds its blocks from this form.
 
 The stability certificate is the matrix tuple (P, Lambda_k, Omega_s,
 Upsilon_{s,l}, Phi) entering the composite Lyapunov function
@@ -12,6 +14,7 @@ Upsilon_{s,l}, Phi) entering the composite Lyapunov function
     V(x) = x' P x + 2 sum_k sum_axis Lambda_{k,axis} * Int_0^{x_axis} r_k
 
 and the quadratic-form matrix Psi over z = (x, r_1(x), ..., r_M(x), w).
+V and its gradient are evaluated over (N, 2) arrays of states.
 
 Sign convention for the disturbance coordinate: w = phi = -(1/l_g) vg_err,
 i.e. the scale AND the sign are absorbed into w. With that choice the
@@ -35,46 +38,8 @@ from typing import Optional
 import numpy as np
 
 from . import linalg
-from .bank import (
-    branch_primitive_values,
-    branch_primitives,
-    branch_values,
-    classify_bank,
-    eval_branch,
-)
-from .plant import as_dq, system_matrix
-
-
-@dataclass(frozen=True)
-class PersidskiiModel:
-    """(A0, {A_k}, bank, disturbance scale) with phi = -scale * vg_err."""
-
-    a0: np.ndarray
-    ak: tuple
-    bank: object
-    disturbance_scale: float
-
-
-def to_persidskii(p, bank):
-    """Build the diagonal-nonlinearity form; refuses sector-invalid banks."""
-    classify_bank(bank)
-    a0 = system_matrix(p)
-    chan = -(1.0 / p.l_g) * np.eye(2)
-    return PersidskiiModel(
-        a0=a0,
-        ak=tuple(chan.copy() for _ in bank.branches),
-        bank=bank,
-        disturbance_scale=1.0 / p.l_g,
-    )
-
-
-def model_derivative(model, i_err, v_g_err):
-    """State derivative from the split form (cross-checks error_derivative)."""
-    x = as_dq(i_err, "i_err")
-    out = model.a0 @ x
-    for chan, branch in zip(model.ak, model.bank.branches):
-        out = out + chan @ eval_branch(branch, x)
-    return out - model.disturbance_scale * as_dq(v_g_err, "v_g_err")
+from .bank import branch_primitive_values, branch_values
+from .plant import system_matrix
 
 
 @dataclass(frozen=True)
@@ -160,16 +125,6 @@ def _check_dims(cert, bank):
         )
 
 
-def lyapunov_value(cert, bank, i_err):
-    """V = x'Px + 2 sum_k sum_axis Lambda * (branch primitive sums)."""
-    _check_dims(cert, bank)
-    x = as_dq(i_err, "i_err")
-    value = float(x @ cert.p_mat @ x)
-    for k, branch in enumerate(bank.branches):
-        value += 2.0 * float(cert.lam[k] @ branch_primitives(branch, x))
-    return value
-
-
 def lyapunov_values(cert, bank, pts):
     """Vectorized V over an (N, 2) array of states."""
     _check_dims(cert, bank)
@@ -178,16 +133,6 @@ def lyapunov_values(cert, bank, pts):
     for k, branch in enumerate(bank.branches):
         value = value + 2.0 * branch_primitive_values(branch, pts) @ cert.lam[k]
     return value
-
-
-def lyapunov_gradient(cert, bank, i_err):
-    """grad V = 2 P x + 2 sum_k Lambda_k r_k(x)."""
-    _check_dims(cert, bank)
-    x = as_dq(i_err, "i_err")
-    grad = 2.0 * cert.p_mat @ x
-    for k, branch in enumerate(bank.branches):
-        grad = grad + 2.0 * cert.lam[k] * eval_branch(branch, x)
-    return grad
 
 
 def lyapunov_gradients(cert, bank, pts):

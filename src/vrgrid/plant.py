@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bank import bank_values, eval_bank
+from .bank import bank_values
 
 
 def as_dq(value, name="vector"):
@@ -91,13 +91,6 @@ def open_loop_derivative(p, i, v, v_g):
     """di/dt of the plant for inverter voltage v and grid voltage v_g."""
     i = as_dq(i, "i")
     return system_matrix(p) @ i + (as_dq(v, "v") - as_dq(v_g, "v_g")) / p.l_g
-
-
-def error_derivative(p, i_err, bank, v_g_err):
-    """d(ierr)/dt of the closed loop under the bank and disturbance vg_err."""
-    i_err = as_dq(i_err, "i_err")
-    v_g_err = as_dq(v_g_err, "v_g_err")
-    return system_matrix(p) @ i_err - (eval_bank(bank, i_err) + v_g_err) / p.l_g
 
 
 def error_derivatives(p, pts, bank, dist):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from vrgrid._kernels import element_value, python_impl
 from vrgrid.bank import (
     SectorViolation,
     VrBank,
@@ -9,15 +10,12 @@ from vrgrid.bank import (
     bank_fingerprint,
     bank_values,
     branch_primitive_values,
+    branch_values,
     classify_bank,
     cubic,
     default_banks,
-    element_primitive,
     element_primitives,
     element_values,
-    eval_bank,
-    eval_branch,
-    eval_element,
     flatten_bank,
     linear,
     saturation,
@@ -29,13 +27,11 @@ ALL_KINDS = [linear(2.0), cubic(1.5), sinh_element(0.8, 1.2), tanh_element(3.0, 
 
 
 def test_eval_element_examples():
-    assert eval_element(linear(2.0), 3.0) == 6.0
-    assert eval_element(cubic(1.0), 2.0) == 8.0
-    assert eval_element(sinh_element(1.0, 1.0), 0.0) == 0.0
-    assert eval_element(saturation(2.0, 1.0), 5.0) == 2.0
-    assert eval_element(saturation(2.0, 1.0), -5.0) == -2.0
-    with pytest.raises(ValueError):
-        eval_element(linear(1.0), float("nan"))
+    assert element_values(linear(2.0), [3.0]) == [6.0]
+    assert element_values(cubic(1.0), [2.0]) == [8.0]
+    assert element_values(sinh_element(1.0, 1.0), [0.0]) == [0.0]
+    assert element_values(saturation(2.0, 1.0), [5.0]) == [2.0]
+    assert element_values(saturation(2.0, 1.0), [-5.0]) == [-2.0]
 
 
 def test_element_construction_rejects_bad_params():
@@ -53,34 +49,34 @@ def test_element_construction_rejects_bad_params():
 
 def test_eval_branch_examples():
     ident = VrBranch.of((linear(1.0),))
-    np.testing.assert_array_equal(eval_branch(ident, (3.0, -2.0)), [3.0, -2.0])
+    np.testing.assert_array_equal(branch_values(ident, [(3.0, -2.0)]), [[3.0, -2.0]])
 
     series = VrBranch.of((linear(1.0), linear(2.0)))
-    np.testing.assert_array_equal(eval_branch(series, (1.0, -4.0)), [3.0, -12.0])
+    np.testing.assert_array_equal(branch_values(series, [(1.0, -4.0)]), [[3.0, -12.0]])
 
     mixed = VrBranch.of((linear(1.0), cubic(1.0)))
-    np.testing.assert_array_equal(eval_branch(mixed, (1.0, 2.0)), [2.0, 10.0])
+    np.testing.assert_array_equal(branch_values(mixed, [(1.0, 2.0)]), [[2.0, 10.0]])
 
 
 def test_eval_bank_examples():
-    assert np.array_equal(eval_bank(VrBank(()), (5.0, -3.0)), [0.0, 0.0])
+    np.testing.assert_array_equal(bank_values(VrBank(()), [(5.0, -3.0)]), [[0.0, 0.0]])
     b = VrBranch.of((linear(1.0), cubic(1.0)))
-    one = eval_bank(VrBank((b,)), (1.5, 0.5))
-    np.testing.assert_array_equal(one, eval_branch(b, (1.5, 0.5)))
-    two = eval_bank(VrBank((b, b)), (1.5, 0.5))
+    one = bank_values(VrBank((b,)), [(1.5, 0.5)])
+    np.testing.assert_array_equal(one, [[1.5 + 1.5 ** 3, 0.5 + 0.5 ** 3]])
+    two = bank_values(VrBank((b, b)), [(1.5, 0.5)])
     np.testing.assert_allclose(two, 2.0 * one, rtol=1e-15)
 
 
 def test_per_axis_branch():
     b = VrBranch.of((linear(1.0),), q_elements=(linear(3.0),))
     assert not b.same_both_axes
-    np.testing.assert_array_equal(eval_branch(b, (2.0, 2.0)), [2.0, 6.0])
+    np.testing.assert_array_equal(branch_values(b, [(2.0, 2.0)]), [[2.0, 6.0]])
 
 
 def test_element_primitive_examples():
-    assert element_primitive(linear(2.0), 3.0) == 9.0
+    assert element_primitives(linear(2.0), [3.0]) == [9.0]
     for e in ALL_KINDS:
-        assert element_primitive(e, 0.0) == 0.0
+        assert element_primitives(e, [0.0]) == [0.0]
 
 
 def _trapezoid_oracle(e, x, target=1e-10):
@@ -112,17 +108,17 @@ def test_element_primitive_matches_quadrature(rng):
         e = makers[i % len(makers)](rng)
         x = rng.uniform(-5.0, 5.0)
         oracle = _trapezoid_oracle(e, x)
-        assert element_primitive(e, x) == pytest.approx(oracle, abs=1e-8, rel=1e-8)
+        assert element_primitives(e, [x])[0] == pytest.approx(oracle, abs=1e-8, rel=1e-8)
 
 
 def test_vectorized_matches_scalar(rng):
+    """element_values against the scalar kernel that the integrators run."""
+    kernel = python_impl(element_value)
     xs = rng.uniform(-8.0, 8.0, 64)
     for e in ALL_KINDS:
         vals = element_values(e, xs)
-        prims = element_primitives(e, xs)
         for i, x in enumerate(xs):
-            assert vals[i] == pytest.approx(eval_element(e, x), rel=1e-14, abs=1e-14)
-            assert prims[i] == pytest.approx(element_primitive(e, x), rel=1e-12, abs=1e-12)
+            assert vals[i] == pytest.approx(kernel(e.code, e.p1, e.p2, x), rel=1e-14, abs=1e-14)
 
 
 def test_oddness_property(rng):
@@ -180,26 +176,21 @@ def test_added_dissipation(rng, p_nominal):
 
 def test_classify_bank():
     lin = VrBank((VrBranch.of((linear(1.0),)),))
-    cls = classify_bank(lin)
-    assert (cls.p_index, cls.mu_index, cls.all_sector_valid) == (1, 1, True)
-
-    sat = VrBank((VrBranch.of((tanh_element(1.0, 1.0),)),))
-    cls = classify_bank(sat)
-    assert (cls.p_index, cls.mu_index) == (0, 1)
-
-    # bounded branch is reordered after the unbounded one
+    assert classify_bank(lin) is None
+    bounded = VrBank((VrBranch.of((tanh_element(1.0, 1.0),)),))
+    assert classify_bank(bounded) is None
     mixed = VrBank((
         VrBranch.of((saturation(2.0, 1.0),)),
-        VrBranch.of((cubic(1.0),)),
+        VrBranch.of((cubic(1.0),), q_elements=(sinh_element(0.5, 2.0),)),
     ))
-    cls = classify_bank(mixed)
-    assert cls.p_index == 1 and cls.mu_index == 2
-    assert cls.permutation == (1, 0)
+    assert classify_bank(mixed) is None
 
-    with pytest.raises(ValueError):
-        classify_bank(lin, probe_range=-1.0)
-    with pytest.raises(ValueError):
-        classify_bank(lin, samples=10)
+    # x * k * x**3 underflows to 0 on the smallest probes, so x * r(x) > 0 fails
+    tiny = VrBank((VrBranch.of((linear(1.0),)), VrBranch.of((cubic(1e-300),))))
+    with pytest.raises(SectorViolation) as err:
+        classify_bank(tiny)
+    assert err.value.branch == 1
+    assert 1e-7 <= abs(err.value.sample) < 1e-5
 
 
 def test_classifier_names_violating_branch():
@@ -221,7 +212,7 @@ def test_flatten_bank_roundtrip(banks):
 
     x = 1.7
     total = series_sum(codes_d, p1_d, p2_d, x)
-    assert total == pytest.approx(eval_bank(bank, (x, 0.0))[0], rel=1e-14)
+    assert total == pytest.approx(bank_values(bank, [(x, 0.0)])[0, 0], rel=1e-14)
 
 
 def test_config_roundtrip_and_fingerprint(banks):
@@ -239,13 +230,26 @@ def test_config_roundtrip_and_fingerprint(banks):
 
 
 def test_vectorized_bank_helpers(rng, banks):
-    bank = banks["multi_branch"]
+    """bank_values against series_sum over flatten_bank, and the per-axis
+    wiring of branch_primitive_values."""
+    from vrgrid._kernels import series_sum
+
+    bank = VrBank((
+        *banks["multi_branch"].branches,
+        VrBranch.of((saturation(2.0, 1.5),), q_elements=(linear(0.5), cubic(0.1))),
+    ))
+    codes_d, p1_d, p2_d, codes_q, p1_q, p2_q = flatten_bank(bank)
     pts = rng.uniform(-20.0, 20.0, (100, 2))
     bulk = bank_values(bank, pts)
-    for i in range(0, 100, 10):
-        np.testing.assert_allclose(bulk[i], eval_bank(bank, pts[i]), rtol=1e-14)
-    prims = branch_primitive_values(bank.branches[0], pts)
-    from vrgrid.bank import branch_primitives
+    for i in range(100):
+        assert bulk[i, 0] == pytest.approx(series_sum(codes_d, p1_d, p2_d, pts[i, 0]), rel=1e-14)
+        assert bulk[i, 1] == pytest.approx(series_sum(codes_q, p1_q, p2_q, pts[i, 1]), rel=1e-14)
 
-    for i in range(0, 100, 10):
-        np.testing.assert_allclose(prims[i], branch_primitives(bank.branches[0], pts[i]), rtol=1e-13)
+    branch = bank.branches[-1]
+    prims = branch_primitive_values(branch, pts)
+    np.testing.assert_array_equal(prims[:, 0], element_primitives(saturation(2.0, 1.5), pts[:, 0]))
+    np.testing.assert_allclose(
+        prims[:, 1],
+        element_primitives(linear(0.5), pts[:, 1]) + element_primitives(cubic(0.1), pts[:, 1]),
+        rtol=1e-15,
+    )

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from vrgrid.bank import VrBank, VrBranch, bank_values, linear
+from vrgrid.bank import SectorViolation, VrBank, VrBranch, VrElement, bank_values, linear
 from vrgrid.certify import (
     CertificateError,
     GradientCheckConfig,
@@ -139,6 +139,13 @@ def test_search_preconditions():
     nine = VrBank(tuple(VrBranch.of((linear(1.0),)) for _ in range(9)))
     with pytest.raises(ValueError, match="at most 8"):
         search_certificate(p, nine)
+
+
+def test_search_refuses_sector_violations():
+    bad = VrBank((VrBranch.of((linear(1.0),)), VrBranch.of((VrElement._unchecked("linear", -2.0),))))
+    with pytest.raises(SectorViolation) as err:
+        search_certificate(nominal_params(), bad)
+    assert err.value.branch == 1
 
 
 def test_closed_form_certificate_sweep(rng):

@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -167,6 +168,72 @@ def test_step_cap_rejected_before_allocation(tmp_path):
 
     doc = small_config(scenario={"kind": "custom", "t_end": MAX_STEPS * 1e-6 / 2, "dt": 1e-6})
     assert load_config(write_config(tmp_path / "ok.json", doc)).scenario.n_steps == MAX_STEPS // 2
+
+
+BIG = 10 ** 400  # a 400-digit integer: a valid JSON number that no float holds
+
+
+def _set(section, key, value):
+    def mutate(doc):
+        doc[section][key] = value
+    return mutate
+
+
+def _replace(section, value):
+    def mutate(doc):
+        doc[section] = value
+    return mutate
+
+
+@pytest.mark.parametrize("mutate, field", [
+    pytest.param(_set("grid", "l_g", BIG), "grid.l_g", id="l_g-400-digits"),
+    pytest.param(_set("scenario", "t_end", BIG), "scenario.t_end", id="t_end-400-digits"),
+    pytest.param(_replace("bank", [[{"kind": "linear", "k": BIG}]]), "bank[0]", id="k-400-digits"),
+    pytest.param(_replace("bank", [[{"kind": "linear", "k": "@@" + "1" * 5000}]]), "", id="k-5000-digits"),
+    pytest.param(_set("grid", "v_g_ref", ["@@1e400", 0.0]), "grid.v_g_ref", id="v_g_ref-1e400"),
+    pytest.param(_set("grid", "v_g_ref", [float("nan"), 0.0]), "grid.v_g_ref", id="v_g_ref-nan"),
+    pytest.param(_set("grid", "i_ref", ["@@1e400", 0.0]), "grid.i_ref", id="i_ref-1e400"),
+    pytest.param(_set("grid", "frequency_hz", 1e308), "grid", id="omega-overflows"),
+    pytest.param(_replace("bank", ["ab"]), "bank[0]", id="branch-string"),
+    pytest.param(_replace("bank", [7]), "bank[0]", id="branch-int"),
+    pytest.param(_replace("bank", [{"d": 3, "q": [{"kind": "linear", "k": 1.0}]}]), "bank[0]", id="axis-int"),
+    pytest.param(_replace("bank", [[{"kind": "linear", "k": "1.0"}]]), "bank[0]", id="k-string"),
+    pytest.param(_replace("bank", [[{"kind": "linear", "k": True}]]), "bank[0]", id="k-bool"),
+    pytest.param(_replace("scenario", {"kind": "custom", "t_end": 0.001, "dt": 1e-5, "v_g_const": ["@@1e400", 0]}),
+                 "scenario.v_g_const", id="v_g_const-1e400"),
+])
+def test_bad_config_values_exit2(tmp_path, capsys, mutate, field):
+    """Out-of-range and mistyped values exit 2 naming the field, never 0, 1 or 3.
+
+    A string "@@<text>" is written into the file as the bare literal <text>."""
+    from vrgrid.cli import main
+
+    doc = small_config()
+    mutate(doc)
+    text = re.sub(r'"@@([^"]*)"', r"\1", json.dumps(doc))
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    assert main(["simulate", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert json.loads(capsys.readouterr().out.splitlines()[0])["error"]["field"] == field
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "certify", "compare"])
+def test_sampled_sector_check_at_load(tmp_path, capsys, command):
+    """k * x**3 with k = 1e-300 underflows to 0 near zero: exit 2 at bank[1]."""
+    from vrgrid.cli import main
+
+    doc = small_config(bank=[[{"kind": "linear", "k": 1.0}], [{"kind": "cubic", "k": 1e-300}]],
+                       certify={"enabled": True})
+    d = tmp_path / "cfgs"
+    d.mkdir()
+    path = write_config(d / "tiny.json", doc)
+    target = d if command == "compare" else path
+    assert main([command, str(target), "--out", str(tmp_path / "o")]) == 2
+    err = json.loads(capsys.readouterr().out.splitlines()[0])["error"]
+    assert err["field"] == "bank[1]"
+    assert "sector violation" in err["message"]
+    assert not (tmp_path / "o").exists()
 
 
 def test_certify_m0_bundled(tmp_path):

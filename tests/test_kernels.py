@@ -9,7 +9,6 @@ import pytest
 
 from vrgrid import _kernels, sim
 from vrgrid._kernels import (
-    element_primitive,
     element_value,
     jacobi_sweep,
     python_impl,
@@ -28,11 +27,9 @@ KINDS = [
 
 def test_element_kernels_match_python_fallback(rng):
     py_value = python_impl(element_value)
-    py_prim = python_impl(element_primitive)
     for code, p1, p2 in KINDS:
         for x in rng.uniform(-30.0, 30.0, 200):
             assert element_value(code, p1, p2, x) == py_value(code, p1, p2, x)
-            assert element_primitive(code, p1, p2, x) == py_prim(code, p1, p2, x)
 
 
 def test_series_sum_matches_python_fallback(rng):

@@ -3,10 +3,8 @@ import pytest
 
 from conftest import random_certificate
 from vrgrid.bank import (
-    SectorViolation,
     VrBank,
     VrBranch,
-    VrElement,
     branch_values,
     cubic,
     linear,
@@ -16,105 +14,64 @@ from vrgrid.bank import (
 from vrgrid.persidskii import (
     IssCertificate,
     assemble_psi,
-    lyapunov_gradient,
     lyapunov_gradients,
-    lyapunov_value,
     lyapunov_values,
-    model_derivative,
     stacked_coordinates,
-    to_persidskii,
 )
-from vrgrid.plant import error_derivative, error_derivatives, nominal_params, system_matrix
+from vrgrid.plant import error_derivatives, nominal_params, system_matrix
 
 
 def _cert(p_mat, lam, omega, phi, ups=None):
     return IssCertificate(p_mat=p_mat, lam=lam, omega=omega, phi=phi, upsilon=ups)
 
 
-def test_to_persidskii_empty_bank(rng):
-    p = nominal_params()
-    model = to_persidskii(p, VrBank(()))
-    assert model.ak == ()
-    for _ in range(20):
-        x = rng.uniform(-50, 50, 2)
-        d = rng.uniform(-200, 200, 2)
-        expected = system_matrix(p) @ x - d / p.l_g
-        np.testing.assert_allclose(model_derivative(model, x, d), expected, rtol=1e-12)
-
-
-def test_to_persidskii_channel_matrices(banks):
-    p = nominal_params()
-    model = to_persidskii(p, banks["multi_branch"])
-    assert len(model.ak) == 2
-    for chan in model.ak:
-        np.testing.assert_allclose(chan, -2724.8 * np.eye(2), atol=0.1)
-
-
-def test_to_persidskii_matches_error_derivative(rng, banks):
-    p = nominal_params()
-    bank = banks["multi_branch"]
-    model = to_persidskii(p, bank)
-    xs = rng.uniform(-100, 100, (10_000, 2))
-    ds = rng.uniform(-500, 500, (10_000, 2))
-    direct = error_derivatives(p, xs, bank, ds)
-    for i in range(0, 10_000, 97):
-        via_model = model_derivative(model, xs[i], ds[i])
-        np.testing.assert_allclose(via_model, direct[i], rtol=1e-10, atol=1e-9)
-
-
-def test_to_persidskii_refuses_sector_violations():
-    p = nominal_params()
-    bad = VrBank((VrBranch.of((VrElement._unchecked("linear", -2.0),)),))
-    with pytest.raises(SectorViolation):
-        to_persidskii(p, bad)
-
-
 def test_lyapunov_value_examples():
     bank0 = VrBank(())
     c0 = _cert(np.eye(2), np.zeros((0, 2)), np.zeros((1, 2)), np.zeros((2, 2)))
-    assert lyapunov_value(c0, bank0, (1.0, 0.0)) == 1.0
-    assert lyapunov_value(c0, bank0, (0.0, 0.0)) == 0.0
+    np.testing.assert_array_equal(lyapunov_values(c0, bank0, [(1.0, 0.0), (0.0, 0.0)]), [1.0, 0.0])
 
     bank1 = VrBank((VrBranch.of((linear(1.0),)),))
     c1 = _cert(np.eye(2), np.ones((1, 2)), np.zeros((2, 2)), np.zeros((2, 2)))
     # x'Px = 2 plus 2 * (1*(1/2) + 1*(1/2)) = 2
-    assert lyapunov_value(c1, bank1, (1.0, 1.0)) == pytest.approx(4.0, rel=1e-14)
-    assert lyapunov_value(c1, bank1, (0.0, 0.0)) == 0.0
+    vals = lyapunov_values(c1, bank1, [(1.0, 1.0), (0.0, 0.0)])
+    assert vals[0] == pytest.approx(4.0, rel=1e-14)
+    assert vals[1] == 0.0
 
     with pytest.raises(ValueError):
-        lyapunov_value(c0, bank1, (1.0, 0.0))
+        lyapunov_values(c0, bank1, [(1.0, 0.0)])
 
 
 def test_lyapunov_gradient_examples(rng, banks):
     bank0 = VrBank(())
     c0 = _cert(np.eye(2), np.zeros((0, 2)), np.zeros((1, 2)), np.zeros((2, 2)))
-    np.testing.assert_array_equal(lyapunov_gradient(c0, bank0, (3.0, -1.0)), [6.0, -2.0])
+    np.testing.assert_array_equal(lyapunov_gradients(c0, bank0, [(3.0, -1.0)]), [[6.0, -2.0]])
 
     bank = banks["multi_branch"]
     cert = random_certificate(2, rng)
-    np.testing.assert_array_equal(lyapunov_gradient(cert, bank, (0.0, 0.0)), [0.0, 0.0])
+    np.testing.assert_array_equal(lyapunov_gradients(cert, bank, [(0.0, 0.0)]), [[0.0, 0.0]])
 
     # finite-difference oracle on 1e3 states
     h = 1e-5
-    for _ in range(1000):
-        x = rng.uniform(-20.0, 20.0, 2)
-        grad = lyapunov_gradient(cert, bank, x)
-        fd = np.array([
-            (lyapunov_value(cert, bank, x + [h, 0]) - lyapunov_value(cert, bank, x - [h, 0])) / (2 * h),
-            (lyapunov_value(cert, bank, x + [0, h]) - lyapunov_value(cert, bank, x - [0, h])) / (2 * h),
-        ])
-        np.testing.assert_allclose(grad, fd, rtol=1e-5, atol=1e-4)
+    xs = rng.uniform(-20.0, 20.0, (1000, 2))
+    grads = lyapunov_gradients(cert, bank, xs)
+    fd = np.column_stack([
+        (lyapunov_values(cert, bank, xs + [h, 0]) - lyapunov_values(cert, bank, xs - [h, 0])) / (2 * h),
+        (lyapunov_values(cert, bank, xs + [0, h]) - lyapunov_values(cert, bank, xs - [0, h])) / (2 * h),
+    ])
+    np.testing.assert_allclose(grads, fd, rtol=1e-5, atol=1e-4)
 
 
 def test_lyapunov_vectorized_consistency(rng, banks):
+    """Each row of a bulk call equals the call on that row alone."""
     bank = banks["multi_branch"]
     cert = random_certificate(2, rng)
     pts = rng.uniform(-30, 30, (200, 2))
     vals = lyapunov_values(cert, bank, pts)
     grads = lyapunov_gradients(cert, bank, pts)
+    assert vals.shape == (200,) and grads.shape == (200, 2)
     for i in range(0, 200, 17):
-        assert vals[i] == pytest.approx(lyapunov_value(cert, bank, pts[i]), rel=1e-12)
-        np.testing.assert_allclose(grads[i], lyapunov_gradient(cert, bank, pts[i]), rtol=1e-12)
+        assert vals[i] == pytest.approx(lyapunov_values(cert, bank, pts[i:i + 1])[0], rel=1e-14)
+        np.testing.assert_allclose(grads[i], lyapunov_gradients(cert, bank, pts[i:i + 1])[0], rtol=1e-14)
 
 
 def test_assemble_psi_m0_layout():

@@ -4,11 +4,10 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from vrgrid.bank import VrBank, VrBranch, cubic, linear
+from vrgrid.bank import VrBank, VrBranch, bank_values, cubic, linear
 from vrgrid.plant import (
     GridParams,
     coupling_matrix,
-    error_derivative,
     error_derivatives,
     feedforward_v0,
     nominal_params,
@@ -99,12 +98,12 @@ def test_error_derivative_fixed_point_and_empty_bank(banks):
     p = nominal_params()
     for bank in banks.values():
         np.testing.assert_array_equal(
-            error_derivative(p, (0.0, 0.0), bank, (0.0, 0.0)), [0.0, 0.0]
+            error_derivatives(p, [(0.0, 0.0)], bank, [(0.0, 0.0)]), [[0.0, 0.0]]
         )
     x = np.array([4.0, -7.0])
     d = np.array([30.0, -10.0])
     expected = system_matrix(p) @ x - d / p.l_g
-    np.testing.assert_allclose(error_derivative(p, x, VrBank(()), d), expected, rtol=1e-14)
+    np.testing.assert_allclose(error_derivatives(p, [x], VrBank(()), [d])[0], expected, rtol=1e-14)
 
 
 def test_closed_loop_and_error_paths_agree_pointwise(rng, banks):
@@ -112,21 +111,13 @@ def test_closed_loop_and_error_paths_agree_pointwise(rng, banks):
     p = nominal_params()
     bank = banks["multi_branch"]
     v0 = feedforward_v0(p)
-    from vrgrid.bank import eval_bank
-
-    for _ in range(200):
-        x = rng.uniform(-100.0, 100.0, 2)
-        d = rng.uniform(-500.0, 500.0, 2)
-        via_plant = open_loop_derivative(p, p.i_ref + x, v0 - eval_bank(bank, x), p.v_g_ref + d)
-        via_error = error_derivative(p, x, bank, d)
-        np.testing.assert_allclose(via_plant, via_error, atol=1e-8)
-
-    # vectorized bulk check, 1e4 states
     xs = rng.uniform(-100.0, 100.0, (10_000, 2))
     ds = rng.uniform(-500.0, 500.0, (10_000, 2))
-    bulk = error_derivatives(p, xs, bank, ds)
-    direct = np.array([error_derivative(p, x, bank, d) for x, d in zip(xs[:50], ds[:50])])
-    np.testing.assert_allclose(bulk[:50], direct, atol=1e-8)
+    via_error = error_derivatives(p, xs, bank, ds)
+    control = bank_values(bank, xs)
+    for i in range(0, 10_000, 50):
+        via_plant = open_loop_derivative(p, p.i_ref + xs[i], v0 - control[i], p.v_g_ref + ds[i])
+        np.testing.assert_allclose(via_plant, via_error[i], atol=1e-8)
 
 
 def test_closed_loop_integration_matches_error_integration():
@@ -134,7 +125,6 @@ def test_closed_loop_integration_matches_error_integration():
     error-dynamics integrator, pointwise to 1e-8."""
     p = nominal_params()
     bank = VrBank((VrBranch.of((linear(1.0), cubic(0.25))),))
-    from vrgrid.bank import eval_bank
     from vrgrid.sim import integrate, scenario_constant
 
     dt = 1e-6
@@ -147,7 +137,7 @@ def test_closed_loop_integration_matches_error_integration():
     path = [i - p.i_ref]
     for _ in range(n):
         def f(state):
-            return open_loop_derivative(p, state, v0 - eval_bank(bank, state - p.i_ref), vg)
+            return open_loop_derivative(p, state, v0 - bank_values(bank, [state - p.i_ref])[0], vg)
 
         k1 = f(i)
         k2 = f(i + 0.5 * dt * k1)
