@@ -13,8 +13,8 @@ The fallback integrator is therefore ``specialized_rk4_loop``:
 inlined from ``_ELEMENT_EXPR`` as a Python-float expression, and computes
 the same trajectory bit for bit, about seven times faster. ``vrgrid.sim``
 picks one of the two by ``NUMBA_ENABLED``; the uncompiled ``rk4_loop``
-stays the reference that the tests compare against.
-``benchmarks/bench_kernels.py`` times all three.
+stays the reference that the tests compare against. ``perfbench/run.py
+--trace 1`` reports the loop's us/step per bundled bank.
 """
 
 import math
@@ -71,12 +71,14 @@ def element_value(code, p1, p2, x):
         return p1 * math.sinh(p2 * x)
     if code == TANH:
         return p1 * math.tanh(p2 * x)
-    # saturation: gain p1, hard-clipped at |x| = p2
-    if x > p2:
-        return p1 * p2
-    if x < -p2:
-        return -p1 * p2
-    return p1 * x
+    if code == SATURATION:
+        # gain p1, hard-clipped at |x| = p2
+        if x > p2:
+            return p1 * p2
+        if x < -p2:
+            return -p1 * p2
+        return p1 * x
+    raise ValueError("unknown element code")
 
 
 # element_value as Python-float expressions, one per kind, in the same

@@ -18,7 +18,9 @@ import math
 import os
 import sys
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -196,7 +198,9 @@ def _parse_output(section):
     directory = section.get("directory", "out")
     if not isinstance(directory, str) or not directory:
         raise ConfigError("output.directory", "output.directory must be a non-empty string")
-    decimation = int(_number(section, "output", "decimation", default=10, minimum=1))
+    decimation = section.get("decimation", 10)
+    if isinstance(decimation, bool) or not isinstance(decimation, int) or decimation < 1:
+        raise ConfigError("output.decimation", f"output.decimation must be an integer >= 1, got {decimation!r}")
     formats = section.get("formats", ["csv", "json"])
     if (not isinstance(formats, list) or not formats
             or any(f not in ("csv", "json") for f in formats)):
@@ -258,35 +262,70 @@ def load_config(path):
 # Artifact writers
 # --------------------------------------------------------------------------
 
-def _atomic_write(path, data):
+@contextmanager
+def _atomic_open(path):
+    """Binary file at a temp name beside ``path``, renamed onto it on success."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + f".tmp-{os.getpid()}")
-    tmp.write_bytes(data)
+    try:
+        with open(tmp, "wb") as f:
+            yield f
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     os.replace(tmp, path)
+
+
+def _atomic_write(path, data):
+    with _atomic_open(path) as f:
+        f.write(data)
 
 
 def _json_bytes(obj):
     return (json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n").encode()
 
 
+# trajectory.csv is written this many rows at a time, so the writer's memory
+# does not grow with the horizon
+_CSV_CHUNK_ROWS = 8192
+
+
+def _repr_cells(col):
+    """``repr`` of each float in ``col`` (a 1-D float64 array).
+
+    Where at most half the values start a new run of bit-identical values
+    (the piecewise-constant grid voltage and resistance), ``repr`` runs once
+    per run. Runs are compared on the bits, because ``-0.0 == 0.0``.
+    """
+    bits = col.view(np.uint64)
+    starts = np.flatnonzero(bits[1:] != bits[:-1]) + 1
+    if 2 * len(starts) >= len(col):
+        return map(repr, col.tolist())
+    starts = np.concatenate(([0], starts))
+    counts = np.diff(starts, append=len(col))
+    return chain.from_iterable(map(repeat, map(repr, col[starts].tolist()), counts.tolist()))
+
+
 def write_trajectory_csv(path, traj, decimation):
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["t", "i_err_d", "i_err_q", "v_g_d", "v_g_q", "r_g", "V"])
-    idx = range(0, len(traj.times), decimation)
-    for i in idx:
-        row = [
-            repr(float(traj.times[i])),
-            repr(float(traj.i_err[i, 0])),
-            repr(float(traj.i_err[i, 1])),
-            repr(float(traj.v_dist[i, 0])),
-            repr(float(traj.v_dist[i, 1])),
-            repr(float(traj.r_g[i])),
-            repr(float(traj.v_lyap[i])) if traj.v_lyap is not None else "",
-        ]
-        writer.writerow(row)
-    _atomic_write(path, buf.getvalue().encode())
+    """Write every ``decimation``-th step of ``traj`` as one CSV row.
+
+    Each cell is the shortest round-trip ``repr`` of the float64 value; the
+    ``V`` column is empty when ``traj.v_lyap`` is None. Rows are built a
+    column at a time and streamed in blocks of ``_CSV_CHUNK_ROWS``.
+    """
+    series = [traj.times, traj.i_err[:, 0], traj.i_err[:, 1],
+              traj.v_dist[:, 0], traj.v_dist[:, 1], traj.r_g]
+    if traj.v_lyap is not None:
+        series.append(traj.v_lyap)
+    columns = [np.asarray(s, dtype=np.float64)[::decimation] for s in series]
+    with _atomic_open(path) as f:
+        f.write(b"t,i_err_d,i_err_q,v_g_d,v_g_q,r_g,V\n")
+        for start in range(0, len(columns[0]), _CSV_CHUNK_ROWS):
+            cells = [_repr_cells(c[start:start + _CSV_CHUNK_ROWS]) for c in columns]
+            if traj.v_lyap is None:
+                cells.append(repeat(""))
+            f.write(("\n".join(map(",".join, zip(*cells))) + "\n").encode())
 
 
 def certificate_payload(cert, bank, captured_warnings=()):

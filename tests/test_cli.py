@@ -201,6 +201,11 @@ def _replace(section, value):
     pytest.param(_replace("bank", [[{"kind": "linear", "k": True}]]), "bank[0]", id="k-bool"),
     pytest.param(_replace("scenario", {"kind": "custom", "t_end": 0.001, "dt": 1e-5, "v_g_const": ["@@1e400", 0]}),
                  "scenario.v_g_const", id="v_g_const-1e400"),
+    pytest.param(_replace("output", {"decimation": 2.7}), "output.decimation", id="decimation-2.7"),
+    pytest.param(_replace("output", {"decimation": "3"}), "output.decimation", id="decimation-string"),
+    pytest.param(_replace("output", {"decimation": 2.0}), "output.decimation", id="decimation-2.0"),
+    pytest.param(_replace("output", {"decimation": True}), "output.decimation", id="decimation-bool"),
+    pytest.param(_replace("output", {"decimation": 0}), "output.decimation", id="decimation-0"),
 ])
 def test_bad_config_values_exit2(tmp_path, capsys, mutate, field):
     """Out-of-range and mistyped values exit 2 naming the field, never 0, 1 or 3.

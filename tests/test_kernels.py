@@ -114,6 +114,13 @@ def test_sinh_overflow_aborts_at_its_step():
     np.testing.assert_array_equal(out[:bad], ref_out)
 
 
+@pytest.mark.parametrize("code", [-1, _kernels.SATURATION + 1, 7])
+def test_element_value_rejects_unknown_code(code):
+    # a code past SATURATION used to clip like a saturation element
+    with pytest.raises(ValueError, match="unknown element code"):
+        python_impl(element_value)(code, 2.0, 1.5, 3.0)
+
+
 def test_build_rk4_loop_rejects_unknown_code():
     codes = np.array([_kernels.SATURATION + 1], dtype=np.int64)
     with pytest.raises(ValueError, match="unknown element code"):
