@@ -28,12 +28,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import linalg
-from .bank import bank_values, classify_bank
+from .bank import bank_values, branch_values, classify_bank
 from .persidskii import (
     IssCertificate,
     VerifyReport,
+    _check_dims,
     assemble_psi,
-    lyapunov_gradients,
+    lyapunov_gradients,  # not called here; the persidskii.lyapunov_gradients trace site
 )
 from .plant import system_matrix
 
@@ -63,10 +64,7 @@ def _xi_matrix(cert):
 
 def verify_certificate(p, bank, cert, tol=1e-9):
     """Evaluate all three conditions; never raises on an invalid certificate."""
-    if cert.branch_count != bank.branch_count:
-        raise ValueError(
-            f"certificate sized for {cert.branch_count} branches, bank has {bank.branch_count}"
-        )
+    _check_dims(cert, bank)
     class_ok = _class_ok(cert, tol)
 
     lmi_p = cert.p_mat + np.diag(cert.lam.sum(axis=0)) if cert.branch_count else cert.p_mat
@@ -176,8 +174,10 @@ class GradientCheckConfig:
     def __post_init__(self):
         if not (math.isfinite(self.epsilon) and self.epsilon > 0.0):
             raise ValueError(f"epsilon must be finite and > 0, got {self.epsilon!r}")
-        if self.grid_radius <= 0.0:
-            raise ValueError("grid_radius must be > 0")
+        if not (math.isfinite(self.grid_radius) and self.grid_radius > 0.0):
+            raise ValueError(f"grid_radius must be finite and > 0, got {self.grid_radius!r}")
+        if isinstance(self.grid_points, bool) or not isinstance(self.grid_points, int):
+            raise ValueError(f"grid_points must be an int, got {self.grid_points!r}")
         if self.grid_points < 11 or self.grid_points % 2 == 0:
             raise ValueError("grid_points must be an odd count >= 11 (grid must contain the origin)")
 
@@ -191,6 +191,11 @@ class GradientCheckReport:
     disturbance_bound_coeff: float   # 1 / (2 l_g epsilon) multiplying |vg_err|^2
 
 
+def _spread(axis_values, n):
+    """Per-axis values at the n samples -> the n*n grid points, meshgrid "ij" order."""
+    return np.column_stack([np.repeat(axis_values[:, 0], n), np.tile(axis_values[:, 1], n)])
+
+
 def sampled_gradient_check(p, bank, v_spec, cfg):
     """Evaluate the pointwise gradient condition on a square grid.
 
@@ -200,14 +205,31 @@ def sampled_gradient_check(p, bank, v_spec, cfg):
 
     must be <= 0 everywhere for the condition to hold; sampling makes this
     a falsification check, not a proof. ``v_spec`` is either a certificate
-    (composite V) or a symmetric 2x2 array (plain quadratic V = x'Px).
+    (composite V) or a symmetric 2x2 array (plain quadratic V = x'Px). A
+    point whose left side is not <= 0 (NaN included, e.g. after an overflow)
+    counts as a violation, so ``passes`` holds exactly when there are none.
+
+    Every branch map acts on one axis at a time, so each is evaluated only
+    on the n axis samples (both columns of ``column_stack([axis, axis])``)
+    and then spread over the grid. Grid point i*n + j is (axis[i], axis[j]),
+    so its d value is the d value of sample i, repeated along grid row i,
+    and its q value that of sample j, tiled across the rows. The maps are
+    elementwise, so the spread values are the floats a full-grid evaluation
+    gives; grad V and r are then summed in the operation order of
+    :func:`lyapunov_gradients` and :func:`bank_values`, and the report is
+    bit-identical to evaluating both on all n*n points.
     """
-    axis = np.linspace(-cfg.grid_radius, cfg.grid_radius, cfg.grid_points)
+    n = cfg.grid_points
+    axis = np.linspace(-cfg.grid_radius, cfg.grid_radius, n)
     gd, gq = np.meshgrid(axis, axis, indexing="ij")
     pts = np.column_stack([gd.ravel(), gq.ravel()])
+    samples = np.column_stack([axis, axis])
 
     if isinstance(v_spec, IssCertificate):
-        grads = lyapunov_gradients(v_spec, bank, pts)
+        _check_dims(v_spec, bank)
+        grads = 2.0 * pts @ v_spec.p_mat.T
+        for k, branch in enumerate(bank.branches):
+            grads = grads + 2.0 * v_spec.lam[k] * _spread(branch_values(branch, samples), n)
     else:
         p_quad = linalg.symmetrize(np.asarray(v_spec, dtype=float))
         grads = 2.0 * pts @ p_quad.T
@@ -215,15 +237,16 @@ def sampled_gradient_check(p, bank, v_spec, cfg):
     a = system_matrix(p)
     lhs = (
         np.einsum("ni,ni->n", grads, pts @ a.T)
-        - np.einsum("ni,ni->n", grads, bank_values(bank, pts)) / p.l_g
+        - np.einsum("ni,ni->n", grads, _spread(bank_values(bank, samples), n)) / p.l_g
         + np.einsum("ni,ni->n", pts, pts)
         + (cfg.epsilon / (2.0 * p.l_g)) * np.einsum("ni,ni->n", grads, grads)
     )
     worst = int(np.argmax(lhs))
+    n_violations = int(np.count_nonzero(~(lhs <= 0.0)))
     return GradientCheckReport(
-        passes=bool(lhs[worst] <= 0.0),
+        passes=n_violations == 0,
         max_value=float(lhs[worst]),
         max_point=(float(pts[worst, 0]), float(pts[worst, 1])),
-        n_violations=int(np.count_nonzero(lhs > 0.0)),
+        n_violations=n_violations,
         disturbance_bound_coeff=1.0 / (2.0 * p.l_g * cfg.epsilon),
     )

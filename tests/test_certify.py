@@ -1,10 +1,13 @@
+import itertools
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from vrgrid.bank import SectorViolation, VrBank, VrBranch, VrElement, bank_values, linear
+from conftest import random_certificate
+from vrgrid import linalg
+from vrgrid.bank import KINDS, SectorViolation, VrBank, VrBranch, VrElement, bank_values, linear, sinh_element
 from vrgrid.certify import (
     CertificateError,
     GradientCheckConfig,
@@ -99,6 +102,8 @@ def test_verify_dimension_mismatch():
     p = nominal_params()
     with pytest.raises(ValueError, match="branches"):
         verify_certificate(p, ONE_LINEAR, analytic_m0_certificate(p))
+    with pytest.raises(ValueError, match="branches"):
+        sampled_gradient_check(p, ONE_LINEAR, analytic_m0_certificate(p), GradientCheckConfig(epsilon=1e-3))
 
 
 def test_iss_gain():
@@ -206,6 +211,12 @@ def test_gradient_check_config_validation():
         GradientCheckConfig(epsilon=0.01, grid_points=10)
     with pytest.raises(ValueError):
         GradientCheckConfig(epsilon=0.01, grid_points=200)
+    for radius in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="grid_radius"):
+            GradientCheckConfig(epsilon=0.01, grid_radius=radius)
+    for points in (201.0, True, "201"):
+        with pytest.raises(ValueError, match="grid_points"):
+            GradientCheckConfig(epsilon=0.01, grid_points=points)
 
 
 def test_gradient_check_threshold_both_sides():
@@ -246,3 +257,86 @@ def test_gradient_check_accepts_certificate(banks):
     )
     assert isinstance(report.passes, bool)
     assert math.isfinite(report.max_value)
+
+
+def test_gradient_check_counts_non_finite_points_as_violations():
+    # sinh(20 x) overflows on most of the radius-50 grid, and the composite
+    # gradient then meets inf - inf: those points are violations, not passes.
+    p = nominal_params()
+    bank = VrBank((VrBranch.of((sinh_element(1.0, 20.0),)),))
+    with np.errstate(over="ignore", invalid="ignore"):
+        cert = search_certificate(p, bank).certificate
+        report = sampled_gradient_check(p, bank, cert, GradientCheckConfig(epsilon=1e-3))
+    assert math.isnan(report.max_value)
+    assert not report.passes
+    assert report.n_violations > 0
+
+
+_ELEMENT_PARAMS = {
+    "linear": ((0.1, 5.0),),
+    "cubic": ((1e-3, 1.0),),
+    "sinh": ((0.01, 1.0), (0.01, 0.5)),
+    "tanh": ((0.1, 10.0), (0.01, 1.0)),
+    "saturation": ((0.1, 5.0), (0.5, 30.0)),
+}
+
+
+def _random_axis_bank(rng, m):
+    """m branches with different elements on d and q, cycling through all kinds."""
+    kinds = itertools.cycle(KINDS)
+
+    def elements():
+        return [VrElement(kind, *(float(rng.uniform(lo, hi)) for lo, hi in _ELEMENT_PARAMS[kind]))
+                for kind in itertools.islice(kinds, int(rng.integers(1, 3)))]
+
+    return VrBank(tuple(VrBranch.of(elements(), elements()) for _ in range(m)))
+
+
+def _full_grid_gradient_check(p, bank, v_spec, cfg):
+    """Reference: the gradient and bank maps evaluated on all n*n grid points."""
+    axis = np.linspace(-cfg.grid_radius, cfg.grid_radius, cfg.grid_points)
+    gd, gq = np.meshgrid(axis, axis, indexing="ij")
+    pts = np.column_stack([gd.ravel(), gq.ravel()])
+    if isinstance(v_spec, IssCertificate):
+        grads = lyapunov_gradients(v_spec, bank, pts)
+    else:
+        grads = 2.0 * pts @ linalg.symmetrize(np.asarray(v_spec, dtype=float)).T
+    a = system_matrix(p)
+    lhs = (
+        np.einsum("ni,ni->n", grads, pts @ a.T)
+        - np.einsum("ni,ni->n", grads, bank_values(bank, pts)) / p.l_g
+        + np.einsum("ni,ni->n", pts, pts)
+        + (cfg.epsilon / (2.0 * p.l_g)) * np.einsum("ni,ni->n", grads, grads)
+    )
+    worst = int(np.argmax(lhs))
+    n_violations = int(np.count_nonzero(~(lhs <= 0.0)))
+    return GradientCheckReport(
+        passes=n_violations == 0,
+        max_value=float(lhs[worst]),
+        max_point=(float(pts[worst, 0]), float(pts[worst, 1])),
+        n_violations=n_violations,
+        disturbance_bound_coeff=1.0 / (2.0 * p.l_g * cfg.epsilon),
+    )
+
+
+@pytest.mark.parametrize("grid_points", [11, 51, 201])
+@pytest.mark.parametrize("grid_radius", [20.0, 50.0])
+def test_gradient_check_matches_full_grid_oracle(rng, grid_points, grid_radius):
+    """Per-axis evaluation gives the full-grid report bit for bit."""
+    grids = [nominal_params(), GridParams(r_g=0.3, l_g=2e-3, omega_g=2.0 * math.pi * 50.0)]
+    for p in grids:
+        for m in (1, 2, 3):
+            bank = _random_axis_bank(rng, m)
+            assert not all(b.same_both_axes for b in bank.branches)
+            quad = rng.uniform(-1.0, 1.0, (2, 2))
+            specs = [
+                random_certificate(m, rng),
+                search_certificate(p, bank).certificate,
+                np.array([[1.5, 0.3], [0.3, 0.8]]),
+                quad + quad.T,
+            ]
+            for epsilon in (1e-4, 1e-2):
+                cfg = GradientCheckConfig(epsilon=epsilon, grid_radius=grid_radius, grid_points=grid_points)
+                for spec in specs:
+                    assert repr(sampled_gradient_check(p, bank, spec, cfg)) == repr(
+                        _full_grid_gradient_check(p, bank, spec, cfg))
