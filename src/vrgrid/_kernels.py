@@ -248,7 +248,9 @@ def jacobi_sweep(a, v, rel_tol):
     Rotations are accumulated into ``v`` (preset to identity by the caller),
     so that a_input = v @ diag(a) @ v.T on return. Sweeps stop once the
     off-diagonal Frobenius norm drops below ``rel_tol`` times the Frobenius
-    norm of the input. Returns the number of sweeps used.
+    norm of the input. Returns the number of sweeps used. The package no
+    longer calls it: ``linalg.sym_eig`` uses LAPACK, and the tests use this
+    sweep as its independent reference.
     """
     n = a.shape[0]
     fro = 0.0

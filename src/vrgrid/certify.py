@@ -129,28 +129,41 @@ def search_certificate(p, bank, mode="rederived"):
     any admissible parameters. The bound only motivates the construction:
     validity is decided by :func:`verify_certificate`, whose report is
     attached to the returned certificate.
+
+    Raises :class:`CertificateError` when (r_g, l_g, omega_g) put a
+    certificate entry, a margin or the gain outside the float64 range
+    (e.g. r_g = 1e-300 with l_g = 1e300).
     """
     m = bank.branch_count
     if m > 8:
         raise ValueError(f"certification supports at most 8 branches, bank has {m}")
     classify_bank(bank)
 
-    a = p.r_g / p.l_g
-    c = min(0.01, p.r_g / (4.0 * max(m, 1) * (a ** 2 + p.omega_g ** 2) * p.l_g ** 2))
-    omega = np.full((m + 1, 2), c / p.l_g)
-    omega[0] = a
-    upsilon = np.zeros((m + 1, m + 1, 2))
-    upsilon[np.triu_indices(m + 1, 1)] = 2.0 * c / p.l_g
-    upsilon[0, 1:] = 1.0 / p.l_g
-    cert = IssCertificate(
-        p_mat=np.eye(2),
-        lam=np.full((m, 2), c),
-        omega=omega,
-        phi=(4.0 * p.l_g / p.r_g) * np.eye(2),
-        upsilon=upsilon,
-        mode=mode,
-    )
-    report = verify_certificate(p, bank, cert)
+    try:
+        a = p.r_g / p.l_g
+        c = min(0.01, p.r_g / (4.0 * max(m, 1) * (a ** 2 + p.omega_g ** 2) * p.l_g ** 2))
+        omega = np.full((m + 1, 2), c / p.l_g)
+        omega[0] = a
+        upsilon = np.zeros((m + 1, m + 1, 2))
+        upsilon[np.triu_indices(m + 1, 1)] = 2.0 * c / p.l_g
+        upsilon[0, 1:] = 1.0 / p.l_g
+        cert = IssCertificate(
+            p_mat=np.eye(2),
+            lam=np.full((m, 2), c),
+            omega=omega,
+            phi=(4.0 * p.l_g / p.r_g) * np.eye(2),
+            upsilon=upsilon,
+            mode=mode,
+        )
+        report = verify_certificate(p, bank, cert)
+        gain = iss_gain(report) if report.valid and report.varsigma > 0.0 else 0.0
+        if not all(map(math.isfinite, (*report.margins_dict().values(), gain))):
+            raise ArithmeticError("non-finite margin or gain")
+    except (ArithmeticError, ValueError) as exc:  # overflow, underflow to 0, non-finite entries
+        raise CertificateError(
+            f"r_g={p.r_g!r}, l_g={p.l_g!r}, omega_g={p.omega_g!r} put the closed-form "
+            f"certificate outside the float range: {exc}"
+        ) from None
     return SearchResult(
         certificate=replace(cert, report=report),
         report=report,
@@ -191,11 +204,6 @@ class GradientCheckReport:
     disturbance_bound_coeff: float   # 1 / (2 l_g epsilon) multiplying |vg_err|^2
 
 
-def _spread(axis_values, n):
-    """Per-axis values at the n samples -> the n*n grid points, meshgrid "ij" order."""
-    return np.column_stack([np.repeat(axis_values[:, 0], n), np.tile(axis_values[:, 1], n)])
-
-
 def sampled_gradient_check(p, bank, v_spec, cfg):
     """Evaluate the pointwise gradient condition on a square grid.
 
@@ -210,14 +218,15 @@ def sampled_gradient_check(p, bank, v_spec, cfg):
     counts as a violation, so ``passes`` holds exactly when there are none.
 
     Every branch map acts on one axis at a time, so each is evaluated only
-    on the n axis samples (both columns of ``column_stack([axis, axis])``)
-    and then spread over the grid. Grid point i*n + j is (axis[i], axis[j]),
-    so its d value is the d value of sample i, repeated along grid row i,
-    and its q value that of sample j, tiled across the rows. The maps are
-    elementwise, so the spread values are the floats a full-grid evaluation
-    gives; grad V and r are then summed in the operation order of
-    :func:`lyapunov_gradients` and :func:`bank_values`, and the report is
-    bit-identical to evaluating both on all n*n points.
+    on the n axis samples (both columns of ``column_stack([axis, axis])``).
+    Grid point i*n + j is (axis[i], axis[j]), so in the (n, n, 2) view of a
+    per-point array its d value is that of sample i, broadcast along row i,
+    and its q value that of sample j, broadcast down column j. The maps are
+    elementwise and the sums keep the operation order of
+    :func:`lyapunov_gradients` and :func:`bank_values` (the bank map's
+    inner product with grad V is d term plus q term, as the einsum forms
+    it), so the report is bit-identical to evaluating both on all n*n
+    points.
     """
     n = cfg.grid_points
     axis = np.linspace(-cfg.grid_radius, cfg.grid_radius, n)
@@ -225,19 +234,25 @@ def sampled_gradient_check(p, bank, v_spec, cfg):
     pts = np.column_stack([gd.ravel(), gq.ravel()])
     samples = np.column_stack([axis, axis])
 
+    lam = ()
     if isinstance(v_spec, IssCertificate):
         _check_dims(v_spec, bank)
-        grads = 2.0 * pts @ v_spec.p_mat.T
-        for k, branch in enumerate(bank.branches):
-            grads = grads + 2.0 * v_spec.lam[k] * _spread(branch_values(branch, samples), n)
+        p_mat, lam = v_spec.p_mat, v_spec.lam
     else:
-        p_quad = linalg.symmetrize(np.asarray(v_spec, dtype=float))
-        grads = 2.0 * pts @ p_quad.T
+        p_mat = linalg.symmetrize(np.asarray(v_spec, dtype=float))
+    grads = 2.0 * pts @ p_mat.T
+    grid = grads.reshape(n, n, 2)  # a view: grid[i, j] is grid point i*n + j
+    for lam_k, branch in zip(lam, bank.branches):
+        term = 2.0 * lam_k * branch_values(branch, samples)
+        grid[:, :, 0] += term[:, None, 0]
+        grid[:, :, 1] += term[None, :, 1]
 
+    r = bank_values(bank, samples)
+    r_term = (grid[:, :, 0] * r[:, None, 0] + grid[:, :, 1] * r[None, :, 1]).ravel()
     a = system_matrix(p)
     lhs = (
         np.einsum("ni,ni->n", grads, pts @ a.T)
-        - np.einsum("ni,ni->n", grads, _spread(bank_values(bank, samples), n)) / p.l_g
+        - r_term / p.l_g
         + np.einsum("ni,ni->n", pts, pts)
         + (cfg.epsilon / (2.0 * p.l_g)) * np.einsum("ni,ni->n", grads, grads)
     )

@@ -11,6 +11,7 @@ with the same config produces byte-identical files.
 
 import argparse
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -28,7 +29,7 @@ import numpy as np
 from . import __version__
 from ._kernels import NUMBA_ENABLED
 from .bank import SectorViolation, VrBank, VrBranch, bank_fingerprint, classify_bank, json_number
-from .certify import iss_gain, search_certificate
+from .certify import CertificateError, iss_gain, search_certificate
 from .persidskii import IssCertificate
 from .plant import GridParams
 from .sim import (Scenario, SimulationAbort, check_dissipation, compute_metrics, integrate,
@@ -416,26 +417,34 @@ def _apply_overrides(cfg, args):
 
 
 def _run_certification(cfg):
-    """(certificate-with-report, payload, feasible, warnings)."""
+    """(certificate-with-report, payload, feasible, warnings).
+
+    Grid values that put the certificate outside the float range raise
+    ConfigError on field ``grid``.
+    """
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        result = search_certificate(cfg.grid, cfg.bank, cfg.certify.mode)
+        try:
+            result = search_certificate(cfg.grid, cfg.bank, cfg.certify.mode)
+        except CertificateError as exc:
+            raise ConfigError("grid", f"grid: {exc}") from exc
     messages = sorted({str(w.message) for w in caught})
     payload = certificate_payload(result.certificate, cfg.bank, messages)
     return result.certificate, payload, result.feasible, messages
 
 
 def cmd_simulate(args):
+    cert = None
     try:
         cfg = _apply_overrides(load_config(args.config), args)
+        if cfg.certify.enabled:
+            cert, payload, ok, _ = _run_certification(cfg)
     except ConfigError as exc:
         return _emit_error(2, "config", exc.field, str(exc))
 
     out_dir = Path(cfg.output.directory)
-    cert = None
     extra = {}
-    if cfg.certify.enabled:
-        cert, payload, ok, _ = _run_certification(cfg)
+    if cert is not None:
         _atomic_write(out_dir / "certificate.json", _json_bytes(payload))
         if not ok:
             return _emit_error(4, "infeasible", "certify",
@@ -467,11 +476,11 @@ def cmd_certify(args):
         cfg = _apply_overrides(load_config(args.config), args)
         if not cfg.certify.enabled:
             raise ConfigError("certify.enabled", "certify.enabled must be true for the certify command")
+        cert, payload, ok, _ = _run_certification(cfg)
     except ConfigError as exc:
         return _emit_error(2, "config", exc.field, str(exc))
 
     out_dir = Path(cfg.output.directory)
-    cert, payload, ok, _ = _run_certification(cfg)
     _atomic_write(out_dir / "certificate.json", _json_bytes(payload))
     _atomic_write(out_dir / "manifest.json", _json_bytes(_manifest(cfg, {"certificate": "certificate.json"})))
     if not ok:
@@ -554,7 +563,9 @@ def cmd_compare(args):
     return 0
 
 
+@functools.cache
 def build_parser():
+    """The argparse parser, built once per process (``main`` runs it per command)."""
     parser = argparse.ArgumentParser(
         prog="vrgrid",
         description="Virtual-resistance inverter control: simulate, certify, compare.",

@@ -14,13 +14,11 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 def warm_kernels():
     """Trigger JIT compilation once so timed tests measure math, not compile."""
     import vrgrid as vg
-    from vrgrid.linalg import sym_eig
     from vrgrid.sim import integrate, scenario_constant
 
     p = vg.nominal_params()
     bank = vg.default_banks()["multi_branch"]
     integrate(p, bank, scenario_constant(p, t_end=1e-4, dt=1e-5, v_g=(1.0, 0.0)))
-    sym_eig(np.eye(6))
 
 
 @pytest.fixture(scope="session")

@@ -241,6 +241,52 @@ def test_sampled_sector_check_at_load(tmp_path, capsys, command):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("command", ["simulate", "certify"])
+@pytest.mark.parametrize("r_g, l_g", [
+    pytest.param(1e-300, 1e300, id="l_g-squared-overflows"),
+    pytest.param(1e300, 1e-300, id="omega-not-finite"),
+    pytest.param(1e-320, 1e-3, id="phi-not-finite"),
+])
+def test_certificate_out_of_float_range_exit2(tmp_path, capsys, command, r_g, l_g):
+    """Finite grid values whose closed-form certificate overflows exit 2 at field grid."""
+    from vrgrid.cli import main
+
+    doc = small_config(grid={"l_g": l_g, "r_g": r_g, "frequency_hz": 60.0}, certify={"enabled": True})
+    path = write_config(tmp_path / "cfg.json", doc)
+    assert main([command, str(path), "--out", str(tmp_path / "o")]) == 2
+    err = json.loads(capsys.readouterr().out.splitlines()[0])["error"]
+    assert err["field"] == "grid"
+    assert "float range" in err["message"]
+    assert not (tmp_path / "o").exists()
+
+
+def test_cached_parser_keeps_commands_apart(tmp_path, capsys):
+    """main() reuses one parser per process, so an option given to one command
+    must not reach the next: each in-process run matches a fresh process."""
+    from vrgrid import cli
+
+    assert cli.build_parser() is cli.build_parser()
+    sim = write_config(tmp_path / "sim.json", small_config())
+    cert = write_config(tmp_path / "cert.json", small_config(
+        bank=[[{"kind": "linear", "k": 1.0}], [{"kind": "linear", "k": 0.5}]], certify={"enabled": True}))
+    runs = [("simulate", sim, ["--decimation", "2"]), ("simulate", sim, []),
+            ("certify", cert, ["--mode", "verbatim"]), ("certify", cert, [])]
+    artifacts = []
+    for i, (command, path, options) in enumerate(runs):
+        here, fresh = tmp_path / f"here{i}", tmp_path / f"fresh{i}"
+        code = cli.main([command, str(path), "--out", str(here), *options])
+        assert code == run_cli(command, str(path), "--out", str(fresh), *options).returncode
+        files = sorted(p.name for p in here.iterdir())
+        assert files == sorted(p.name for p in fresh.iterdir())
+        for name in files:
+            assert (here / name).read_bytes() == (fresh / name).read_bytes(), (command, options, name)
+        artifacts.append({name: (here / name).read_bytes() for name in files})
+    capsys.readouterr()
+    # the options took effect, so equal artifacts above are not vacuous
+    assert artifacts[0]["trajectory.csv"] != artifacts[1]["trajectory.csv"]
+    assert artifacts[2]["certificate.json"] != artifacts[3]["certificate.json"]
+
+
 def test_certify_m0_bundled(tmp_path):
     out = tmp_path / "m0"
     res = run_cli("certify", str(CONFIG_DIR / "certify_m0.json"), "--out", str(out))

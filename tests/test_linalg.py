@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from conftest import CONFIG_DIR
+from vrgrid._kernels import jacobi_sweep, python_impl
 from vrgrid.linalg import (
     LinalgError,
     block_assemble,
@@ -54,6 +56,38 @@ def test_sym_eig_reconstruction_property(rng):
         np.testing.assert_allclose(w, np.linalg.eigvalsh(s), rtol=1e-9, atol=1e-9 * max(1.0, np.linalg.norm(s)))
     assert worst_resid <= 1e-10
     assert worst_orth <= 1e-10
+
+
+def _jacobi_eigenvalues(s):
+    a, v = s.copy(), np.eye(s.shape[0])
+    python_impl(jacobi_sweep)(a, v, 1e-12)
+    return np.sort(np.diag(a))
+
+
+def _bundled_certificate_matrices():
+    """The sigma, xi and Psi matrices verified for each bundled certify config."""
+    from vrgrid.certify import _xi_matrix, search_certificate
+    from vrgrid.cli import load_config
+    from vrgrid.persidskii import assemble_psi
+
+    for path in sorted(CONFIG_DIR.glob("certify_*.json")):
+        cfg = load_config(path)
+        cert = search_certificate(cfg.grid, cfg.bank, cfg.certify.mode).certificate
+        yield cert.p_mat + np.diag(cert.lam.sum(axis=0))
+        yield _xi_matrix(cert)
+        yield assemble_psi(cfg.grid, cert, mode="rederived")
+
+
+def test_sym_eig_matches_jacobi_reference(rng):
+    """LAPACK eigenvalues agree with the cyclic Jacobi sweep to within the
+    sweep's own stopping rule, 1e-12 * ||S||_F."""
+    mats = [symmetrize(rng.normal(scale=rng.uniform(0.1, 100.0), size=(n, n)))
+            for n in range(1, 21) for _ in range(5)]
+    mats += list(_bundled_certificate_matrices())
+    assert len(mats) == 100 + 6
+    for s in mats:
+        np.testing.assert_allclose(sym_eig(s).eigenvalues, _jacobi_eigenvalues(s),
+                                   rtol=0.0, atol=1e-12 * np.linalg.norm(s))
 
 
 def test_sym_eig_similarity_invariance(rng):
