@@ -5,7 +5,7 @@ Verification evaluates three conditions on a candidate certificate:
   1. P + sum_k Lambda_k positive definite        (sigma margin)
   2. Omega_0 + sum Upsilon_{0,k} + sum Omega_k
      + sum_{1<=s<l} Upsilon_{s,l} positive definite   (xi margin)
-  3. Psi negative semidefinite (rederived layout)     (psi margin)
+  3. Psi negative semidefinite                        (psi margin)
 
 plus the sign-class constraints (nonnegative diagonals, P and Phi PSD).
 A valid certificate yields the pointwise dissipation bound
@@ -39,6 +39,10 @@ from .persidskii import (
 from .plant import system_matrix
 
 
+# largest bank the certificate construction accepts
+MAX_BRANCHES = 8
+
+
 class CertificateError(ValueError):
     """Raised for unusable certificates (e.g. gain requested with varsigma <= 0)."""
 
@@ -70,13 +74,7 @@ def verify_certificate(p, bank, cert, tol=1e-9):
     lmi_p = cert.p_mat + np.diag(cert.lam.sum(axis=0)) if cert.branch_count else cert.p_mat
     sigma_ok, sigma_margin = linalg.is_pos_def(lmi_p, tol)
     xi_ok, xi_margin = linalg.is_pos_def(_xi_matrix(cert), tol)
-    psi_ok, psi_margin = linalg.is_neg_semidef(assemble_psi(p, cert, mode="rederived"), tol)
-
-    psi_margin_verbatim = None
-    if cert.mode == "verbatim":
-        # the layout warning (two or more branches) propagates to the caller
-        psi_margin_verbatim = linalg.lambda_max(assemble_psi(p, cert, mode="verbatim"))
-
+    psi_ok, psi_margin = linalg.is_neg_semidef(assemble_psi(p, cert), tol)
     return VerifyReport(
         valid=bool(class_ok and sigma_ok and xi_ok and psi_ok),
         sigma_margin=sigma_margin,
@@ -85,7 +83,6 @@ def verify_certificate(p, bank, cert, tol=1e-9):
         varsigma=float(cert.omega[0].min()),
         alpha=float(linalg.lambda_max(cert.phi) / p.l_g ** 2),
         class_ok=class_ok,
-        psi_margin_verbatim=psi_margin_verbatim,
     )
 
 
@@ -111,7 +108,7 @@ class SearchResult:
     starts_run: int
 
 
-def search_certificate(p, bank, mode="rederived"):
+def search_certificate(p, bank):
     """Closed-form certificate for a stable linear part, verified once.
 
     With the branch weight c = min(0.01, r_g / (4 max(M, 1) |A|^2 l_g^2)),
@@ -135,35 +132,35 @@ def search_certificate(p, bank, mode="rederived"):
     (e.g. r_g = 1e-300 with l_g = 1e300).
     """
     m = bank.branch_count
-    if m > 8:
-        raise ValueError(f"certification supports at most 8 branches, bank has {m}")
+    if m > MAX_BRANCHES:
+        raise ValueError(f"certification supports at most {MAX_BRANCHES} branches, bank has {m}")
     classify_bank(bank)
 
-    try:
-        a = p.r_g / p.l_g
-        c = min(0.01, p.r_g / (4.0 * max(m, 1) * (a ** 2 + p.omega_g ** 2) * p.l_g ** 2))
-        omega = np.full((m + 1, 2), c / p.l_g)
-        omega[0] = a
-        upsilon = np.zeros((m + 1, m + 1, 2))
-        upsilon[np.triu_indices(m + 1, 1)] = 2.0 * c / p.l_g
-        upsilon[0, 1:] = 1.0 / p.l_g
-        cert = IssCertificate(
-            p_mat=np.eye(2),
-            lam=np.full((m, 2), c),
-            omega=omega,
-            phi=(4.0 * p.l_g / p.r_g) * np.eye(2),
-            upsilon=upsilon,
-            mode=mode,
-        )
-        report = verify_certificate(p, bank, cert)
-        gain = iss_gain(report) if report.valid and report.varsigma > 0.0 else 0.0
-        if not all(map(math.isfinite, (*report.margins_dict().values(), gain))):
-            raise ArithmeticError("non-finite margin or gain")
-    except (ArithmeticError, ValueError) as exc:  # overflow, underflow to 0, non-finite entries
-        raise CertificateError(
-            f"r_g={p.r_g!r}, l_g={p.l_g!r}, omega_g={p.omega_g!r} put the closed-form "
-            f"certificate outside the float range: {exc}"
-        ) from None
+    with np.errstate(all="ignore"):  # a non-finite entry or margin is refused below
+        try:
+            a = p.r_g / p.l_g
+            c = min(0.01, p.r_g / (4.0 * max(m, 1) * (a ** 2 + p.omega_g ** 2) * p.l_g ** 2))
+            omega = np.full((m + 1, 2), c / p.l_g)
+            omega[0] = a
+            upsilon = np.zeros((m + 1, m + 1, 2))
+            upsilon[np.triu_indices(m + 1, 1)] = 2.0 * c / p.l_g
+            upsilon[0, 1:] = 1.0 / p.l_g
+            cert = IssCertificate(
+                p_mat=np.eye(2),
+                lam=np.full((m, 2), c),
+                omega=omega,
+                phi=(4.0 * p.l_g / p.r_g) * np.eye(2),
+                upsilon=upsilon,
+            )
+            report = verify_certificate(p, bank, cert)
+            gain = iss_gain(report) if report.valid and report.varsigma > 0.0 else 0.0
+            if not all(map(math.isfinite, (*report.margins_dict().values(), gain))):
+                raise ArithmeticError("non-finite margin or gain")
+        except (ArithmeticError, ValueError) as exc:  # overflow, underflow to 0, non-finite entries
+            raise CertificateError(
+                f"r_g={p.r_g!r}, l_g={p.l_g!r}, omega_g={p.omega_g!r} put the closed-form "
+                f"certificate outside the float range: {exc}"
+            ) from None
     return SearchResult(
         certificate=replace(cert, report=report),
         report=report,

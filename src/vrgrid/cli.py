@@ -18,7 +18,6 @@ import json
 import math
 import os
 import sys
-import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from itertools import chain, repeat
@@ -29,7 +28,7 @@ import numpy as np
 from . import __version__
 from ._kernels import NUMBA_ENABLED
 from .bank import SectorViolation, VrBank, VrBranch, bank_fingerprint, classify_bank, json_number
-from .certify import CertificateError, iss_gain, search_certificate
+from .certify import MAX_BRANCHES, CertificateError, iss_gain, search_certificate
 from .persidskii import IssCertificate
 from .plant import GridParams
 from .sim import (Scenario, SimulationAbort, check_dissipation, compute_metrics, integrate,
@@ -170,21 +169,18 @@ def _parse_scenario(section, p):
     raise ConfigError("scenario.kind", f"scenario.kind must be one of voltage_pulse, random_resistance, custom; got {kind!r}")
 
 
-@dataclass(frozen=True)
-class CertifySettings:
-    enabled: bool
-    mode: str
-
-
-def _parse_certify(section):
+def _parse_certify(section, bank):
+    """Whether certification is enabled; ``mode`` may only name the one Psi layout."""
     _check_keys(section, "certify", required=(), optional=("enabled", "mode"))
     enabled = section.get("enabled", False)
     if not isinstance(enabled, bool):
         raise ConfigError("certify.enabled", "certify.enabled must be a boolean")
-    mode = section.get("mode", "rederived")
-    if mode not in ("rederived", "verbatim"):
-        raise ConfigError("certify.mode", "certify.mode must be 'rederived' or 'verbatim'")
-    return CertifySettings(enabled=enabled, mode=mode)
+    if section.get("mode", "rederived") != "rederived":
+        raise ConfigError("certify.mode", "certify.mode must be 'rederived'")
+    if enabled and bank.branch_count > MAX_BRANCHES:
+        raise ConfigError("bank", f"bank: certification supports at most {MAX_BRANCHES} branches, "
+                                  f"bank has {bank.branch_count}")
+    return enabled
 
 
 @dataclass(frozen=True)
@@ -216,7 +212,7 @@ class RunConfig:
     bank: VrBank
     scenario: Scenario
     scenario_raw: dict
-    certify: CertifySettings
+    certify: bool              # certification enabled
     output: OutputSettings
     config_sha256: str
 
@@ -245,7 +241,7 @@ def load_config(path):
     grid = _parse_grid(doc["grid"])
     bank = _parse_bank(doc["bank"])
     scenario = _parse_scenario(doc["scenario"], grid)
-    certify = _parse_certify(doc.get("certify", {}))
+    certify = _parse_certify(doc.get("certify", {}), bank)
     output = _parse_output(doc.get("output", {}))
     return RunConfig(
         name=name,
@@ -329,7 +325,7 @@ def write_trajectory_csv(path, traj, decimation):
             f.write(("\n".join(map(",".join, zip(*cells))) + "\n").encode())
 
 
-def certificate_payload(cert, bank, captured_warnings=()):
+def certificate_payload(cert, bank):
     report = cert.report
     ups = [
         {"s": s, "l": l, "diag": [float(v) for v in cert.upsilon[s, l]]}
@@ -342,7 +338,7 @@ def certificate_payload(cert, bank, captured_warnings=()):
         margins["iss_gain_slope"] = iss_gain(report)
     return {
         "schema_version": SCHEMA_VERSION,
-        "mode": cert.mode,
+        "mode": "rederived",
         "branch_count": cert.branch_count,
         "p": [[float(v) for v in row] for row in cert.p_mat],
         "lambda_diag": [[float(v) for v in row] for row in cert.lam],
@@ -351,7 +347,7 @@ def certificate_payload(cert, bank, captured_warnings=()):
         "phi": [[float(v) for v in row] for row in cert.phi],
         "valid": bool(report.valid) if report else None,
         "margins": margins,
-        "warnings": list(captured_warnings),
+        "warnings": [],
         "bank_fingerprint": bank_fingerprint(bank),
     }
 
@@ -359,6 +355,8 @@ def certificate_payload(cert, bank, captured_warnings=()):
 def load_certificate(path, bank):
     """Read a certificate JSON back; refuses a bank/certificate mismatch."""
     doc = json.loads(Path(path).read_text())
+    if doc.get("mode") != "rederived":
+        raise ValueError(f"certificate mode must be 'rederived', got {doc.get('mode')!r}")
     if doc.get("bank_fingerprint") != bank_fingerprint(bank):
         raise ValueError("certificate fingerprint does not match the supplied bank")
     m = int(doc["branch_count"])
@@ -371,7 +369,6 @@ def load_certificate(path, bank):
         omega=np.array(doc["omega_diag"], dtype=float),
         phi=np.array(doc["phi"], dtype=float),
         upsilon=ups,
-        mode=doc["mode"],
     )
 
 
@@ -399,15 +396,16 @@ def _emit_error(exit_code, kind, field, message):
 
 
 def _apply_overrides(cfg, args):
-    if getattr(args, "out", None):
-        cfg = replace(cfg, output=replace(cfg.output, directory=args.out))
+    out = getattr(args, "out", None)
+    if out is not None:
+        if not out:
+            raise ConfigError("output.directory", "--out must be a non-empty path")
+        cfg = replace(cfg, output=replace(cfg.output, directory=out))
     decimation = getattr(args, "decimation", None)
     if decimation is not None:
         if decimation < 1:
             raise ConfigError("output.decimation", f"--decimation must be >= 1, got {decimation}")
         cfg = replace(cfg, output=replace(cfg.output, decimation=decimation))
-    if getattr(args, "mode", None):
-        cfg = replace(cfg, certify=replace(cfg.certify, mode=args.mode))
     if getattr(args, "seed", None) is not None and cfg.scenario.kind == "random_resistance":
         try:
             cfg = replace(cfg, scenario=replace(cfg.scenario, seed=args.seed))
@@ -417,28 +415,24 @@ def _apply_overrides(cfg, args):
 
 
 def _run_certification(cfg):
-    """(certificate-with-report, payload, feasible, warnings).
+    """(certificate-with-report, certificate.json payload).
 
     Grid values that put the certificate outside the float range raise
     ConfigError on field ``grid``.
     """
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        try:
-            result = search_certificate(cfg.grid, cfg.bank, cfg.certify.mode)
-        except CertificateError as exc:
-            raise ConfigError("grid", f"grid: {exc}") from exc
-    messages = sorted({str(w.message) for w in caught})
-    payload = certificate_payload(result.certificate, cfg.bank, messages)
-    return result.certificate, payload, result.feasible, messages
+    try:
+        cert = search_certificate(cfg.grid, cfg.bank).certificate
+    except CertificateError as exc:
+        raise ConfigError("grid", f"grid: {exc}") from exc
+    return cert, certificate_payload(cert, cfg.bank)
 
 
 def cmd_simulate(args):
     cert = None
     try:
         cfg = _apply_overrides(load_config(args.config), args)
-        if cfg.certify.enabled:
-            cert, payload, ok, _ = _run_certification(cfg)
+        if cfg.certify:
+            cert, payload = _run_certification(cfg)
     except ConfigError as exc:
         return _emit_error(2, "config", exc.field, str(exc))
 
@@ -446,7 +440,7 @@ def cmd_simulate(args):
     extra = {}
     if cert is not None:
         _atomic_write(out_dir / "certificate.json", _json_bytes(payload))
-        if not ok:
+        if not cert.report.valid:
             return _emit_error(4, "infeasible", "certify",
                                f"certification infeasible; best margins {payload['margins']}")
         extra["certificate"] = "certificate.json"
@@ -474,16 +468,16 @@ def cmd_simulate(args):
 def cmd_certify(args):
     try:
         cfg = _apply_overrides(load_config(args.config), args)
-        if not cfg.certify.enabled:
+        if not cfg.certify:
             raise ConfigError("certify.enabled", "certify.enabled must be true for the certify command")
-        cert, payload, ok, _ = _run_certification(cfg)
+        cert, payload = _run_certification(cfg)
     except ConfigError as exc:
         return _emit_error(2, "config", exc.field, str(exc))
 
     out_dir = Path(cfg.output.directory)
     _atomic_write(out_dir / "certificate.json", _json_bytes(payload))
     _atomic_write(out_dir / "manifest.json", _json_bytes(_manifest(cfg, {"certificate": "certificate.json"})))
-    if not ok:
+    if not cert.report.valid:
         return _emit_error(4, "infeasible", "certify",
                            f"certification infeasible; best margins {payload['margins']}")
     print(f"certify {cfg.name}: valid (psi_margin={cert.report.psi_margin:.3e}, "
@@ -530,7 +524,7 @@ def cmd_compare(args):
             return _emit_error(2, "config", "scenario",
                                f"config {cfg.name!r} uses a different scenario than {configs[0].name!r}")
 
-    out_root = Path(args.out) if args.out else Path(configs[0].output.directory)
+    out_root = Path(configs[0].output.directory)  # --out, applied by _apply_overrides
     rows = []
     for cfg in configs:
         run_dir = out_root / cfg.name
@@ -577,14 +571,12 @@ def build_parser():
     sp = sub.add_parser("simulate", help="run one scenario config")
     sp.add_argument("config")
     sp.add_argument("--decimation", type=int, help="trajectory CSV decimation factor")
-    sp.add_argument("--mode", choices=("rederived", "verbatim"))
     sp.add_argument("--out", help="override the output directory")
     sp.add_argument("--seed", type=int, help=seed_help)
     sp.set_defaults(func=cmd_simulate)
 
     sp = sub.add_parser("certify", help="build and verify a stability certificate")
     sp.add_argument("config")
-    sp.add_argument("--mode", choices=("rederived", "verbatim"))
     sp.add_argument("--out", help="override the output directory")
     sp.set_defaults(func=cmd_certify)
 

@@ -18,20 +18,13 @@ V and its gradient are evaluated over (N, 2) arrays of states.
 
 Sign convention for the disturbance coordinate: w = phi = -(1/l_g) vg_err,
 i.e. the scale AND the sign are absorbed into w. With that choice the
-default ("rederived") block layout below satisfies, identically in
-(x, vg_err),
+block layout below satisfies, identically in (x, vg_err),
 
     z' Psi z = Vdot + x' Omega_0 x + sum_k r_k' Omega_k r_k
                + 2 sum_k x' Upsilon_{0,k} r_k
                + 2 sum_{s<l} r_s' Upsilon_{s,l} r_l - w' Phi w.
-
-The "verbatim" mode assembles an alternative legacy block layout that
-carries +Phi in the last diagonal block and repeats the second branch
-weight in the (s, l) cross blocks; it is kept for documentation and
-comparison only and does not satisfy the identity above.
 """
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -49,23 +42,19 @@ class VerifyReport:
     valid: bool
     sigma_margin: float       # lambda_min of P + sum Lambda_k
     xi_margin: float          # lambda_min of the summed regularizer matrix
-    psi_margin: float         # lambda_max of Psi (rederived layout)
+    psi_margin: float         # lambda_max of Psi
     varsigma: float           # lambda_min of Omega_0 (state dissipation rate)
     alpha: float              # lambda_max(Phi) / l_g**2  (disturbance gain)
     class_ok: bool = True     # sign/shape constraints on the matrix classes
-    psi_margin_verbatim: Optional[float] = None
 
     def margins_dict(self):
-        out = {
+        return {
             "sigma": self.sigma_margin,
             "xi": self.xi_margin,
             "psi": self.psi_margin,
             "varsigma": self.varsigma,
             "alpha": self.alpha,
         }
-        if self.psi_margin_verbatim is not None:
-            out["psi_verbatim"] = self.psi_margin_verbatim
-        return out
 
 
 @dataclass(frozen=True)
@@ -83,7 +72,6 @@ class IssCertificate:
     omega: np.ndarray
     phi: np.ndarray
     upsilon: np.ndarray = None
-    mode: str = "rederived"
     report: Optional[VerifyReport] = field(default=None, compare=False)
 
     def __post_init__(self):
@@ -105,8 +93,6 @@ class IssCertificate:
         low = np.tril_indices(m + 1)
         if np.any(ups[low] != 0.0):
             raise ValueError("upsilon may only populate the strict upper triangle (s < l)")
-        if self.mode not in ("rederived", "verbatim"):
-            raise ValueError(f"mode must be 'rederived' or 'verbatim', got {self.mode!r}")
         for name, arr in (("p_mat", p_mat), ("lam", lam), ("omega", omega), ("phi", phi), ("upsilon", ups)):
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"certificate field {name} has non-finite entries")
@@ -145,27 +131,13 @@ def lyapunov_gradients(cert, bank, pts):
     return grad
 
 
-def assemble_psi(p, cert, mode=None):
+def assemble_psi(p, cert):
     """Assemble the symmetric 2(M+2) matrix Psi for the given grid params.
 
     The blocks are laid out over z = (x, r_1..r_M, w); see the module
-    docstring. ``mode`` defaults to the certificate's own mode. The verbatim
-    layout with two or more branches emits a warning: its (s, l) cross
-    blocks use the weight of branch l twice where the derivative expansion
-    requires the sum of both branch weights.
+    docstring.
     """
-    mode = mode or cert.mode
-    if mode not in ("rederived", "verbatim"):
-        raise ValueError(f"mode must be 'rederived' or 'verbatim', got {mode!r}")
     m = cert.branch_count
-    rederived = mode == "rederived"
-    if not rederived and m >= 2:
-        warnings.warn(
-            "verbatim Psi layout duplicates the branch-l weight in the (s, l) "
-            "cross blocks; use mode='rederived' for the identity-consistent form",
-            UserWarning,
-            stacklevel=2,
-        )
     a_mat = system_matrix(p)
     inv_lg = 1.0 / p.l_g
     p_mat, lam, omega, upsilon = cert.p_mat, cert.lam, cert.omega, cert.upsilon
@@ -179,13 +151,9 @@ def assemble_psi(p, cert, mode=None):
         blocks[(k, m + 1)] = np.diag(lam[k - 1])
     for s in range(1, m + 1):
         for l in range(s + 1, m + 1):
-            if rederived:
-                cross = -inv_lg * (lam[s - 1] + lam[l - 1])
-            else:
-                cross = -2.0 * inv_lg * lam[l - 1]
-            blocks[(s, l)] = np.diag(cross + upsilon[s, l])
+            blocks[(s, l)] = np.diag(-inv_lg * (lam[s - 1] + lam[l - 1]) + upsilon[s, l])
     blocks[(0, m + 1)] = p_mat
-    blocks[(m + 1, m + 1)] = -cert.phi if rederived else cert.phi
+    blocks[(m + 1, m + 1)] = -cert.phi
     return linalg.block_assemble(blocks, m + 2)
 
 

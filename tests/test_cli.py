@@ -206,6 +206,7 @@ def _replace(section, value):
     pytest.param(_replace("output", {"decimation": 2.0}), "output.decimation", id="decimation-2.0"),
     pytest.param(_replace("output", {"decimation": True}), "output.decimation", id="decimation-bool"),
     pytest.param(_replace("output", {"decimation": 0}), "output.decimation", id="decimation-0"),
+    pytest.param(_replace("certify", {"enabled": True, "mode": "verbatim"}), "certify.mode", id="mode-verbatim"),
 ])
 def test_bad_config_values_exit2(tmp_path, capsys, mutate, field):
     """Out-of-range and mistyped values exit 2 naming the field, never 0, 1 or 3.
@@ -241,6 +242,7 @@ def test_sampled_sector_check_at_load(tmp_path, capsys, command):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.filterwarnings("error")  # pytest would otherwise keep a warning off stderr
 @pytest.mark.parametrize("command", ["simulate", "certify"])
 @pytest.mark.parametrize("r_g, l_g", [
     pytest.param(1e-300, 1e300, id="l_g-squared-overflows"),
@@ -254,10 +256,44 @@ def test_certificate_out_of_float_range_exit2(tmp_path, capsys, command, r_g, l_
     doc = small_config(grid={"l_g": l_g, "r_g": r_g, "frequency_hz": 60.0}, certify={"enabled": True})
     path = write_config(tmp_path / "cfg.json", doc)
     assert main([command, str(path), "--out", str(tmp_path / "o")]) == 2
-    err = json.loads(capsys.readouterr().out.splitlines()[0])["error"]
+    captured = capsys.readouterr()
+    err = json.loads(captured.out.splitlines()[0])["error"]
     assert err["field"] == "grid"
     assert "float range" in err["message"]
+    # only the error line: no floating-point warning from the construction
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error [config] grid:")
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "certify"])
+def test_certify_more_than_8_branches_exit2(tmp_path, capsys, command):
+    """A certified bank of 9 branches exits 2 at field bank before writing."""
+    from vrgrid.cli import main
+
+    doc = json.loads((CONFIG_DIR / "certify_m1_linear.json").read_text())
+    doc["bank"] = doc["bank"] * 9
+    path = write_config(tmp_path / "cfg.json", doc)
+    assert main([command, str(path), "--out", str(tmp_path / "o")]) == 2
+    err = json.loads(capsys.readouterr().out.splitlines()[0])["error"]
+    assert err["field"] == "bank"
+    assert "at most 8 branches" in err["message"]
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "certify", "compare"])
+def test_empty_out_exit2(tmp_path, capsys, monkeypatch, command):
+    """--out "" is refused, not read as absent, so nothing lands in output.directory."""
+    from vrgrid.cli import main
+
+    monkeypatch.chdir(tmp_path)
+    cfgs = tmp_path / "cfgs"
+    cfgs.mkdir()
+    path = write_config(cfgs / "cfg.json", small_config(certify={"enabled": True}))
+    target = cfgs if command == "compare" else path
+    assert main([command, str(target), "--out", ""]) == 2
+    assert json.loads(capsys.readouterr().out.splitlines()[0])["error"]["field"] == "output.directory"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfgs"]
 
 
 def test_cached_parser_keeps_commands_apart(tmp_path, capsys):
@@ -267,10 +303,12 @@ def test_cached_parser_keeps_commands_apart(tmp_path, capsys):
 
     assert cli.build_parser() is cli.build_parser()
     sim = write_config(tmp_path / "sim.json", small_config())
-    cert = write_config(tmp_path / "cert.json", small_config(
-        bank=[[{"kind": "linear", "k": 1.0}], [{"kind": "linear", "k": 0.5}]], certify={"enabled": True}))
+    rr = write_config(tmp_path / "rr.json", small_config(scenario={
+        "kind": "random_resistance", "t_end": 0.01, "dt": 1e-5, "seed": 3,
+        "t_start": 0.002, "t_stop": 0.008, "resample_period": 1e-3,
+    }))
     runs = [("simulate", sim, ["--decimation", "2"]), ("simulate", sim, []),
-            ("certify", cert, ["--mode", "verbatim"]), ("certify", cert, [])]
+            ("simulate", rr, ["--seed", "11"]), ("simulate", rr, [])]
     artifacts = []
     for i, (command, path, options) in enumerate(runs):
         here, fresh = tmp_path / f"here{i}", tmp_path / f"fresh{i}"
@@ -284,7 +322,7 @@ def test_cached_parser_keeps_commands_apart(tmp_path, capsys):
     capsys.readouterr()
     # the options took effect, so equal artifacts above are not vacuous
     assert artifacts[0]["trajectory.csv"] != artifacts[1]["trajectory.csv"]
-    assert artifacts[2]["certificate.json"] != artifacts[3]["certificate.json"]
+    assert artifacts[2]["trajectory.csv"] != artifacts[3]["trajectory.csv"]
 
 
 def test_certify_m0_bundled(tmp_path):
@@ -321,19 +359,6 @@ def test_certify_rejects_invalid_bank_naming_branch(tmp_path):
     assert "bank[1]" in err["field"]
 
 
-def test_certify_verbatim_mode_emits_warning(tmp_path):
-    doc = small_config(
-        bank=[[{"kind": "linear", "k": 1.0}], [{"kind": "linear", "k": 0.5}]],
-        certify={"enabled": True, "mode": "verbatim"},
-    )
-    path = write_config(tmp_path / "cfg.json", doc)
-    res = run_cli("certify", str(path), "--out", str(tmp_path / "o"))
-    assert res.returncode in (0, 4)
-    cert = json.loads((tmp_path / "o" / "certificate.json").read_text())
-    assert any("verbatim" in w for w in cert["warnings"])
-    assert "psi_verbatim" in cert["margins"]
-
-
 def test_certificate_roundtrip_and_fingerprint_guard(tmp_path):
     out = tmp_path / "m1"
     assert run_cli("certify", str(CONFIG_DIR / "certify_m1_linear.json"), "--out", str(out)).returncode == 0
@@ -351,6 +376,13 @@ def test_certificate_roundtrip_and_fingerprint_guard(tmp_path):
     other = VrBank((VrBranch.of((linear(2.0),)),))
     with pytest.raises(ValueError, match="fingerprint"):
         load_certificate(out / "certificate.json", other)
+
+    doc = json.loads((out / "certificate.json").read_text())
+    assert doc["mode"] == "rederived" and doc["warnings"] == []
+    doc["mode"] = "verbatim"
+    edited = write_config(tmp_path / "edited.json", doc)
+    with pytest.raises(ValueError, match="mode must be 'rederived'"):
+        load_certificate(edited, bank)
 
 
 def _tiny_compare_dir(tmp_path, names=("a", "b")):
@@ -414,7 +446,7 @@ def test_certify_infeasible_exit4(tmp_path, monkeypatch, capsys):
     doc = small_config(bank=[], certify={"enabled": True})
     path = write_config(tmp_path / "cfg.json", doc)
 
-    def fake_search(p, bank, mode="rederived"):
+    def fake_search(p, bank):
         cert = IssCertificate(p_mat=np.zeros((2, 2)), lam=np.zeros((0, 2)),
                               omega=np.zeros((1, 2)), phi=np.zeros((2, 2)))
         report = verify_certificate(p, bank, cert)
@@ -441,3 +473,24 @@ def test_cli_writes_only_inside_out_dir(tmp_path):
     assert run_cli("simulate", str(path), "--out", str(out)).returncode == 0
     created = {p for p in tmp_path.rglob("*")} - before
     assert all(out in p.parents or p == out for p in created)
+
+
+def test_readme_cli_synopsis_matches_parser():
+    """Each subcommand in README's CLI synopsis lists exactly the options the parser defines."""
+    import argparse
+
+    from vrgrid.cli import build_parser
+
+    readme = (CONFIG_DIR.parent / "README.md").read_text()
+    block = re.search(r"## CLI\n\n```\n(.*?)```", readme, re.S).group(1)
+    documented = {}
+    for line in block.splitlines():
+        prog, command, *_ = line.split()
+        assert prog == "vrgrid", line
+        documented[command] = sorted(re.findall(r"\[(--[\w-]+)", line))
+    subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    defined = {
+        command: sorted(o for a in parser._actions for o in a.option_strings if o not in ("-h", "--help"))
+        for command, parser in subparsers.choices.items()
+    }
+    assert documented == defined

@@ -72,10 +72,10 @@ def _bundled_certificate_matrices():
 
     for path in sorted(CONFIG_DIR.glob("certify_*.json")):
         cfg = load_config(path)
-        cert = search_certificate(cfg.grid, cfg.bank, cfg.certify.mode).certificate
+        cert = search_certificate(cfg.grid, cfg.bank).certificate
         yield cert.p_mat + np.diag(cert.lam.sum(axis=0))
         yield _xi_matrix(cert)
-        yield assemble_psi(cfg.grid, cert, mode="rederived")
+        yield assemble_psi(cfg.grid, cert)
 
 
 def test_sym_eig_matches_jacobi_reference(rng):

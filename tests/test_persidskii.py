@@ -94,23 +94,6 @@ def test_assemble_psi_zero_certificate():
     np.testing.assert_array_equal(psi, np.zeros((6, 6)))
 
 
-def test_assemble_psi_verbatim_warning(rng):
-    p = nominal_params()
-    cert = random_certificate(2, rng)
-    with pytest.warns(UserWarning, match="verbatim"):
-        psi_v = assemble_psi(p, cert, mode="verbatim")
-    # last diagonal block carries +Phi instead of -Phi
-    np.testing.assert_array_equal(psi_v[-2:, -2:], cert.phi)
-    psi_r = assemble_psi(p, cert, mode="rederived")
-    np.testing.assert_array_equal(psi_r[-2:, -2:], -cert.phi)
-    # single-branch verbatim assembly emits no warning
-    import warnings
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assemble_psi(p, random_certificate(1, rng), mode="verbatim")
-
-
 def _direct_expansion(p, bank, cert, xs, ds):
     """Vdot plus the regularizer terms, straight from the definitions."""
     grads = lyapunov_gradients(cert, bank, xs)
