@@ -81,6 +81,8 @@ class Scenario:
             raise ValueError("t_end must be finite and > 0")
         if self.t_end / self.dt > MAX_STEPS:
             raise ValueError(f"t_end / dt must be <= {MAX_STEPS}, got {self.t_end / self.dt:.6g}")
+        if self.n_steps < 1:
+            raise ValueError(f"t_end / dt must round to at least one step, got {self.t_end / self.dt:.6g}")
         if self.kind == "voltage_pulse":
             if self.pulse_axis not in ("d", "q"):
                 raise ValueError(f"pulse axis must be 'd' or 'q', got {self.pulse_axis!r}")
@@ -179,8 +181,6 @@ def _snap(t, dt, n):
 def disturbance_profile(p, sc):
     """Per-grid-point raw disturbance and resistance: (times, r_g, vg_err)."""
     n = sc.n_steps
-    if n < 1:
-        raise ValueError("scenario horizon shorter than one step")
     times = np.arange(n + 1) * sc.dt
     rg = np.full(n + 1, p.r_g)
     vg = np.zeros((n + 1, 2))

@@ -207,6 +207,11 @@ def _replace(section, value):
     pytest.param(_replace("output", {"decimation": True}), "output.decimation", id="decimation-bool"),
     pytest.param(_replace("output", {"decimation": 0}), "output.decimation", id="decimation-0"),
     pytest.param(_replace("certify", {"enabled": True, "mode": "verbatim"}), "certify.mode", id="mode-verbatim"),
+    # t_end / dt = 0.4 rounds to zero steps
+    pytest.param(_replace("scenario", {"kind": "custom", "t_end": 4e-7, "dt": 1e-6}), "scenario",
+                 id="custom-under-half-step"),
+    pytest.param(_replace("scenario", {"kind": "voltage_pulse", "t_end": 4e-7, "dt": 1e-6,
+                                       "t_on": 0.0, "t_off": 4e-7}), "scenario", id="pulse-under-half-step"),
 ])
 def test_bad_config_values_exit2(tmp_path, capsys, mutate, field):
     """Out-of-range and mistyped values exit 2 naming the field, never 0, 1 or 3.

@@ -48,7 +48,7 @@ def _rk4_args(bank_d, bank_q, *, n=200, dt=1e-6, y0=(2.0, -1.0), dist=40.0, rg=N
                 np.array([q for _, _, q in bank], dtype=float))
 
     rg_seq = np.full(n + 1, 0.0276) if rg is None else rg
-    dist_d = np.full(n + 1, dist)
+    dist_d = np.full(n + 1, dist)  # dist: a scalar or n + 1 values
     dist_q = -0.5 * dist_d
     return (y0[0], y0[1], dt, n, 3.67e-4, 377.0, rg_seq, dist_d, dist_q,
             *pack(bank_d), *pack(bank_q))
@@ -68,15 +68,48 @@ def _random_case(seed):
 
 
 SATURATION = [(_kernels.SATURATION, 2.0, 1.5)]
+LINEAR_CUBIC = [(_kernels.LINEAR, 1.0, 0.0), (_kernels.CUBIC, 0.25, 0.0)]
+# runs of bit-identical inputs; the last run (3.0) ends on the last step
+PIECEWISE = np.array([0.0, 0.0, 0.0, 5.0, 6.0, 6.0, 7.0, 0.0, 0.0, 0.0, 3.0, 3.0, 3.0])
+RG_RUNS = 0.0276 * np.array([1.0, 1.0, 0.5, 0.7, 0.7, 0.7, 0.2, 1.3, 1.3, 1.0, 1.0, 0.4, 0.4])
+
+
+def _pulse(n, on, value):
+    return np.where(np.arange(n + 1) < on, 0.0, value)
+
+
 RK4_CASES = {
-    "linear_cubic": _rk4_args([(_kernels.LINEAR, 1.0, 0.0), (_kernels.CUBIC, 0.25, 0.0)],
-                              [(_kernels.LINEAR, 1.0, 0.0), (_kernels.CUBIC, 0.25, 0.0)]),
+    "linear_cubic": _rk4_args(LINEAR_CUBIC, LINEAR_CUBIC),
     **{f"kind{code}": _rk4_args([(code, p1, p2)], [(code, p1, p2)], n=400, dt=1e-5)
        for code, p1, p2 in KINDS},
     "all_kinds_d_empty_q": _rk4_args(KINDS, [], n=300, dt=1e-5),
     **{f"random{seed}": _random_case(seed) for seed in range(8)},
     # the state starts exactly on the clip points +x_sat (d) and -x_sat (q)
     "saturation_at_x_sat": _rk4_args(SATURATION, SATURATION, n=1, y0=(1.5, -1.5), dist=0.0),
+    # the run-wise loop: the zero state holds through a zero-input prefix,
+    # and a state the first step of a run leaves unchanged fills that run
+    "zero_prefix_then_pulse": _rk4_args(LINEAR_CUBIC, LINEAR_CUBIC, n=300, y0=(0.0, 0.0),
+                                        dist=_pulse(300, 120, 40.0)),
+    "piecewise_runs": _rk4_args(LINEAR_CUBIC, [(_kernels.SINH, 0.8, 1.2)], n=12, y0=(0.0, 0.0),
+                                dist=PIECEWISE, rg=RG_RUNS),
+    # every run is stationary at zero, most of length 1
+    "piecewise_rg_at_zero": _rk4_args(LINEAR_CUBIC, [], n=12, y0=(0.0, 0.0), dist=0.0, rg=RG_RUNS),
+    "quiescent": _rk4_args(KINDS, KINDS, n=200, y0=(0.0, 0.0), dist=0.0),
+    # -0.0 in the state and the inputs (dist_q is -0.5 * dist_d): the first
+    # step turns -0.0 into 0.0, which == would take for no change
+    **{f"signed_zero{i}": _rk4_args(LINEAR_CUBIC, KINDS, n=20, y0=y0, dist=dist, rg=rg)
+       for i, (y0, dist, rg) in enumerate([
+           ((-0.0, 0.0), 0.0, None),
+           ((-0.0, -0.0), -0.0, None),
+           ((0.0, -0.0), _pulse(20, 10, -0.0), None),
+           ((-0.0, -0.0), 0.0, np.full(21, -0.0)),
+           ((-0.0, 0.0), -0.0, _pulse(20, 5, 0.0276)),
+       ])},
+    # the state leaves a skipped zero run and overflows to inf, or meets a nan
+    "abort_inf_after_skip": _rk4_args([(_kernels.LINEAR, 1.0, 0.0)], [], n=100, y0=(0.0, 0.0),
+                                      dist=_pulse(100, 50, 1e308)),
+    "abort_nan_after_skip": _rk4_args([(_kernels.LINEAR, 1.0, 0.0)], [], n=100, y0=(0.0, 0.0),
+                                      dist=_pulse(100, 50, np.nan)),
     # a diverging cubic overflows to inf, a huge linear state to nan
     "abort_inf": _rk4_args([(_kernels.CUBIC, 0.5, 0.0)], [], n=400, dt=1e-4, y0=(50.0, 0.0)),
     "abort_nan": _rk4_args([(_kernels.LINEAR, 1.0, 0.0)], [(_kernels.LINEAR, 1.0, 0.0)],
@@ -95,10 +128,11 @@ def test_rk4_loop_matches_python_fallback(case):
     assert bad == ref_bad
     if case.startswith("abort"):
         assert bad > 0
-        np.testing.assert_array_equal(out[:bad + 1], ref_out[:bad + 1])
+        out, ref_out = out[:bad + 1], ref_out[:bad + 1]
     else:
         assert bad == -1
-        np.testing.assert_array_equal(out, ref_out)
+    # on the bits, so that -0.0 and 0.0 stay apart
+    np.testing.assert_array_equal(out.view(np.uint64), ref_out.view(np.uint64))
 
 
 def test_sinh_overflow_aborts_at_its_step():

@@ -43,6 +43,10 @@ def test_scenario_validation():
         Scenario(kind="custom", t_end=1e3, dt=1e-6)                  # 1e9 steps
     with pytest.raises(ValueError):
         Scenario(kind="custom", t_end=math.inf, dt=1e-6)
+    with pytest.raises(ValueError, match="at least one step"):
+        Scenario(kind="custom", t_end=4e-7, dt=1e-6)                 # rounds to 0 steps
+    with pytest.raises(ValueError, match="at least one step"):
+        scenario_voltage_pulse(p, t_end=4e-7, dt=1e-6, t_on=0.0, t_off=4e-7)
 
 
 def test_zero_disturbance_zero_state_is_identically_zero(banks):
