@@ -37,14 +37,15 @@ from .plant import (  # noqa: F401
     system_matrix,
 )
 from .sim import (  # noqa: F401
+    ConstantOffset,
     Metrics,
+    RandomResistance,
     Scenario,
     SimulationAbort,
     Trajectory,
+    VoltagePulse,
     check_dissipation,
     check_iss_envelope,
     compute_metrics,
     integrate,
-    scenario_random_resistance,
-    scenario_voltage_pulse,
 )

@@ -19,7 +19,7 @@ import math
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from itertools import chain, repeat
 from pathlib import Path
 
@@ -31,8 +31,8 @@ from .bank import SectorViolation, VrBank, VrBranch, bank_fingerprint, classify_
 from .certify import MAX_BRANCHES, CertificateError, iss_gain, search_certificate
 from .persidskii import IssCertificate
 from .plant import GridParams
-from .sim import (Scenario, SimulationAbort, check_dissipation, compute_metrics, integrate,
-                  scenario_constant, scenario_random_resistance, scenario_voltage_pulse)
+from .sim import (ConstantOffset, RandomResistance, Scenario, SimulationAbort, VoltagePulse,
+                  check_dissipation, compute_metrics, integrate)
 
 SCHEMA_VERSION = 1
 
@@ -59,19 +59,13 @@ def _check_keys(obj, path, required, optional=()):
             raise ConfigError(f"{path}.{key}" if path else key, f"missing required key {key!r} in {path or 'config'}")
 
 
-def _number(obj, path, key, default=None, minimum=None, strict_min=None, maximum=None):
-    if key not in obj:
-        return default
+def _number(obj, path, key, strict_min=None):
     try:
         value = json_number(obj[key])
     except ValueError:
         raise ConfigError(f"{path}.{key}", f"{path}.{key} must be a finite number") from None
-    if minimum is not None and value < minimum:
-        raise ConfigError(f"{path}.{key}", f"{path}.{key} must be >= {minimum}, got {value}")
     if strict_min is not None and value <= strict_min:
         raise ConfigError(f"{path}.{key}", f"{path}.{key} must be > {strict_min}, got {value}")
-    if maximum is not None and value > maximum:
-        raise ConfigError(f"{path}.{key}", f"{path}.{key} must be <= {maximum}, got {value}")
     return value
 
 
@@ -117,56 +111,37 @@ def _parse_bank(section):
     return bank
 
 
-def _parse_scenario(section, p):
+SCENARIO_KINDS = {cls.kind: cls for cls in (VoltagePulse, RandomResistance, ConstantOffset)}
+
+
+def _scenario_value(section, key):
+    """``scenario.<key>`` read as its type; the scenario class checks its range."""
+    value = section[key]
+    if key == "seed":
+        if isinstance(value, bool) or not isinstance(value, int) or not 0 <= value < 2 ** 64:
+            raise ConfigError("scenario.seed", "scenario.seed must be an integer in [0, 2**64)")
+        return value
+    if key == "axis":
+        return value
+    if key == "v_g_const":
+        return _pair(section, "scenario", key, None)
+    return _number(section, "scenario", key)
+
+
+def _parse_scenario(section):
     _expect_mapping(section, "scenario")
     kind = section.get("kind")
-    common = ("kind", "t_end", "dt")
+    cls = SCENARIO_KINDS.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise ConfigError("scenario.kind", f"scenario.kind must be one of {', '.join(SCENARIO_KINDS)}; got {kind!r}")
+    keys = [f.name for f in fields(cls)]
+    required = [f.name for f in fields(cls) if f.default is MISSING]
+    _check_keys(section, "scenario", required=["kind", *required], optional=keys)
+    values = {key: _scenario_value(section, key) for key in keys if key in section}
     try:
-        if kind == "voltage_pulse":
-            _check_keys(section, "scenario", required=common,
-                        optional=("axis", "amplitude_fraction", "t_on", "t_off"))
-            axis = section.get("axis", "d")
-            if axis not in ("d", "q"):
-                raise ConfigError("scenario.axis", "scenario.axis must be 'd' or 'q'")
-            return scenario_voltage_pulse(
-                p,
-                t_end=_number(section, "scenario", "t_end", strict_min=0.0),
-                dt=_number(section, "scenario", "dt", strict_min=0.0),
-                axis=axis,
-                amplitude_fraction=_number(section, "scenario", "amplitude_fraction", default=0.4, minimum=0.0),
-                t_on=_number(section, "scenario", "t_on", default=0.1, minimum=0.0),
-                t_off=_number(section, "scenario", "t_off", default=0.101, strict_min=0.0),
-            )
-        if kind == "random_resistance":
-            _check_keys(section, "scenario", required=common + ("seed",),
-                        optional=("lo_fraction", "hi_fraction", "t_start", "t_stop", "resample_period"))
-            seed = section["seed"]
-            if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < 2 ** 64:
-                raise ConfigError("scenario.seed", "scenario.seed must be an integer in [0, 2**64)")
-            return scenario_random_resistance(
-                p,
-                seed=seed,
-                t_end=_number(section, "scenario", "t_end", strict_min=0.0),
-                dt=_number(section, "scenario", "dt", strict_min=0.0),
-                lo_fraction=_number(section, "scenario", "lo_fraction", default=0.1, strict_min=0.0),
-                hi_fraction=_number(section, "scenario", "hi_fraction", default=1.9, strict_min=0.0),
-                t_start=_number(section, "scenario", "t_start", default=0.2, minimum=0.0),
-                t_stop=_number(section, "scenario", "t_stop", default=0.8, strict_min=0.0),
-                resample_period=_number(section, "scenario", "resample_period", default=1e-3, strict_min=0.0),
-            )
-        if kind == "custom":
-            _check_keys(section, "scenario", required=common, optional=("v_g_const",))
-            return scenario_constant(
-                p,
-                t_end=_number(section, "scenario", "t_end", strict_min=0.0),
-                dt=_number(section, "scenario", "dt", strict_min=0.0),
-                v_g=_pair(section, "scenario", "v_g_const", (0.0, 0.0)),
-            )
-    except ConfigError:
-        raise
+        return cls(**values)
     except ValueError as exc:
         raise ConfigError("scenario", f"scenario: {exc}") from exc
-    raise ConfigError("scenario.kind", f"scenario.kind must be one of voltage_pulse, random_resistance, custom; got {kind!r}")
 
 
 def _parse_certify(section, bank):
@@ -187,7 +162,6 @@ def _parse_certify(section, bank):
 class OutputSettings:
     directory: str
     decimation: int
-    formats: tuple
 
 
 def _parse_output(section):
@@ -198,11 +172,10 @@ def _parse_output(section):
     decimation = section.get("decimation", 10)
     if isinstance(decimation, bool) or not isinstance(decimation, int) or decimation < 1:
         raise ConfigError("output.decimation", f"output.decimation must be an integer >= 1, got {decimation!r}")
-    formats = section.get("formats", ["csv", "json"])
-    if (not isinstance(formats, list) or not formats
-            or any(f not in ("csv", "json") for f in formats)):
-        raise ConfigError("output.formats", "output.formats must be a non-empty list drawn from ['csv', 'json']")
-    return OutputSettings(directory=directory, decimation=decimation, formats=tuple(formats))
+    # every run writes all of its artifacts; the key stays readable for old configs
+    if section.get("formats", ["csv", "json"]) not in (["csv", "json"], ["json", "csv"]):
+        raise ConfigError("output.formats", "output.formats may only list both 'csv' and 'json'")
+    return OutputSettings(directory=directory, decimation=decimation)
 
 
 @dataclass(frozen=True)
@@ -211,7 +184,6 @@ class RunConfig:
     grid: GridParams
     bank: VrBank
     scenario: Scenario
-    scenario_raw: dict
     certify: bool              # certification enabled
     output: OutputSettings
     config_sha256: str
@@ -240,7 +212,7 @@ def load_config(path):
 
     grid = _parse_grid(doc["grid"])
     bank = _parse_bank(doc["bank"])
-    scenario = _parse_scenario(doc["scenario"], grid)
+    scenario = _parse_scenario(doc["scenario"])
     certify = _parse_certify(doc.get("certify", {}), bank)
     output = _parse_output(doc.get("output", {}))
     return RunConfig(
@@ -248,7 +220,6 @@ def load_config(path):
         grid=grid,
         bank=bank,
         scenario=scenario,
-        scenario_raw=doc["scenario"],
         certify=certify,
         output=output,
         config_sha256=hashlib.sha256(raw).hexdigest(),
@@ -381,7 +352,7 @@ def _manifest(cfg, extra=None):
         "version": __version__,
         "numpy_version": np.__version__,
         "numba_enabled": NUMBA_ENABLED,
-        "scenario_seed": cfg.scenario.seed if cfg.scenario.kind == "random_resistance" else None,
+        "scenario_seed": getattr(cfg.scenario, "seed", None),
     }
     if extra:
         doc.update(extra)
@@ -406,7 +377,7 @@ def _apply_overrides(cfg, args):
         if decimation < 1:
             raise ConfigError("output.decimation", f"--decimation must be >= 1, got {decimation}")
         cfg = replace(cfg, output=replace(cfg.output, decimation=decimation))
-    if getattr(args, "seed", None) is not None and cfg.scenario.kind == "random_resistance":
+    if getattr(args, "seed", None) is not None and isinstance(cfg.scenario, RandomResistance):
         try:
             cfg = replace(cfg, scenario=replace(cfg.scenario, seed=args.seed))
         except ValueError as exc:
@@ -425,6 +396,13 @@ def _run_certification(cfg):
     except CertificateError as exc:
         raise ConfigError("grid", f"grid: {exc}") from exc
     return cert, certificate_payload(cert, cfg.bank)
+
+
+def _write_run(run_dir, cfg, traj, metrics_doc, extra=None):
+    """Write a run's trajectory.csv, metrics.json and manifest.json into ``run_dir``."""
+    write_trajectory_csv(run_dir / "trajectory.csv", traj, cfg.output.decimation)
+    _atomic_write(run_dir / "metrics.json", _json_bytes(metrics_doc))
+    _atomic_write(run_dir / "manifest.json", _json_bytes(_manifest(cfg, extra)))
 
 
 def cmd_simulate(args):
@@ -455,11 +433,7 @@ def cmd_simulate(args):
     if cert is not None:
         metrics_doc["dissipation"] = check_dissipation(traj, cert).to_dict()
 
-    if "csv" in cfg.output.formats:
-        write_trajectory_csv(out_dir / "trajectory.csv", traj, cfg.output.decimation)
-    if "json" in cfg.output.formats:
-        _atomic_write(out_dir / "metrics.json", _json_bytes(metrics_doc))
-        _atomic_write(out_dir / "manifest.json", _json_bytes(_manifest(cfg, extra)))
+    _write_run(out_dir, cfg, traj, metrics_doc, extra)
     print(f"simulate {cfg.name}: ok (settled={metrics.settled}, "
           f"rms_d={metrics.rms_err_d:.6g} A, rms_q={metrics.rms_err_q:.6g} A)")
     return 0
@@ -518,9 +492,8 @@ def cmd_compare(args):
     except ConfigError as exc:
         return _emit_error(2, "config", exc.field, str(exc))
 
-    reference = json.dumps(configs[0].scenario_raw, sort_keys=True)
     for cfg in configs[1:]:
-        if json.dumps(cfg.scenario_raw, sort_keys=True) != reference:
+        if cfg.scenario != configs[0].scenario:
             return _emit_error(2, "config", "scenario",
                                f"config {cfg.name!r} uses a different scenario than {configs[0].name!r}")
 
@@ -533,11 +506,7 @@ def cmd_compare(args):
         except SimulationAbort as exc:
             return _emit_error(3, "numeric", cfg.name, str(exc))
         metrics = compute_metrics(traj, cfg.scenario)
-        if "csv" in cfg.output.formats:
-            write_trajectory_csv(run_dir / "trajectory.csv", traj, cfg.output.decimation)
-        if "json" in cfg.output.formats:
-            _atomic_write(run_dir / "metrics.json", _json_bytes(metrics.to_dict()))
-            _atomic_write(run_dir / "manifest.json", _json_bytes(_manifest(cfg)))
+        _write_run(run_dir, cfg, traj, metrics.to_dict())
         rows.append((cfg.name, metrics))
 
     buf = io.StringIO()

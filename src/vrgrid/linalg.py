@@ -77,33 +77,3 @@ def is_neg_semidef(s, tol=1e-9):
     margin = lambda_max(s)
     return bool(margin <= tol), margin
 
-
-def block_assemble(blocks, n_blocks):
-    """Assemble a symmetric 2*n_blocks square matrix from 2x2 blocks.
-
-    ``blocks`` maps 0-based (i, j) with i <= j to the 2x2 block; the lower
-    triangle is filled with the transposed mirror. Off-diagonal blocks may
-    be omitted (treated as zero); every diagonal block must be present and
-    symmetric.
-    """
-    if n_blocks < 1:
-        raise LinalgError("block_assemble: need at least one block row")
-    out = np.zeros((2 * n_blocks, 2 * n_blocks))
-    seen_diag = set()
-    for (i, j), block in blocks.items():
-        if not (0 <= i <= j < n_blocks):
-            raise LinalgError(f"block_assemble: index ({i}, {j}) outside upper triangle")
-        b = np.asarray(block, dtype=float)
-        if b.shape != (2, 2):
-            raise LinalgError(f"block_assemble: block ({i}, {j}) has shape {b.shape}, expected (2, 2)")
-        if i == j:
-            if not np.array_equal(b, b.T):
-                raise LinalgError(f"block_assemble: diagonal block ({i}, {i}) is not symmetric")
-            seen_diag.add(i)
-        out[2 * i:2 * i + 2, 2 * j:2 * j + 2] = b
-        if i != j:
-            out[2 * j:2 * j + 2, 2 * i:2 * i + 2] = b.T
-    missing = set(range(n_blocks)) - seen_diag
-    if missing:
-        raise LinalgError(f"block_assemble: missing diagonal block(s) {sorted(missing)}")
-    return out

@@ -141,20 +141,25 @@ def assemble_psi(p, cert):
     a_mat = system_matrix(p)
     inv_lg = 1.0 / p.l_g
     p_mat, lam, omega, upsilon = cert.p_mat, cert.lam, cert.omega, cert.upsilon
-    blocks = {}
+    psi = np.zeros((2 * m + 4, 2 * m + 4))
+    rows = [slice(2 * i, 2 * i + 2) for i in range(m + 2)]
+
+    def put(i, j, block):
+        psi[rows[i], rows[j]] = block
+        psi[rows[j], rows[i]] = block.T
 
     ap = a_mat.T @ p_mat
-    blocks[(0, 0)] = ap + ap.T + np.diag(omega[0])
+    psi[rows[0], rows[0]] = ap + ap.T + np.diag(omega[0])
     for k in range(1, m + 1):
-        blocks[(0, k)] = -inv_lg * p_mat + a_mat.T @ np.diag(lam[k - 1]) + np.diag(upsilon[0, k])
-        blocks[(k, k)] = np.diag(-2.0 * inv_lg * lam[k - 1] + omega[k])
-        blocks[(k, m + 1)] = np.diag(lam[k - 1])
+        put(0, k, -inv_lg * p_mat + a_mat.T @ np.diag(lam[k - 1]) + np.diag(upsilon[0, k]))
+        psi[rows[k], rows[k]] = np.diag(-2.0 * inv_lg * lam[k - 1] + omega[k])
+        put(k, m + 1, np.diag(lam[k - 1]))
     for s in range(1, m + 1):
         for l in range(s + 1, m + 1):
-            blocks[(s, l)] = np.diag(-inv_lg * (lam[s - 1] + lam[l - 1]) + upsilon[s, l])
-    blocks[(0, m + 1)] = p_mat
-    blocks[(m + 1, m + 1)] = -cert.phi
-    return linalg.block_assemble(blocks, m + 2)
+            put(s, l, np.diag(-inv_lg * (lam[s - 1] + lam[l - 1]) + upsilon[s, l]))
+    put(0, m + 1, p_mat)
+    psi[rows[m + 1], rows[m + 1]] = -cert.phi
+    return psi
 
 
 def stacked_coordinates(bank, pts, dist, l_g):

@@ -46,35 +46,18 @@ class SimulationAbort(RuntimeError):
         super().__init__(f"state became non-finite at t = {t:.9g} s: {state!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class Scenario:
-    """One disturbance scenario on a fixed time grid.
+    """A disturbance scenario on a fixed time grid of ``t_end / dt`` steps.
 
-    ``kind`` is one of ``voltage_pulse``, ``random_resistance``, ``custom``;
-    only the fields of the active kind are populated.
+    Each scenario kind is a subclass: its class attribute ``kind`` names it
+    in a config, and its fields, with their defaults, are the config keys.
     """
 
-    kind: str
     t_end: float
     dt: float
-    # voltage_pulse
-    pulse_axis: str = "d"
-    pulse_amplitude_v: float = 0.0
-    t_on: float = 0.0
-    t_off: float = 0.0
-    # random_resistance
-    lo_fraction: float = 1.0
-    hi_fraction: float = 1.0
-    t_start: float = 0.0
-    t_stop: float = 0.0
-    resample_period: float = 1e-3
-    seed: int = 0
-    # custom
-    const_v_g: tuple = (0.0, 0.0)
 
     def __post_init__(self):
-        if self.kind not in ("voltage_pulse", "random_resistance", "custom"):
-            raise ValueError(f"unknown scenario kind {self.kind!r}")
         if not (0.0 < self.dt <= MAX_DT):
             raise ValueError(f"dt must be in (0, {MAX_DT}], got {self.dt!r}")
         if not 0.0 < self.t_end < math.inf:
@@ -83,75 +66,77 @@ class Scenario:
             raise ValueError(f"t_end / dt must be <= {MAX_STEPS}, got {self.t_end / self.dt:.6g}")
         if self.n_steps < 1:
             raise ValueError(f"t_end / dt must round to at least one step, got {self.t_end / self.dt:.6g}")
-        if self.kind == "voltage_pulse":
-            if self.pulse_axis not in ("d", "q"):
-                raise ValueError(f"pulse axis must be 'd' or 'q', got {self.pulse_axis!r}")
-            if not self.t_on < self.t_off <= self.t_end:
-                raise ValueError("pulse window must satisfy t_on < t_off <= t_end")
-            if self.t_on < 0.0 or self.pulse_amplitude_v < 0.0:
-                raise ValueError("pulse t_on and amplitude must be >= 0")
-        elif self.kind == "random_resistance":
-            if not (0.0 < self.lo_fraction <= self.hi_fraction):
-                raise ValueError("resistance bounds must satisfy 0 < lo <= hi")
-            if not 0.0 <= self.t_start < self.t_stop <= self.t_end:
-                raise ValueError("resistance window must satisfy 0 <= t_start < t_stop <= t_end")
-            if self.resample_period <= 0.0:
-                raise ValueError("resample_period must be > 0")
-            if not 0 <= int(self.seed) < 2 ** 64:
-                raise ValueError("seed must fit in 64 bits")
 
     @property
     def n_steps(self):
         return int(round(self.t_end / self.dt))
 
+
+@dataclass(frozen=True, kw_only=True)
+class VoltagePulse(Scenario):
+    """Rectangular grid-voltage pulse on one axis, height = fraction * reference."""
+
+    kind = "voltage_pulse"
+    axis: str = "d"
+    amplitude_fraction: float = 0.4
+    t_on: float = 0.1
+    t_off: float = 0.101
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.axis not in ("d", "q"):
+            raise ValueError(f"pulse axis must be 'd' or 'q', got {self.axis!r}")
+        if not self.t_on < self.t_off <= self.t_end:
+            raise ValueError("pulse window must satisfy t_on < t_off <= t_end")
+        if self.t_on < 0.0 or self.amplitude_fraction < 0.0:
+            raise ValueError("pulse t_on and amplitude_fraction must be >= 0")
+
     def disturbance_window(self):
         """(start, end) of the disturbance interval used by the metrics."""
-        if self.kind == "voltage_pulse":
-            return self.t_on, self.t_off
-        if self.kind == "random_resistance":
-            return self.t_start, self.t_stop
-        return 0.0, 0.0
+        return self.t_on, self.t_off
 
 
-def scenario_voltage_pulse(p, *, t_end=0.2, dt=1e-6, axis="d",
-                           amplitude_fraction=0.4, t_on=0.1, t_off=0.101):
-    """Rectangular grid-voltage pulse on one axis, height = fraction * reference."""
-    if amplitude_fraction < 0.0:
-        raise ValueError("amplitude_fraction must be >= 0")
-    ref = p.v_g_ref[0] if axis == "d" else p.v_g_ref[1]
-    return Scenario(
-        kind="voltage_pulse",
-        t_end=t_end,
-        dt=dt,
-        pulse_axis=axis,
-        pulse_amplitude_v=amplitude_fraction * float(ref),
-        t_on=t_on,
-        t_off=t_off,
-    )
+@dataclass(frozen=True, kw_only=True)
+class RandomResistance(Scenario):
+    """Piecewise-constant random grid resistance inside a time window.
+
+    The bounds are fractions of the nominal resistance.
+    """
+
+    kind = "random_resistance"
+    seed: int
+    lo_fraction: float = 0.1
+    hi_fraction: float = 1.9
+    t_start: float = 0.2
+    t_stop: float = 0.8
+    resample_period: float = 1e-3
+
+    def __post_init__(self):
+        super().__post_init__()
+        if not (0.0 < self.lo_fraction <= self.hi_fraction):
+            raise ValueError("resistance bounds must satisfy 0 < lo <= hi")
+        if not 0.0 <= self.t_start < self.t_stop <= self.t_end:
+            raise ValueError("resistance window must satisfy 0 <= t_start < t_stop <= t_end")
+        if self.resample_period <= 0.0:
+            raise ValueError("resample_period must be > 0")
+        if not 0 <= int(self.seed) < 2 ** 64:
+            raise ValueError("seed must fit in 64 bits")
+
+    def disturbance_window(self):
+        """(start, end) of the disturbance interval used by the metrics."""
+        return self.t_start, self.t_stop
 
 
-def scenario_random_resistance(p, *, seed, t_end=1.0, dt=1e-6, lo_fraction=0.1,
-                               hi_fraction=1.9, t_start=0.2, t_stop=0.8,
-                               resample_period=1e-3):
-    """Piecewise-constant random grid resistance inside a time window."""
-    del p  # bounds are stored as fractions of the nominal resistance
-    return Scenario(
-        kind="random_resistance",
-        t_end=t_end,
-        dt=dt,
-        lo_fraction=lo_fraction,
-        hi_fraction=hi_fraction,
-        t_start=t_start,
-        t_stop=t_stop,
-        resample_period=resample_period,
-        seed=int(seed),
-    )
-
-
-def scenario_constant(p, *, t_end, dt=1e-6, v_g=(0.0, 0.0)):
+@dataclass(frozen=True, kw_only=True)
+class ConstantOffset(Scenario):
     """Constant grid-voltage offset (smooth case for convergence studies)."""
-    del p
-    return Scenario(kind="custom", t_end=t_end, dt=dt, const_v_g=tuple(np.asarray(v_g, dtype=float)))
+
+    kind = "custom"
+    v_g_const: tuple = (0.0, 0.0)
+
+    def disturbance_window(self):
+        """The offset has no window: the metrics cover the whole horizon."""
+        return 0.0, 0.0
 
 
 def splitmix64_uniform(seed, count):
@@ -185,12 +170,12 @@ def disturbance_profile(p, sc):
     rg = np.full(n + 1, p.r_g)
     vg = np.zeros((n + 1, 2))
 
-    if sc.kind == "voltage_pulse":
+    if isinstance(sc, VoltagePulse):
         i_on = _snap(sc.t_on, sc.dt, n)
         i_off = _snap(sc.t_off, sc.dt, n)
-        axis = 0 if sc.pulse_axis == "d" else 1
-        vg[i_on:i_off, axis] = sc.pulse_amplitude_v
-    elif sc.kind == "random_resistance":
+        axis = 0 if sc.axis == "d" else 1
+        vg[i_on:i_off, axis] = sc.amplitude_fraction * float(p.v_g_ref[axis])
+    elif isinstance(sc, RandomResistance):
         i0 = _snap(sc.t_start, sc.dt, n)
         i1 = _snap(sc.t_stop, sc.dt, n)
         steps_per = max(1, int(round(sc.resample_period / sc.dt)))
@@ -201,7 +186,7 @@ def disturbance_profile(p, sc):
             interval = np.arange(i1 - i0) // steps_per
             rg[i0:i1] = values[interval]
     else:
-        vg[:] = np.asarray(sc.const_v_g, dtype=float)
+        vg[:] = np.asarray(sc.v_g_const, dtype=float)
 
     return times, rg, vg
 

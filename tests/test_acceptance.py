@@ -184,14 +184,14 @@ def test_c05_negative_control():
 def test_c06_integrator_order():
     from vrgrid.bank import VrBank, VrBranch, cubic, linear, sinh_element
     from vrgrid.plant import nominal_params
-    from vrgrid.sim import integrate, scenario_constant
+    from vrgrid.sim import ConstantOffset, integrate
 
     with criterion(6, "measured RK4 order within [3.7, 4.3]"):
         p = nominal_params()
         bank = VrBank((VrBranch.of((linear(0.5), cubic(0.002), sinh_element(0.2, 0.1))),))
         finals = []
         for dt in (4e-6, 2e-6, 1e-6):
-            sc = scenario_constant(p, t_end=1e-3, dt=dt, v_g=(50.0, 20.0))
+            sc = ConstantOffset(t_end=1e-3, dt=dt, v_g_const=(50.0, 20.0))
             traj = integrate(p, bank, sc, i_err0=(30.0, -20.0))
             finals.append(traj.i_err[-1])
         order = math.log2(
@@ -235,11 +235,11 @@ def test_c08_scenario2_robustness():
     import vrgrid as vg
     from vrgrid.certify import search_certificate
     from vrgrid.plant import GridParams, nominal_params
-    from vrgrid.sim import check_iss_envelope, integrate, scenario_random_resistance
+    from vrgrid.sim import RandomResistance, check_iss_envelope, integrate
 
     with criterion(8, "random-resistance runs bounded; certified configs meet the envelope"):
         p = nominal_params()
-        sc = scenario_random_resistance(p, seed=42)
+        sc = RandomResistance(t_end=1.0, dt=1e-6, seed=42)
         envelopes_checked = 0
         for name, bank in vg.default_banks().items():
             traj = integrate(p, bank, sc)      # raises on numeric abort

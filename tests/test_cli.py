@@ -207,6 +207,8 @@ def _replace(section, value):
     pytest.param(_replace("output", {"decimation": True}), "output.decimation", id="decimation-bool"),
     pytest.param(_replace("output", {"decimation": 0}), "output.decimation", id="decimation-0"),
     pytest.param(_replace("certify", {"enabled": True, "mode": "verbatim"}), "certify.mode", id="mode-verbatim"),
+    pytest.param(_replace("output", {"formats": ["csv"]}), "output.formats", id="formats-csv-only"),
+    pytest.param(_set("scenario", "kind", "mystery"), "scenario.kind", id="kind-mystery"),
     # t_end / dt = 0.4 rounds to zero steps
     pytest.param(_replace("scenario", {"kind": "custom", "t_end": 4e-7, "dt": 1e-6}), "scenario",
                  id="custom-under-half-step"),
@@ -439,6 +441,26 @@ def test_compare_mismatched_scenarios(tmp_path):
     assert json.loads(res.stdout.splitlines()[0])["error"]["field"] == "scenario"
 
 
+def test_compare_accepts_scenarios_spelled_differently(tmp_path):
+    """compare checks the parsed scenarios: a default left out or written
+    out, and 1 against 1.0, are the same scenario."""
+    d = tmp_path / "cfgs"
+    d.mkdir()
+    short = {"kind": "voltage_pulse", "t_end": 0.01, "dt": 1e-5, "t_on": 0.002, "t_off": 0.003}
+    write_config(d / "a.json", small_config(name="a", scenario=short))
+    write_config(d / "b.json", small_config(name="b", scenario=dict(short, axis="d", amplitude_fraction=0.4)))
+    res = run_cli("compare", str(d), "--out", str(tmp_path / "cmp"))
+    assert res.returncode == 0, res.stdout
+
+    d2 = tmp_path / "ints"
+    d2.mkdir()
+    for name, v_g in (("a", [1, 0]), ("b", [1.0, 0.0])):
+        write_config(d2 / f"{name}.json", small_config(
+            name=name, scenario={"kind": "custom", "t_end": 0.001, "dt": 1e-5, "v_g_const": v_g}))
+    res = run_cli("compare", str(d2), "--out", str(tmp_path / "cmp2"))
+    assert res.returncode == 0, res.stdout
+
+
 def test_certify_infeasible_exit4(tmp_path, monkeypatch, capsys):
     """Exit code 4 with a margin report when the certificate is infeasible.
 
@@ -478,6 +500,31 @@ def test_cli_writes_only_inside_out_dir(tmp_path):
     assert run_cli("simulate", str(path), "--out", str(out)).returncode == 0
     created = {p for p in tmp_path.rglob("*")} - before
     assert all(out in p.parents or p == out for p in created)
+
+
+def test_pulse_on_negative_reference(tmp_path):
+    """The pulse height is amplitude_fraction times the reference, so it
+    takes the reference's sign; only the fraction must be >= 0."""
+    grid = {"l_g": 3.67e-4, "r_g": 2.76e-2, "frequency_hz": 60.0, "v_g_ref": [-392, 0]}
+    path = write_config(tmp_path / "neg.json", small_config(grid=grid))
+    out = tmp_path / "o"
+    res = run_cli("simulate", str(path), "--out", str(out), "--decimation", "1")
+    assert res.returncode == 0, res.stdout
+    rows = (out / "trajectory.csv").read_text().splitlines()[1:]
+    pulse = {float(row.split(",")[3]) for row in rows}
+    assert pulse == {0.0, 0.4 * -392.0}
+
+
+def test_readme_config_schema_loads(tmp_path):
+    """README's schema example, with its // comments stripped, is a valid config."""
+    from vrgrid.cli import load_config
+
+    readme = (CONFIG_DIR.parent / "README.md").read_text()
+    block = re.search(r"## Config schema.*?```jsonc\n(.*?)```", readme, re.S).group(1)
+    path = tmp_path / "schema.json"
+    path.write_text(re.sub(r"//.*", "", block))
+    cfg = load_config(path)
+    assert cfg.name == "multi_branch" and cfg.scenario.kind == "voltage_pulse"
 
 
 def test_readme_cli_synopsis_matches_parser():

@@ -175,11 +175,11 @@ def test_jacobi_matches_python_fallback(rng):
 def test_env_flag_selects_fallback():
     code = (
         "import vrgrid._kernels as k; import vrgrid as vg; import numpy as np;"
-        "from vrgrid.sim import integrate, scenario_constant;"
+        "from vrgrid.sim import ConstantOffset, integrate;"
         "assert not k.NUMBA_ENABLED;"
         "p = vg.nominal_params();"
         "t = integrate(p, vg.default_banks()['multi_branch'],"
-        "              scenario_constant(p, t_end=1e-4, dt=1e-5, v_g=(10.0, 0.0)));"
+        "              ConstantOffset(t_end=1e-4, dt=1e-5, v_g_const=(10.0, 0.0)));"
         "assert np.all(np.isfinite(t.i_err));"
         "print('fallback ok')"
     )

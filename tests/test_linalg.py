@@ -5,7 +5,6 @@ from conftest import CONFIG_DIR
 from vrgrid._kernels import jacobi_sweep, python_impl
 from vrgrid.linalg import (
     LinalgError,
-    block_assemble,
     is_neg_semidef,
     is_pos_def,
     sym_eig,
@@ -129,28 +128,3 @@ def test_definiteness_agreement_on_nonsingular(rng):
         pd, _ = is_pos_def(-s, tol=0.0)
         assert nsd == pd
 
-
-def test_block_assemble_single_block():
-    b = np.array([[1.0, 2.0], [2.0, 3.0]])
-    np.testing.assert_array_equal(block_assemble({(0, 0): b}, 1), b)
-
-
-def test_block_assemble_block_diagonal():
-    blocks = {(0, 0): np.eye(2), (1, 1): 2.0 * np.eye(2)}
-    out = block_assemble(blocks, 2)
-    np.testing.assert_array_equal(out, np.diag([1.0, 1.0, 2.0, 2.0]))
-
-
-def test_block_assemble_mirrors_transpose():
-    b = np.array([[1.0, 2.0], [3.0, 4.0]])
-    out = block_assemble({(0, 0): np.zeros((2, 2)), (1, 1): np.zeros((2, 2)), (0, 1): b}, 2)
-    np.testing.assert_array_equal(out[0:2, 2:4], b)
-    np.testing.assert_array_equal(out[2:4, 0:2], b.T)
-    assert np.array_equal(out, out.T)
-
-
-def test_block_assemble_missing_diagonal_errors():
-    with pytest.raises(LinalgError, match="missing diagonal"):
-        block_assemble({(0, 0): np.eye(2)}, 2)
-    with pytest.raises(LinalgError, match="upper triangle"):
-        block_assemble({(1, 0): np.eye(2), (0, 0): np.eye(2), (1, 1): np.eye(2)}, 2)

@@ -86,6 +86,23 @@ def test_assemble_psi_m0_layout():
     expected[2:, 2:] = -np.eye(2)
     np.testing.assert_allclose(psi, expected, rtol=1e-14)
 
+    # M = 1: the (0, 1) block is not symmetric; its mirror is its transpose
+    lam, ups = np.array([[1.0, 2.0]]), np.zeros((2, 2, 2))
+    ups[0, 1] = [0.5, 0.25]
+    psi = assemble_psi(p, _cert(np.eye(2), lam, np.ones((2, 2)), np.eye(2), ups))
+    inv_lg = 1.0 / p.l_g
+    b01 = np.array([[-inv_lg + a[0, 0] + 0.5, 2.0 * a[1, 0]],
+                    [a[0, 1], -inv_lg + 2.0 * a[1, 1] + 0.25]])
+    assert not np.array_equal(b01, b01.T)
+    expected = np.zeros((6, 6))
+    expected[:2, :2] = a.T + a + np.eye(2)
+    expected[:2, 2:4], expected[2:4, :2] = b01, b01.T
+    expected[2:4, 2:4] = np.diag(-2.0 * inv_lg * lam[0] + 1.0)
+    expected[2:4, 4:] = expected[4:, 2:4] = np.diag(lam[0])
+    expected[:2, 4:] = expected[4:, :2] = np.eye(2)
+    expected[4:, 4:] = -np.eye(2)
+    np.testing.assert_array_equal(psi, expected)
+
 
 def test_assemble_psi_zero_certificate():
     p = nominal_params()

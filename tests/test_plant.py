@@ -125,7 +125,7 @@ def test_closed_loop_integration_matches_error_integration():
     error-dynamics integrator, pointwise to 1e-8."""
     p = nominal_params()
     bank = VrBank((VrBranch.of((linear(1.0), cubic(0.25))),))
-    from vrgrid.sim import integrate, scenario_constant
+    from vrgrid.sim import ConstantOffset, integrate
 
     dt = 1e-6
     n = 2000
@@ -147,6 +147,6 @@ def test_closed_loop_integration_matches_error_integration():
         path.append(i - p.i_ref)
     reference = np.array(path)
 
-    sc = scenario_constant(p, t_end=n * dt, dt=dt, v_g=d)
+    sc = ConstantOffset(t_end=n * dt, dt=dt, v_g_const=d)
     traj = integrate(p, bank, sc)
     assert np.abs(traj.i_err - reference).max() <= 1e-8

@@ -9,17 +9,16 @@ from vrgrid.certify import search_certificate
 from vrgrid.persidskii import VerifyReport
 from vrgrid.plant import nominal_params, system_matrix
 from vrgrid.sim import (
-    Scenario,
+    ConstantOffset,
+    RandomResistance,
     SimulationAbort,
     Trajectory,
+    VoltagePulse,
     check_dissipation,
     check_iss_envelope,
     compute_metrics,
     disturbance_profile,
     integrate,
-    scenario_constant,
-    scenario_random_resistance,
-    scenario_voltage_pulse,
     splitmix64_uniform,
 )
 
@@ -30,28 +29,29 @@ SMOOTH_BANK = VrBank((
 
 
 def test_scenario_validation():
-    p = nominal_params()
     with pytest.raises(ValueError):
-        Scenario(kind="voltage_pulse", t_end=0.2, dt=1e-3)          # dt too large
+        VoltagePulse(t_end=0.2, dt=1e-3)                              # dt too large
     with pytest.raises(ValueError):
-        scenario_voltage_pulse(p, t_on=0.2, t_off=0.1)
+        VoltagePulse(t_end=0.2, dt=1e-6, t_on=0.2, t_off=0.1)
+    with pytest.raises(ValueError, match="amplitude_fraction"):
+        VoltagePulse(t_end=0.2, dt=1e-6, amplitude_fraction=-0.1)
     with pytest.raises(ValueError):
-        scenario_random_resistance(p, seed=1, lo_fraction=0.0)
+        VoltagePulse(t_end=0.2, dt=1e-6, axis="x")
     with pytest.raises(ValueError):
-        Scenario(kind="mystery", t_end=1.0, dt=1e-6)
+        RandomResistance(t_end=1.0, dt=1e-6, seed=1, lo_fraction=0.0)
     with pytest.raises(ValueError, match="t_end / dt"):
-        Scenario(kind="custom", t_end=1e3, dt=1e-6)                  # 1e9 steps
+        ConstantOffset(t_end=1e3, dt=1e-6)                            # 1e9 steps
     with pytest.raises(ValueError):
-        Scenario(kind="custom", t_end=math.inf, dt=1e-6)
+        ConstantOffset(t_end=math.inf, dt=1e-6)
     with pytest.raises(ValueError, match="at least one step"):
-        Scenario(kind="custom", t_end=4e-7, dt=1e-6)                 # rounds to 0 steps
+        ConstantOffset(t_end=4e-7, dt=1e-6)                           # rounds to 0 steps
     with pytest.raises(ValueError, match="at least one step"):
-        scenario_voltage_pulse(p, t_end=4e-7, dt=1e-6, t_on=0.0, t_off=4e-7)
+        VoltagePulse(t_end=4e-7, dt=1e-6, t_on=0.0, t_off=4e-7)
 
 
 def test_zero_disturbance_zero_state_is_identically_zero(banks):
     p = nominal_params()
-    sc = scenario_constant(p, t_end=2e-3, dt=1e-6)
+    sc = ConstantOffset(t_end=2e-3, dt=1e-6)
     traj = integrate(p, banks["multi_branch"], sc)
     assert np.all(traj.i_err == 0.0)
 
@@ -62,7 +62,7 @@ def test_empty_bank_step_response_steady_state():
     p = nominal_params()
     d = np.array([120.0, -40.0])
     # slowest mode decays at r_g/l_g ~ 75/s; 0.35 s leaves < 1e-10 transient
-    sc = scenario_constant(p, t_end=0.35, dt=1e-6, v_g=d)
+    sc = ConstantOffset(t_end=0.35, dt=1e-6, v_g_const=d)
     traj = integrate(p, VrBank(()), sc)
     expected = np.linalg.solve(system_matrix(p), d / p.l_g)
     np.testing.assert_allclose(traj.i_err[-1], expected, rtol=1e-6)
@@ -79,7 +79,7 @@ def test_rk4_convergence_order():
     bank = VrBank((VrBranch.of((linear(0.5), cubic(0.002), sinh_element(0.2, 0.1))),))
     finals = []
     for dt in (4e-6, 2e-6, 1e-6):
-        sc = scenario_constant(p, t_end=1e-3, dt=dt, v_g=(50.0, 20.0))
+        sc = ConstantOffset(t_end=1e-3, dt=dt, v_g_const=(50.0, 20.0))
         traj = integrate(p, bank, sc, i_err0=(30.0, -20.0))
         finals.append(traj.i_err[-1])
     e_coarse = np.linalg.norm(finals[0] - finals[1])
@@ -90,33 +90,32 @@ def test_rk4_convergence_order():
 
 def test_scenario_voltage_pulse_profile():
     p = nominal_params()
-    sc = scenario_voltage_pulse(p)
-    assert sc.pulse_amplitude_v == pytest.approx(0.4 * 392.0)
+    sc = VoltagePulse(t_end=0.2, dt=1e-6)
 
     times, rg, vg = disturbance_profile(p, sc)
     on = int(round(sc.t_on / sc.dt))
     off = int(round(sc.t_off / sc.dt))
-    assert np.all(vg[on:off, 0] == sc.pulse_amplitude_v)
+    assert np.all(vg[on:off, 0] == 0.4 * 392.0)
     assert np.all(vg[:on, 0] == 0.0) and np.all(vg[off:, 0] == 0.0)
     assert np.all(vg[:, 1] == 0.0)          # q axis stays zero throughout
     assert np.all(rg == p.r_g)
 
-    zero = scenario_voltage_pulse(p, amplitude_fraction=0.0)
+    zero = VoltagePulse(t_end=0.2, dt=1e-6, amplitude_fraction=0.0)
     _, _, vg0 = disturbance_profile(p, zero)
     assert np.all(vg0 == 0.0)
 
 
 def test_scenario_random_resistance_profile():
     p = nominal_params()
-    sc = scenario_random_resistance(p, seed=7, t_end=0.05, dt=1e-5,
-                                    t_start=0.01, t_stop=0.04, resample_period=1e-3)
+    sc = RandomResistance(seed=7, t_end=0.05, dt=1e-5,
+                          t_start=0.01, t_stop=0.04, resample_period=1e-3)
     _, rg1, _ = disturbance_profile(p, sc)
     _, rg2, _ = disturbance_profile(p, sc)
     assert np.array_equal(rg1, rg2)
 
-    degenerate = scenario_random_resistance(p, seed=7, t_end=0.05, dt=1e-5,
-                                            t_start=0.01, t_stop=0.04,
-                                            lo_fraction=1.0, hi_fraction=1.0)
+    degenerate = RandomResistance(seed=7, t_end=0.05, dt=1e-5,
+                                  t_start=0.01, t_stop=0.04,
+                                  lo_fraction=1.0, hi_fraction=1.0)
     _, rg_const, _ = disturbance_profile(p, degenerate)
     assert np.all(rg_const == p.r_g)
 
@@ -149,7 +148,7 @@ def test_settling_time_exponential_oracle():
     tau = 1e-3
     times = np.arange(0, int(0.02 / dt) + 1) * dt
     traj = _synthetic_trajectory(np.exp(-times / tau), dt)
-    sc = scenario_constant(nominal_params(), t_end=0.02, dt=dt)
+    sc = ConstantOffset(t_end=0.02, dt=dt)
     m = compute_metrics(traj, sc)
     assert m.settled
     assert abs(m.settling_time_2pct_d - tau * math.log(50.0)) <= dt
@@ -158,7 +157,7 @@ def test_settling_time_exponential_oracle():
 def test_metrics_constant_and_zero_signals():
     dt = 1e-5
     n = 1000
-    sc = scenario_constant(nominal_params(), t_end=n * dt, dt=dt)
+    sc = ConstantOffset(t_end=n * dt, dt=dt)
 
     const = _synthetic_trajectory(np.full(n + 1, -3.0), dt)
     m = compute_metrics(const, sc)
@@ -176,7 +175,7 @@ def test_check_dissipation_zero_case(banks):
     p = nominal_params()
     bank = banks["multi_branch"]
     result = search_certificate(p, bank)
-    sc = scenario_constant(p, t_end=1e-3, dt=1e-6)
+    sc = ConstantOffset(t_end=1e-3, dt=1e-6)
     traj = integrate(p, bank, sc, cert=result.certificate)
     rep = check_dissipation(traj, result.certificate)
     assert rep.n_violations == 0
@@ -187,7 +186,7 @@ def test_check_dissipation_scenario1_and_corruption(banks):
     bank = VrBank((VrBranch.of((linear(1.0),)),))
     result = search_certificate(p, bank)
     assert result.feasible
-    sc = scenario_voltage_pulse(p, t_end=0.15, dt=1e-6)
+    sc = VoltagePulse(t_end=0.15, dt=1e-6)
     traj = integrate(p, bank, sc, cert=result.certificate)
 
     clean = check_dissipation(traj, result.certificate)
@@ -204,7 +203,7 @@ def test_check_dissipation_requires_logs(banks):
     p = nominal_params()
     bank = banks["linear"]
     result = search_certificate(p, bank)
-    sc = scenario_constant(p, t_end=1e-3, dt=1e-6)
+    sc = ConstantOffset(t_end=1e-3, dt=1e-6)
     with pytest.raises(ValueError, match="Lyapunov log"):
         check_dissipation(integrate(p, bank, sc), result.certificate)
 
@@ -213,7 +212,7 @@ def test_envelope_zero_disturbance_floor(banks):
     p = nominal_params()
     bank = banks["multi_branch"]
     result = search_certificate(p, bank)
-    sc = scenario_constant(p, t_end=5e-3, dt=1e-6)
+    sc = ConstantOffset(t_end=5e-3, dt=1e-6)
     traj = integrate(p, bank, sc, i_err0=(5.0, -5.0))
     rep = check_iss_envelope(traj, result.certificate, window_tail=1e-3)
     assert rep.bound == 1e-6          # zero disturbance: absolute floor
@@ -224,7 +223,7 @@ def test_envelope_pulse_long_before_tail(banks):
     p = nominal_params()
     bank = banks["multi_branch"]
     result = search_certificate(p, bank)
-    sc = scenario_voltage_pulse(p, t_end=0.5, dt=1e-5)
+    sc = VoltagePulse(t_end=0.5, dt=1e-5)
     traj = integrate(p, bank, sc, cert=result.certificate)
     rep = check_iss_envelope(traj, result.certificate, window_tail=0.1)
     assert rep.passes
@@ -234,7 +233,7 @@ def test_envelope_pulse_long_before_tail(banks):
 def test_envelope_unstable_negative_control():
     p = nominal_params()
     unstable = VrBank((VrBranch.of((VrElement._unchecked("linear", -3.0),)),))
-    sc = scenario_constant(p, t_end=4e-3, dt=1e-6)
+    sc = ConstantOffset(t_end=4e-3, dt=1e-6)
     traj = integrate(p, unstable, sc, i_err0=(1e-3, 0.0))
     rep = check_iss_envelope(traj, gain_slope=70.0, window_tail=1e-3)
     assert not rep.passes
@@ -243,7 +242,7 @@ def test_envelope_unstable_negative_control():
 def test_simulation_abort_diagnostic():
     p = nominal_params()
     unstable = VrBank((VrBranch.of((VrElement._unchecked("linear", -3.0),)),))
-    sc = scenario_constant(p, t_end=0.2, dt=1e-6)
+    sc = ConstantOffset(t_end=0.2, dt=1e-6)
     with pytest.raises(SimulationAbort) as err:
         integrate(p, unstable, sc, i_err0=(1.0, 0.0))
     assert err.value.t > 0.0
@@ -251,8 +250,8 @@ def test_simulation_abort_diagnostic():
 
 def test_determinism_bit_identical(banks):
     p = nominal_params()
-    sc = scenario_random_resistance(p, seed=42, t_end=0.05, dt=1e-5,
-                                    t_start=0.01, t_stop=0.04)
+    sc = RandomResistance(seed=42, t_end=0.05, dt=1e-5,
+                          t_start=0.01, t_stop=0.04)
     a = integrate(p, banks["multi_branch"], sc)
     b = integrate(p, banks["multi_branch"], sc)
     assert np.array_equal(a.i_err, b.i_err)
@@ -265,9 +264,9 @@ def test_linearity_superposition():
     bank = VrBank(())
     d1 = (90.0, 0.0)
     d2 = (-20.0, 55.0)
-    t1 = integrate(p, bank, scenario_constant(p, t_end=5e-3, dt=1e-6, v_g=d1))
-    t2 = integrate(p, bank, scenario_constant(p, t_end=5e-3, dt=1e-6, v_g=d2))
-    t12 = integrate(p, bank, scenario_constant(p, t_end=5e-3, dt=1e-6, v_g=np.add(d1, d2)))
+    t1 = integrate(p, bank, ConstantOffset(t_end=5e-3, dt=1e-6, v_g_const=d1))
+    t2 = integrate(p, bank, ConstantOffset(t_end=5e-3, dt=1e-6, v_g_const=d2))
+    t12 = integrate(p, bank, ConstantOffset(t_end=5e-3, dt=1e-6, v_g_const=np.add(d1, d2)))
     assert np.abs(t12.i_err - (t1.i_err + t2.i_err)).max() <= 1e-8
 
 
@@ -289,8 +288,8 @@ def test_monotone_damping_pointwise(rng, banks):
 
 def test_resistance_mismatch_is_logged_as_disturbance():
     p = nominal_params()
-    sc = scenario_random_resistance(p, seed=3, t_end=0.02, dt=1e-5,
-                                    t_start=0.005, t_stop=0.015)
+    sc = RandomResistance(seed=3, t_end=0.02, dt=1e-5,
+                          t_start=0.005, t_stop=0.015)
     traj = integrate(p, VrBank(()), sc)
     expected = (traj.r_g - p.r_g)[:, None] * p.i_ref
     np.testing.assert_allclose(traj.v_dist, expected, rtol=1e-12, atol=1e-15)
