@@ -42,6 +42,10 @@ from .plant import system_matrix
 # largest bank the certificate construction accepts
 MAX_BRANCHES = 8
 
+# grid points per block of the sampled gradient check: a block's (2, k)
+# buffers stay at 64 KiB, under malloc's 128 KiB mmap threshold
+BLOCK_POINTS = 4096
+
 
 class CertificateError(ValueError):
     """Raised for unusable certificates (e.g. gain requested with varsigma <= 0)."""
@@ -214,21 +218,26 @@ def sampled_gradient_check(p, bank, v_spec, cfg):
     point whose left side is not <= 0 (NaN included, e.g. after an overflow)
     counts as a violation, so ``passes`` holds exactly when there are none.
 
-    Every branch map acts on one axis at a time, so each is evaluated only
-    on the n axis samples (both columns of ``column_stack([axis, axis])``).
-    Grid point i*n + j is (axis[i], axis[j]), so in the (n, n, 2) view of a
-    per-point array its d value is that of sample i, broadcast along row i,
-    and its q value that of sample j, broadcast down column j. The maps are
-    elementwise and the sums keep the operation order of
-    :func:`lyapunov_gradients` and :func:`bank_values` (the bank map's
-    inner product with grad V is d term plus q term, as the einsum forms
-    it), so the report is bit-identical to evaluating both on all n*n
-    points.
+    Grid point i*n + j is (axis[i], axis[j]). Every branch map acts on one
+    axis at a time, so each is evaluated once per axis sample (n*M
+    evaluations): its d value belongs to grid row i and its q value to grid
+    column j. The grid is walked in blocks of whole rows, about
+    :data:`BLOCK_POINTS` points each, with the d and q components of every
+    per-point quantity in separate contiguous arrays. Memory is therefore
+    O(BLOCK_POINTS + n*M) and does not grow with n^2, and a block's buffers
+    are small enough for malloc to reuse from block to block and from call
+    to call instead of mapping fresh pages.
+
+    The report is bit-identical to evaluating :func:`lyapunov_gradients`
+    and :func:`bank_values` on all n*n points at once: the products with P
+    and A stay matrix products (``P @ (2 x)`` forms each entry with the
+    same BLAS sum as ``2 x @ P'``), branch terms are added one branch at a
+    time in bank order, each inner product is the d term plus the q term as
+    the einsum forms it, and the blocks combine by the rules of
+    ``np.argmax``: the first NaN, else the first maximum.
     """
     n = cfg.grid_points
     axis = np.linspace(-cfg.grid_radius, cfg.grid_radius, n)
-    gd, gq = np.meshgrid(axis, axis, indexing="ij")
-    pts = np.column_stack([gd.ravel(), gq.ravel()])
     samples = np.column_stack([axis, axis])
 
     lam = ()
@@ -237,28 +246,43 @@ def sampled_gradient_check(p, bank, v_spec, cfg):
         p_mat, lam = v_spec.p_mat, v_spec.lam
     else:
         p_mat = linalg.symmetrize(np.asarray(v_spec, dtype=float))
-    grads = 2.0 * pts @ p_mat.T
-    grid = grads.reshape(n, n, 2)  # a view: grid[i, j] is grid point i*n + j
-    for lam_k, branch in zip(lam, bank.branches):
-        term = 2.0 * lam_k * branch_values(branch, samples)
-        grid[:, :, 0] += term[:, None, 0]
-        grid[:, :, 1] += term[None, :, 1]
+    # per-axis rows: [0] is indexed by the grid row i, [1] by the grid column j
+    terms = [(2.0 * lam_k * branch_values(branch, samples)).T.copy()
+             for lam_k, branch in zip(lam, bank.branches)]
+    r = bank_values(bank, samples).T.copy()
+    a_mat = system_matrix(p)
+    sq = axis * axis
+    eps_coeff = cfg.epsilon / (2.0 * p.l_g)
 
-    r = bank_values(bank, samples)
-    r_term = (grid[:, :, 0] * r[:, None, 0] + grid[:, :, 1] * r[None, :, 1]).ravel()
-    a = system_matrix(p)
-    lhs = (
-        np.einsum("ni,ni->n", grads, pts @ a.T)
-        - r_term / p.l_g
-        + np.einsum("ni,ni->n", pts, pts)
-        + (cfg.epsilon / (2.0 * p.l_g)) * np.einsum("ni,ni->n", grads, grads)
-    )
-    worst = int(np.argmax(lhs))
-    n_violations = int(np.count_nonzero(~(lhs <= 0.0)))
+    rows = max(1, BLOCK_POINTS // n)
+    worst, worst_value, n_violations = 0, math.nan, 0
+    for i0 in range(0, n, rows):
+        i1 = min(i0 + rows, n)
+        x = np.empty((2, i1 - i0, n))   # x[:, i - i0, j] is grid point i*n + j
+        x[0] = axis[i0:i1, None]
+        x[1] = axis
+        x = x.reshape(2, -1)
+        gd, gq = (p_mat @ (2.0 * x)).reshape(2, -1, n)
+        axd, axq = (a_mat @ x).reshape(2, -1, n)
+        for term in terms:
+            gd += term[0, i0:i1, None]
+            gq += term[1]
+        lhs = (
+            (gd * axd + gq * axq)
+            - (gd * r[0, i0:i1, None] + gq * r[1]) / p.l_g
+            + (sq[i0:i1, None] + sq)
+            + eps_coeff * (gd * gd + gq * gq)
+        ).ravel()
+        k = int(np.argmax(lhs))
+        value = float(lhs[k])
+        # np.argmax over the whole grid: the first NaN, else the first maximum
+        if i0 == 0 or (not math.isnan(worst_value) and (math.isnan(value) or value > worst_value)):
+            worst, worst_value = i0 * n + k, value
+        n_violations += int(np.count_nonzero(~(lhs <= 0.0)))
     return GradientCheckReport(
         passes=n_violations == 0,
-        max_value=float(lhs[worst]),
-        max_point=(float(pts[worst, 0]), float(pts[worst, 1])),
+        max_value=worst_value,
+        max_point=(float(axis[worst // n]), float(axis[worst % n])),
         n_violations=n_violations,
         disturbance_bound_coeff=1.0 / (2.0 * p.l_g * cfg.epsilon),
     )

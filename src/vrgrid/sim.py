@@ -178,7 +178,8 @@ def disturbance_profile(p, sc):
     elif isinstance(sc, RandomResistance):
         i0 = _snap(sc.t_start, sc.dt, n)
         i1 = _snap(sc.t_stop, sc.dt, n)
-        steps_per = max(1, int(round(sc.resample_period / sc.dt)))
+        # any period of at least t_end is one interval; the min keeps the ratio finite
+        steps_per = max(1, int(round(min(sc.resample_period, sc.t_end) / sc.dt)))
         n_int = (i1 - i0 + steps_per - 1) // steps_per
         if n_int > 0:
             u = splitmix64_uniform(sc.seed, n_int)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -9,6 +10,7 @@ from conftest import random_certificate
 from vrgrid import linalg
 from vrgrid.bank import KINDS, SectorViolation, VrBank, VrBranch, VrElement, bank_values, linear, sinh_element
 from vrgrid.certify import (
+    BLOCK_POINTS,
     CertificateError,
     GradientCheckConfig,
     GradientCheckReport,
@@ -340,3 +342,50 @@ def test_gradient_check_matches_full_grid_oracle(rng, grid_points, grid_radius):
                 for spec in specs:
                     assert repr(sampled_gradient_check(p, bank, spec, cfg)) == repr(
                         _full_grid_gradient_check(p, bank, spec, cfg))
+
+
+def test_gradient_check_block_boundaries_match_oracle(rng):
+    """Reports that depend on how blocks combine equal the full-grid oracle."""
+    p = nominal_params()
+
+    cfg = GradientCheckConfig(epsilon=1e-2, grid_points=401)
+    rows = BLOCK_POINTS // cfg.grid_points
+    assert cfg.grid_points > 2 * rows and cfg.grid_points % rows  # >= 3 blocks, the last partial
+    bank = _random_axis_bank(rng, 3)
+    for spec in (search_certificate(p, bank).certificate, np.array([[1.5, 0.3], [0.3, 0.8]])):
+        assert repr(sampled_gradient_check(p, bank, spec, cfg)) == repr(
+            _full_grid_gradient_check(p, bank, spec, cfg))
+
+    # grad_q = 2 d is 0 only on the middle row d = 0, where it meets
+    # r_q = sinh(20 q) = inf: the first NaN of the grid lies in a later block
+    # (elsewhere r_q = inf gives +-inf), and it must still win
+    bank = VrBank((VrBranch.of((linear(1.0),), (sinh_element(1.0, 20.0),)),))
+    spec = np.array([[1.0, 1.0], [1.0, 0.0]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        report = sampled_gradient_check(p, bank, spec, cfg)
+        assert repr(report) == repr(_full_grid_gradient_check(p, bank, spec, cfg))
+    assert math.isnan(report.max_value) and report.max_point[0] == 0.0
+    assert not report.passes
+
+    # V = |x|^2 and no bank: lhs is even in x bit for bit, so its maximum on
+    # the row d = -50 (first block) recurs at -x on the row d = +50 (last
+    # block); the first occurrence wins
+    cfg = GradientCheckConfig(epsilon=1.0, grid_points=401)
+    report = sampled_gradient_check(p, EMPTY, np.eye(2), cfg)
+    assert repr(report) == repr(_full_grid_gradient_check(p, EMPTY, np.eye(2), cfg))
+    assert report.max_point[0] == -cfg.grid_radius
+
+
+def test_gradient_check_memory_is_blocked(banks):
+    """A 1001-point grid (1e6 points) peaks at a few block-sized buffers."""
+    p = nominal_params()
+    bank = banks["multi_branch"]
+    cert = search_certificate(p, bank).certificate
+    cfg = GradientCheckConfig(epsilon=1e-3, grid_points=1001)
+    tracemalloc.start()
+    try:
+        sampled_gradient_check(p, bank, cert, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6

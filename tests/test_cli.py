@@ -76,6 +76,23 @@ def test_simulate_rerun_is_byte_identical(tmp_path):
     assert (out1 / "trajectory.csv").read_bytes() == (out2 / "trajectory.csv").read_bytes()
 
 
+def test_simulate_resample_period_beyond_horizon(tmp_path, capsys):
+    """A resample period of 1e308 is one interval, like a period of t_end,
+    instead of an OverflowError from an infinite step count."""
+    from vrgrid import cli
+
+    csv = []
+    for period in (1e308, 0.01):
+        path = write_config(tmp_path / "rr.json", small_config(scenario={
+            "kind": "random_resistance", "t_end": 0.01, "dt": 1e-5, "seed": 3,
+            "t_start": 0.002, "t_stop": 0.008, "resample_period": period,
+        }))
+        out = tmp_path / f"p{period}"
+        assert cli.main(["simulate", str(path), "--out", str(out)]) == 0, capsys.readouterr()
+        csv.append((out / "trajectory.csv").read_bytes())
+    assert csv[0] == csv[1]
+
+
 def test_simulate_unknown_key_rejected(tmp_path):
     doc = small_config()
     doc["grid"]["inductance"] = 1.0
