@@ -11,15 +11,18 @@ As plain Python, ``rk4_loop`` pays for a ``series_sum`` ->
 The fallback integrator is therefore ``specialized_rk4_loop``:
 ``build_rk4_loop`` generates the RK4 loop for one bank, with every element
 inlined from ``_ELEMENT_EXPR`` as a Python-float expression, and computes
-the same trajectory bit for bit. The generated loop walks the horizon one
-run at a time, a run being a block of steps whose inputs (resistance and
-both disturbance axes) are bit-identical, and reads those inputs once per
-run. When the first step of a run leaves the state bit-identical (an exact
-equilibrium, such as the zero state before a disturbance arrives), the
-rest of the run is that state and is filled without stepping. ``vrgrid.sim``
-picks one of the two by ``NUMBA_ENABLED``; the uncompiled ``rk4_loop``
-stays the reference that the tests compare against. ``perfbench/run.py
---trace 1`` reports the loop's us/step per bundled bank.
+the same trajectory bit for bit, with fewer float operations per step (the
+element sums drop the generic loop's ``0.0 +`` head, which is exact once
+the disturbance is read as ``v + 0.0``). The generated loop walks the
+horizon one run at a time, a run being a block of steps whose inputs
+(resistance and both disturbance axes) are bit-identical, and reads those
+inputs once per run. When the first step of a run leaves the state
+bit-identical (an exact equilibrium, such as the zero state before a
+disturbance arrives), the rest of the run is that state and is filled
+without stepping. ``vrgrid.sim`` picks one of the two by
+``NUMBA_ENABLED``; the uncompiled ``rk4_loop`` stays the reference that
+the tests compare against. ``perfbench/run.py --trace 1`` reports the
+loop's us/step per bundled bank.
 """
 
 import math
@@ -87,8 +90,8 @@ def element_value(code, p1, p2, x):
 
 
 # element_value as Python-float expressions, one per kind, in the same
-# operation order; {x} is the state and {p1}/{p2} are names bound to the
-# element parameters in the namespace of the generated loop.
+# operation order; {x} is the state and {p1}/{p2} are the locals of the
+# generated loop that hold the element parameters.
 _ELEMENT_EXPR = {
     LINEAR: "{p1} * {x}",
     CUBIC: "{p1} * {x} * {x} * {x}",
@@ -156,10 +159,10 @@ def rk4_loop(y0d, y0q, dt, n_steps, lg, wg, rg_seq, dist_d, dist_q,
 
 _RK4_SOURCE = """
 def run(y0d, y0q, dt, n_steps, lg, wg, rg_seq, dist_d, dist_q):
+    {names} = bound
     out = np.empty((n_steps + 1, 2))
-    flat = out.reshape(-1)
-    o = memoryview(flat)
-    ob = memoryview(flat.view(np.uint64))
+    od, oq = map(memoryview, out.T)
+    bd, bq = map(memoryview, out.view(np.uint64).T)
     inputs = [np.asarray(x, dtype=np.float64)[:n_steps] for x in (rg_seq, dist_d, dist_q)]
     rg, dd, dq = map(memoryview, inputs)
     # a run is a block of steps whose inputs are bit-identical; edge marks
@@ -170,8 +173,8 @@ def run(y0d, y0q, dt, n_steps, lg, wg, rg_seq, dist_d, dist_q):
         bits = x.view(np.uint64)
         edge[1:n_steps] |= bits[1:] != bits[:-1]
     bounds = np.flatnonzero(edge)
-    yd = o[0] = float(y0d)
-    yq = o[1] = float(y0q)
+    yd = od[0] = float(y0d)
+    yq = oq[0] = float(y0q)
     dt = float(dt)
     h = 0.5 * dt
     c = dt / 6.0
@@ -181,43 +184,49 @@ def run(y0d, y0q, dt, n_steps, lg, wg, rg_seq, dist_d, dist_q):
     try:
         for s, e in zip(memoryview(bounds[:-1]), memoryview(bounds[1:])):
             a = -rg[s] * inv_lg
-            vd = dd[s]
-            vq = dq[s]
-            for n in range(s, e):
-                k1d = a * yd + wg * yq - inv_lg * ({sd_yd} + vd)
-                k1q = mwg * yd + a * yq - inv_lg * ({sq_yq} + vq)
+            # + 0.0 turns -0.0 into 0.0 and keeps every other value, so the
+            # element sums need no 0.0 head (see build_rk4_loop)
+            vd = dd[s] + 0.0
+            vq = dq[s] + 0.0
+            # steps s .. e - 1 write rows s + 1 .. e; the first step goes
+            # alone, so that only it is followed by the stationary check
+            for rows in (range(s + 1, s + 2), range(s + 2, e + 1)):
+                for n in rows:
+                    k1d = a * yd + wg * yq - inv_lg * ({sd_yd})
+                    k1q = mwg * yd + a * yq - inv_lg * ({sq_yq})
 
-                td = yd + h * k1d
-                tq = yq + h * k1q
-                k2d = a * td + wg * tq - inv_lg * ({sd_td} + vd)
-                k2q = mwg * td + a * tq - inv_lg * ({sq_tq} + vq)
+                    td = yd + h * k1d
+                    tq = yq + h * k1q
+                    k2d = a * td + wg * tq - inv_lg * ({sd_td})
+                    k2q = mwg * td + a * tq - inv_lg * ({sq_tq})
 
-                td = yd + h * k2d
-                tq = yq + h * k2q
-                k3d = a * td + wg * tq - inv_lg * ({sd_td} + vd)
-                k3q = mwg * td + a * tq - inv_lg * ({sq_tq} + vq)
+                    td = yd + h * k2d
+                    tq = yq + h * k2q
+                    k3d = a * td + wg * tq - inv_lg * ({sd_td})
+                    k3q = mwg * td + a * tq - inv_lg * ({sq_tq})
 
-                td = yd + dt * k3d
-                tq = yq + dt * k3q
-                k4d = a * td + wg * tq - inv_lg * ({sd_td} + vd)
-                k4q = mwg * td + a * tq - inv_lg * ({sq_tq} + vq)
+                    td = yd + dt * k3d
+                    tq = yq + dt * k3q
+                    k4d = a * td + wg * tq - inv_lg * ({sd_td})
+                    k4q = mwg * td + a * tq - inv_lg * ({sq_tq})
 
-                yd = yd + c * (k1d + 2.0 * k2d + 2.0 * k3d + k4d)
-                yq = yq + c * (k1q + 2.0 * k2q + 2.0 * k3q + k4q)
-                o[2 * n + 2] = yd
-                o[2 * n + 3] = yq
-                if not (isfinite(yd) and isfinite(yq)):
-                    return out, n + 1
+                    yd = yd + c * (k1d + 2.0 * k2d + 2.0 * k3d + k4d)
+                    yq = yq + c * (k1q + 2.0 * k2q + 2.0 * k3q + k4q)
+                    od[n] = yd
+                    oq[n] = yq
+                    # x - x is 0.0 for a finite x and nan otherwise
+                    if yd - yd != yq - yq:
+                        return out, n
                 # a step is a pure function of the state and the run's
                 # inputs, so a state its first step leaves bit-identical
                 # (-0.0 is not 0.0) stays so for the rest of the run
-                if n == s and ob[2 * n] == ob[2 * n + 2] and ob[2 * n + 1] == ob[2 * n + 3]:
-                    out[n + 2:e + 1] = out[n + 1]
+                if n == s + 1 and bd[s] == bd[n] and bq[s] == bq[n]:
+                    out[n + 1:e + 1] = out[n]
                     break
     except OverflowError:
         # math.sinh raises where numba's sinh returns inf: the same abort
-        o[2 * n + 2] = o[2 * n + 3] = nan
-        return out, n + 1
+        od[n] = oq[n] = nan
+        return out, n
     return out, -1
 """
 
@@ -225,38 +234,45 @@ def run(y0d, y0q, dt, n_steps, lg, wg, rg_seq, dist_d, dist_q):
 def build_rk4_loop(codes_d, p1_d, p2_d, codes_q, p1_q, p2_q):
     """Generate ``rk4_loop`` for one bank as straight-line Python.
 
-    Takes the ``flatten_bank`` arrays and returns
-    ``run(y0d, y0q, dt, n_steps, lg, wg, rg_seq, dist_d, dist_q)``, which
-    returns what ``rk4_loop`` returns for that bank, bit for bit: every
-    ``series_sum`` is inlined as ``0.0 + e0 + e1 ...`` in element order, on
-    Python floats read from and written to ``memoryview``s over float64
-    arrays, and ``0.5 * dt``, ``dt / 6.0`` and ``-wg`` are hoisted out of
-    the loop (Python groups ``0.5 * dt * k`` as ``(0.5 * dt) * k``). Steps
-    are taken one run of bit-identical inputs at a time, and a run whose
-    first step leaves the state bit-identical is filled with that state. A
-    term that overflows in ``math.sinh`` aborts the step it is in, with that
-    row set to NaN. Element parameters are bound as names in the namespace
-    of the generated code, never formatted into its text.
+    Takes the ``flatten_bank`` arrays and returns ``run(y0d, y0q, dt,
+    n_steps, lg, wg, rg_seq, dist_d, dist_q)``, which returns what
+    ``rk4_loop`` returns for that bank, bit for bit. Each
+    ``series_sum(...) + v`` is inlined as ``e0 + e1 + ... + v`` in element
+    order, on Python floats read from and written to ``memoryview``s over
+    float64 arrays. The
+    generic loop's ``0.0 +`` head is dropped: ``0.0 + e0 + ... + v`` and
+    ``e0 + ... + v`` differ only when every term is -0.0 (+0.0 against
+    -0.0), and ``v`` is read as ``v + 0.0``, which turns -0.0 into +0.0 and
+    keeps every other value, so both give the same bits, also for an axis
+    without elements. ``0.5 * dt``, ``dt / 6.0`` and ``-wg`` are hoisted out
+    of the loop (Python groups ``0.5 * dt * k`` as ``(0.5 * dt) * k``), and
+    a row is non-finite exactly when ``yd - yd != yq - yq``. Steps are taken
+    one run of bit-identical inputs at a time, and a run whose first step
+    leaves the state bit-identical is filled with that state. A term that
+    overflows in ``math.sinh`` aborts the step it is in, with that row set
+    to NaN. Element parameters, ``sinh`` and ``tanh`` are bound as locals of
+    ``run`` from a tuple in its namespace, never formatted into its text.
     """
-    namespace = {"np": np, "sinh": math.sinh, "tanh": math.tanh,
-                 "isfinite": math.isfinite, "nan": math.nan}
+    local = {"sinh": math.sinh, "tanh": math.tanh}
 
     def series(axis, codes, p1s, p2s, x):
-        terms = ["0.0"]
+        terms = []
         for i, code in enumerate(codes):
             if int(code) not in _ELEMENT_EXPR:
                 raise ValueError(f"unknown element code {code!r}")
             p1, p2 = f"p1_{axis}{i}", f"p2_{axis}{i}"
-            namespace[p1], namespace[p2] = float(p1s[i]), float(p2s[i])
+            local[p1], local[p2] = float(p1s[i]), float(p2s[i])
             terms.append(_ELEMENT_EXPR[int(code)].format(p1=p1, p2=p2, x=x))
-        return " + ".join(terms)
+        return " + ".join([*terms, f"v{axis}"])
 
     source = _RK4_SOURCE.format(
         sd_yd=series("d", codes_d, p1_d, p2_d, "yd"),
         sd_td=series("d", codes_d, p1_d, p2_d, "td"),
         sq_yq=series("q", codes_q, p1_q, p2_q, "yq"),
         sq_tq=series("q", codes_q, p1_q, p2_q, "tq"),
+        names=", ".join(local),
     )
+    namespace = {"np": np, "nan": math.nan, "bound": tuple(local.values())}
     exec(compile(source, "<vrgrid rk4_loop>", "exec"), namespace)
     return namespace["run"]
 

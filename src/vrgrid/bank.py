@@ -58,6 +58,8 @@ KINDS = tuple(sorted(_KIND_CODES))
 _PROBE_MAX = 100.0
 _PROBE_MIN = _PROBE_MAX * 1e-9
 _PROBE_SAMPLES = 128
+_PROBE_MAGS = np.geomspace(_PROBE_MIN, _PROBE_MAX, _PROBE_SAMPLES)
+_PROBE_XS = np.concatenate([-_PROBE_MAGS[::-1], _PROBE_MAGS])
 
 
 def json_number(value):
@@ -316,11 +318,9 @@ def classify_bank(bank):
     ``_PROBE_MAX`` on each side. A violation raises
     :class:`SectorViolation` naming branch, axis and sample.
     """
-    mags = np.geomspace(_PROBE_MIN, _PROBE_MAX, _PROBE_SAMPLES)
-    xs = np.concatenate([-mags[::-1], mags])
     for idx, branch in enumerate(bank.branches):
-        _axis_sector_check(branch.elements_d, xs, idx, "d")
-        _axis_sector_check(branch.elements_q, xs, idx, "q")
+        _axis_sector_check(branch.elements_d, _PROBE_XS, idx, "d")
+        _axis_sector_check(branch.elements_q, _PROBE_XS, idx, "q")
 
 
 def flatten_bank(bank):

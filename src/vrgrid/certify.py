@@ -112,7 +112,7 @@ class SearchResult:
     starts_run: int
 
 
-def search_certificate(p, bank):
+def search_certificate(p, bank, *, sector_checked=False):
     """Closed-form certificate for a stable linear part, verified once.
 
     With the branch weight c = min(0.01, r_g / (4 max(M, 1) |A|^2 l_g^2)),
@@ -133,12 +133,16 @@ def search_certificate(p, bank):
 
     Raises :class:`CertificateError` when (r_g, l_g, omega_g) put a
     certificate entry, a margin or the gain outside the float64 range
-    (e.g. r_g = 1e-300 with l_g = 1e300).
+    (e.g. r_g = 1e-300 with l_g = 1e300), and
+    :class:`~vrgrid.bank.SectorViolation` from :func:`classify_bank` unless
+    ``sector_checked`` says the caller has already run that check on
+    ``bank`` (as ``vrgrid.cli.load_config`` does on every bank it loads).
     """
     m = bank.branch_count
     if m > MAX_BRANCHES:
         raise ValueError(f"certification supports at most {MAX_BRANCHES} branches, bank has {m}")
-    classify_bank(bank)
+    if not sector_checked:
+        classify_bank(bank)
 
     with np.errstate(all="ignore"):  # a non-finite entry or margin is refused below
         try:

@@ -392,7 +392,8 @@ def _run_certification(cfg):
     ConfigError on field ``grid``.
     """
     try:
-        cert = search_certificate(cfg.grid, cfg.bank).certificate
+        # load_config ran classify_bank on the bank already
+        cert = search_certificate(cfg.grid, cfg.bank, sector_checked=True).certificate
     except CertificateError as exc:
         raise ConfigError("grid", f"grid: {exc}") from exc
     return cert, certificate_payload(cert, cfg.bank)

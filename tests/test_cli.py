@@ -490,7 +490,7 @@ def test_certify_infeasible_exit4(tmp_path, monkeypatch, capsys):
     doc = small_config(bank=[], certify={"enabled": True})
     path = write_config(tmp_path / "cfg.json", doc)
 
-    def fake_search(p, bank):
+    def fake_search(p, bank, **_):
         cert = IssCertificate(p_mat=np.zeros((2, 2)), lam=np.zeros((0, 2)),
                               omega=np.zeros((1, 2)), phi=np.zeros((2, 2)))
         report = verify_certificate(p, bank, cert)
@@ -508,6 +508,27 @@ def test_certify_infeasible_exit4(tmp_path, monkeypatch, capsys):
     payload = json.loads((tmp_path / "o" / "certificate.json").read_text())
     assert payload["valid"] is False
     assert "sigma" in payload["margins"]
+
+
+@pytest.mark.parametrize("command", ["certify", "simulate"])
+def test_certified_run_checks_sectors_once(tmp_path, monkeypatch, command):
+    # load_config runs the sampled sector check; the certificate search
+    # does not run it again on the bank it loaded
+    from vrgrid import bank as bank_mod
+    from vrgrid import certify, cli
+
+    calls = []
+
+    def counting(bank):
+        calls.append(bank)
+        return bank_mod.classify_bank(bank)
+
+    monkeypatch.setattr(cli, "classify_bank", counting)
+    monkeypatch.setattr(certify, "classify_bank", counting)
+    path = write_config(tmp_path / "cfg.json", small_config(certify={"enabled": True}))
+    args = cli.build_parser().parse_args([command, str(path), "--out", str(tmp_path / "o")])
+    assert args.func(args) == 0
+    assert len(calls) == 1
 
 
 def test_cli_writes_only_inside_out_dir(tmp_path):

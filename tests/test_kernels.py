@@ -41,7 +41,7 @@ def test_series_sum_matches_python_fallback(rng):
         assert series_sum(codes, p1, p2, x) == py_sum(codes, p1, p2, x)
 
 
-def _rk4_args(bank_d, bank_q, *, n=200, dt=1e-6, y0=(2.0, -1.0), dist=40.0, rg=None):
+def _rk4_args(bank_d, bank_q, *, n=200, dt=1e-6, y0=(2.0, -1.0), dist=40.0, rg=None, lg=3.67e-4):
     def pack(bank):
         return (np.array([k for k, _, _ in bank], dtype=np.int64),
                 np.array([p for _, p, _ in bank], dtype=float),
@@ -50,7 +50,7 @@ def _rk4_args(bank_d, bank_q, *, n=200, dt=1e-6, y0=(2.0, -1.0), dist=40.0, rg=N
     rg_seq = np.full(n + 1, 0.0276) if rg is None else rg
     dist_d = np.full(n + 1, dist)  # dist: a scalar or n + 1 values
     dist_q = -0.5 * dist_d
-    return (y0[0], y0[1], dt, n, 3.67e-4, 377.0, rg_seq, dist_d, dist_q,
+    return (y0[0], y0[1], dt, n, lg, 377.0, rg_seq, dist_d, dist_q,
             *pack(bank_d), *pack(bank_q))
 
 
@@ -105,6 +105,11 @@ RK4_CASES = {
            ((-0.0, -0.0), 0.0, np.full(21, -0.0)),
            ((-0.0, 0.0), -0.0, _pulse(20, 5, 0.0276)),
        ])},
+    # every term of the q sum is -0.0 (p1 * -0.0 and dist_q = -0.5 * 0.0),
+    # and l_g < 0 carries the sign of that zero into the state: an element
+    # sum without its 0.0 head must not see the -0.0 disturbance as is
+    "signed_zero_sum": _rk4_args([(_kernels.LINEAR, 1.0, 0.0)], [(_kernels.LINEAR, 1.0, 0.0)],
+                                 n=20, y0=(0.0, -0.0), dist=0.0, lg=-3.67e-4),
     # the state leaves a skipped zero run and overflows to inf, or meets a nan
     "abort_inf_after_skip": _rk4_args([(_kernels.LINEAR, 1.0, 0.0)], [], n=100, y0=(0.0, 0.0),
                                       dist=_pulse(100, 50, 1e308)),
@@ -112,6 +117,9 @@ RK4_CASES = {
                                       dist=_pulse(100, 50, np.nan)),
     # a diverging cubic overflows to inf, a huge linear state to nan
     "abort_inf": _rk4_args([(_kernels.CUBIC, 0.5, 0.0)], [], n=400, dt=1e-4, y0=(50.0, 0.0)),
+    # the q sum of k1q .. k4q overflows to -inf while the d state stays
+    # finite, so the abort has to test both axes
+    "abort_inf_q": _rk4_args([], [(_kernels.LINEAR, 1.0, 0.0)], n=10, y0=(0.0, 1.1e304)),
     "abort_nan": _rk4_args([(_kernels.LINEAR, 1.0, 0.0)], [(_kernels.LINEAR, 1.0, 0.0)],
                            n=10, dt=1e-4, y0=(1e307, -1e307)),
 }
