@@ -45,7 +45,6 @@ from .sim import (  # noqa: F401
     Trajectory,
     VoltagePulse,
     check_dissipation,
-    check_iss_envelope,
     compute_metrics,
     integrate,
 )

@@ -60,6 +60,7 @@ _PROBE_MIN = _PROBE_MAX * 1e-9
 _PROBE_SAMPLES = 128
 _PROBE_MAGS = np.geomspace(_PROBE_MIN, _PROBE_MAX, _PROBE_SAMPLES)
 _PROBE_XS = np.concatenate([-_PROBE_MAGS[::-1], _PROBE_MAGS])
+_PROBE_PTS = np.column_stack([_PROBE_XS, _PROBE_XS])
 
 
 def json_number(value):
@@ -299,28 +300,22 @@ def branch_primitive_values(branch, pts):
     return out
 
 
-def _axis_sector_check(elements, xs, branch_idx, axis):
-    vals = np.zeros_like(xs)
-    for e in elements:
-        vals += element_values(e, xs)
-    prod = xs * vals
-    bad = np.nonzero(~(prod > 0.0))[0]
-    if bad.size:
-        i = int(bad[0])
-        raise SectorViolation(branch_idx, axis, float(xs[i]), float(vals[i]))
-
-
 def classify_bank(bank):
     """Sampled sector check: x * r(x) > 0 on every axis of every branch.
 
     The grid is symmetric about zero (zero excluded), with
     ``_PROBE_SAMPLES`` log-spaced magnitudes from ``_PROBE_MIN`` to
-    ``_PROBE_MAX`` on each side. A violation raises
-    :class:`SectorViolation` naming branch, axis and sample.
+    ``_PROBE_MAX`` on each side. Each branch is evaluated once on the grid
+    as (x, x) points, and its d axis is checked before its q axis. A
+    violation raises :class:`SectorViolation` naming branch, axis and sample.
     """
     for idx, branch in enumerate(bank.branches):
-        _axis_sector_check(branch.elements_d, _PROBE_XS, idx, "d")
-        _axis_sector_check(branch.elements_q, _PROBE_XS, idx, "q")
+        vals = branch_values(branch, _PROBE_PTS)
+        for col, axis in enumerate("dq"):
+            bad = np.flatnonzero(~(_PROBE_XS * vals[:, col] > 0.0))
+            if bad.size:
+                i = bad[0]
+                raise SectorViolation(idx, axis, float(_PROBE_XS[i]), float(vals[i, col]))
 
 
 def flatten_bank(bank):

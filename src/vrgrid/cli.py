@@ -1,8 +1,9 @@
 """Command-line front end: config ingestion, scenario runs, certification.
 
-Exit codes: 0 success, 2 config/schema violation, 3 numeric abort,
-4 certification infeasible. Errors are also emitted as a single JSON
-object on stdout so sweep scripts can triage failures.
+Exit codes: 0 success, 2 config/schema violation or an output location
+that cannot be written, 3 numeric abort, 4 certification infeasible.
+Errors are also emitted as a single JSON object on stdout so sweep
+scripts can triage failures.
 
 All artifacts are written atomically (temp file + rename) inside the
 configured output directory and contain nothing time-dependent, so a rerun
@@ -232,17 +233,25 @@ def load_config(path):
 
 @contextmanager
 def _atomic_open(path):
-    """Binary file at a temp name beside ``path``, renamed onto it on success."""
+    """Binary file at a temp name beside ``path``, renamed onto it on success.
+
+    The temp file is removed if the write or the rename fails. An OSError
+    (a location that cannot be written) is raised as a ConfigError on
+    ``output.directory``.
+    """
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + f".tmp-{os.getpid()}")
     try:
-        with open(tmp, "wb") as f:
-            yield f
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
-    os.replace(tmp, path)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        try:
+            with open(tmp, "wb") as f:
+                yield f
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
+    except OSError as exc:
+        raise ConfigError("output.directory", f"output.directory: cannot write {path}: {exc}") from exc
 
 
 def _atomic_write(path, data):
@@ -408,12 +417,9 @@ def _write_run(run_dir, cfg, traj, metrics_doc, extra=None):
 
 def cmd_simulate(args):
     cert = None
-    try:
-        cfg = _apply_overrides(load_config(args.config), args)
-        if cfg.certify:
-            cert, payload = _run_certification(cfg)
-    except ConfigError as exc:
-        return _emit_error(2, "config", exc.field, str(exc))
+    cfg = _apply_overrides(load_config(args.config), args)
+    if cfg.certify:
+        cert, payload = _run_certification(cfg)
 
     out_dir = Path(cfg.output.directory)
     extra = {}
@@ -441,13 +447,10 @@ def cmd_simulate(args):
 
 
 def cmd_certify(args):
-    try:
-        cfg = _apply_overrides(load_config(args.config), args)
-        if not cfg.certify:
-            raise ConfigError("certify.enabled", "certify.enabled must be true for the certify command")
-        cert, payload = _run_certification(cfg)
-    except ConfigError as exc:
-        return _emit_error(2, "config", exc.field, str(exc))
+    cfg = _apply_overrides(load_config(args.config), args)
+    if not cfg.certify:
+        raise ConfigError("certify.enabled", "certify.enabled must be true for the certify command")
+    cert, payload = _run_certification(cfg)
 
     out_dir = Path(cfg.output.directory)
     _atomic_write(out_dir / "certificate.json", _json_bytes(payload))
@@ -480,23 +483,26 @@ def _format_table(rows):
     return "\n".join(lines) + "\n"
 
 
+COMPARE_OUTPUTS = ("comparison.csv", "comparison.txt")
+
+
 def cmd_compare(args):
     directory = Path(args.dir)
     paths = sorted(directory.glob("*.json"))
     if not paths:
-        return _emit_error(2, "config", "", f"no config files found in {directory}")
+        raise ConfigError("", f"no config files found in {directory}")
 
-    configs = []
-    try:
-        for path in paths:
-            configs.append(_apply_overrides(load_config(path), args))
-    except ConfigError as exc:
-        return _emit_error(2, "config", exc.field, str(exc))
-
-    for cfg in configs[1:]:
+    configs = [_apply_overrides(load_config(path), args) for path in paths]
+    names = set()
+    for cfg in configs:
         if cfg.scenario != configs[0].scenario:
-            return _emit_error(2, "config", "scenario",
-                               f"config {cfg.name!r} uses a different scenario than {configs[0].name!r}")
+            raise ConfigError("scenario", f"config {cfg.name!r} uses a different scenario than {configs[0].name!r}")
+        # each name is a run directory beside the comparison files
+        if cfg.name in names:
+            raise ConfigError("name", f"name {cfg.name!r} is used by more than one config")
+        if cfg.name in COMPARE_OUTPUTS:
+            raise ConfigError("name", f"name {cfg.name!r} is the name of a comparison file")
+        names.add(cfg.name)
 
     out_root = Path(configs[0].output.directory)  # --out, applied by _apply_overrides
     rows = []
@@ -520,9 +526,10 @@ def cmd_compare(args):
             repr(m.rms_err_d),
             repr(m.rms_err_q),
         ])
-    _atomic_write(out_root / "comparison.csv", buf.getvalue().encode())
+    csv_name, txt_name = COMPARE_OUTPUTS
+    _atomic_write(out_root / csv_name, buf.getvalue().encode())
     table = _format_table(rows)
-    _atomic_write(out_root / "comparison.txt", table.encode())
+    _atomic_write(out_root / txt_name, table.encode())
     print(table, end="")
     return 0
 
@@ -561,7 +568,10 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ConfigError as exc:
+        return _emit_error(2, "config", exc.field, str(exc))
 
 
 if __name__ == "__main__":

@@ -22,7 +22,6 @@ import numpy as np
 
 from . import _kernels
 from .bank import flatten_bank
-from .certify import iss_gain
 from .persidskii import lyapunov_values
 from .plant import as_dq
 
@@ -348,44 +347,3 @@ def check_dissipation(traj, cert):
         tol=tol,
     )
 
-
-@dataclass(frozen=True)
-class EnvelopeReport:
-    passes: bool
-    tail_max: float
-    bound: float
-    gain_slope: float
-    disturbance_sup: float
-
-    def to_dict(self):
-        return {
-            "passes": self.passes,
-            "tail_max_a": self.tail_max,
-            "bound_a": self.bound,
-            "gain_slope": self.gain_slope,
-            "disturbance_sup_v": self.disturbance_sup,
-        }
-
-
-def check_iss_envelope(traj, cert=None, *, window_tail=0.1, slack=2.0,
-                       floor=1e-6, gain_slope=None):
-    """Empirical tail check of the disturbance-to-state envelope.
-
-    Over the final ``window_tail`` seconds the state norm must stay below
-    slack * gain * sup|v_dist| (or below an absolute floor when the
-    disturbance is zero). The slack absorbs the transient envelope that is
-    intentionally not computed, so a pass is a sanity check, not a proof.
-    """
-    gain = gain_slope if gain_slope is not None else iss_gain(cert)
-    t_tail = traj.times[-1] - window_tail
-    mask = traj.times >= t_tail - 1e-12
-    tail_max = float(np.linalg.norm(traj.i_err[mask], axis=1).max())
-    dist_sup = float(np.linalg.norm(traj.v_dist, axis=1).max())
-    bound = max(slack * gain * dist_sup, floor)
-    return EnvelopeReport(
-        passes=bool(tail_max <= bound),
-        tail_max=tail_max,
-        bound=bound,
-        gain_slope=float(gain),
-        disturbance_sup=dist_sup,
-    )

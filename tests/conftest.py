@@ -57,3 +57,15 @@ def random_certificate(m, rng):
         phi=0.5 * (phi + phi.T),
         upsilon=ups,
     )
+
+
+def passivity_ball(traj):
+    """(peak |i_err|, radius of the ball a sector bank keeps it in) along ``traj``.
+
+    With x'r(x) >= 0, W skew and r_g(t) >= r_min > 0 the error dynamics give
+    d|x|^2/dt = (2/l_g)(-r_g(t)|x|^2 - x'r(x) - x'v) <= (2/l_g)|x|(|v| - r_min|x|),
+    so |x(t)| never exceeds max(|x(0)|, sup|v_dist| / r_min).
+    """
+    norms = np.linalg.norm(traj.i_err, axis=1)
+    v_sup = float(np.linalg.norm(traj.v_dist, axis=1).max())
+    return float(norms.max()), max(float(norms[0]), v_sup / float(traj.r_g.min()))

@@ -14,7 +14,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import CONFIG_DIR, random_certificate
+from conftest import CONFIG_DIR, passivity_ball, random_certificate
 
 BUDGETS = {
     1: 1.0, 2: 1.0, 3: 10.0, 4: 60.0, 5: 5.0,
@@ -234,34 +234,23 @@ def test_c07_scenario1_pipeline(tmp_path):
 def test_c08_scenario2_robustness():
     import vrgrid as vg
     from vrgrid.certify import search_certificate
-    from vrgrid.plant import GridParams, nominal_params
-    from vrgrid.sim import RandomResistance, check_iss_envelope, integrate
+    from vrgrid.plant import nominal_params
+    from vrgrid.sim import RandomResistance, integrate
 
-    with criterion(8, "random-resistance runs bounded; certified configs meet the envelope"):
+    # RK4 at dt = 1e-6 s, where dt * (r_g + bank slope) / l_g < 0.01 along
+    # these runs: the per-step error is far below this share of the radius
+    rk4_tol = 1e-6
+    with criterion(8, "random-resistance runs stay in the passivity ball; banks certify at both vertices"):
         p = nominal_params()
         sc = RandomResistance(t_end=1.0, dt=1e-6, seed=42)
-        envelopes_checked = 0
-        for name, bank in vg.default_banks().items():
-            traj = integrate(p, bank, sc)      # raises on numeric abort
-            assert np.all(np.isfinite(traj.i_err))
-
-            gains = []
-            certified = True
+        banks = vg.default_banks()
+        assert len(banks) == 5
+        for name, bank in banks.items():
+            peak, radius = passivity_ball(integrate(p, bank, sc))   # raises on numeric abort
+            assert peak <= (1.0 + rk4_tol) * radius, f"{name}: peak {peak} A outside the ball of {radius} A"
             for frac in (0.1, 1.9):
-                vertex = GridParams(r_g=frac * p.r_g, l_g=p.l_g, omega_g=p.omega_g,
-                                    v_g_ref=p.v_g_ref, i_ref=p.i_ref)
-                result = search_certificate(vertex, bank)
-                if result.feasible and result.report.varsigma > 0.0:
-                    from vrgrid.certify import iss_gain
-
-                    gains.append(iss_gain(result.report))
-                else:
-                    certified = False
-            if certified:
-                rep = check_iss_envelope(traj, gain_slope=max(gains), window_tail=0.1)
-                assert rep.passes, f"{name}: tail {rep.tail_max} above bound {rep.bound}"
-                envelopes_checked += 1
-        assert envelopes_checked == 5   # every bundled law certifies at both vertices
+                result = search_certificate(replace(p, r_g=frac * p.r_g), bank)
+                assert result.feasible and result.report.varsigma > 0.0, f"{name}: no certificate at {frac} r_g"
 
 
 def test_c09_gradient_condition_threshold():

@@ -203,6 +203,25 @@ def test_classifier_names_violating_branch():
     assert "sector violation" in str(err.value)
 
 
+@pytest.mark.parametrize("d, q, axis", [
+    ((linear(1.0),), (VrElement._unchecked("linear", -1.0),), "q"),
+    ((cubic(1e-300),), (VrElement._unchecked("linear", -1.0),), "d"),
+    ((linear(1.0), VrElement._unchecked("cubic", -1.0)), (tanh_element(1.0, 1.0),), "d"),
+])
+def test_classify_bank_first_violation(d, q, axis):
+    """The first failing sample, d axis before q, as a per-axis sum finds it."""
+    from vrgrid.bank import _PROBE_XS, element_values
+
+    bank = VrBank((VrBranch.of((linear(1.0),)), VrBranch(d, q)))
+    elements = d if axis == "d" else q
+    vals = sum(element_values(e, _PROBE_XS) for e in elements)
+    i = int(np.flatnonzero(~(_PROBE_XS * vals > 0.0))[0])
+    with pytest.raises(SectorViolation) as err:
+        classify_bank(bank)
+    assert (err.value.branch, err.value.axis) == (1, axis)
+    assert (err.value.sample, err.value.value) == (_PROBE_XS[i], vals[i])
+
+
 def test_flatten_bank_roundtrip(banks):
     bank = banks["multi_branch"]
     codes_d, p1_d, p2_d, codes_q, p1_q, p2_q = flatten_bank(bank)

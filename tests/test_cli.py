@@ -478,6 +478,53 @@ def test_compare_accepts_scenarios_spelled_differently(tmp_path):
     assert res.returncode == 0, res.stdout
 
 
+@pytest.mark.parametrize("names", [("a", "a"), ("a", "comparison.csv"), ("comparison.txt",)])
+def test_compare_refuses_colliding_names(tmp_path, capsys, names):
+    """Each config name is a run directory beside comparison.csv and
+    comparison.txt, so a repeated name or a comparison file's name is
+    refused before anything is written."""
+    from vrgrid.cli import main
+
+    d = tmp_path / "cfgs"
+    d.mkdir()
+    for i, name in enumerate(names):
+        write_config(d / f"cfg{i}.json", small_config(name=name))
+    out = tmp_path / "cmp"
+    assert main(["compare", str(d), "--out", str(out)]) == 2
+    assert json.loads(capsys.readouterr().out.splitlines()[0])["error"]["field"] == "name"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "certify", "compare"])
+def test_unwritable_out_exit2(tmp_path, capsys, command):
+    """An output location that cannot be written (here an existing file)
+    exits 2 with field output.directory, not a traceback."""
+    from vrgrid.cli import main
+
+    cfgs = tmp_path / "cfgs"
+    cfgs.mkdir()
+    path = write_config(cfgs / "cfg.json", small_config(certify={"enabled": True}))
+    blocker = tmp_path / "taken"
+    blocker.write_bytes(b"")
+    target = cfgs if command == "compare" else path
+    assert main([command, str(target), "--out", str(blocker)]) == 2
+    err = json.loads(capsys.readouterr().out.splitlines()[0])["error"]
+    assert err["field"] == "output.directory"
+    assert blocker.read_bytes() == b""
+
+
+def test_atomic_write_removes_temp_when_rename_fails(tmp_path):
+    from vrgrid import cli
+
+    target = tmp_path / "comparison.csv"
+    target.mkdir()                      # os.replace cannot put a file over a directory
+    with pytest.raises(cli.ConfigError) as err:
+        cli._atomic_write(target, b"rows\n")
+    assert err.value.field == "output.directory"
+    assert [p.name for p in tmp_path.iterdir()] == ["comparison.csv"]
+    assert not any(target.iterdir())
+
+
 def test_certify_infeasible_exit4(tmp_path, monkeypatch, capsys):
     """Exit code 4 with a margin report when the certificate is infeasible.
 

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conftest import passivity_ball
 from vrgrid.bank import VrBank, VrBranch, VrElement, cubic, linear, sinh_element, tanh_element
 from vrgrid.certify import search_certificate
 from vrgrid.persidskii import VerifyReport
@@ -15,7 +16,6 @@ from vrgrid.sim import (
     Trajectory,
     VoltagePulse,
     check_dissipation,
-    check_iss_envelope,
     compute_metrics,
     disturbance_profile,
     integrate,
@@ -208,35 +208,16 @@ def test_check_dissipation_requires_logs(banks):
         check_dissipation(integrate(p, bank, sc), result.certificate)
 
 
-def test_envelope_zero_disturbance_floor(banks):
+def test_passivity_ball_negative_control(banks):
+    """A negative resistance breaks x * r(x) >= 0 and leaves the ball a sector bank stays in."""
     p = nominal_params()
-    bank = banks["multi_branch"]
-    result = search_certificate(p, bank)
-    sc = ConstantOffset(t_end=5e-3, dt=1e-6)
-    traj = integrate(p, bank, sc, i_err0=(5.0, -5.0))
-    rep = check_iss_envelope(traj, result.certificate, window_tail=1e-3)
-    assert rep.bound == 1e-6          # zero disturbance: absolute floor
-    assert rep.passes                  # 5 ms of strong damping: tail is ~0
-
-
-def test_envelope_pulse_long_before_tail(banks):
-    p = nominal_params()
-    bank = banks["multi_branch"]
-    result = search_certificate(p, bank)
-    sc = VoltagePulse(t_end=0.5, dt=1e-5)
-    traj = integrate(p, bank, sc, cert=result.certificate)
-    rep = check_iss_envelope(traj, result.certificate, window_tail=0.1)
-    assert rep.passes
-    assert rep.tail_max < 0.01 * rep.bound
-
-
-def test_envelope_unstable_negative_control():
-    p = nominal_params()
+    sc = ConstantOffset(t_end=1e-3, dt=1e-6)
     unstable = VrBank((VrBranch.of((VrElement._unchecked("linear", -3.0),)),))
-    sc = ConstantOffset(t_end=4e-3, dt=1e-6)
-    traj = integrate(p, unstable, sc, i_err0=(1e-3, 0.0))
-    rep = check_iss_envelope(traj, gain_slope=70.0, window_tail=1e-3)
-    assert not rep.passes
+    # zero disturbance: the ball's radius is |x0|, and a sector bank's peak is x0 itself
+    assert passivity_ball(integrate(p, banks["linear"], sc, i_err0=(1e-3, 0.0))) == (1e-3, 1e-3)
+    peak, radius = passivity_ball(integrate(p, unstable, sc, i_err0=(1e-3, 0.0)))
+    assert radius == 1e-3
+    assert peak > 1e3 * radius
 
 
 def test_simulation_abort_diagnostic():
