@@ -61,7 +61,7 @@ def python_impl(func):
     return getattr(func, "py_func", func)
 
 
-# Element kind codes, shared with vrgrid.bank.
+# Element kind codes; each row of vrgrid.bank's kind table carries one.
 LINEAR = 0
 CUBIC = 1
 SINH = 2

@@ -18,41 +18,53 @@ tanh           a, b        a * tanh(b * x)        (bounded)
 saturation     k, x_sat    k * clip(x, -x_sat, x_sat)   (bounded)
 =============  ==========  ==========================================
 
-Closed-form primitives (integral of the map from 0 to x) back the composite
-Lyapunov function; all five kinds have primitives that diverge as |x| grows
-even when the map itself is bounded.
-
-Maps and primitives are evaluated over arrays (a point is a one-row array);
-the integrators run ``vrgrid._kernels`` on the ``flatten_bank`` arrays.
+Each kind is one row of ``_ELEMENT_KINDS``: its kernel code, parameter
+names, map and closed-form primitive (integral of the map from 0 to x),
+which backs the composite Lyapunov function; all five primitives diverge
+as |x| grows even when the map is bounded. Maps and primitives run over
+arrays (a point is a one-row array). The integrators run the scalar forms
+in ``vrgrid._kernels`` (code, ``element_value`` and ``_ELEMENT_EXPR``) on
+the ``flatten_bank`` arrays.
 :func:`classify_bank` is the sampled sector check every loaded bank passes.
 """
 
 import hashlib
 import json
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _kernels
 
-_KIND_CODES = {
-    "linear": _kernels.LINEAR,
-    "cubic": _kernels.CUBIC,
-    "sinh": _kernels.SINH,
-    "tanh": _kernels.TANH,
-    "saturation": _kernels.SATURATION,
+
+def _tanh_primitive(a, b, xs):
+    u = np.abs(b * xs)  # overflow-safe log(cosh(b * x))
+    return (a / b) * (u + np.log1p(np.exp(-2.0 * u)) - math.log(2.0))
+
+
+def _saturation_primitive(k, x_sat, xs):
+    a = np.abs(xs)
+    inside = 0.5 * k * xs ** 2
+    outside = k * x_sat * a - 0.5 * k * x_sat ** 2
+    return np.where(a <= x_sat, inside, outside)
+
+
+# One row per element kind; ``values`` and ``primitives`` take (p1, p2, xs).
+_Kind = namedtuple("_Kind", "code params values primitives")
+
+_ELEMENT_KINDS = {
+    "linear": _Kind(_kernels.LINEAR, ("k",), lambda k, _, xs: k * xs, lambda k, _, xs: 0.5 * k * xs ** 2),
+    "cubic": _Kind(_kernels.CUBIC, ("k",), lambda k, _, xs: k * xs ** 3, lambda k, _, xs: 0.25 * k * xs ** 4),
+    "sinh": _Kind(_kernels.SINH, ("a", "b"), lambda a, b, xs: a * np.sinh(b * xs),
+                  lambda a, b, xs: (a / b) * (np.cosh(b * xs) - 1.0)),
+    "tanh": _Kind(_kernels.TANH, ("a", "b"), lambda a, b, xs: a * np.tanh(b * xs), _tanh_primitive),
+    "saturation": _Kind(_kernels.SATURATION, ("k", "x_sat"),
+                        lambda k, x_sat, xs: k * np.clip(xs, -x_sat, x_sat), _saturation_primitive),
 }
 
-_PARAM_NAMES = {
-    "linear": ("k",),
-    "cubic": ("k",),
-    "sinh": ("a", "b"),
-    "tanh": ("a", "b"),
-    "saturation": ("k", "x_sat"),
-}
-
-KINDS = tuple(sorted(_KIND_CODES))
+KINDS = tuple(sorted(_ELEMENT_KINDS))
 
 # Magnitudes of the sampled sector check (nine decades), mirrored about zero.
 _PROBE_MAX = 100.0
@@ -99,15 +111,13 @@ class VrElement:
     p2: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in _KIND_CODES:
+        if self.kind not in _ELEMENT_KINDS:
             raise ValueError(f"unknown element kind {self.kind!r}; expected one of {KINDS}")
-        names = _PARAM_NAMES[self.kind]
-        if not (math.isfinite(self.p1) and self.p1 > 0.0):
-            raise ValueError(f"{self.kind} element: parameter {names[0]!r} must be finite and > 0, got {self.p1!r}")
-        if len(names) == 2:
-            if not (math.isfinite(self.p2) and self.p2 > 0.0):
-                raise ValueError(f"{self.kind} element: parameter {names[1]!r} must be finite and > 0, got {self.p2!r}")
-        elif self.p2 != 0.0:
+        names = _ELEMENT_KINDS[self.kind].params
+        for name, value in zip(names, (self.p1, self.p2)):
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValueError(f"{self.kind} element: parameter {name!r} must be finite and > 0, got {value!r}")
+        if len(names) == 1 and self.p2 != 0.0:
             raise ValueError(f"{self.kind} element takes a single parameter {names[0]!r}")
 
     @classmethod
@@ -121,23 +131,19 @@ class VrElement:
 
     @property
     def code(self):
-        return _KIND_CODES[self.kind]
+        return _ELEMENT_KINDS[self.kind].code
 
     def to_config(self):
-        names = _PARAM_NAMES[self.kind]
-        record = {"kind": self.kind, names[0]: self.p1}
-        if len(names) == 2:
-            record[names[1]] = self.p2
-        return record
+        return {"kind": self.kind, **dict(zip(_ELEMENT_KINDS[self.kind].params, (self.p1, self.p2)))}
 
     @classmethod
     def from_config(cls, record):
         if not isinstance(record, dict):
             raise ValueError(f"element record must be an object, got {type(record).__name__}")
         kind = record.get("kind")
-        if not isinstance(kind, str) or kind not in _KIND_CODES:
+        if not isinstance(kind, str) or kind not in _ELEMENT_KINDS:
             raise ValueError(f"unknown element kind {kind!r}; expected one of {KINDS}")
-        names = _PARAM_NAMES[kind]
+        names = _ELEMENT_KINDS[kind].params
         extra = set(record) - {"kind", *names}
         if extra:
             raise ValueError(f"{kind} element: unknown parameter(s) {sorted(extra)}")
@@ -175,34 +181,12 @@ def saturation(k, x_sat):
 
 def element_values(e, xs):
     """Vectorized element map over an array of inputs."""
-    xs = np.asarray(xs, dtype=float)
-    if e.kind == "linear":
-        return e.p1 * xs
-    if e.kind == "cubic":
-        return e.p1 * xs ** 3
-    if e.kind == "sinh":
-        return e.p1 * np.sinh(e.p2 * xs)
-    if e.kind == "tanh":
-        return e.p1 * np.tanh(e.p2 * xs)
-    return e.p1 * np.clip(xs, -e.p2, e.p2)
+    return _ELEMENT_KINDS[e.kind].values(e.p1, e.p2, np.asarray(xs, dtype=float))
 
 
 def element_primitives(e, xs):
-    """Vectorized closed-form primitives."""
-    xs = np.asarray(xs, dtype=float)
-    if e.kind == "linear":
-        return 0.5 * e.p1 * xs ** 2
-    if e.kind == "cubic":
-        return 0.25 * e.p1 * xs ** 4
-    if e.kind == "sinh":
-        return (e.p1 / e.p2) * (np.cosh(e.p2 * xs) - 1.0)
-    if e.kind == "tanh":
-        a = np.abs(e.p2 * xs)  # overflow-safe log(cosh(b * x))
-        return (e.p1 / e.p2) * (a + np.log1p(np.exp(-2.0 * a)) - math.log(2.0))
-    a = np.abs(xs)
-    inside = 0.5 * e.p1 * xs ** 2
-    outside = e.p1 * e.p2 * a - 0.5 * e.p1 * e.p2 ** 2
-    return np.where(a <= e.p2, inside, outside)
+    """Vectorized closed-form primitive over an array of inputs."""
+    return _ELEMENT_KINDS[e.kind].primitives(e.p1, e.p2, np.asarray(xs, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -269,35 +253,29 @@ class VrBank:
         return cls(tuple(VrBranch.from_config(r) for r in records))
 
 
-def branch_values(branch, pts):
-    """Vectorized branch map over an (N, 2) array of dq points."""
+def _axis_sums(branch, pts, column):
+    """Per-axis sums of ``column(e, x)`` over a branch's elements, on (N, 2) points."""
     pts = np.asarray(pts, dtype=float)
     out = np.zeros_like(pts)
-    for e in branch.elements_d:
-        out[..., 0] += element_values(e, pts[..., 0])
-    for e in branch.elements_q:
-        out[..., 1] += element_values(e, pts[..., 1])
+    for axis, elements in enumerate((branch.elements_d, branch.elements_q)):
+        for e in elements:
+            out[..., axis] += column(e, pts[..., axis])
     return out
+
+
+def branch_values(branch, pts):
+    """Vectorized branch map over an (N, 2) array of dq points."""
+    return _axis_sums(branch, pts, element_values)
 
 
 def bank_values(bank, pts):
     """Vectorized total bank map over an (N, 2) array of dq points."""
-    pts = np.asarray(pts, dtype=float)
-    out = np.zeros_like(pts)
-    for branch in bank.branches:
-        out += branch_values(branch, pts)
-    return out
+    return sum((branch_values(branch, pts) for branch in bank.branches), np.zeros(np.shape(pts)))
 
 
 def branch_primitive_values(branch, pts):
     """Vectorized per-axis primitive sums over an (N, 2) array."""
-    pts = np.asarray(pts, dtype=float)
-    out = np.zeros_like(pts)
-    for e in branch.elements_d:
-        out[..., 0] += element_primitives(e, pts[..., 0])
-    for e in branch.elements_q:
-        out[..., 1] += element_primitives(e, pts[..., 1])
-    return out
+    return _axis_sums(branch, pts, element_primitives)
 
 
 def classify_bank(bank):

@@ -90,9 +90,8 @@ def verify_certificate(p, bank, cert, tol=1e-9):
     )
 
 
-def iss_gain(cert_or_report):
-    """Slope of the linear disturbance-to-state gain, sqrt(alpha / varsigma)."""
-    report = getattr(cert_or_report, "report", cert_or_report)
+def iss_gain(report):
+    """Slope of the linear disturbance-to-state gain, sqrt(alpha / varsigma), from a VerifyReport."""
     if report is None:
         raise CertificateError("certificate has no verification report attached")
     if report.varsigma <= 0.0:

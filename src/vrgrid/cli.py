@@ -166,16 +166,13 @@ class OutputSettings:
 
 
 def _parse_output(section):
-    _check_keys(section, "output", required=(), optional=("directory", "decimation", "formats"))
+    _check_keys(section, "output", required=(), optional=("directory", "decimation"))
     directory = section.get("directory", "out")
     if not isinstance(directory, str) or not directory:
         raise ConfigError("output.directory", "output.directory must be a non-empty string")
     decimation = section.get("decimation", 10)
     if isinstance(decimation, bool) or not isinstance(decimation, int) or decimation < 1:
         raise ConfigError("output.decimation", f"output.decimation must be an integer >= 1, got {decimation!r}")
-    # every run writes all of its artifacts; the key stays readable for old configs
-    if section.get("formats", ["csv", "json"]) not in (["csv", "json"], ["json", "csv"]):
-        raise ConfigError("output.formats", "output.formats may only list both 'csv' and 'json'")
     return OutputSettings(directory=directory, decimation=decimation)
 
 
@@ -408,6 +405,26 @@ def _run_certification(cfg):
     return cert, certificate_payload(cert, cfg.bank)
 
 
+def _run(cfg, cert=None):
+    """Integrate one config: (trajectory, metrics, metrics.json record).
+
+    Raises SimulationAbort on a non-finite state, and FloatingPointError
+    when a number of the metrics record, ``dissipation`` included, is not
+    finite; both end the command with exit 3 before the run writes a file.
+    """
+    traj = integrate(cfg.grid, cfg.bank, cfg.scenario, cert=cert)
+    metrics = compute_metrics(traj, cfg.scenario)
+    metrics_doc = metrics.to_dict()
+    if cert is not None:
+        metrics_doc["dissipation"] = check_dissipation(traj, cert).to_dict()
+    records = {"": metrics_doc, "dissipation.": metrics_doc.get("dissipation", {})}
+    for prefix, record in records.items():
+        for key, value in record.items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise FloatingPointError(f"metric {prefix}{key} is not finite: {value!r}")
+    return traj, metrics, metrics_doc
+
+
 def _write_run(run_dir, cfg, traj, metrics_doc, extra=None):
     """Write a run's trajectory.csv, metrics.json and manifest.json into ``run_dir``."""
     write_trajectory_csv(run_dir / "trajectory.csv", traj, cfg.output.decimation)
@@ -431,14 +448,9 @@ def cmd_simulate(args):
         extra["certificate"] = "certificate.json"
 
     try:
-        traj = integrate(cfg.grid, cfg.bank, cfg.scenario, cert=cert)
-    except SimulationAbort as exc:
+        traj, metrics, metrics_doc = _run(cfg, cert)
+    except (SimulationAbort, FloatingPointError) as exc:
         return _emit_error(3, "numeric", "scenario", str(exc))
-
-    metrics = compute_metrics(traj, cfg.scenario)
-    metrics_doc = metrics.to_dict()
-    if cert is not None:
-        metrics_doc["dissipation"] = check_dissipation(traj, cert).to_dict()
 
     _write_run(out_dir, cfg, traj, metrics_doc, extra)
     print(f"simulate {cfg.name}: ok (settled={metrics.settled}, "
@@ -509,11 +521,10 @@ def cmd_compare(args):
     for cfg in configs:
         run_dir = out_root / cfg.name
         try:
-            traj = integrate(cfg.grid, cfg.bank, cfg.scenario)
-        except SimulationAbort as exc:
+            traj, metrics, metrics_doc = _run(cfg)
+        except (SimulationAbort, FloatingPointError) as exc:
             return _emit_error(3, "numeric", cfg.name, str(exc))
-        metrics = compute_metrics(traj, cfg.scenario)
-        _write_run(run_dir, cfg, traj, metrics.to_dict())
+        _write_run(run_dir, cfg, traj, metrics_doc)
         rows.append((cfg.name, metrics))
 
     buf = io.StringIO()

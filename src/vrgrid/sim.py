@@ -328,7 +328,8 @@ def check_dissipation(traj, cert):
 
     Verifies (V(t+dt) - V(t))/dt <= -varsigma |x|^2 + alpha |v_dist|^2 + tol
     at every step, with tol = 1e-3 * (1 + max |dV/dt|) absorbing the
-    sample-and-hold discretization error.
+    sample-and-hold discretization error. A step whose excess is not within
+    tol is a violation; so is a NaN excess or an infinite rise, which no tol absorbs.
     """
     if traj.v_lyap is None:
         raise ValueError("trajectory has no Lyapunov log; integrate with cert=...")
@@ -342,7 +343,7 @@ def check_dissipation(traj, cert):
     tol = 1e-3 * (1.0 + float(np.abs(dv).max(initial=0.0)))
     excess = dv - rhs
     return DissipationReport(
-        n_violations=int(np.count_nonzero(excess > tol)),
+        n_violations=int(np.count_nonzero(~(excess <= min(tol, np.finfo(float).max)))),
         worst_margin=float(excess.max(initial=0.0)),
         tol=tol,
     )

@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
 
+from conftest import CONFIG_DIR
+from vrgrid import _kernels
 from vrgrid._kernels import element_value, python_impl
 from vrgrid.bank import (
+    _ELEMENT_KINDS,
+    KINDS,
     SectorViolation,
     VrBank,
     VrBranch,
@@ -24,6 +28,11 @@ from vrgrid.bank import (
 )
 
 ALL_KINDS = [linear(2.0), cubic(1.5), sinh_element(0.8, 1.2), tanh_element(3.0, 0.4), saturation(2.0, 1.5)]
+
+
+def test_all_kinds_cover_the_table():
+    # a kind added to the table must get test parameters here
+    assert sorted(e.kind for e in ALL_KINDS) == sorted(KINDS)
 
 
 def test_eval_element_examples():
@@ -112,10 +121,18 @@ def test_element_primitive_matches_quadrature(rng):
 
 
 def test_vectorized_matches_scalar(rng):
-    """element_values against the scalar kernel that the integrators run."""
+    """Each kind of the table has its scalar forms in _kernels (a distinct code,
+    an _ELEMENT_EXPR entry, an element_value branch), and element_values
+    matches the scalar kernel that the integrators run."""
+    codes = {kind: row.code for kind, row in _ELEMENT_KINDS.items()}
+    assert len(set(codes.values())) == len(KINDS)
+    assert set(_kernels._ELEMENT_EXPR) == set(codes.values())
     kernel = python_impl(element_value)
     xs = rng.uniform(-8.0, 8.0, 64)
-    for e in ALL_KINDS:
+    by_kind = {e.kind: e for e in ALL_KINDS}
+    for kind in KINDS:
+        e = by_kind[kind]
+        assert e.code == codes[kind]
         vals = element_values(e, xs)
         for i, x in enumerate(xs):
             assert vals[i] == pytest.approx(kernel(e.code, e.p1, e.p2, x), rel=1e-14, abs=1e-14)
@@ -232,6 +249,15 @@ def test_flatten_bank_roundtrip(banks):
     x = 1.7
     total = series_sum(codes_d, p1_d, p2_d, x)
     assert total == pytest.approx(bank_values(bank, [(x, 0.0)])[0, 0], rel=1e-14)
+
+
+@pytest.mark.parametrize("scenario", ["scenario1", "scenario2"])
+def test_default_banks_are_the_bundled_banks(scenario):
+    """default_banks() stands for the bundled configs' banks, name by name."""
+    from vrgrid.cli import load_config
+
+    configs = [load_config(path) for path in sorted((CONFIG_DIR / scenario).glob("*.json"))]
+    assert {cfg.name: cfg.bank for cfg in configs} == default_banks()
 
 
 def test_config_roundtrip_and_fingerprint(banks):

@@ -8,7 +8,8 @@ import pytest
 
 from conftest import random_certificate
 from vrgrid import linalg
-from vrgrid.bank import KINDS, SectorViolation, VrBank, VrBranch, VrElement, bank_values, linear, sinh_element
+from vrgrid.bank import (_ELEMENT_KINDS, KINDS, SectorViolation, VrBank, VrBranch, VrElement, bank_values,
+                         linear, sinh_element)
 from vrgrid.certify import (
     BLOCK_POINTS,
     CertificateError,
@@ -281,6 +282,13 @@ _ELEMENT_PARAMS = {
     "tanh": ((0.1, 10.0), (0.01, 1.0)),
     "saturation": ((0.1, 5.0), (0.5, 30.0)),
 }
+
+
+def test_element_params_cover_the_table():
+    # a kind added to vrgrid.bank's table must get parameter ranges here
+    assert sorted(_ELEMENT_PARAMS) == sorted(KINDS)
+    for kind, ranges in _ELEMENT_PARAMS.items():
+        assert len(ranges) == len(_ELEMENT_KINDS[kind].params)
 
 
 def _random_axis_bank(rng, m):

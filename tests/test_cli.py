@@ -156,6 +156,46 @@ def test_simulate_numeric_abort_exit3(tmp_path):
     assert json.loads(res.stdout.splitlines()[0])["error"]["kind"] == "numeric"
 
 
+RUN_FILES = ("trajectory.csv", "metrics.json", "manifest.json")
+
+
+@pytest.mark.parametrize("command", ["simulate", "compare"])
+def test_nonfinite_metric_exit3(tmp_path, capsys, command):
+    """A finite trajectory whose RMS error squares past the float range exits 3
+    with a JSON error, and the run writes none of its files."""
+    from vrgrid.cli import main
+
+    doc = json.loads((CONFIG_DIR / "scenario1" / "linear.json").read_text())
+    doc["scenario"] = {"kind": "custom", "t_end": 2e-4, "dt": 1e-6, "v_g_const": [1e160, 0.0]}
+    (tmp_path / "cfgs").mkdir()
+    path = write_config(tmp_path / "cfgs" / "linear.json", doc)
+    out = tmp_path / "o"
+    target = path if command == "simulate" else path.parent
+    assert main([command, str(target), "--out", str(out)]) == 3
+    err = json.loads(capsys.readouterr().out.splitlines()[0])["error"]
+    assert (err["kind"], err["field"]) == ("numeric", "scenario" if command == "simulate" else "linear")
+    assert "rms_err_d_a" in err["message"]
+    run_dir = out if command == "simulate" else out / "linear"
+    assert not any((run_dir / name).exists() for name in RUN_FILES)
+
+
+def test_nonfinite_dissipation_exit3(tmp_path, capsys):
+    """V overflows (0.25 k x**4 with k = 1e-250) on a finite state, so the
+    dissipation record holds NaN: exit 3, and no trajectory, metrics or manifest."""
+    from vrgrid.cli import main
+
+    doc = json.loads((CONFIG_DIR / "certify_m1_linear.json").read_text())
+    doc["bank"] = [[{"kind": "cubic", "k": 1e-250}]]
+    doc["scenario"] = {"kind": "custom", "t_end": 2e-4, "dt": 1e-6, "v_g_const": [1e80, 0.0]}
+    path = write_config(tmp_path / "tiny_cubic.json", doc)
+    out = tmp_path / "o"
+    assert main(["simulate", str(path), "--out", str(out)]) == 3
+    err = json.loads(capsys.readouterr().out.splitlines()[0])["error"]
+    assert (err["kind"], err["field"]) == ("numeric", "scenario")
+    assert "dissipation" in err["message"]
+    assert not any((out / name).exists() for name in RUN_FILES)
+
+
 def test_simulate_sinh_overflow_exit3(tmp_path):
     # without numba, math.sinh raises OverflowError on the diverging state;
     # it must end as the same numeric abort that numba's inf produces
@@ -224,7 +264,9 @@ def _replace(section, value):
     pytest.param(_replace("output", {"decimation": True}), "output.decimation", id="decimation-bool"),
     pytest.param(_replace("output", {"decimation": 0}), "output.decimation", id="decimation-0"),
     pytest.param(_replace("certify", {"enabled": True, "mode": "verbatim"}), "certify.mode", id="mode-verbatim"),
+    # output.formats is no longer a key: refused as unknown, whatever it lists
     pytest.param(_replace("output", {"formats": ["csv"]}), "output.formats", id="formats-csv-only"),
+    pytest.param(_replace("output", {"formats": ["csv", "json"]}), "output.formats", id="formats-csv-json"),
     pytest.param(_set("scenario", "kind", "mystery"), "scenario.kind", id="kind-mystery"),
     # t_end / dt = 0.4 rounds to zero steps
     pytest.param(_replace("scenario", {"kind": "custom", "t_end": 4e-7, "dt": 1e-6}), "scenario",

@@ -33,7 +33,7 @@ SCENARIOS = [
 BASES = [
     {"schema_version": 1, "name": "fuzz", "grid": GRID, "bank": BANK, "scenario": scenario,
      "certify": {"enabled": True, "mode": "rederived"},
-     "output": {"directory": "out", "decimation": 10, "formats": ["csv", "json"]}}
+     "output": {"directory": "out", "decimation": 10}}
     for scenario in SCENARIOS
 ]
 

@@ -15,6 +15,7 @@ from vrgrid._kernels import (
     rk4_loop,
     series_sum,
 )
+from vrgrid.bank import _ELEMENT_KINDS
 
 KINDS = [
     (_kernels.LINEAR, 2.0, 0.0),
@@ -23,6 +24,11 @@ KINDS = [
     (_kernels.TANH, 3.0, 0.4),
     (_kernels.SATURATION, 2.0, 1.5),
 ]
+
+
+def test_kinds_cover_the_table():
+    # a kind added to vrgrid.bank's table must get test parameters here
+    assert sorted(code for code, _, _ in KINDS) == sorted(row.code for row in _ELEMENT_KINDS.values())
 
 
 def test_element_kernels_match_python_fallback(rng):

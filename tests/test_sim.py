@@ -208,6 +208,22 @@ def test_check_dissipation_requires_logs(banks):
         check_dissipation(integrate(p, bank, sc), result.certificate)
 
 
+@pytest.mark.parametrize("v_lyap", [
+    [0.0, 1.0, np.inf, 2.0, 3.0],       # one inf: tol is inf, the rise to it is not absorbed
+    [0.0, 1.0, np.inf, np.inf, np.inf],  # inf - inf is NaN, and so is tol
+    [0.0, 1.0, np.nan, 2.0, 3.0],
+])
+def test_check_dissipation_counts_nonfinite_steps(banks, v_lyap):
+    """A step whose excess is not <= tol is a violation, NaN and inf included."""
+    p = nominal_params()
+    cert = search_certificate(p, banks["linear"]).certificate
+    n = len(v_lyap)
+    traj = Trajectory(times=np.arange(n) * 1e-6, i_err=np.ones((n, 2)), v_dist=np.zeros((n, 2)),
+                      r_g=np.full(n, p.r_g), v_lyap=np.array(v_lyap))
+    with np.errstate(invalid="ignore"):
+        assert check_dissipation(traj, cert).n_violations > 0
+
+
 def test_passivity_ball_negative_control(banks):
     """A negative resistance breaks x * r(x) >= 0 and leaves the ball a sector bank stays in."""
     p = nominal_params()
