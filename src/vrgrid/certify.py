@@ -28,7 +28,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import linalg
-from .bank import bank_values, branch_values, classify_bank
+from .bank import bank_values, branch_values
+from .bank import classify_bank  # not called here; the certify.classify_bank trace site
 from .persidskii import (
     IssCertificate,
     VerifyReport,
@@ -105,13 +106,12 @@ def iss_gain(report):
 
 @dataclass(frozen=True)
 class SearchResult:
-    certificate: IssCertificate
-    report: VerifyReport
+    certificate: IssCertificate   # its ``report`` decides ``feasible``
     feasible: bool
     starts_run: int
 
 
-def search_certificate(p, bank, *, sector_checked=False):
+def search_certificate(p, bank):
     """Closed-form certificate for a stable linear part, verified once.
 
     With the branch weight c = min(0.01, r_g / (4 max(M, 1) |A|^2 l_g^2)),
@@ -130,18 +130,15 @@ def search_certificate(p, bank, *, sector_checked=False):
     validity is decided by :func:`verify_certificate`, whose report is
     attached to the returned certificate.
 
-    Raises :class:`CertificateError` when (r_g, l_g, omega_g) put a
+    The bank enters only through its branch count; its sector condition is
+    the caller's to check (``vrgrid.cli.load_config`` does on every bank it
+    loads). Raises :class:`CertificateError` when (r_g, l_g, omega_g) put a
     certificate entry, a margin or the gain outside the float64 range
-    (e.g. r_g = 1e-300 with l_g = 1e300), and
-    :class:`~vrgrid.bank.SectorViolation` from :func:`classify_bank` unless
-    ``sector_checked`` says the caller has already run that check on
-    ``bank`` (as ``vrgrid.cli.load_config`` does on every bank it loads).
+    (e.g. r_g = 1e-300 with l_g = 1e300).
     """
     m = bank.branch_count
     if m > MAX_BRANCHES:
         raise ValueError(f"certification supports at most {MAX_BRANCHES} branches, bank has {m}")
-    if not sector_checked:
-        classify_bank(bank)
 
     with np.errstate(all="ignore"):  # a non-finite entry or margin is refused below
         try:
@@ -168,12 +165,7 @@ def search_certificate(p, bank, *, sector_checked=False):
                 f"r_g={p.r_g!r}, l_g={p.l_g!r}, omega_g={p.omega_g!r} put the closed-form "
                 f"certificate outside the float range: {exc}"
             ) from None
-    return SearchResult(
-        certificate=replace(cert, report=report),
-        report=report,
-        feasible=report.valid,
-        starts_run=1,
-    )
+    return SearchResult(certificate=replace(cert, report=report), feasible=report.valid, starts_run=1)
 
 
 # --------------------------------------------------------------------------

@@ -44,6 +44,10 @@ class ConfigError(ValueError):
         super().__init__(message)
 
 
+class CertificationInfeasible(Exception):
+    """Ends a certified command with exit 4, after its certificate.json is written."""
+
+
 def _expect_mapping(obj, path):
     if not isinstance(obj, dict):
         raise ConfigError(path, f"{path or 'config'} must be a JSON object")
@@ -303,6 +307,7 @@ def write_trajectory_csv(path, traj, decimation):
 
 
 def certificate_payload(cert, bank):
+    """certificate.json of a certificate with its report attached."""
     report = cert.report
     ups = [
         {"s": s, "l": l, "diag": [float(v) for v in cert.upsilon[s, l]]}
@@ -310,21 +315,19 @@ def certificate_payload(cert, bank):
         for l in range(s + 1, cert.branch_count + 1)
         if np.any(cert.upsilon[s, l] != 0.0)
     ]
-    margins = report.margins_dict() if report else {}
-    if report and report.valid and report.varsigma > 0.0:
+    margins = report.margins_dict()
+    if report.valid and report.varsigma > 0.0:
         margins["iss_gain_slope"] = iss_gain(report)
     return {
         "schema_version": SCHEMA_VERSION,
-        "mode": "rederived",
         "branch_count": cert.branch_count,
         "p": [[float(v) for v in row] for row in cert.p_mat],
         "lambda_diag": [[float(v) for v in row] for row in cert.lam],
         "omega_diag": [[float(v) for v in row] for row in cert.omega],
         "upsilon_diag": ups,
         "phi": [[float(v) for v in row] for row in cert.phi],
-        "valid": bool(report.valid) if report else None,
+        "valid": bool(report.valid),
         "margins": margins,
-        "warnings": [],
         "bank_fingerprint": bank_fingerprint(bank),
     }
 
@@ -332,8 +335,6 @@ def certificate_payload(cert, bank):
 def load_certificate(path, bank):
     """Read a certificate JSON back; refuses a bank/certificate mismatch."""
     doc = json.loads(Path(path).read_text())
-    if doc.get("mode") != "rederived":
-        raise ValueError(f"certificate mode must be 'rederived', got {doc.get('mode')!r}")
     if doc.get("bank_fingerprint") != bank_fingerprint(bank):
         raise ValueError("certificate fingerprint does not match the supplied bank")
     m = int(doc["branch_count"])
@@ -347,22 +348,6 @@ def load_certificate(path, bank):
         phi=np.array(doc["phi"], dtype=float),
         upsilon=ups,
     )
-
-
-def _manifest(cfg, extra=None):
-    doc = {
-        "config_name": cfg.name,
-        "config_sha256": cfg.config_sha256,
-        "schema_version": SCHEMA_VERSION,
-        "package": "vrgrid",
-        "version": __version__,
-        "numpy_version": np.__version__,
-        "numba_enabled": NUMBA_ENABLED,
-        "scenario_seed": getattr(cfg.scenario, "seed", None),
-    }
-    if extra:
-        doc.update(extra)
-    return doc
 
 
 def _emit_error(exit_code, kind, field, message):
@@ -391,18 +376,24 @@ def _apply_overrides(cfg, args):
     return cfg
 
 
-def _run_certification(cfg):
-    """(certificate-with-report, certificate.json payload).
+def _certify(cfg):
+    """(certificate with its report, certificate.json bytes) of a certified config.
 
     Grid values that put the certificate outside the float range raise
-    ConfigError on field ``grid``.
+    ConfigError on field ``grid``. An infeasible certificate is written to
+    the output directory with a manifest.json naming it, and raises
+    CertificationInfeasible.
     """
     try:
-        # load_config ran classify_bank on the bank already
-        cert = search_certificate(cfg.grid, cfg.bank, sector_checked=True).certificate
+        cert = search_certificate(cfg.grid, cfg.bank).certificate
     except CertificateError as exc:
         raise ConfigError("grid", f"grid: {exc}") from exc
-    return cert, certificate_payload(cert, cfg.bank)
+    payload = certificate_payload(cert, cfg.bank)
+    cert_json = _json_bytes(payload)
+    if not cert.report.valid:
+        _write_manifest(Path(cfg.output.directory), cfg, cert_json)
+        raise CertificationInfeasible(f"certification infeasible; best margins {payload['margins']}")
+    return cert, cert_json
 
 
 def _run(cfg, cert=None):
@@ -425,34 +416,40 @@ def _run(cfg, cert=None):
     return traj, metrics, metrics_doc
 
 
-def _write_run(run_dir, cfg, traj, metrics_doc, extra=None):
-    """Write a run's trajectory.csv, metrics.json and manifest.json into ``run_dir``."""
+def _write_manifest(run_dir, cfg, cert_json=None):
+    """Write manifest.json into ``run_dir``, after the certificate.json it names, if any."""
+    doc = {
+        "config_name": cfg.name,
+        "config_sha256": cfg.config_sha256,
+        "schema_version": SCHEMA_VERSION,
+        "package": "vrgrid",
+        "version": __version__,
+        "numpy_version": np.__version__,
+        "numba_enabled": NUMBA_ENABLED,
+        "scenario_seed": getattr(cfg.scenario, "seed", None),
+    }
+    if cert_json is not None:
+        _atomic_write(run_dir / "certificate.json", cert_json)
+        doc["certificate"] = "certificate.json"
+    _atomic_write(run_dir / "manifest.json", _json_bytes(doc))
+
+
+def _write_run(run_dir, cfg, traj, metrics_doc, cert_json=None):
+    """Write a run's trajectory.csv, metrics.json, certificate.json and manifest.json."""
     write_trajectory_csv(run_dir / "trajectory.csv", traj, cfg.output.decimation)
     _atomic_write(run_dir / "metrics.json", _json_bytes(metrics_doc))
-    _atomic_write(run_dir / "manifest.json", _json_bytes(_manifest(cfg, extra)))
+    _write_manifest(run_dir, cfg, cert_json)
 
 
 def cmd_simulate(args):
-    cert = None
     cfg = _apply_overrides(load_config(args.config), args)
-    if cfg.certify:
-        cert, payload = _run_certification(cfg)
-
-    out_dir = Path(cfg.output.directory)
-    extra = {}
-    if cert is not None:
-        _atomic_write(out_dir / "certificate.json", _json_bytes(payload))
-        if not cert.report.valid:
-            return _emit_error(4, "infeasible", "certify",
-                               f"certification infeasible; best margins {payload['margins']}")
-        extra["certificate"] = "certificate.json"
-
+    cert, cert_json = _certify(cfg) if cfg.certify else (None, None)
     try:
         traj, metrics, metrics_doc = _run(cfg, cert)
     except (SimulationAbort, FloatingPointError) as exc:
         return _emit_error(3, "numeric", "scenario", str(exc))
 
-    _write_run(out_dir, cfg, traj, metrics_doc, extra)
+    _write_run(Path(cfg.output.directory), cfg, traj, metrics_doc, cert_json)
     print(f"simulate {cfg.name}: ok (settled={metrics.settled}, "
           f"rms_d={metrics.rms_err_d:.6g} A, rms_q={metrics.rms_err_q:.6g} A)")
     return 0
@@ -462,14 +459,8 @@ def cmd_certify(args):
     cfg = _apply_overrides(load_config(args.config), args)
     if not cfg.certify:
         raise ConfigError("certify.enabled", "certify.enabled must be true for the certify command")
-    cert, payload = _run_certification(cfg)
-
-    out_dir = Path(cfg.output.directory)
-    _atomic_write(out_dir / "certificate.json", _json_bytes(payload))
-    _atomic_write(out_dir / "manifest.json", _json_bytes(_manifest(cfg, {"certificate": "certificate.json"})))
-    if not cert.report.valid:
-        return _emit_error(4, "infeasible", "certify",
-                           f"certification infeasible; best margins {payload['margins']}")
+    cert, cert_json = _certify(cfg)
+    _write_manifest(Path(cfg.output.directory), cfg, cert_json)
     print(f"certify {cfg.name}: valid (psi_margin={cert.report.psi_margin:.3e}, "
           f"gain_slope={iss_gain(cert.report):.6g})")
     return 0
@@ -583,6 +574,8 @@ def main(argv=None):
         return args.func(args)
     except ConfigError as exc:
         return _emit_error(2, "config", exc.field, str(exc))
+    except CertificationInfeasible as exc:
+        return _emit_error(4, "infeasible", "certify", str(exc))
 
 
 if __name__ == "__main__":

@@ -1,16 +1,14 @@
 """Small dense symmetric matrix routines used across the package.
 
 Matrices are plain row-major ``numpy.ndarray`` values, all tiny (dimension
-<= 64). The eigensolver is LAPACK's symmetric driver through
-``np.linalg.eigh``; the cyclic Jacobi sweep ``_kernels.jacobi_sweep`` is no
+<= 64). The eigenvalues come from LAPACK's symmetric driver through
+``np.linalg.eigvalsh``; the cyclic Jacobi sweep ``_kernels.jacobi_sweep`` is no
 longer called here and serves as the independent reference in the tests.
 
 Definiteness checks always report the relevant extreme eigenvalue as a
 margin so callers can see how close a certificate sits to the boundary
 instead of getting a silently rounded verdict.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,28 +40,19 @@ def _check_symmetric(s, op):
         raise LinalgError(f"{op}: matrix has non-finite entries")
 
 
-@dataclass(frozen=True)
-class EigResult:
-    """Eigendecomposition S = Q diag(w) Q^T with w ascending, Q orthonormal columns."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
 def sym_eig(s):
-    """Full eigendecomposition of a symmetric matrix (LAPACK, via ``np.linalg.eigh``)."""
+    """Ascending eigenvalues of a symmetric matrix (LAPACK, via ``np.linalg.eigvalsh``)."""
     s = np.asarray(s, dtype=float)
     _check_symmetric(s, "sym_eig")
-    w, v = np.linalg.eigh(s)
-    return EigResult(w, v)
+    return np.linalg.eigvalsh(s)
 
 
 def lambda_min(s):
-    return float(sym_eig(s).eigenvalues[0])
+    return float(sym_eig(s)[0])
 
 
 def lambda_max(s):
-    return float(sym_eig(s).eigenvalues[-1])
+    return float(sym_eig(s)[-1])
 
 
 def is_pos_def(s, tol=1e-9):
@@ -73,7 +62,17 @@ def is_pos_def(s, tol=1e-9):
 
 
 def is_neg_semidef(s, tol=1e-9):
-    """(verdict, margin): true iff lambda_max(S) <= tol; margin is lambda_max."""
-    margin = lambda_max(s)
+    """(verdict, margin): true iff lambda_max(D S D) <= tol; margin is that lambda_max.
+
+    D = diag(|S_ii|^-1/2), with D_ii = 1 where S_ii = 0, is a congruence, so
+    by Sylvester's law of inertia the verdict is that of S in exact
+    arithmetic. D S D has a unit-magnitude diagonal, so its eigenvalues are
+    accurate to about dim * eps whatever the units of S, and the margin is
+    dimensionless (Demmel & Veselic, SIAM J. Matrix Anal. Appl., 1992).
+    """
+    s = np.asarray(s, dtype=float)
+    diag = np.abs(np.diag(s))
+    d = 1.0 / np.sqrt(np.where(diag > 0.0, diag, 1.0))
+    margin = lambda_max(s * np.outer(d, d))
     return bool(margin <= tol), margin
 

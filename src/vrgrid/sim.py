@@ -237,7 +237,8 @@ def integrate(p, bank, sc, cert=None, i_err0=(0.0, 0.0)):
     if bad >= 0:
         raise SimulationAbort(times[bad], out[bad])
 
-    v_lyap = lyapunov_values(cert, bank, out) if cert is not None else None
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite V is refused downstream
+        v_lyap = lyapunov_values(cert, bank, out) if cert is not None else None
     return Trajectory(times=times, i_err=out, v_dist=v_dist, r_g=rg, v_lyap=v_lyap)
 
 
@@ -297,7 +298,8 @@ def compute_metrics(traj, sc):
             settled = True
 
     window = traj.i_err[i_start:]
-    rms = np.sqrt(np.mean(window ** 2, axis=0))
+    with np.errstate(over="ignore"):  # an infinite RMS is refused downstream
+        rms = np.sqrt(np.mean(window ** 2, axis=0))
     peaks = np.abs(window).max(axis=0)
     return Metrics(
         settling_time_2pct_d=settling,
@@ -336,7 +338,8 @@ def check_dissipation(traj, cert):
     report = cert.report
     if report is None:
         raise ValueError("certificate has no verification report attached")
-    dv = np.diff(traj.v_lyap) / traj.dt
+    with np.errstate(over="ignore", invalid="ignore"):  # inf - inf counts as a violation below
+        dv = np.diff(traj.v_lyap) / traj.dt
     x2 = np.einsum("ni,ni->n", traj.i_err[:-1], traj.i_err[:-1])
     w2 = np.einsum("ni,ni->n", traj.v_dist[:-1], traj.v_dist[:-1])
     rhs = -report.varsigma * x2 + report.alpha * w2

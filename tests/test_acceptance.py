@@ -250,7 +250,7 @@ def test_c08_scenario2_robustness():
             assert peak <= (1.0 + rk4_tol) * radius, f"{name}: peak {peak} A outside the ball of {radius} A"
             for frac in (0.1, 1.9):
                 result = search_certificate(replace(p, r_g=frac * p.r_g), bank)
-                assert result.feasible and result.report.varsigma > 0.0, f"{name}: no certificate at {frac} r_g"
+                assert result.feasible and result.certificate.report.varsigma > 0.0, f"{name}: no certificate at {frac} r_g"
 
 
 def test_c09_gradient_condition_threshold():

@@ -9,6 +9,7 @@ import importlib.util
 from pathlib import Path
 from types import SimpleNamespace
 
+from conftest import CONFIG_DIR
 from vrgrid import _kernels, certify, cli, linalg, sim
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -19,20 +20,39 @@ def _wrapped():
             for name, value in vars(m).items() if hasattr(value, "__wrapped__")}
 
 
-def test_benchmark_trace_sites_exist(monkeypatch):
+def _perfbench_run(monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     spec = importlib.util.spec_from_file_location("perfbench_run", PERFBENCH / "run.py")
     run = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(run)
+    return run
 
-    vr = SimpleNamespace(cli=cli, sim=sim, certify=certify, linalg=linalg, kernels=_kernels)
+
+VR = SimpleNamespace(cli=cli, sim=sim, certify=certify, linalg=linalg, kernels=_kernels)
+
+
+def test_benchmark_trace_sites_exist(monkeypatch):
+    run = _perfbench_run(monkeypatch)
     before = _wrapped()
     tracer = run.Tracer()
     try:
-        run.install_trace(tracer, vr)
+        run.install_trace(tracer, VR)
         installed = _wrapped() - before
     finally:
         tracer.uninstall()
     assert len(installed) == 19
     assert ("vrgrid.cli", "classify_bank") in installed
     assert _wrapped() == before
+
+
+def test_traced_certify_notes_its_search(monkeypatch, tmp_path, capsys):
+    """The trace site's note function reads the search result as perfbench does."""
+    run = _perfbench_run(monkeypatch)
+    tracer = run.Tracer()
+    try:
+        run.install_trace(tracer, VR)
+        assert cli.main(["certify", str(CONFIG_DIR / "certify_m1_linear.json"), "--out", str(tmp_path)]) == 0
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert [span[4] for span in tracer.spans if span[0] == "certify.search_certificate"] == [[1, True]]

@@ -159,16 +159,21 @@ def test_simulate_numeric_abort_exit3(tmp_path):
 RUN_FILES = ("trajectory.csv", "metrics.json", "manifest.json")
 
 
+def _overflowing_rms_config(directory):
+    """A config whose finite trajectory squares past the float range in its RMS error."""
+    doc = json.loads((CONFIG_DIR / "scenario1" / "linear.json").read_text())
+    doc["scenario"] = {"kind": "custom", "t_end": 2e-4, "dt": 1e-6, "v_g_const": [1e160, 0.0]}
+    return write_config(directory / "linear.json", doc)
+
+
 @pytest.mark.parametrize("command", ["simulate", "compare"])
 def test_nonfinite_metric_exit3(tmp_path, capsys, command):
     """A finite trajectory whose RMS error squares past the float range exits 3
     with a JSON error, and the run writes none of its files."""
     from vrgrid.cli import main
 
-    doc = json.loads((CONFIG_DIR / "scenario1" / "linear.json").read_text())
-    doc["scenario"] = {"kind": "custom", "t_end": 2e-4, "dt": 1e-6, "v_g_const": [1e160, 0.0]}
     (tmp_path / "cfgs").mkdir()
-    path = write_config(tmp_path / "cfgs" / "linear.json", doc)
+    path = _overflowing_rms_config(tmp_path / "cfgs")
     out = tmp_path / "o"
     target = path if command == "simulate" else path.parent
     assert main([command, str(target), "--out", str(out)]) == 3
@@ -179,21 +184,43 @@ def test_nonfinite_metric_exit3(tmp_path, capsys, command):
     assert not any((run_dir / name).exists() for name in RUN_FILES)
 
 
-def test_nonfinite_dissipation_exit3(tmp_path, capsys):
-    """V overflows (0.25 k x**4 with k = 1e-250) on a finite state, so the
-    dissipation record holds NaN: exit 3, and no trajectory, metrics or manifest."""
-    from vrgrid.cli import main
-
+def _overflowing_v_config(directory):
+    """A certified config whose V overflows (0.25 k x**4 with k = 1e-250) on a finite state."""
     doc = json.loads((CONFIG_DIR / "certify_m1_linear.json").read_text())
     doc["bank"] = [[{"kind": "cubic", "k": 1e-250}]]
     doc["scenario"] = {"kind": "custom", "t_end": 2e-4, "dt": 1e-6, "v_g_const": [1e80, 0.0]}
-    path = write_config(tmp_path / "tiny_cubic.json", doc)
+    return write_config(directory / "tiny_cubic.json", doc)
+
+
+def test_nonfinite_dissipation_exit3(tmp_path, capsys):
+    """An overflowing V leaves NaN in the dissipation record: exit 3, and no
+    trajectory, metrics or manifest."""
+    from vrgrid.cli import main
+
     out = tmp_path / "o"
-    assert main(["simulate", str(path), "--out", str(out)]) == 3
+    assert main(["simulate", str(_overflowing_v_config(tmp_path)), "--out", str(out)]) == 3
     err = json.loads(capsys.readouterr().out.splitlines()[0])["error"]
     assert (err["kind"], err["field"]) == ("numeric", "scenario")
     assert "dissipation" in err["message"]
     assert not any((out / name).exists() for name in RUN_FILES)
+
+
+def test_failed_certified_run_leaves_no_files(tmp_path, capsys):
+    """A certified simulate that exits 3 writes nothing, not even its certificate."""
+    from vrgrid.cli import main
+
+    out = tmp_path / "o"
+    assert main(["simulate", str(_overflowing_v_config(tmp_path)), "--out", str(out)]) == 3
+    capsys.readouterr()
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("make_config", [_overflowing_v_config, _overflowing_rms_config], ids=["V", "rms"])
+def test_overflow_exit3_stderr_is_the_error_line(tmp_path, make_config):
+    """An overflow in V, in its differences or in the RMS error prints no numpy warning."""
+    res = run_cli("simulate", str(make_config(tmp_path)), "--out", str(tmp_path / "o"))
+    assert res.returncode == 3
+    assert res.stderr.splitlines() == [f"error [numeric] scenario: {json.loads(res.stdout)['error']['message']}"]
 
 
 def test_simulate_sinh_overflow_exit3(tmp_path):
@@ -443,12 +470,18 @@ def test_certificate_roundtrip_and_fingerprint_guard(tmp_path):
     with pytest.raises(ValueError, match="fingerprint"):
         load_certificate(out / "certificate.json", other)
 
-    doc = json.loads((out / "certificate.json").read_text())
-    assert doc["mode"] == "rederived" and doc["warnings"] == []
-    doc["mode"] = "verbatim"
-    edited = write_config(tmp_path / "edited.json", doc)
-    with pytest.raises(ValueError, match="mode must be 'rederived'"):
-        load_certificate(edited, bank)
+
+def test_certify_and_simulate_write_the_same_certificate(tmp_path, capsys):
+    from vrgrid.cli import main
+
+    path = write_config(tmp_path / "cfg.json", small_config(certify={"enabled": True}))
+    for command in ("certify", "simulate"):
+        assert main([command, str(path), "--out", str(tmp_path / command)]) == 0
+        manifest = json.loads((tmp_path / command / "manifest.json").read_text())
+        assert manifest["certificate"] == "certificate.json"
+    capsys.readouterr()
+    certificate = (tmp_path / "certify" / "certificate.json").read_bytes()
+    assert certificate == (tmp_path / "simulate" / "certificate.json").read_bytes()
 
 
 def _tiny_compare_dir(tmp_path, names=("a", "b")):
@@ -567,11 +600,16 @@ def test_atomic_write_removes_temp_when_rename_fails(tmp_path):
     assert not any(target.iterdir())
 
 
-def test_certify_infeasible_exit4(tmp_path, monkeypatch, capsys):
-    """Exit code 4 with a margin report when the certificate is infeasible.
+@pytest.mark.parametrize("command", ["certify", "simulate"])
+def test_certify_infeasible_exit4(tmp_path, monkeypatch, capsys, command):
+    """Exit code 4 with a margin report when the certificate is infeasible:
+    both commands write the certificate and a manifest naming it, and
+    simulate integrates nothing.
 
     Any positive-resistance loop admits a certificate, so the infeasible
     branch is exercised by stubbing the construction result."""
+    from dataclasses import replace
+
     import vrgrid.cli as cli
     from vrgrid.certify import SearchResult, verify_certificate
     from vrgrid.persidskii import IssCertificate
@@ -579,24 +617,23 @@ def test_certify_infeasible_exit4(tmp_path, monkeypatch, capsys):
     doc = small_config(bank=[], certify={"enabled": True})
     path = write_config(tmp_path / "cfg.json", doc)
 
-    def fake_search(p, bank, **_):
+    def fake_search(p, bank):
         cert = IssCertificate(p_mat=np.zeros((2, 2)), lam=np.zeros((0, 2)),
                               omega=np.zeros((1, 2)), phi=np.zeros((2, 2)))
         report = verify_certificate(p, bank, cert)
-        from dataclasses import replace
-
-        return SearchResult(certificate=replace(cert, report=report), report=report,
-                            feasible=False, starts_run=1)
+        return SearchResult(certificate=replace(cert, report=report), feasible=False, starts_run=1)
 
     monkeypatch.setattr(cli, "search_certificate", fake_search)
-    args = cli.build_parser().parse_args(["certify", str(path), "--out", str(tmp_path / "o")])
-    assert args.func(args) == 4
+    out = tmp_path / "o"
+    assert cli.main([command, str(path), "--out", str(out)]) == 4
     err = json.loads(capsys.readouterr().out.splitlines()[0])["error"]
     assert err["kind"] == "infeasible"
     # the margins are still reported in the certificate artifact
-    payload = json.loads((tmp_path / "o" / "certificate.json").read_text())
+    payload = json.loads((out / "certificate.json").read_text())
     assert payload["valid"] is False
     assert "sigma" in payload["margins"]
+    assert json.loads((out / "manifest.json").read_text())["certificate"] == "certificate.json"
+    assert sorted(p.name for p in out.iterdir()) == ["certificate.json", "manifest.json"]
 
 
 @pytest.mark.parametrize("command", ["certify", "simulate"])

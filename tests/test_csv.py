@@ -59,7 +59,7 @@ BUNDLED = sorted(CONFIG_DIR.glob("**/*.json"))
 @pytest.mark.parametrize("path", BUNDLED, ids=[str(p.relative_to(CONFIG_DIR)) for p in BUNDLED])
 def test_bundled_configs_match_reference(tmp_path, path):
     cfg = cli.load_config(path)
-    cert = cli._run_certification(cfg)[0] if cfg.certify else None
+    cert = cli._certify(cfg)[0] if cfg.certify else None
     traj = integrate(cfg.grid, cfg.bank, _short_horizon(cfg.scenario), cert=cert)
     assert (traj.v_lyap is not None) == cfg.certify
     for decimation in sorted({1, 7, cfg.output.decimation}):

@@ -13,20 +13,16 @@ from vrgrid.linalg import (
 
 
 def test_sym_eig_diagonal():
-    res = sym_eig(np.diag([2.0, 1.0]))
-    np.testing.assert_allclose(res.eigenvalues, [1.0, 2.0])
+    np.testing.assert_allclose(sym_eig(np.diag([2.0, 1.0])), [1.0, 2.0])
 
 
 def test_sym_eig_zero_matrix():
-    res = sym_eig(np.zeros((2, 2)))
-    np.testing.assert_array_equal(res.eigenvalues, [0.0, 0.0])
-    np.testing.assert_array_equal(res.eigenvectors, np.eye(2))
+    np.testing.assert_array_equal(sym_eig(np.zeros((2, 2))), [0.0, 0.0])
 
 
 def test_sym_eig_offdiagonal_pair():
     # characteristic polynomial lambda^2 - 1 = 0 by hand
-    res = sym_eig(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    np.testing.assert_allclose(res.eigenvalues, [-1.0, 1.0], atol=1e-14)
+    np.testing.assert_allclose(sym_eig(np.array([[0.0, 1.0], [1.0, 0.0]])), [-1.0, 1.0], atol=1e-14)
 
 
 def test_sym_eig_rejects_bad_input():
@@ -39,22 +35,17 @@ def test_sym_eig_rejects_bad_input():
 
 
 def test_sym_eig_reconstruction_property(rng):
-    worst_resid = 0.0
-    worst_orth = 0.0
+    """The eigenvalues rebuild the similarity invariants trace(S) and ||S||_F^2."""
     for _ in range(1000):
         n = int(rng.integers(2, 13))
         s = symmetrize(rng.normal(scale=rng.uniform(0.1, 100.0), size=(n, n)))
-        res = sym_eig(s)
-        q, w = res.eigenvectors, res.eigenvalues
-        resid = np.linalg.norm(q @ np.diag(w) @ q.T - s) / max(1.0, np.linalg.norm(s))
-        orth = np.abs(q.T @ q - np.eye(n)).max()
-        worst_resid = max(worst_resid, resid)
-        worst_orth = max(worst_orth, orth)
+        w = sym_eig(s)
+        norm = np.linalg.norm(s)
         assert np.all(np.diff(w) >= 0.0)
+        assert abs(w.sum() - np.trace(s)) <= 1e-10 * max(1.0, norm) * n
+        assert abs(np.sqrt(np.sum(w * w)) - norm) <= 1e-10 * max(1.0, norm)
         # independent oracle
-        np.testing.assert_allclose(w, np.linalg.eigvalsh(s), rtol=1e-9, atol=1e-9 * max(1.0, np.linalg.norm(s)))
-    assert worst_resid <= 1e-10
-    assert worst_orth <= 1e-10
+        np.testing.assert_allclose(w, np.linalg.eigvalsh(s), rtol=1e-9, atol=1e-9 * max(1.0, norm))
 
 
 def _jacobi_eigenvalues(s):
@@ -85,7 +76,7 @@ def test_sym_eig_matches_jacobi_reference(rng):
     mats += list(_bundled_certificate_matrices())
     assert len(mats) == 100 + 6
     for s in mats:
-        np.testing.assert_allclose(sym_eig(s).eigenvalues, _jacobi_eigenvalues(s),
+        np.testing.assert_allclose(sym_eig(s), _jacobi_eigenvalues(s),
                                    rtol=0.0, atol=1e-12 * np.linalg.norm(s))
 
 
@@ -96,7 +87,7 @@ def test_sym_eig_similarity_invariance(rng):
         q, _ = np.linalg.qr(rng.normal(size=(n, n)))
         rotated = symmetrize(q @ s @ q.T)
         np.testing.assert_allclose(
-            sym_eig(s).eigenvalues, sym_eig(rotated).eigenvalues, atol=1e-9, rtol=1e-9
+            sym_eig(s), sym_eig(rotated), atol=1e-9, rtol=1e-9
         )
 
 
@@ -107,6 +98,23 @@ def test_is_neg_semidef_examples():
     assert not ok and margin == pytest.approx(1.0)
     ok, margin = is_neg_semidef(np.array([[0.0, 1.0], [1.0, 0.0]]), tol=0.0)
     assert not ok and margin == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e8, 1e150])
+def test_is_neg_semidef_is_scale_free(scale):
+    """The verdict and margin are those of D S D, D = diag(|S_ii|^-1/2):
+    unchanged by the units of each coordinate."""
+    def scaled(s):
+        d = np.array([1.0 / scale, scale])
+        return s * np.outer(d, d)
+
+    ok, margin = is_neg_semidef(scaled(np.array([[-1.0, 0.5], [0.5, -1.0]])))
+    assert ok and margin == pytest.approx(-0.5, abs=1e-15)
+    ok, margin = is_neg_semidef(scaled(np.array([[-1.0, 1.5], [1.5, -1.0]])))
+    assert not ok and margin == pytest.approx(0.5, abs=1e-15)
+    # a zero diagonal entry is left unscaled
+    ok, margin = is_neg_semidef(scaled(np.array([[0.0, 0.0], [0.0, -1.0]])))
+    assert ok and margin == 0.0
 
 
 def test_is_pos_def_examples():
