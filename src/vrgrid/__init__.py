@@ -14,7 +14,6 @@ from .bank import (  # noqa: F401
     VrBranch,
     VrElement,
     classify_bank,
-    default_banks,
 )
 from .certify import (  # noqa: F401
     GradientCheckConfig,
@@ -30,10 +29,6 @@ from .persidskii import (  # noqa: F401
 )
 from .plant import (  # noqa: F401
     GridParams,
-    coupling_matrix,
-    feedforward_v0,
-    nominal_params,
-    open_loop_derivative,
     system_matrix,
 )
 from .sim import (  # noqa: F401

@@ -56,11 +56,6 @@ except ImportError:
         return decorate
 
 
-def python_impl(func):
-    """Uncompiled implementation of a kernel (for benchmarks and tests)."""
-    return getattr(func, "py_func", func)
-
-
 # Element kind codes; each row of vrgrid.bank's kind table carries one.
 LINEAR = 0
 CUBIC = 1

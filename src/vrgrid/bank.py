@@ -66,6 +66,9 @@ _ELEMENT_KINDS = {
 
 KINDS = tuple(sorted(_ELEMENT_KINDS))
 
+# Most elements an axis may sum over all branches: the fallback RK4 inlines them in one expression.
+MAX_ELEMENTS_PER_AXIS = 256
+
 # Magnitudes of the sampled sector check (nine decades), mirrored about zero.
 _PROBE_MAX = 100.0
 _PROBE_MIN = _PROBE_MAX * 1e-9
@@ -120,15 +123,6 @@ class VrElement:
         if len(names) == 1 and self.p2 != 0.0:
             raise ValueError(f"{self.kind} element takes a single parameter {names[0]!r}")
 
-    @classmethod
-    def _unchecked(cls, kind, p1, p2=0.0):
-        # Bypasses validation; only for negative-control test harnesses.
-        self = object.__new__(cls)
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "p1", float(p1))
-        object.__setattr__(self, "p2", float(p2))
-        return self
-
     @property
     def code(self):
         return _ELEMENT_KINDS[self.kind].code
@@ -157,26 +151,6 @@ class VrElement:
             except ValueError as exc:
                 raise ValueError(f"{kind} element: parameter {name!r} {exc}") from None
         return cls(kind, *params)
-
-
-def linear(k):
-    return VrElement("linear", k)
-
-
-def cubic(k):
-    return VrElement("cubic", k)
-
-
-def sinh_element(a, b):
-    return VrElement("sinh", a, b)
-
-
-def tanh_element(a, b):
-    return VrElement("tanh", a, b)
-
-
-def saturation(k, x_sat):
-    return VrElement("saturation", k, x_sat)
 
 
 def element_values(e, xs):
@@ -240,6 +214,12 @@ class VrBank:
     """Parallel sum of branches; an empty bank is the plain feedforward loop."""
 
     branches: tuple = ()
+
+    def __post_init__(self):
+        for axis in "dq":
+            count = sum(len(getattr(b, f"elements_{axis}")) for b in self.branches)
+            if count > MAX_ELEMENTS_PER_AXIS:
+                raise ValueError(f"axis {axis} sums {count} elements over all branches (at most {MAX_ELEMENTS_PER_AXIS})")
 
     @property
     def branch_count(self):
@@ -319,16 +299,3 @@ def bank_fingerprint(bank):
     payload = json.dumps(bank.to_config(), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(payload.encode()).hexdigest()
 
-
-def default_banks():
-    """Repo-default gain choices for the bundled comparison configs."""
-    return {
-        "linear": VrBank((VrBranch.of((linear(2.0),)),)),
-        "cubic": VrBank((VrBranch.of((cubic(0.5),)),)),
-        "hybrid": VrBank((VrBranch.of((linear(1.0), cubic(0.25))),)),
-        "sinh": VrBank((VrBranch.of((sinh_element(1.0, 1.0),)),)),
-        "multi_branch": VrBank((
-            VrBranch.of((linear(1.0), cubic(0.25))),
-            VrBranch.of((sinh_element(0.5, 0.5), tanh_element(5.0, 0.2))),
-        )),
-    }

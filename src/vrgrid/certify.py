@@ -52,12 +52,12 @@ class CertificateError(ValueError):
     """Raised for unusable certificates (e.g. gain requested with varsigma <= 0)."""
 
 
-def _class_ok(cert, tol):
+def _class_ok(cert):
     if np.any(cert.lam < 0.0) or np.any(cert.omega < 0.0) or np.any(cert.upsilon < 0.0):
         return False
-    if linalg.lambda_min(cert.p_mat) < -tol:
+    if linalg.lambda_min(cert.p_mat) < -linalg.TOL:
         return False
-    if linalg.lambda_min(cert.phi) < -tol:
+    if linalg.lambda_min(cert.phi) < -linalg.TOL:
         return False
     return True
 
@@ -71,15 +71,15 @@ def _xi_matrix(cert):
     return np.diag(diag)
 
 
-def verify_certificate(p, bank, cert, tol=1e-9):
+def verify_certificate(p, bank, cert):
     """Evaluate all three conditions; never raises on an invalid certificate."""
     _check_dims(cert, bank)
-    class_ok = _class_ok(cert, tol)
+    class_ok = _class_ok(cert)
 
     lmi_p = cert.p_mat + np.diag(cert.lam.sum(axis=0)) if cert.branch_count else cert.p_mat
-    sigma_ok, sigma_margin = linalg.is_pos_def(lmi_p, tol)
-    xi_ok, xi_margin = linalg.is_pos_def(_xi_matrix(cert), tol)
-    psi_ok, psi_margin = linalg.is_neg_semidef(assemble_psi(p, cert), tol)
+    sigma_ok, sigma_margin = linalg.is_pos_def(lmi_p)
+    xi_ok, xi_margin = linalg.is_pos_def(_xi_matrix(cert))
+    psi_ok, psi_margin = linalg.is_neg_semidef(assemble_psi(p, cert))
     return VerifyReport(
         valid=bool(class_ok and sigma_ok and xi_ok and psi_ok),
         sigma_margin=sigma_margin,

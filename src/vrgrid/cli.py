@@ -108,7 +108,10 @@ def _parse_bank(section):
             branches.append(VrBranch.from_config(record))
         except ValueError as exc:
             raise ConfigError(f"bank[{i}]", f"bank[{i}]: {exc}") from exc
-    bank = VrBank(tuple(branches))
+    try:
+        bank = VrBank(tuple(branches))
+    except ValueError as exc:
+        raise ConfigError("bank", f"bank: {exc}") from exc
     try:
         classify_bank(bank)
     except SectorViolation as exc:

@@ -16,6 +16,8 @@ from ._kernels import jacobi_sweep  # not called here; the linalg.jacobi_sweep t
 
 MAX_DIM = 64
 
+TOL = 1e-9  # how far past the boundary a definiteness verdict still passes
+
 
 class LinalgError(ValueError):
     """Raised for malformed matrix inputs (shape, symmetry, size)."""
@@ -55,14 +57,14 @@ def lambda_max(s):
     return float(sym_eig(s)[-1])
 
 
-def is_pos_def(s, tol=1e-9):
-    """(verdict, margin): true iff lambda_min(S) >= tol; margin is lambda_min."""
+def is_pos_def(s):
+    """(verdict, margin): true iff lambda_min(S) >= TOL; margin is lambda_min."""
     margin = lambda_min(s)
-    return bool(margin >= tol), margin
+    return bool(margin >= TOL), margin
 
 
-def is_neg_semidef(s, tol=1e-9):
-    """(verdict, margin): true iff lambda_max(D S D) <= tol; margin is that lambda_max.
+def is_neg_semidef(s):
+    """(verdict, margin): true iff lambda_max(D S D) <= TOL; margin is that lambda_max.
 
     D = diag(|S_ii|^-1/2), with D_ii = 1 where S_ii = 0, is a congruence, so
     by Sylvester's law of inertia the verdict is that of S in exact
@@ -74,5 +76,5 @@ def is_neg_semidef(s, tol=1e-9):
     diag = np.abs(np.diag(s))
     d = 1.0 / np.sqrt(np.where(diag > 0.0, diag, 1.0))
     margin = lambda_max(s * np.outer(d, d))
-    return bool(margin <= tol), margin
+    return bool(margin <= TOL), margin
 

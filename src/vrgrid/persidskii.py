@@ -161,13 +161,3 @@ def assemble_psi(p, cert):
     psi[rows[m + 1], rows[m + 1]] = -cert.phi
     return psi
 
-
-def stacked_coordinates(bank, pts, dist, l_g):
-    """z = (x, r_1(x), ..., r_M(x), w) rows for (N, 2) states/disturbances."""
-    pts = np.asarray(pts, dtype=float)
-    dist = np.asarray(dist, dtype=float)
-    parts = [pts]
-    for branch in bank.branches:
-        parts.append(branch_values(branch, pts))
-    parts.append(-dist / l_g)
-    return np.concatenate([np.atleast_2d(p) for p in parts], axis=-1)

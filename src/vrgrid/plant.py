@@ -18,8 +18,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bank import bank_values
-
 
 def as_dq(value, name="vector"):
     """Coerce to a finite float array of shape (2,)."""
@@ -57,45 +55,9 @@ class GridParams:
         self.i_ref.setflags(write=False)
 
 
-def nominal_params(i_ref=(10.0, 0.0)):
-    """Bundled nominal parameter set (0.367 mH, 27.6 mOhm, 60 Hz, 392 V d-axis)."""
-    return GridParams(
-        r_g=27.6e-3,
-        l_g=0.367e-3,
-        omega_g=2.0 * math.pi * 60.0,
-        v_g_ref=(392.0, 0.0),
-        i_ref=i_ref,
-    )
-
-
-def coupling_matrix(p):
-    """Skew-symmetric dq coupling W = [[0, w], [-w, 0]]."""
-    w = p.omega_g
-    return np.array([[0.0, w], [-w, 0.0]])
-
-
 def system_matrix(p):
     """Closed-loop linear part A = -(1/l_g) (r_g I - l_g W)."""
     a = -p.r_g / p.l_g
     w = p.omega_g
     return np.array([[a, w], [-w, a]])
 
-
-def feedforward_v0(p):
-    """Nominal feedforward voltage v0 = (r_g I - l_g W) i_ref + v_g_ref."""
-    drop = p.r_g * np.eye(2) - p.l_g * coupling_matrix(p)
-    return drop @ p.i_ref + p.v_g_ref
-
-
-def open_loop_derivative(p, i, v, v_g):
-    """di/dt of the plant for inverter voltage v and grid voltage v_g."""
-    i = as_dq(i, "i")
-    return system_matrix(p) @ i + (as_dq(v, "v") - as_dq(v_g, "v_g")) / p.l_g
-
-
-def error_derivatives(p, pts, bank, dist):
-    """Vectorized error derivative over (N, 2) states and disturbances."""
-    pts = np.asarray(pts, dtype=float)
-    dist = np.asarray(dist, dtype=float)
-    a = system_matrix(p)
-    return pts @ a.T - (bank_values(bank, pts) + dist) / p.l_g

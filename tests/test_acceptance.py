@@ -14,7 +14,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import CONFIG_DIR, passivity_ball, random_certificate
+from conftest import (
+    CONFIG_DIR,
+    bundled_banks,
+    error_derivatives,
+    nominal_params,
+    passivity_ball,
+    random_certificate,
+    stacked_coordinates,
+)
 
 BUDGETS = {
     1: 1.0, 2: 1.0, 3: 10.0, 4: 60.0, 5: 5.0,
@@ -59,7 +67,7 @@ def test_c01_parameter_fidelity():
 
 
 def test_c02_system_matrix_oracle():
-    from vrgrid.plant import nominal_params, system_matrix
+    from vrgrid.plant import system_matrix
 
     with criterion(2, "system matrix matches hand arithmetic"):
         a = system_matrix(nominal_params())
@@ -69,10 +77,8 @@ def test_c02_system_matrix_oracle():
 
 
 def test_c03_reconstruction_identity():
-    import vrgrid as vg
-    from vrgrid.bank import VrBank, VrBranch, cubic, linear, sinh_element, tanh_element
-    from vrgrid.persidskii import assemble_psi, lyapunov_gradients, stacked_coordinates
-    from vrgrid.plant import error_derivatives, nominal_params
+    from vrgrid.bank import VrBank, VrBranch, VrElement
+    from vrgrid.persidskii import assemble_psi, lyapunov_gradients
     from vrgrid.bank import branch_values
 
     with criterion(3, "z'Psi z equals the direct Vdot expansion (1e-8)"):
@@ -80,12 +86,12 @@ def test_c03_reconstruction_identity():
         rng = np.random.default_rng(3)
         cases = {
             0: VrBank(()),
-            1: VrBank((VrBranch.of((linear(1.0),)),)),
-            2: vg.default_banks()["multi_branch"],
+            1: VrBank((VrBranch.of((VrElement("linear", 1.0),)),)),
+            2: bundled_banks()["multi_branch"],
             3: VrBank((
-                VrBranch.of((linear(0.5),)),
-                VrBranch.of((cubic(0.3),)),
-                VrBranch.of((sinh_element(0.4, 0.6), tanh_element(2.0, 0.3))),
+                VrBranch.of((VrElement("linear", 0.5),)),
+                VrBranch.of((VrElement("cubic", 0.3),)),
+                VrBranch.of((VrElement("sinh", 0.4, 0.6), VrElement("tanh", 2.0, 0.3))),
             )),
         }
         for m, bank in cases.items():
@@ -116,9 +122,8 @@ def test_c03_reconstruction_identity():
 
 
 def test_c04_certification_soundness(tmp_path):
-    from vrgrid.bank import VrBank, VrBranch, linear
-    from vrgrid.persidskii import stacked_coordinates, lyapunov_gradients
-    from vrgrid.plant import error_derivatives, nominal_params
+    from vrgrid.bank import VrBank, VrBranch, VrElement
+    from vrgrid.persidskii import lyapunov_gradients
     from vrgrid.cli import load_certificate
     from vrgrid.certify import verify_certificate
 
@@ -127,7 +132,7 @@ def test_c04_certification_soundness(tmp_path):
         rng = np.random.default_rng(4)
         banks = {
             "certify_m0.json": VrBank(()),
-            "certify_m1_linear.json": VrBank((VrBranch.of((linear(1.0),)),)),
+            "certify_m1_linear.json": VrBank((VrBranch.of((VrElement("linear", 1.0),)),)),
         }
         for cfg_name, bank in banks.items():
             out = tmp_path / cfg_name.replace(".json", "")
@@ -157,7 +162,7 @@ def test_c04_certification_soundness(tmp_path):
 def test_c05_negative_control():
     from vrgrid.bank import VrBank
     from vrgrid.certify import verify_certificate
-    from vrgrid.plant import nominal_params, system_matrix
+    from vrgrid.plant import system_matrix
     from vrgrid.persidskii import IssCertificate
 
     with criterion(5, "corrupting any single condition invalidates the certificate"):
@@ -182,13 +187,13 @@ def test_c05_negative_control():
 
 
 def test_c06_integrator_order():
-    from vrgrid.bank import VrBank, VrBranch, cubic, linear, sinh_element
-    from vrgrid.plant import nominal_params
+    from vrgrid.bank import VrBank, VrBranch, VrElement
     from vrgrid.sim import ConstantOffset, integrate
 
     with criterion(6, "measured RK4 order within [3.7, 4.3]"):
         p = nominal_params()
-        bank = VrBank((VrBranch.of((linear(0.5), cubic(0.002), sinh_element(0.2, 0.1))),))
+        elements = (VrElement("linear", 0.5), VrElement("cubic", 0.002), VrElement("sinh", 0.2, 0.1))
+        bank = VrBank((VrBranch.of(elements),))
         finals = []
         for dt in (4e-6, 2e-6, 1e-6):
             sc = ConstantOffset(t_end=1e-3, dt=dt, v_g_const=(50.0, 20.0))
@@ -201,8 +206,7 @@ def test_c06_integrator_order():
 
 
 def test_c07_scenario1_pipeline(tmp_path):
-    import vrgrid as vg
-    from vrgrid.plant import error_derivatives, nominal_params
+    from vrgrid.bank import VrBank
 
     with criterion(7, "five-law comparison table and monotone pointwise damping"):
         out = tmp_path / "cmp"
@@ -218,8 +222,8 @@ def test_c07_scenario1_pipeline(tmp_path):
 
         # appending branches never increases d/dt |x|^2 at identical states
         p = nominal_params()
-        bank = vg.default_banks()["multi_branch"]
-        prefixes = [vg.VrBank(bank.branches[:k]) for k in range(len(bank.branches) + 1)]
+        bank = bundled_banks()["multi_branch"]
+        prefixes = [VrBank(bank.branches[:k]) for k in range(len(bank.branches) + 1)]
         rng = np.random.default_rng(7)
         xs = rng.uniform(-50.0, 50.0, (10_000, 2))
         ds = rng.uniform(-200.0, 200.0, (10_000, 2))
@@ -232,9 +236,7 @@ def test_c07_scenario1_pipeline(tmp_path):
 
 
 def test_c08_scenario2_robustness():
-    import vrgrid as vg
     from vrgrid.certify import search_certificate
-    from vrgrid.plant import nominal_params
     from vrgrid.sim import RandomResistance, integrate
 
     # RK4 at dt = 1e-6 s, where dt * (r_g + bank slope) / l_g < 0.01 along
@@ -243,7 +245,7 @@ def test_c08_scenario2_robustness():
     with criterion(8, "random-resistance runs stay in the passivity ball; banks certify at both vertices"):
         p = nominal_params()
         sc = RandomResistance(t_end=1.0, dt=1e-6, seed=42)
-        banks = vg.default_banks()
+        banks = bundled_banks("scenario2")
         assert len(banks) == 5
         for name, bank in banks.items():
             peak, radius = passivity_ball(integrate(p, bank, sc))   # raises on numeric abort
@@ -256,7 +258,6 @@ def test_c08_scenario2_robustness():
 def test_c09_gradient_condition_threshold():
     from vrgrid.bank import VrBank
     from vrgrid.certify import GradientCheckConfig, sampled_gradient_check
-    from vrgrid.plant import nominal_params
 
     with criterion(9, "sampled checker flips exactly at the hand-derived threshold"):
         p = nominal_params()

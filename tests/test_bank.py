@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from conftest import CONFIG_DIR
+from conftest import bundled_banks, error_derivatives, python_impl, unchecked_element
 from vrgrid import _kernels
-from vrgrid._kernels import element_value, python_impl
+from vrgrid._kernels import element_value
 from vrgrid.bank import (
     _ELEMENT_KINDS,
     KINDS,
+    MAX_ELEMENTS_PER_AXIS,
     SectorViolation,
     VrBank,
     VrBranch,
@@ -16,18 +17,18 @@ from vrgrid.bank import (
     branch_primitive_values,
     branch_values,
     classify_bank,
-    cubic,
-    default_banks,
     element_primitives,
     element_values,
     flatten_bank,
-    linear,
-    saturation,
-    sinh_element,
-    tanh_element,
 )
 
-ALL_KINDS = [linear(2.0), cubic(1.5), sinh_element(0.8, 1.2), tanh_element(3.0, 0.4), saturation(2.0, 1.5)]
+ALL_KINDS = [
+    VrElement("linear", 2.0),
+    VrElement("cubic", 1.5),
+    VrElement("sinh", 0.8, 1.2),
+    VrElement("tanh", 3.0, 0.4),
+    VrElement("saturation", 2.0, 1.5),
+]
 
 
 def test_all_kinds_cover_the_table():
@@ -36,20 +37,20 @@ def test_all_kinds_cover_the_table():
 
 
 def test_eval_element_examples():
-    assert element_values(linear(2.0), [3.0]) == [6.0]
-    assert element_values(cubic(1.0), [2.0]) == [8.0]
-    assert element_values(sinh_element(1.0, 1.0), [0.0]) == [0.0]
-    assert element_values(saturation(2.0, 1.0), [5.0]) == [2.0]
-    assert element_values(saturation(2.0, 1.0), [-5.0]) == [-2.0]
+    assert element_values(VrElement("linear", 2.0), [3.0]) == [6.0]
+    assert element_values(VrElement("cubic", 1.0), [2.0]) == [8.0]
+    assert element_values(VrElement("sinh", 1.0, 1.0), [0.0]) == [0.0]
+    assert element_values(VrElement("saturation", 2.0, 1.0), [5.0]) == [2.0]
+    assert element_values(VrElement("saturation", 2.0, 1.0), [-5.0]) == [-2.0]
 
 
 def test_element_construction_rejects_bad_params():
     with pytest.raises(ValueError):
-        linear(-1.0)
+        VrElement("linear", -1.0)
     with pytest.raises(ValueError):
-        cubic(0.0)
+        VrElement("cubic", 0.0)
     with pytest.raises(ValueError):
-        sinh_element(1.0, -2.0)
+        VrElement("sinh", 1.0, -2.0)
     with pytest.raises(ValueError):
         VrElement("linear", 1.0, 5.0)  # spurious second parameter
     with pytest.raises(ValueError):
@@ -57,19 +58,19 @@ def test_element_construction_rejects_bad_params():
 
 
 def test_eval_branch_examples():
-    ident = VrBranch.of((linear(1.0),))
+    ident = VrBranch.of((VrElement("linear", 1.0),))
     np.testing.assert_array_equal(branch_values(ident, [(3.0, -2.0)]), [[3.0, -2.0]])
 
-    series = VrBranch.of((linear(1.0), linear(2.0)))
+    series = VrBranch.of((VrElement("linear", 1.0), VrElement("linear", 2.0)))
     np.testing.assert_array_equal(branch_values(series, [(1.0, -4.0)]), [[3.0, -12.0]])
 
-    mixed = VrBranch.of((linear(1.0), cubic(1.0)))
+    mixed = VrBranch.of((VrElement("linear", 1.0), VrElement("cubic", 1.0)))
     np.testing.assert_array_equal(branch_values(mixed, [(1.0, 2.0)]), [[2.0, 10.0]])
 
 
 def test_eval_bank_examples():
     np.testing.assert_array_equal(bank_values(VrBank(()), [(5.0, -3.0)]), [[0.0, 0.0]])
-    b = VrBranch.of((linear(1.0), cubic(1.0)))
+    b = VrBranch.of((VrElement("linear", 1.0), VrElement("cubic", 1.0)))
     one = bank_values(VrBank((b,)), [(1.5, 0.5)])
     np.testing.assert_array_equal(one, [[1.5 + 1.5 ** 3, 0.5 + 0.5 ** 3]])
     two = bank_values(VrBank((b, b)), [(1.5, 0.5)])
@@ -77,13 +78,13 @@ def test_eval_bank_examples():
 
 
 def test_per_axis_branch():
-    b = VrBranch.of((linear(1.0),), q_elements=(linear(3.0),))
+    b = VrBranch.of((VrElement("linear", 1.0),), q_elements=(VrElement("linear", 3.0),))
     assert not b.same_both_axes
     np.testing.assert_array_equal(branch_values(b, [(2.0, 2.0)]), [[2.0, 6.0]])
 
 
 def test_element_primitive_examples():
-    assert element_primitives(linear(2.0), [3.0]) == [9.0]
+    assert element_primitives(VrElement("linear", 2.0), [3.0]) == [9.0]
     for e in ALL_KINDS:
         assert element_primitives(e, [0.0]) == [0.0]
 
@@ -107,11 +108,11 @@ def _trapezoid_oracle(e, x, target=1e-10):
 
 def test_element_primitive_matches_quadrature(rng):
     makers = [
-        lambda r: linear(r.uniform(0.1, 3.0)),
-        lambda r: cubic(r.uniform(0.1, 3.0)),
-        lambda r: sinh_element(r.uniform(0.1, 3.0), r.uniform(0.1, 3.0)),
-        lambda r: tanh_element(r.uniform(0.1, 3.0), r.uniform(0.1, 3.0)),
-        lambda r: saturation(r.uniform(0.1, 3.0), r.uniform(0.2, 2.0)),
+        lambda r: VrElement("linear", r.uniform(0.1, 3.0)),
+        lambda r: VrElement("cubic", r.uniform(0.1, 3.0)),
+        lambda r: VrElement("sinh", r.uniform(0.1, 3.0), r.uniform(0.1, 3.0)),
+        lambda r: VrElement("tanh", r.uniform(0.1, 3.0), r.uniform(0.1, 3.0)),
+        lambda r: VrElement("saturation", r.uniform(0.1, 3.0), r.uniform(0.2, 2.0)),
     ]
     for i in range(100):
         e = makers[i % len(makers)](rng)
@@ -147,11 +148,11 @@ def test_oddness_property(rng):
 def test_sector_property_never_fires(rng):
     # 1e5 random (element, point) draws: x * r(x) > 0 away from zero
     makers = [
-        lambda r: linear(r.uniform(1e-3, 10.0)),
-        lambda r: cubic(r.uniform(1e-3, 10.0)),
-        lambda r: sinh_element(r.uniform(1e-3, 5.0), r.uniform(1e-3, 2.0)),
-        lambda r: tanh_element(r.uniform(1e-3, 5.0), r.uniform(1e-3, 2.0)),
-        lambda r: saturation(r.uniform(1e-3, 10.0), r.uniform(1e-2, 5.0)),
+        lambda r: VrElement("linear", r.uniform(1e-3, 10.0)),
+        lambda r: VrElement("cubic", r.uniform(1e-3, 10.0)),
+        lambda r: VrElement("sinh", r.uniform(1e-3, 5.0), r.uniform(1e-3, 2.0)),
+        lambda r: VrElement("tanh", r.uniform(1e-3, 5.0), r.uniform(1e-3, 2.0)),
+        lambda r: VrElement("saturation", r.uniform(1e-3, 10.0), r.uniform(1e-2, 5.0)),
     ]
     for maker in makers:
         for _ in range(20):
@@ -160,7 +161,7 @@ def test_sector_property_never_fires(rng):
             xs = xs[xs != 0.0]
             assert np.all(xs * element_values(e, xs) > 0.0)
     # and the sampled classifier never raises on well-formed banks
-    for bank in default_banks().values():
+    for bank in bundled_banks().values():
         classify_bank(bank)
 
 
@@ -175,13 +176,11 @@ def test_primitive_monotonicity():
 
 def test_added_dissipation(rng, p_nominal):
     """Appending any sector element strictly decreases d/dt |x|^2 pointwise."""
-    from vrgrid.plant import error_derivatives
-
     p = p_nominal
-    base = VrBank((VrBranch.of((linear(0.5),)),))
-    extended = VrBank((VrBranch.of((linear(0.5), tanh_element(2.0, 0.3))),))
+    base = VrBank((VrBranch.of((VrElement("linear", 0.5),)),))
+    extended = VrBank((VrBranch.of((VrElement("linear", 0.5), VrElement("tanh", 2.0, 0.3))),))
     states = rng.uniform(-50.0, 50.0, (10_000, 2))
-    e = tanh_element(2.0, 0.3)
+    e = VrElement("tanh", 2.0, 0.3)
     vals = np.column_stack([element_values(e, states[:, 0]), element_values(e, states[:, 1])])
     assert np.all(np.einsum("ni,ni->n", states, vals) > 0.0)
 
@@ -192,18 +191,18 @@ def test_added_dissipation(rng, p_nominal):
 
 
 def test_classify_bank():
-    lin = VrBank((VrBranch.of((linear(1.0),)),))
+    lin = VrBank((VrBranch.of((VrElement("linear", 1.0),)),))
     assert classify_bank(lin) is None
-    bounded = VrBank((VrBranch.of((tanh_element(1.0, 1.0),)),))
+    bounded = VrBank((VrBranch.of((VrElement("tanh", 1.0, 1.0),)),))
     assert classify_bank(bounded) is None
     mixed = VrBank((
-        VrBranch.of((saturation(2.0, 1.0),)),
-        VrBranch.of((cubic(1.0),), q_elements=(sinh_element(0.5, 2.0),)),
+        VrBranch.of((VrElement("saturation", 2.0, 1.0),)),
+        VrBranch.of((VrElement("cubic", 1.0),), q_elements=(VrElement("sinh", 0.5, 2.0),)),
     ))
     assert classify_bank(mixed) is None
 
     # x * k * x**3 underflows to 0 on the smallest probes, so x * r(x) > 0 fails
-    tiny = VrBank((VrBranch.of((linear(1.0),)), VrBranch.of((cubic(1e-300),))))
+    tiny = VrBank((VrBranch.of((VrElement("linear", 1.0),)), VrBranch.of((VrElement("cubic", 1e-300),))))
     with pytest.raises(SectorViolation) as err:
         classify_bank(tiny)
     assert err.value.branch == 1
@@ -211,8 +210,8 @@ def test_classify_bank():
 
 
 def test_classifier_names_violating_branch():
-    bad = VrElement._unchecked("linear", -1.0)
-    bank = VrBank((VrBranch.of((linear(1.0),)), VrBranch.of((bad,))))
+    bad = unchecked_element("linear", -1.0)
+    bank = VrBank((VrBranch.of((VrElement("linear", 1.0),)), VrBranch.of((bad,))))
     with pytest.raises(SectorViolation) as err:
         classify_bank(bank)
     assert err.value.branch == 1
@@ -221,15 +220,15 @@ def test_classifier_names_violating_branch():
 
 
 @pytest.mark.parametrize("d, q, axis", [
-    ((linear(1.0),), (VrElement._unchecked("linear", -1.0),), "q"),
-    ((cubic(1e-300),), (VrElement._unchecked("linear", -1.0),), "d"),
-    ((linear(1.0), VrElement._unchecked("cubic", -1.0)), (tanh_element(1.0, 1.0),), "d"),
+    ((VrElement("linear", 1.0),), (unchecked_element("linear", -1.0),), "q"),
+    ((VrElement("cubic", 1e-300),), (unchecked_element("linear", -1.0),), "d"),
+    ((VrElement("linear", 1.0), unchecked_element("cubic", -1.0)), (VrElement("tanh", 1.0, 1.0),), "d"),
 ])
 def test_classify_bank_first_violation(d, q, axis):
     """The first failing sample, d axis before q, as a per-axis sum finds it."""
     from vrgrid.bank import _PROBE_XS, element_values
 
-    bank = VrBank((VrBranch.of((linear(1.0),)), VrBranch(d, q)))
+    bank = VrBank((VrBranch.of((VrElement("linear", 1.0),)), VrBranch(d, q)))
     elements = d if axis == "d" else q
     vals = sum(element_values(e, _PROBE_XS) for e in elements)
     i = int(np.flatnonzero(~(_PROBE_XS * vals > 0.0))[0])
@@ -251,13 +250,23 @@ def test_flatten_bank_roundtrip(banks):
     assert total == pytest.approx(bank_values(bank, [(x, 0.0)])[0, 0], rel=1e-14)
 
 
-@pytest.mark.parametrize("scenario", ["scenario1", "scenario2"])
-def test_default_banks_are_the_bundled_banks(scenario):
-    """default_banks() stands for the bundled configs' banks, name by name."""
-    from vrgrid.cli import load_config
+def test_bank_bounds_elements_per_axis():
+    """An axis may sum at most MAX_ELEMENTS_PER_AXIS elements over all branches."""
+    one = VrElement("linear", 1.0)
+    limit = MAX_ELEMENTS_PER_AXIS
+    assert limit == 256
+    VrBank((VrBranch.of((one,) * limit),))
+    with pytest.raises(ValueError, match="axis d sums 257 elements"):
+        VrBank((VrBranch.of((one,) * (limit + 1)),))
+    with pytest.raises(ValueError, match="axis q sums 257 elements"):
+        VrBank((VrBranch((one,), (one,) * 128), VrBranch((one,), (one,) * 129)))
 
-    configs = [load_config(path) for path in sorted((CONFIG_DIR / scenario).glob("*.json"))]
-    assert {cfg.name: cfg.bank for cfg in configs} == default_banks()
+
+def test_bundled_scenarios_hold_the_same_banks():
+    """configs/scenario1 and configs/scenario2 bundle the same banks, name by name."""
+    scenario1 = bundled_banks("scenario1")
+    assert sorted(scenario1) == ["cubic", "hybrid", "linear", "multi_branch", "sinh"]
+    assert bundled_banks("scenario2") == scenario1
 
 
 def test_config_roundtrip_and_fingerprint(banks):
@@ -281,7 +290,8 @@ def test_vectorized_bank_helpers(rng, banks):
 
     bank = VrBank((
         *banks["multi_branch"].branches,
-        VrBranch.of((saturation(2.0, 1.5),), q_elements=(linear(0.5), cubic(0.1))),
+        VrBranch.of((VrElement("saturation", 2.0, 1.5),),
+                    q_elements=(VrElement("linear", 0.5), VrElement("cubic", 0.1))),
     ))
     codes_d, p1_d, p2_d, codes_q, p1_q, p2_q = flatten_bank(bank)
     pts = rng.uniform(-20.0, 20.0, (100, 2))
@@ -292,9 +302,10 @@ def test_vectorized_bank_helpers(rng, banks):
 
     branch = bank.branches[-1]
     prims = branch_primitive_values(branch, pts)
-    np.testing.assert_array_equal(prims[:, 0], element_primitives(saturation(2.0, 1.5), pts[:, 0]))
+    np.testing.assert_array_equal(prims[:, 0], element_primitives(VrElement("saturation", 2.0, 1.5), pts[:, 0]))
     np.testing.assert_allclose(
         prims[:, 1],
-        element_primitives(linear(0.5), pts[:, 1]) + element_primitives(cubic(0.1), pts[:, 1]),
+        element_primitives(VrElement("linear", 0.5), pts[:, 1])
+        + element_primitives(VrElement("cubic", 0.1), pts[:, 1]),
         rtol=1e-15,
     )

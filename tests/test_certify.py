@@ -6,9 +6,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import random_certificate
+from conftest import error_derivatives, nominal_params, random_certificate, stacked_coordinates
 from vrgrid import linalg
-from vrgrid.bank import _ELEMENT_KINDS, KINDS, VrBank, VrBranch, VrElement, bank_values, linear, sinh_element
+from vrgrid.bank import _ELEMENT_KINDS, KINDS, VrBank, VrBranch, VrElement, bank_values
 from vrgrid.certify import (
     BLOCK_POINTS,
     CertificateError,
@@ -24,10 +24,10 @@ from vrgrid.persidskii import (
     VerifyReport,
     lyapunov_gradients,
 )
-from vrgrid.plant import GridParams, error_derivatives, nominal_params, system_matrix
+from vrgrid.plant import GridParams, system_matrix
 
 EMPTY = VrBank(())
-ONE_LINEAR = VrBank((VrBranch.of((linear(1.0),)),))
+ONE_LINEAR = VrBank((VrBranch.of((VrElement("linear", 1.0),)),))
 
 
 def analytic_m0_certificate(p):
@@ -145,7 +145,7 @@ def test_search_preconditions():
     with pytest.raises(ValueError):
         GridParams(r_g=-1.0, l_g=3.67e-4, omega_g=377.0)
     p = nominal_params()
-    nine = VrBank(tuple(VrBranch.of((linear(1.0),)) for _ in range(9)))
+    nine = VrBank(tuple(VrBranch.of((VrElement("linear", 1.0),)) for _ in range(9)))
     with pytest.raises(ValueError, match="at most 8"):
         search_certificate(p, nine)
 
@@ -164,7 +164,7 @@ def test_closed_form_certificate_sweep(rng):
         ))
     for r_g, l_g, omega_g, m in points:
         p = GridParams(r_g=r_g, l_g=l_g, omega_g=omega_g)
-        bank = VrBank(tuple(VrBranch.of((linear(1.0),)) for _ in range(m)))
+        bank = VrBank(tuple(VrBranch.of((VrElement("linear", 1.0),)) for _ in range(m)))
         rep = search_certificate(p, bank).certificate.report
         where = (r_g, l_g, omega_g, m)
         assert rep.valid, where
@@ -177,7 +177,7 @@ def test_closed_form_certificate_valid_over_decades():
     f in {1, 60, 1000} Hz and 0, 1 or 8 branches. Read in raw units, Psi's
     rounded lambda_max refuses 190 of these 4,275 points (e.g. r_g = 1e-8,
     l_g = 1, no branches, reads +2.5e-9 where the exact value is -7.5e-9)."""
-    banks = [VrBank(tuple(VrBranch.of((linear(1.0),)) for _ in range(m))) for m in (0, 1, 8)]
+    banks = [VrBank(tuple(VrBranch.of((VrElement("linear", 1.0),)) for _ in range(m))) for m in (0, 1, 8)]
     r_gs = [10.0 ** (i / 2) for i in range(-16, 9)]
     l_gs = [10.0 ** (i / 2) for i in range(-16, 3)]
     worst = -math.inf
@@ -203,7 +203,6 @@ def test_certified_pointwise_dissipation(rng, banks):
         vdot = np.einsum("ni,ni->n", grads, error_derivatives(p, xs, bank, ds))
         rhs = (-rep.varsigma * np.einsum("ni,ni->n", xs, xs)
                + rep.alpha * np.einsum("ni,ni->n", ds, ds))
-        from vrgrid.persidskii import stacked_coordinates
 
         z2 = np.einsum("ni,ni->n", *(stacked_coordinates(bank, xs, ds, p.l_g),) * 2)
         assert np.all(vdot <= rhs + 1e-8 * (1.0 + z2))
@@ -279,7 +278,7 @@ def test_gradient_check_counts_non_finite_points_as_violations():
     # sinh(20 x) overflows on most of the radius-50 grid, and the composite
     # gradient then meets inf - inf: those points are violations, not passes.
     p = nominal_params()
-    bank = VrBank((VrBranch.of((sinh_element(1.0, 20.0),)),))
+    bank = VrBank((VrBranch.of((VrElement("sinh", 1.0, 20.0),)),))
     with np.errstate(over="ignore", invalid="ignore"):
         cert = search_certificate(p, bank).certificate
         report = sampled_gradient_check(p, bank, cert, GradientCheckConfig(epsilon=1e-3))
@@ -380,7 +379,7 @@ def test_gradient_check_block_boundaries_match_oracle(rng):
     # grad_q = 2 d is 0 only on the middle row d = 0, where it meets
     # r_q = sinh(20 q) = inf: the first NaN of the grid lies in a later block
     # (elsewhere r_q = inf gives +-inf), and it must still win
-    bank = VrBank((VrBranch.of((linear(1.0),), (sinh_element(1.0, 20.0),)),))
+    bank = VrBank((VrBranch.of((VrElement("linear", 1.0),), (VrElement("sinh", 1.0, 20.0),)),))
     spec = np.array([[1.0, 1.0], [1.0, 0.0]])
     with np.errstate(over="ignore", invalid="ignore"):
         report = sampled_gradient_check(p, bank, spec, cfg)

@@ -317,6 +317,29 @@ def test_bad_config_values_exit2(tmp_path, capsys, mutate, field):
     assert not (tmp_path / "o").exists()
 
 
+LINEAR = {"kind": "linear", "k": 1.0}
+
+
+@pytest.mark.parametrize("bank", [
+    pytest.param([[LINEAR] * 257], id="257-one-branch"),
+    pytest.param([{"d": [LINEAR], "q": [LINEAR] * 128}, {"d": [LINEAR], "q": [LINEAR] * 129}],
+                 id="257-q-over-two-branches"),
+    pytest.param([[LINEAR] * 3000], id="3000-one-branch"),
+])
+def test_elements_per_axis_bounded_exit2(tmp_path, bank):
+    """More than 256 elements on one axis exit 2 at field bank. At 3,000 the
+    fallback RK4 would inline an expression too deep for Python to compile."""
+    doc = small_config(bank=bank, scenario={"kind": "custom", "t_end": 1e-4, "dt": 1e-6,
+                                            "v_g_const": [1.0, 0.0]})
+    path = write_config(tmp_path / "big.json", doc)
+    res = run_cli("simulate", str(path), "--out", str(tmp_path / "o"))
+    assert res.returncode == 2, res.stderr
+    err = json.loads(res.stdout.splitlines()[0])["error"]
+    assert err["field"] == "bank"
+    assert "at most 256" in err["message"]
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("command", ["simulate", "certify", "compare"])
 def test_sampled_sector_check_at_load(tmp_path, capsys, command):
     """k * x**3 with k = 1e-300 underflows to 0 near zero: exit 2 at bank[1]."""
@@ -456,17 +479,17 @@ def test_certificate_roundtrip_and_fingerprint_guard(tmp_path):
     out = tmp_path / "m1"
     assert run_cli("certify", str(CONFIG_DIR / "certify_m1_linear.json"), "--out", str(out)).returncode == 0
 
-    from vrgrid.bank import VrBank, VrBranch, linear
+    from conftest import nominal_params
+    from vrgrid.bank import VrBank, VrBranch, VrElement
     from vrgrid.certify import verify_certificate
     from vrgrid.cli import load_certificate
-    from vrgrid.plant import nominal_params
 
-    bank = VrBank((VrBranch.of((linear(1.0),)),))
+    bank = VrBank((VrBranch.of((VrElement("linear", 1.0),)),))
     cert = load_certificate(out / "certificate.json", bank)
     report = verify_certificate(nominal_params(), bank, cert)
     assert report.valid
 
-    other = VrBank((VrBranch.of((linear(2.0),)),))
+    other = VrBank((VrBranch.of((VrElement("linear", 2.0),)),))
     with pytest.raises(ValueError, match="fingerprint"):
         load_certificate(out / "certificate.json", other)
 

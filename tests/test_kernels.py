@@ -7,14 +7,9 @@ import sys
 import numpy as np
 import pytest
 
+from conftest import CONFIG_DIR, python_impl
 from vrgrid import _kernels, sim
-from vrgrid._kernels import (
-    element_value,
-    jacobi_sweep,
-    python_impl,
-    rk4_loop,
-    series_sum,
-)
+from vrgrid._kernels import element_value, jacobi_sweep, rk4_loop, series_sum
 from vrgrid.bank import _ELEMENT_KINDS
 
 KINDS = [
@@ -101,6 +96,8 @@ RK4_CASES = {
     # every run is stationary at zero, most of length 1
     "piecewise_rg_at_zero": _rk4_args(LINEAR_CUBIC, [], n=12, y0=(0.0, 0.0), dist=0.0, rg=RG_RUNS),
     "quiescent": _rk4_args(KINDS, KINDS, n=200, y0=(0.0, 0.0), dist=0.0),
+    # vrgrid.bank.MAX_ELEMENTS_PER_AXIS on both axes, in one inlined sum each
+    "element_limit": _rk4_args(KINDS * 51 + KINDS[:1], KINDS[::-1] * 51 + KINDS[:1], n=20, dt=1e-7),
     # -0.0 in the state and the inputs (dist_q is -0.5 * dist_d): the first
     # step turns -0.0 into 0.0, which == would take for no change
     **{f"signed_zero{i}": _rk4_args(LINEAR_CUBIC, KINDS, n=20, y0=y0, dist=dist, rg=rg)
@@ -188,11 +185,12 @@ def test_jacobi_matches_python_fallback(rng):
 
 def test_env_flag_selects_fallback():
     code = (
-        "import vrgrid._kernels as k; import vrgrid as vg; import numpy as np;"
+        "import sys; import vrgrid._kernels as k; import numpy as np;"
+        "from vrgrid.cli import load_config;"
         "from vrgrid.sim import ConstantOffset, integrate;"
         "assert not k.NUMBA_ENABLED;"
-        "p = vg.nominal_params();"
-        "t = integrate(p, vg.default_banks()['multi_branch'],"
+        "cfg = load_config(sys.argv[1]);"
+        "t = integrate(cfg.grid, cfg.bank,"
         "              ConstantOffset(t_end=1e-4, dt=1e-5, v_g_const=(10.0, 0.0)));"
         "assert np.all(np.isfinite(t.i_err));"
         "print('fallback ok')"
@@ -200,7 +198,8 @@ def test_env_flag_selects_fallback():
     import os
 
     env = dict(os.environ, VRGRID_DISABLE_NUMBA="1")
-    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    config = CONFIG_DIR / "scenario1" / "multi_branch.json"
+    res = subprocess.run([sys.executable, "-c", code, str(config)], capture_output=True, text=True, env=env)
     assert res.returncode == 0, res.stderr
     assert "fallback ok" in res.stdout
 

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from conftest import CONFIG_DIR
-from vrgrid._kernels import jacobi_sweep, python_impl
+from conftest import CONFIG_DIR, python_impl
+from vrgrid._kernels import jacobi_sweep
 from vrgrid.linalg import (
     LinalgError,
     is_neg_semidef,
@@ -92,11 +92,11 @@ def test_sym_eig_similarity_invariance(rng):
 
 
 def test_is_neg_semidef_examples():
-    ok, margin = is_neg_semidef(-np.eye(2), tol=0.0)
+    ok, margin = is_neg_semidef(-np.eye(2))
     assert ok and margin == pytest.approx(-1.0)
-    ok, margin = is_neg_semidef(np.eye(2), tol=0.0)
+    ok, margin = is_neg_semidef(np.eye(2))
     assert not ok and margin == pytest.approx(1.0)
-    ok, margin = is_neg_semidef(np.array([[0.0, 1.0], [1.0, 0.0]]), tol=0.0)
+    ok, margin = is_neg_semidef(np.array([[0.0, 1.0], [1.0, 0.0]]))
     assert not ok and margin == pytest.approx(1.0)
 
 
@@ -118,11 +118,11 @@ def test_is_neg_semidef_is_scale_free(scale):
 
 
 def test_is_pos_def_examples():
-    ok, margin = is_pos_def(np.eye(2), tol=1e-9)
+    ok, margin = is_pos_def(np.eye(2))
     assert ok and margin == pytest.approx(1.0)
-    ok, margin = is_pos_def(np.diag([1.0, 0.0]), tol=1e-9)
+    ok, margin = is_pos_def(np.diag([1.0, 0.0]))
     assert not ok and margin == pytest.approx(0.0, abs=1e-12)
-    ok, margin = is_pos_def(np.diag([3.0, 5.0]), tol=1e-9)
+    ok, margin = is_pos_def(np.diag([3.0, 5.0]))
     assert ok and margin == pytest.approx(3.0)
 
 
@@ -132,7 +132,7 @@ def test_definiteness_agreement_on_nonsingular(rng):
         s = symmetrize(rng.normal(size=(n, n)))
         if np.abs(np.linalg.eigvalsh(s)).min() < 1e-6:
             continue
-        nsd, _ = is_neg_semidef(s, tol=0.0)
-        pd, _ = is_pos_def(-s, tol=0.0)
+        nsd, _ = is_neg_semidef(s)
+        pd, _ = is_pos_def(-s)
         assert nsd == pd
 

@@ -4,16 +4,15 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from vrgrid.bank import VrBank, VrBranch, bank_values, cubic, linear
-from vrgrid.plant import (
-    GridParams,
+from conftest import (
     coupling_matrix,
     error_derivatives,
     feedforward_v0,
     nominal_params,
     open_loop_derivative,
-    system_matrix,
 )
+from vrgrid.bank import VrBank, VrBranch, VrElement, bank_values
+from vrgrid.plant import GridParams, system_matrix
 
 OMEGA_60HZ = 2.0 * math.pi * 60.0
 
@@ -124,7 +123,7 @@ def test_closed_loop_integration_matches_error_integration():
     """Integrate the raw plant under the control law and compare against the
     error-dynamics integrator, pointwise to 1e-8."""
     p = nominal_params()
-    bank = VrBank((VrBranch.of((linear(1.0), cubic(0.25))),))
+    bank = VrBank((VrBranch.of((VrElement("linear", 1.0), VrElement("cubic", 0.25))),))
     from vrgrid.sim import ConstantOffset, integrate
 
     dt = 1e-6

@@ -4,11 +4,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import passivity_ball
-from vrgrid.bank import VrBank, VrBranch, VrElement, cubic, linear, sinh_element, tanh_element
+from conftest import error_derivatives, nominal_params, passivity_ball, unchecked_element
+from vrgrid.bank import VrBank, VrBranch, VrElement
 from vrgrid.certify import search_certificate
 from vrgrid.persidskii import VerifyReport
-from vrgrid.plant import nominal_params, system_matrix
+from vrgrid.plant import system_matrix
 from vrgrid.sim import (
     ConstantOffset,
     RandomResistance,
@@ -23,8 +23,8 @@ from vrgrid.sim import (
 )
 
 SMOOTH_BANK = VrBank((
-    VrBranch.of((linear(1.0), cubic(0.25))),
-    VrBranch.of((sinh_element(0.5, 0.5),)),
+    VrBranch.of((VrElement("linear", 1.0), VrElement("cubic", 0.25))),
+    VrBranch.of((VrElement("sinh", 0.5, 0.5),)),
 ))
 
 
@@ -76,7 +76,8 @@ def test_rk4_convergence_order():
     out to roundoff.
     """
     p = nominal_params()
-    bank = VrBank((VrBranch.of((linear(0.5), cubic(0.002), sinh_element(0.2, 0.1))),))
+    elements = (VrElement("linear", 0.5), VrElement("cubic", 0.002), VrElement("sinh", 0.2, 0.1))
+    bank = VrBank((VrBranch.of(elements),))
     finals = []
     for dt in (4e-6, 2e-6, 1e-6):
         sc = ConstantOffset(t_end=1e-3, dt=dt, v_g_const=(50.0, 20.0))
@@ -183,7 +184,7 @@ def test_check_dissipation_zero_case(banks):
 
 def test_check_dissipation_scenario1_and_corruption(banks):
     p = nominal_params()
-    bank = VrBank((VrBranch.of((linear(1.0),)),))
+    bank = VrBank((VrBranch.of((VrElement("linear", 1.0),)),))
     result = search_certificate(p, bank)
     assert result.feasible
     sc = VoltagePulse(t_end=0.15, dt=1e-6)
@@ -228,7 +229,7 @@ def test_passivity_ball_negative_control(banks):
     """A negative resistance breaks x * r(x) >= 0 and leaves the ball a sector bank stays in."""
     p = nominal_params()
     sc = ConstantOffset(t_end=1e-3, dt=1e-6)
-    unstable = VrBank((VrBranch.of((VrElement._unchecked("linear", -3.0),)),))
+    unstable = VrBank((VrBranch.of((unchecked_element("linear", -3.0),)),))
     # zero disturbance: the ball's radius is |x0|, and a sector bank's peak is x0 itself
     assert passivity_ball(integrate(p, banks["linear"], sc, i_err0=(1e-3, 0.0))) == (1e-3, 1e-3)
     peak, radius = passivity_ball(integrate(p, unstable, sc, i_err0=(1e-3, 0.0)))
@@ -238,7 +239,7 @@ def test_passivity_ball_negative_control(banks):
 
 def test_simulation_abort_diagnostic():
     p = nominal_params()
-    unstable = VrBank((VrBranch.of((VrElement._unchecked("linear", -3.0),)),))
+    unstable = VrBank((VrBranch.of((unchecked_element("linear", -3.0),)),))
     sc = ConstantOffset(t_end=0.2, dt=1e-6)
     with pytest.raises(SimulationAbort) as err:
         integrate(p, unstable, sc, i_err0=(1.0, 0.0))
@@ -269,12 +270,10 @@ def test_linearity_superposition():
 
 def test_monotone_damping_pointwise(rng, banks):
     """Appending a sector element never increases d/dt |x|^2 at a fixed state."""
-    from vrgrid.plant import error_derivatives
-
     p = nominal_params()
     base = banks["hybrid"]
     extended = VrBank((
-        VrBranch.of(base.branches[0].elements_d + (tanh_element(4.0, 0.5),)),
+        VrBranch.of(base.branches[0].elements_d + (VrElement("tanh", 4.0, 0.5),)),
     ))
     xs = rng.uniform(-60.0, 60.0, (10_000, 2))
     ds = rng.uniform(-300.0, 300.0, (10_000, 2))
