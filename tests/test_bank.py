@@ -262,11 +262,21 @@ def test_bank_bounds_elements_per_axis():
         VrBank((VrBranch((one,), (one,) * 128), VrBranch((one,), (one,) * 129)))
 
 
-def test_bundled_scenarios_hold_the_same_banks():
-    """configs/scenario1 and configs/scenario2 bundle the same banks, name by name."""
-    scenario1 = bundled_banks("scenario1")
-    assert sorted(scenario1) == ["cubic", "hybrid", "linear", "multi_branch", "sinh"]
-    assert bundled_banks("scenario2") == scenario1
+@pytest.mark.parametrize("scenario", ["scenario1", "scenario2"])
+def test_default_banks_are_the_bundled_banks(scenario):
+    """configs/<scenario> bundles the repo-default gain choices, name by name."""
+    lin, cub = VrElement("linear", 1.0), VrElement("cubic", 0.25)
+    default_banks = {
+        "linear": VrBank((VrBranch.of((VrElement("linear", 2.0),)),)),
+        "cubic": VrBank((VrBranch.of((VrElement("cubic", 0.5),)),)),
+        "hybrid": VrBank((VrBranch.of((lin, cub)),)),
+        "sinh": VrBank((VrBranch.of((VrElement("sinh", 1.0, 1.0),)),)),
+        "multi_branch": VrBank((
+            VrBranch.of((lin, cub)),
+            VrBranch.of((VrElement("sinh", 0.5, 0.5), VrElement("tanh", 5.0, 0.2))),
+        )),
+    }
+    assert bundled_banks(scenario) == default_banks
 
 
 def test_config_roundtrip_and_fingerprint(banks):
