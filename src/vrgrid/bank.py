@@ -228,10 +228,6 @@ class VrBank:
     def to_config(self):
         return [b.to_config() for b in self.branches]
 
-    @classmethod
-    def from_config(cls, records):
-        return cls(tuple(VrBranch.from_config(r) for r in records))
-
 
 def _axis_sums(branch, pts, column):
     """Per-axis sums of ``column(e, x)`` over a branch's elements, on (N, 2) points."""

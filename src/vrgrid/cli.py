@@ -32,8 +32,7 @@ from .bank import SectorViolation, VrBank, VrBranch, bank_fingerprint, classify_
 from .certify import MAX_BRANCHES, CertificateError, iss_gain, search_certificate
 from .persidskii import IssCertificate
 from .plant import GridParams
-from .sim import (ConstantOffset, RandomResistance, Scenario, SimulationAbort, VoltagePulse,
-                  check_dissipation, compute_metrics, integrate)
+from .sim import SCENARIO_KINDS, Scenario, SimulationAbort, check_dissipation, compute_metrics, integrate
 
 SCHEMA_VERSION = 1
 
@@ -74,8 +73,12 @@ def _number(obj, path, key, strict_min=None):
     return value
 
 
-def _pair(obj, path, key, default):
-    value = obj.get(key, default)
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _pair(obj, path, key):
+    value = obj[key]
     if isinstance(value, (list, tuple)) and len(value) == 2:
         try:
             return json_number(value[0]), json_number(value[1])
@@ -89,12 +92,11 @@ def _parse_grid(section):
     l_g = _number(section, "grid", "l_g", strict_min=0.0)
     r_g = _number(section, "grid", "r_g", strict_min=0.0)
     freq = _number(section, "grid", "frequency_hz", strict_min=0.0)
-    v_g_ref = _pair(section, "grid", "v_g_ref", (392.0, 0.0))
-    i_ref = _pair(section, "grid", "i_ref", (10.0, 0.0))
+    # GridParams holds the defaults of the optional references
+    refs = {key: _pair(section, "grid", key) for key in ("v_g_ref", "i_ref") if key in section}
     # frequency is configured in Hz; the model consumes rad/s
     try:
-        return GridParams(r_g=r_g, l_g=l_g, omega_g=2.0 * math.pi * freq,
-                          v_g_ref=v_g_ref, i_ref=i_ref)
+        return GridParams(r_g=r_g, l_g=l_g, omega_g=2.0 * math.pi * freq, **refs)
     except ValueError as exc:
         raise ConfigError("grid", f"grid: {exc}") from exc
 
@@ -119,21 +121,16 @@ def _parse_bank(section):
     return bank
 
 
-SCENARIO_KINDS = {cls.kind: cls for cls in (VoltagePulse, RandomResistance, ConstantOffset)}
-
-
-def _scenario_value(section, key):
-    """``scenario.<key>`` read as its type; the scenario class checks its range."""
+def _scenario_value(section, key, field_type):
+    """``scenario.<key>`` read as its field's type; the scenario class checks its range."""
+    if field_type is float:
+        return _number(section, "scenario", key)
+    if field_type is tuple:
+        return _pair(section, "scenario", key)
     value = section[key]
-    if key == "seed":
-        if isinstance(value, bool) or not isinstance(value, int) or not 0 <= value < 2 ** 64:
-            raise ConfigError("scenario.seed", "scenario.seed must be an integer in [0, 2**64)")
-        return value
-    if key == "axis":
-        return value
-    if key == "v_g_const":
-        return _pair(section, "scenario", key, None)
-    return _number(section, "scenario", key)
+    if field_type is int and not _is_int(value):
+        raise ConfigError(f"scenario.{key}", f"scenario.{key} must be a JSON integer, got {value!r}")
+    return value
 
 
 def _parse_scenario(section):
@@ -142,10 +139,9 @@ def _parse_scenario(section):
     cls = SCENARIO_KINDS.get(kind) if isinstance(kind, str) else None
     if cls is None:
         raise ConfigError("scenario.kind", f"scenario.kind must be one of {', '.join(SCENARIO_KINDS)}; got {kind!r}")
-    keys = [f.name for f in fields(cls)]
     required = [f.name for f in fields(cls) if f.default is MISSING]
-    _check_keys(section, "scenario", required=["kind", *required], optional=keys)
-    values = {key: _scenario_value(section, key) for key in keys if key in section}
+    _check_keys(section, "scenario", required=["kind", *required], optional=[f.name for f in fields(cls)])
+    values = {f.name: _scenario_value(section, f.name, f.type) for f in fields(cls) if f.name in section}
     try:
         return cls(**values)
     except ValueError as exc:
@@ -178,7 +174,7 @@ def _parse_output(section):
     if not isinstance(directory, str) or not directory:
         raise ConfigError("output.directory", "output.directory must be a non-empty string")
     decimation = section.get("decimation", 10)
-    if isinstance(decimation, bool) or not isinstance(decimation, int) or decimation < 1:
+    if not _is_int(decimation) or decimation < 1:
         raise ConfigError("output.decimation", f"output.decimation must be an integer >= 1, got {decimation!r}")
     return OutputSettings(directory=directory, decimation=decimation)
 
@@ -207,7 +203,7 @@ def load_config(path):
 
     _check_keys(doc, "", required=("schema_version", "grid", "bank", "scenario"),
                 optional=("name", "certify", "output"))
-    if doc["schema_version"] != SCHEMA_VERSION:
+    if not _is_int(doc["schema_version"]) or doc["schema_version"] != SCHEMA_VERSION:
         raise ConfigError("schema_version", f"unsupported schema_version {doc['schema_version']!r}; expected {SCHEMA_VERSION}")
     name = doc.get("name", path.stem)
     if not isinstance(name, str) or not name:
@@ -336,21 +332,35 @@ def certificate_payload(cert, bank):
 
 
 def load_certificate(path, bank):
-    """Read a certificate JSON back; refuses a bank/certificate mismatch."""
+    """Read a certificate JSON back for ``bank``; refuses another bank's
+    certificate (checked first) or a malformed one with ValueError."""
     doc = json.loads(Path(path).read_text())
+    if not isinstance(doc, dict):
+        raise ValueError("certificate must be a JSON object")
     if doc.get("bank_fingerprint") != bank_fingerprint(bank):
         raise ValueError("certificate fingerprint does not match the supplied bank")
-    m = int(doc["branch_count"])
-    ups = np.zeros((m + 1, m + 1, 2))
-    for rec in doc["upsilon_diag"]:
-        ups[int(rec["s"]), int(rec["l"])] = rec["diag"]
-    return IssCertificate(
-        p_mat=np.array(doc["p"], dtype=float),
-        lam=np.array(doc["lambda_diag"], dtype=float).reshape(m, 2),
-        omega=np.array(doc["omega_diag"], dtype=float),
-        phi=np.array(doc["phi"], dtype=float),
-        upsilon=ups,
-    )
+    try:
+        m = doc["branch_count"]
+        if not _is_int(m) or m != bank.branch_count:
+            raise ValueError(f"certificate branch_count must be the bank's {bank.branch_count}, got {m!r}")
+        ups = np.zeros((m + 1, m + 1, 2))
+        seen = set()
+        for rec in doc["upsilon_diag"]:
+            s, l = rec["s"], rec["l"]
+            if not (_is_int(s) and _is_int(l) and 0 <= s < l <= m) or (s, l) in seen:
+                raise ValueError(f"certificate upsilon_diag (s, l) = ({s!r}, {l!r}) is not a new pair "
+                                 f"of integers with 0 <= s < l <= {m}")
+            seen.add((s, l))
+            ups[s, l] = rec["diag"]
+        return IssCertificate(
+            p_mat=np.array(doc["p"], dtype=float),
+            lam=np.array(doc["lambda_diag"], dtype=float).reshape(m, 2),
+            omega=np.array(doc["omega_diag"], dtype=float),
+            phi=np.array(doc["phi"], dtype=float),
+            upsilon=ups,
+        )
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"certificate is malformed: {type(exc).__name__}: {exc}") from exc
 
 
 def _emit_error(exit_code, kind, field, message):
@@ -371,7 +381,7 @@ def _apply_overrides(cfg, args):
         if decimation < 1:
             raise ConfigError("output.decimation", f"--decimation must be >= 1, got {decimation}")
         cfg = replace(cfg, output=replace(cfg.output, decimation=decimation))
-    if getattr(args, "seed", None) is not None and isinstance(cfg.scenario, RandomResistance):
+    if getattr(args, "seed", None) is not None and hasattr(cfg.scenario, "seed"):
         try:
             cfg = replace(cfg, scenario=replace(cfg.scenario, seed=args.seed))
         except ValueError as exc:
@@ -493,6 +503,8 @@ COMPARE_OUTPUTS = ("comparison.csv", "comparison.txt")
 
 
 def cmd_compare(args):
+    if args.out is None:
+        raise ConfigError("output.directory", "compare needs --out DIR, the root of its run directories")
     directory = Path(args.dir)
     paths = sorted(directory.glob("*.json"))
     if not paths:
@@ -510,7 +522,7 @@ def cmd_compare(args):
             raise ConfigError("name", f"name {cfg.name!r} is the name of a comparison file")
         names.add(cfg.name)
 
-    out_root = Path(configs[0].output.directory)  # --out, applied by _apply_overrides
+    out_root = Path(args.out)
     rows = []
     for cfg in configs:
         run_dir = out_root / cfg.name
@@ -548,7 +560,7 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    seed_help = "override the random_resistance scenario seed"
+    seed_help = "override the seed of a scenario that has one"
 
     sp = sub.add_parser("simulate", help="run one scenario config")
     sp.add_argument("config")
@@ -565,7 +577,7 @@ def build_parser():
     sp = sub.add_parser("compare", help="run every config in a directory, emit a metric table")
     sp.add_argument("dir")
     sp.add_argument("--decimation", type=int)
-    sp.add_argument("--out", help="override the output directory")
+    sp.add_argument("--out", help="output directory (required)")
     sp.add_argument("--seed", type=int, help=seed_help)
     sp.set_defaults(func=cmd_compare)
     return parser

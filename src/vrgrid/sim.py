@@ -50,7 +50,9 @@ class Scenario:
     """A disturbance scenario on a fixed time grid of ``t_end / dt`` steps.
 
     Each scenario kind is a subclass: its class attribute ``kind`` names it
-    in a config, and its fields, with their defaults, are the config keys.
+    in a config, its fields, with their defaults, are the config keys, and
+    its ``fill(p, rg, vg)`` writes its disturbance into the arrays that
+    ``disturbance_profile`` allocates.
     """
 
     t_end: float
@@ -94,6 +96,13 @@ class VoltagePulse(Scenario):
         """(start, end) of the disturbance interval used by the metrics."""
         return self.t_on, self.t_off
 
+    def fill(self, p, rg, vg):
+        n = self.n_steps
+        i_on = _snap(self.t_on, self.dt, n)
+        i_off = _snap(self.t_off, self.dt, n)
+        axis = 0 if self.axis == "d" else 1
+        vg[i_on:i_off, axis] = self.amplitude_fraction * float(p.v_g_ref[axis])
+
 
 @dataclass(frozen=True, kw_only=True)
 class RandomResistance(Scenario):
@@ -118,12 +127,25 @@ class RandomResistance(Scenario):
             raise ValueError("resistance window must satisfy 0 <= t_start < t_stop <= t_end")
         if self.resample_period <= 0.0:
             raise ValueError("resample_period must be > 0")
-        if not 0 <= int(self.seed) < 2 ** 64:
-            raise ValueError("seed must fit in 64 bits")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int) or not 0 <= self.seed < 2 ** 64:
+            raise ValueError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
 
     def disturbance_window(self):
         """(start, end) of the disturbance interval used by the metrics."""
         return self.t_start, self.t_stop
+
+    def fill(self, p, rg, vg):
+        n = self.n_steps
+        i0 = _snap(self.t_start, self.dt, n)
+        i1 = _snap(self.t_stop, self.dt, n)
+        # any period of at least t_end is one interval; the min keeps the ratio finite
+        steps_per = max(1, int(round(min(self.resample_period, self.t_end) / self.dt)))
+        n_int = (i1 - i0 + steps_per - 1) // steps_per
+        if n_int > 0:
+            u = splitmix64_uniform(self.seed, n_int)
+            values = (self.lo_fraction + (self.hi_fraction - self.lo_fraction) * u) * p.r_g
+            interval = np.arange(i1 - i0) // steps_per
+            rg[i0:i1] = values[interval]
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -136,6 +158,12 @@ class ConstantOffset(Scenario):
     def disturbance_window(self):
         """The offset has no window: the metrics cover the whole horizon."""
         return 0.0, 0.0
+
+    def fill(self, p, rg, vg):
+        vg[:] = np.asarray(self.v_g_const, dtype=float)
+
+
+SCENARIO_KINDS = {cls.kind: cls for cls in (VoltagePulse, RandomResistance, ConstantOffset)}
 
 
 def splitmix64_uniform(seed, count):
@@ -168,26 +196,7 @@ def disturbance_profile(p, sc):
     times = np.arange(n + 1) * sc.dt
     rg = np.full(n + 1, p.r_g)
     vg = np.zeros((n + 1, 2))
-
-    if isinstance(sc, VoltagePulse):
-        i_on = _snap(sc.t_on, sc.dt, n)
-        i_off = _snap(sc.t_off, sc.dt, n)
-        axis = 0 if sc.axis == "d" else 1
-        vg[i_on:i_off, axis] = sc.amplitude_fraction * float(p.v_g_ref[axis])
-    elif isinstance(sc, RandomResistance):
-        i0 = _snap(sc.t_start, sc.dt, n)
-        i1 = _snap(sc.t_stop, sc.dt, n)
-        # any period of at least t_end is one interval; the min keeps the ratio finite
-        steps_per = max(1, int(round(min(sc.resample_period, sc.t_end) / sc.dt)))
-        n_int = (i1 - i0 + steps_per - 1) // steps_per
-        if n_int > 0:
-            u = splitmix64_uniform(sc.seed, n_int)
-            values = (sc.lo_fraction + (sc.hi_fraction - sc.lo_fraction) * u) * p.r_g
-            interval = np.arange(i1 - i0) // steps_per
-            rg[i0:i1] = values[interval]
-    else:
-        vg[:] = np.asarray(sc.v_g_const, dtype=float)
-
+    sc.fill(p, rg, vg)
     return times, rg, vg
 
 

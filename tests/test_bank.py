@@ -281,7 +281,7 @@ def test_default_banks_are_the_bundled_banks(scenario):
 
 def test_config_roundtrip_and_fingerprint(banks):
     for bank in banks.values():
-        again = VrBank.from_config(bank.to_config())
+        again = VrBank(tuple(VrBranch.from_config(r) for r in bank.to_config()))
         assert again == bank
         assert bank_fingerprint(again) == bank_fingerprint(bank)
     a = bank_fingerprint(banks["linear"])

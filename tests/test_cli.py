@@ -2,12 +2,14 @@ import json
 import re
 import subprocess
 import sys
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import CONFIG_DIR
+from vrgrid.sim import SCENARIO_KINDS
 
 
 def run_cli(*args, env=None):
@@ -131,6 +133,29 @@ def test_seed_override_validated(tmp_path):
     assert res.returncode == 2, res.stderr
     assert json.loads(res.stdout.splitlines()[0])["error"]["field"] == "seed"
     assert "Traceback" not in res.stderr
+
+
+def test_scenario_fields_have_config_types():
+    """The CLI reads each scenario key by its field's annotation, so each must
+    be one of the four types it reads. A string annotation, as a
+    ``from __future__ import annotations`` in ``vrgrid.sim`` makes, fails."""
+    for cls in SCENARIO_KINDS.values():
+        for f in fields(cls):
+            assert f.type in (float, int, str, tuple), (cls.__name__, f.name, f.type)
+
+
+REQUIRED_SCENARIO_VALUES = {"t_end": 1.0, "dt": 1e-4, "seed": 5}
+
+
+@pytest.mark.parametrize("kind", sorted(SCENARIO_KINDS))
+def test_scenario_of_required_keys_loads_the_class_defaults(tmp_path, kind):
+    """``kind`` plus the required keys loads to the class's own defaults: the CLI adds none."""
+    from vrgrid.cli import load_config
+
+    cls = SCENARIO_KINDS[kind]
+    required = {f.name: REQUIRED_SCENARIO_VALUES[f.name] for f in fields(cls) if f.default is MISSING}
+    cfg = load_config(write_config(tmp_path / "cfg.json", small_config(scenario={"kind": kind, **required})))
+    assert cfg.scenario == cls(**required)
 
 
 @pytest.mark.parametrize("decimation", ["0", "-5"])
@@ -294,7 +319,17 @@ def _replace(section, value):
     # output.formats is no longer a key: refused as unknown, whatever it lists
     pytest.param(_replace("output", {"formats": ["csv"]}), "output.formats", id="formats-csv-only"),
     pytest.param(_replace("output", {"formats": ["csv", "json"]}), "output.formats", id="formats-csv-json"),
+    # true and 1.0 equal 1 in Python, but are not the JSON integer 1
+    pytest.param(_replace("schema_version", True), "schema_version", id="schema_version-true"),
+    pytest.param(_replace("schema_version", 1.0), "schema_version", id="schema_version-1.0"),
     pytest.param(_set("scenario", "kind", "mystery"), "scenario.kind", id="kind-mystery"),
+    pytest.param(_replace("scenario", {"kind": "random_resistance", "t_end": 0.01, "dt": 1e-5, "seed": 1.5}),
+                 "scenario.seed", id="seed-1.5"),
+    pytest.param(_replace("scenario", {"kind": "random_resistance", "t_end": 0.01, "dt": 1e-5, "seed": True}),
+                 "scenario.seed", id="seed-bool"),
+    # in range is the class's check, so the field is the section, as for any range error
+    pytest.param(_replace("scenario", {"kind": "random_resistance", "t_end": 0.01, "dt": 1e-5, "seed": 2 ** 64}),
+                 "scenario", id="seed-2**64"),
     # t_end / dt = 0.4 rounds to zero steps
     pytest.param(_replace("scenario", {"kind": "custom", "t_end": 4e-7, "dt": 1e-6}), "scenario",
                  id="custom-under-half-step"),
@@ -494,6 +529,47 @@ def test_certificate_roundtrip_and_fingerprint_guard(tmp_path):
         load_certificate(out / "certificate.json", other)
 
 
+def _upsilon_record(**changes):
+    return lambda doc: {**doc, "upsilon_diag": [{**doc["upsilon_diag"][0], **changes}]}
+
+
+@pytest.mark.parametrize("mutate", [
+    pytest.param(_upsilon_record(s=-2), id="s=-2"),
+    pytest.param(_upsilon_record(l=-1), id="l=-1"),
+    pytest.param(_upsilon_record(l=5), id="l=5"),
+    pytest.param(_upsilon_record(s=1), id="s=l"),
+    pytest.param(_upsilon_record(s=False), id="s-bool"),
+    pytest.param(_upsilon_record(l=1.0), id="l-float"),
+    pytest.param(lambda doc: {**doc, "branch_count": 1.7}, id="branch_count-1.7"),
+    pytest.param(lambda doc: {**doc, "branch_count": 2}, id="branch_count-2"),
+    pytest.param(lambda doc: {**doc, "upsilon_diag": doc["upsilon_diag"] * 2}, id="duplicate-pair"),
+    pytest.param(lambda doc: {**doc, "upsilon_diag": [[0, 1]]}, id="record-list"),
+    pytest.param(lambda doc: {k: v for k, v in doc.items() if k != "phi"}, id="missing-phi"),
+    pytest.param(lambda doc: [doc], id="list-document"),
+])
+def test_load_certificate_refuses_malformed(tmp_path, capsys, mutate):
+    """A malformed certificate raises ValueError, not a raw KeyError, TypeError,
+    AttributeError or IndexError, and does not load with a wrapped, truncated
+    or overwritten index. A wrong fingerprint is still the first refusal."""
+    from vrgrid.bank import VrBank, VrBranch, VrElement
+    from vrgrid.cli import load_certificate, main
+
+    assert main(["certify", str(CONFIG_DIR / "certify_m1_linear.json"), "--out", str(tmp_path / "m1")]) == 0
+    capsys.readouterr()
+    bank = VrBank((VrBranch.of((VrElement("linear", 1.0),)),))
+    good = tmp_path / "m1" / "certificate.json"
+    load_certificate(good, bank)
+    bad = mutate(json.loads(good.read_text()))
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(bad))
+    with pytest.raises(ValueError, match="certificate"):
+        load_certificate(path, bank)
+    if isinstance(bad, dict):
+        path.write_text(json.dumps({**bad, "bank_fingerprint": "0" * 64}))
+        with pytest.raises(ValueError, match="fingerprint"):
+            load_certificate(path, bank)
+
+
 def test_certify_and_simulate_write_the_same_certificate(tmp_path, capsys):
     from vrgrid.cli import main
 
@@ -527,6 +603,18 @@ def test_compare_table(tmp_path):
     assert len(rows) == 4
     text = (out / "comparison.txt").read_text()
     assert text.splitlines()[0].split() == ["vr_law", "settling_time_ms", "rms_err_d_a", "rms_err_q_a"]
+
+
+def test_compare_requires_out(tmp_path, capsys, monkeypatch):
+    """Without --out, compare used to nest every run under the first config's
+    output.directory; now it exits 2 before anything is written."""
+    from vrgrid.cli import main
+
+    monkeypatch.chdir(tmp_path)
+    d = _tiny_compare_dir(tmp_path)
+    assert main(["compare", str(d)]) == 2
+    assert json.loads(capsys.readouterr().out.splitlines()[0])["error"]["field"] == "output.directory"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfgs"]
 
 
 def test_compare_single_config(tmp_path):
@@ -726,7 +814,7 @@ def test_readme_cli_synopsis_matches_parser():
     for line in block.splitlines():
         prog, command, *_ = line.split()
         assert prog == "vrgrid", line
-        documented[command] = sorted(re.findall(r"\[(--[\w-]+)", line))
+        documented[command] = sorted(re.findall(r"--[\w-]+", line))
     subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     defined = {
         command: sorted(o for a in parser._actions for o in a.option_strings if o not in ("-h", "--help"))

@@ -49,6 +49,13 @@ def test_scenario_validation():
         VoltagePulse(t_end=4e-7, dt=1e-6, t_on=0.0, t_off=4e-7)
 
 
+@pytest.mark.parametrize("seed", [1.5, True, -1, 2 ** 64])
+def test_random_resistance_seed_is_a_u64_int(seed):
+    """A float or bool seed used to run as int(seed); each is refused like an out-of-range one."""
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        RandomResistance(t_end=1.0, dt=1e-6, seed=seed)
+
+
 def test_zero_disturbance_zero_state_is_identically_zero(banks):
     p = nominal_params()
     sc = ConstantOffset(t_end=2e-3, dt=1e-6)

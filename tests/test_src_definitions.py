@@ -2,8 +2,9 @@
 
 A use is a whole-word occurrence of the name in a module of ``src/vrgrid``
 (its own included), ``README.md``, ``perfbench/*.py`` or ``pyproject.toml``.
-Re-exports in ``vrgrid/__init__.py`` do not count, so a helper that only
-tests call fails here; such helpers live in ``tests/conftest.py``.
+A helper that only tests call fails here; such helpers live in
+``tests/conftest.py``. ``vrgrid/__init__.py`` binds only ``__version__``, so
+each name has one import path: its submodule.
 """
 
 import ast
@@ -35,3 +36,11 @@ def test_every_src_definition_has_a_use():
             if not word.search(elsewhere) and not any(word.search(text) for text in others):
                 unused.append(f"{path.name}:{name}")
     assert not unused, f"no use outside the definition: {', '.join(unused)}"
+
+
+def test_package_binds_only_version():
+    """``vrgrid/__init__.py`` is its docstring and ``__version__``: no re-export."""
+    tree = ast.parse((SRC / "__init__.py").read_text())
+    body = tree.body[1:] if ast.get_docstring(tree) is not None else tree.body
+    assert len(body) == 1 and isinstance(body[0], ast.Assign), [ast.unparse(node) for node in body]
+    assert [ast.unparse(target) for target in body[0].targets] == ["__version__"]
