@@ -20,7 +20,7 @@ import math
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import MISSING, dataclass, fields, replace
+from dataclasses import MISSING, dataclass, fields
 from itertools import chain, repeat
 from pathlib import Path
 
@@ -63,14 +63,11 @@ def _check_keys(obj, path, required, optional=()):
             raise ConfigError(f"{path}.{key}" if path else key, f"missing required key {key!r} in {path or 'config'}")
 
 
-def _number(obj, path, key, strict_min=None):
+def _number(obj, path, key):
     try:
-        value = json_number(obj[key])
+        return json_number(obj[key])
     except ValueError:
         raise ConfigError(f"{path}.{key}", f"{path}.{key} must be a finite number") from None
-    if strict_min is not None and value <= strict_min:
-        raise ConfigError(f"{path}.{key}", f"{path}.{key} must be > {strict_min}, got {value}")
-    return value
 
 
 def _is_int(value):
@@ -89,12 +86,10 @@ def _pair(obj, path, key):
 
 def _parse_grid(section):
     _check_keys(section, "grid", required=("l_g", "r_g", "frequency_hz"), optional=("v_g_ref", "i_ref"))
-    l_g = _number(section, "grid", "l_g", strict_min=0.0)
-    r_g = _number(section, "grid", "r_g", strict_min=0.0)
-    freq = _number(section, "grid", "frequency_hz", strict_min=0.0)
+    l_g, r_g, freq = (_number(section, "grid", key) for key in ("l_g", "r_g", "frequency_hz"))
     # GridParams holds the defaults of the optional references
     refs = {key: _pair(section, "grid", key) for key in ("v_g_ref", "i_ref") if key in section}
-    # frequency is configured in Hz; the model consumes rad/s
+    # frequency is configured in Hz; the model consumes rad/s. GridParams checks the range
     try:
         return GridParams(r_g=r_g, l_g=l_g, omega_g=2.0 * math.pi * freq, **refs)
     except ValueError as exc:
@@ -190,14 +185,27 @@ class RunConfig:
     config_sha256: str
 
 
-def load_config(path):
+def _unique_keys(pairs):
+    """``object_pairs_hook`` of the JSON readers: a key repeated in one object is refused."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"key {key!r} is repeated in one object")
+        obj[key] = value
+    return obj
+
+
+def load_config(path, overrides=()):
+    """Parse and check the config at ``path``. ``overrides`` maps ``"section.key"`` to a
+    value, as the flags do; it is written into the document before any section is read,
+    so it meets the rules and error fields of that key in the file (not its sha256)."""
     path = Path(path)
     try:
         raw = path.read_bytes()
     except OSError as exc:
         raise ConfigError("", f"cannot read config {path}: {exc}") from exc
     try:
-        doc = json.loads(raw.decode("utf-8"))
+        doc = json.loads(raw.decode("utf-8"), object_pairs_hook=_unique_keys)
     except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, over-long ints, deep nesting
         raise ConfigError("", f"config {path} is not valid JSON: {exc}") from exc
 
@@ -210,6 +218,10 @@ def load_config(path):
         raise ConfigError("name", "name must be a non-empty string")
     if name in (".", "..") or any(ch in name for ch in "/\\\0"):
         raise ConfigError("name", f"name must be a single path component, got {name!r}")
+    for dotted, value in dict(overrides).items():
+        section, key = dotted.split(".")
+        _expect_mapping(doc.setdefault(section, {}), section)
+        doc[section][key] = value
 
     grid = _parse_grid(doc["grid"])
     bank = _parse_bank(doc["bank"])
@@ -334,7 +346,7 @@ def certificate_payload(cert, bank):
 def load_certificate(path, bank):
     """Read a certificate JSON back for ``bank``; refuses another bank's
     certificate (checked first) or a malformed one with ValueError."""
-    doc = json.loads(Path(path).read_text())
+    doc = json.loads(Path(path).read_text(), object_pairs_hook=_unique_keys)
     if not isinstance(doc, dict):
         raise ValueError("certificate must be a JSON object")
     if doc.get("bank_fingerprint") != bank_fingerprint(bank):
@@ -370,23 +382,9 @@ def _emit_error(exit_code, kind, field, message):
     return exit_code
 
 
-def _apply_overrides(cfg, args):
-    out = getattr(args, "out", None)
-    if out is not None:
-        if not out:
-            raise ConfigError("output.directory", "--out must be a non-empty path")
-        cfg = replace(cfg, output=replace(cfg.output, directory=out))
-    decimation = getattr(args, "decimation", None)
-    if decimation is not None:
-        if decimation < 1:
-            raise ConfigError("output.decimation", f"--decimation must be >= 1, got {decimation}")
-        cfg = replace(cfg, output=replace(cfg.output, decimation=decimation))
-    if getattr(args, "seed", None) is not None and hasattr(cfg.scenario, "seed"):
-        try:
-            cfg = replace(cfg, scenario=replace(cfg.scenario, seed=args.seed))
-        except ValueError as exc:
-            raise ConfigError("seed", f"--seed: {exc}") from exc
-    return cfg
+def _overrides(args):
+    """The config values given as flags: each option's dest is the ``section.key`` it sets."""
+    return {dest: value for dest, value in vars(args).items() if "." in dest and value is not None}
 
 
 def _certify(cfg):
@@ -455,7 +453,7 @@ def _write_run(run_dir, cfg, traj, metrics_doc, cert_json=None):
 
 
 def cmd_simulate(args):
-    cfg = _apply_overrides(load_config(args.config), args)
+    cfg = load_config(args.config, _overrides(args))
     cert, cert_json = _certify(cfg) if cfg.certify else (None, None)
     try:
         traj, metrics, metrics_doc = _run(cfg, cert)
@@ -469,7 +467,7 @@ def cmd_simulate(args):
 
 
 def cmd_certify(args):
-    cfg = _apply_overrides(load_config(args.config), args)
+    cfg = load_config(args.config, _overrides(args))
     if not cfg.certify:
         raise ConfigError("certify.enabled", "certify.enabled must be true for the certify command")
     cert, cert_json = _certify(cfg)
@@ -503,14 +501,15 @@ COMPARE_OUTPUTS = ("comparison.csv", "comparison.txt")
 
 
 def cmd_compare(args):
-    if args.out is None:
+    overrides = _overrides(args)
+    if "output.directory" not in overrides:
         raise ConfigError("output.directory", "compare needs --out DIR, the root of its run directories")
     directory = Path(args.dir)
     paths = sorted(directory.glob("*.json"))
     if not paths:
         raise ConfigError("", f"no config files found in {directory}")
 
-    configs = [_apply_overrides(load_config(path), args) for path in paths]
+    configs = [load_config(path, overrides) for path in paths]
     names = set()
     for cfg in configs:
         if cfg.scenario != configs[0].scenario:
@@ -522,7 +521,7 @@ def cmd_compare(args):
             raise ConfigError("name", f"name {cfg.name!r} is the name of a comparison file")
         names.add(cfg.name)
 
-    out_root = Path(args.out)
+    out_root = Path(configs[0].output.directory)
     rows = []
     for cfg in configs:
         run_dir = out_root / cfg.name
@@ -551,41 +550,45 @@ def cmd_compare(args):
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a command-line error as a ConfigError on the config key of the option it names, if any."""
+
+    def error(self, message):
+        action = self._option_string_actions.get(message.partition(":")[0].removeprefix("argument "))
+        raise ConfigError(action.dest if action else "", message)
+
+
 @functools.cache
 def build_parser():
-    """The argparse parser, built once per process (``main`` runs it per command)."""
-    parser = argparse.ArgumentParser(
+    """The argparse parser, built once per process (``main`` runs it per command).
+    Each option's dest is the config key it sets, read by ``load_config`` as in the file."""
+    parser = _Parser(
         prog="vrgrid",
         description="Virtual-resistance inverter control: simulate, certify, compare.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    seed_help = "override the seed of a scenario that has one"
-
-    sp = sub.add_parser("simulate", help="run one scenario config")
-    sp.add_argument("config")
-    sp.add_argument("--decimation", type=int, help="trajectory CSV decimation factor")
-    sp.add_argument("--out", help="override the output directory")
-    sp.add_argument("--seed", type=int, help=seed_help)
-    sp.set_defaults(func=cmd_simulate)
-
-    sp = sub.add_parser("certify", help="build and verify a stability certificate")
-    sp.add_argument("config")
-    sp.add_argument("--out", help="override the output directory")
-    sp.set_defaults(func=cmd_certify)
-
-    sp = sub.add_parser("compare", help="run every config in a directory, emit a metric table")
-    sp.add_argument("dir")
-    sp.add_argument("--decimation", type=int)
-    sp.add_argument("--out", help="output directory (required)")
-    sp.add_argument("--seed", type=int, help=seed_help)
-    sp.set_defaults(func=cmd_compare)
+    flags = {
+        "--decimation": dict(dest="output.decimation", metavar="N", type=int, help="trajectory CSV decimation factor"),
+        "--out": dict(dest="output.directory", metavar="DIR", help="override the output directory"),
+        "--seed": dict(dest="scenario.seed", metavar="U64", type=int, help="override the scenario's seed"),
+    }
+    for command, func, operand, options, text in (
+        ("simulate", cmd_simulate, "config", ("--decimation", "--out", "--seed"), "run one scenario config"),
+        ("certify", cmd_certify, "config", ("--out",), "build and verify a stability certificate"),
+        ("compare", cmd_compare, "dir", ("--decimation", "--out", "--seed"),
+         "run every config in a directory into --out DIR (required), emit a metric table"),
+    ):
+        sp = sub.add_parser(command, help=text)
+        sp.add_argument(operand)
+        for option in options:
+            sp.add_argument(option, **flags[option])
+        sp.set_defaults(func=func)
     return parser
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except ConfigError as exc:
         return _emit_error(2, "config", exc.field, str(exc))

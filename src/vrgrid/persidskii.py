@@ -77,6 +77,8 @@ class IssCertificate:
     def __post_init__(self):
         p_mat = linalg.symmetrize(self.p_mat)
         phi = linalg.symmetrize(self.phi)
+        if p_mat.shape != (2, 2) or phi.shape != (2, 2):
+            raise ValueError(f"certificate p_mat and phi must be 2x2, got {p_mat.shape} and {phi.shape}")
         lam = np.asarray(self.lam, dtype=float).reshape(-1, 2)
         omega = np.asarray(self.omega, dtype=float)
         if omega.ndim != 2 or omega.shape[1] != 2:

@@ -61,12 +61,14 @@ def test_simulate_bundled_scenario1(tmp_path):
 
 
 def test_simulate_rejects_negative_resistance(tmp_path):
+    """The range is GridParams' rule, so the field is the section, as for any range error."""
     cfg = small_config(grid={"l_g": 3.67e-4, "r_g": -1.0, "frequency_hz": 60.0})
     path = write_config(tmp_path / "bad.json", cfg)
     res = run_cli("simulate", str(path), "--out", str(tmp_path / "o"))
     assert res.returncode == 2
     err = json.loads(res.stdout.splitlines()[0])["error"]
-    assert err["field"] == "grid.r_g"
+    assert err["field"] == "grid"
+    assert "r_g must be a finite positive number" in err["message"]
 
 
 def test_simulate_rerun_is_byte_identical(tmp_path):
@@ -123,16 +125,116 @@ def test_config_name_must_stay_inside_out_dir(tmp_path):
     assert set(tmp_path.rglob("*")) == before
 
 
+RANDOM_RESISTANCE = {"kind": "random_resistance", "t_end": 0.01, "dt": 1e-5, "seed": 7,
+                     "t_start": 0.002, "t_stop": 0.008}
+
+
 def test_seed_override_validated(tmp_path):
-    doc = small_config(scenario={
-        "kind": "random_resistance", "t_end": 0.01, "dt": 1e-5, "seed": 7,
-        "t_start": 0.002, "t_stop": 0.008,
-    })
-    path = write_config(tmp_path / "rr.json", doc)
+    """--seed is scenario.seed, so an out-of-range seed is the scenario's range error."""
+    path = write_config(tmp_path / "rr.json", small_config(scenario=RANDOM_RESISTANCE))
     res = run_cli("simulate", str(path), "--seed", "-1", "--out", str(tmp_path / "o"))
     assert res.returncode == 2, res.stderr
-    assert json.loads(res.stdout.splitlines()[0])["error"]["field"] == "seed"
+    assert json.loads(res.stdout.splitlines()[0])["error"]["field"] == "scenario"
     assert "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize("scenario, option, section, key, value, field", [
+    pytest.param(None, "--out", "output", "directory", "", "output.directory", id="out-empty"),
+    pytest.param(None, "--decimation", "output", "decimation", 0, "output.decimation", id="decimation-0"),
+    pytest.param(RANDOM_RESISTANCE, "--seed", "scenario", "seed", -1, "scenario", id="seed-negative"),
+    pytest.param(None, "--seed", "scenario", "seed", 3, "scenario.seed", id="seed-on-voltage-pulse"),
+])
+def test_flag_and_file_give_the_same_error(tmp_path, capsys, scenario, option, section, key, value, field):
+    """A flag value is its config key: the same exit code, field and message as in the file."""
+    from vrgrid.cli import main
+
+    out = [] if option == "--out" else ["--out", str(tmp_path / "o")]
+    doc = small_config(scenario=scenario and dict(scenario))
+    flagged = write_config(tmp_path / "flag.json", doc)
+    doc.setdefault(section, {})[key] = value
+    in_file = write_config(tmp_path / "file.json", doc)
+    errors = []
+    for argv in (["simulate", str(flagged), option, str(value), *out], ["simulate", str(in_file), *out]):
+        assert main(argv) == 2
+        errors.append(json.loads(capsys.readouterr().out)["error"])
+    assert errors[0] == errors[1]
+    assert errors[0]["field"] == field
+    assert not (tmp_path / "o").exists()
+
+
+def _readme_schema():
+    """README's config schema example, with its // comments stripped."""
+    readme = (CONFIG_DIR.parent / "README.md").read_text()
+    block = re.search(r"## Config schema.*?```jsonc\n(.*?)```", readme, re.S).group(1)
+    return json.loads(re.sub(r"//.*", "", block))
+
+
+def test_every_flag_is_a_config_key():
+    """Each option but -h stores into a dest ``section.key`` of a config section, which
+    load_config reads as that key in the file: a flag cannot have a rule of its own."""
+    import argparse
+
+    from vrgrid.cli import build_parser
+
+    schema = _readme_schema()
+    subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    for command, parser in subparsers.choices.items():
+        for action in parser._actions:
+            if action.option_strings and not isinstance(action, argparse._HelpAction):
+                assert action.dest.count(".") == 1, (command, action.dest)
+                section = action.dest.split(".")[0]
+                assert isinstance(schema.get(section), dict), (command, action.dest)
+
+
+@pytest.mark.parametrize("argv, field", [
+    pytest.param(["simulate", "{cfg}", "--out", "{out}", "--decimation", "abc"], "output.decimation",
+                 id="decimation-abc"),
+    pytest.param(["simulate", "{cfg}", "--out", "{out}", "--seed", "1.5"], "scenario.seed", id="seed-1.5"),
+    pytest.param(["compare", "{dir}", "--out"], "output.directory", id="out-no-value"),
+    pytest.param(["simulate", "--out", "{out}"], "", id="missing-config"),
+    pytest.param([], "", id="missing-command"),
+    pytest.param(["simulate", "{cfg}", "--out", "{out}", "--bogus", "1"], "", id="unknown-option"),
+    pytest.param(["bogus", "{cfg}", "--out", "{out}"], "", id="unknown-command"),
+])
+def test_command_line_errors_exit2_as_json(tmp_path, capsys, argv, field):
+    """A bad command line exits 2 with a JSON error naming the option's config key,
+    and prints the one error line to stderr instead of argparse's usage text."""
+    from vrgrid.cli import main
+
+    paths = {"cfg": CONFIG_DIR / "certify_m1_linear.json", "dir": CONFIG_DIR / "scenario1", "out": tmp_path / "o"}
+    assert main([a.format(**paths) for a in argv]) == 2
+    captured = capsys.readouterr()
+    err = json.loads(captured.out)["error"]
+    assert (err["kind"], err["field"]) == ("config", field)
+    assert captured.err.splitlines() == [f"error [config] {field or '-'}: {err['message']}"]
+    assert not (tmp_path / "o").exists()
+
+
+def test_help_still_exits_0(capsys):
+    """-h is no error: it exits 0, and its options show a metavar instead of their dotted dest."""
+    from vrgrid.cli import main
+
+    with pytest.raises(SystemExit) as exit_:
+        main(["simulate", "-h"])
+    assert exit_.value.code == 0
+    assert "--decimation N" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("text", [
+    pytest.param('{"l_g": 0.000367, "r_g": -5, "frequency_hz": 60, "r_g": 0.0276}', id="bad-then-good"),
+    pytest.param('{"l_g": 0.000367, "r_g": 0.0276, "frequency_hz": 60, "r_g": -5}', id="good-then-bad"),
+])
+def test_repeated_config_key_exit2(tmp_path, capsys, text):
+    """A key repeated in one object is refused, whichever of its values comes last."""
+    from vrgrid.cli import main
+
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(small_config(grid="@@grid")).replace('"@@grid"', text))
+    assert main(["simulate", str(path), "--out", str(tmp_path / "o")]) == 2
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err["field"] == ""
+    assert "'r_g' is repeated" in err["message"]
+    assert not (tmp_path / "o").exists()
 
 
 def test_scenario_fields_have_config_types():
@@ -303,6 +405,10 @@ def _replace(section, value):
     pytest.param(_set("grid", "v_g_ref", [float("nan"), 0.0]), "grid.v_g_ref", id="v_g_ref-nan"),
     pytest.param(_set("grid", "i_ref", ["@@1e400", 0.0]), "grid.i_ref", id="i_ref-1e400"),
     pytest.param(_set("grid", "frequency_hz", 1e308), "grid", id="omega-overflows"),
+    # GridParams holds the range rule, so a non-positive value is a range error on the section
+    pytest.param(_set("grid", "frequency_hz", 0), "grid", id="frequency-0"),
+    pytest.param(_set("grid", "l_g", -1e-3), "grid", id="l_g-negative"),
+    pytest.param(_set("grid", "r_g", "1"), "grid.r_g", id="r_g-string"),
     pytest.param(_replace("bank", ["ab"]), "bank[0]", id="branch-string"),
     pytest.param(_replace("bank", [7]), "bank[0]", id="branch-int"),
     pytest.param(_replace("bank", [{"d": 3, "q": [{"kind": "linear", "k": 1.0}]}]), "bank[0]", id="axis-int"),
@@ -546,6 +652,8 @@ def _upsilon_record(**changes):
     pytest.param(lambda doc: {**doc, "upsilon_diag": [[0, 1]]}, id="record-list"),
     pytest.param(lambda doc: {k: v for k, v in doc.items() if k != "phi"}, id="missing-phi"),
     pytest.param(lambda doc: [doc], id="list-document"),
+    pytest.param(lambda doc: {**doc, "p": np.eye(3).tolist()}, id="p-3x3"),
+    pytest.param(lambda doc: {**doc, "phi": [[1.0]]}, id="phi-1x1"),
 ])
 def test_load_certificate_refuses_malformed(tmp_path, capsys, mutate):
     """A malformed certificate raises ValueError, not a raw KeyError, TypeError,
@@ -568,6 +676,20 @@ def test_load_certificate_refuses_malformed(tmp_path, capsys, mutate):
         path.write_text(json.dumps({**bad, "bank_fingerprint": "0" * 64}))
         with pytest.raises(ValueError, match="fingerprint"):
             load_certificate(path, bank)
+
+
+def test_load_certificate_refuses_repeated_key(tmp_path, capsys):
+    """A certificate that gives phi twice is refused, not read with its last phi."""
+    from vrgrid.bank import VrBank, VrBranch, VrElement
+    from vrgrid.cli import load_certificate, main
+
+    assert main(["certify", str(CONFIG_DIR / "certify_m1_linear.json"), "--out", str(tmp_path / "m1")]) == 0
+    capsys.readouterr()
+    text = (tmp_path / "m1" / "certificate.json").read_text()
+    path = tmp_path / "repeated.json"
+    path.write_text('{"phi": [[1.0, 0.0], [0.0, 1.0]], ' + text.strip()[1:])
+    with pytest.raises(ValueError, match="'phi' is repeated"):
+        load_certificate(path, VrBank((VrBranch.of((VrElement("linear", 1.0),)),)))
 
 
 def test_certify_and_simulate_write_the_same_certificate(tmp_path, capsys):
@@ -794,11 +916,7 @@ def test_readme_config_schema_loads(tmp_path):
     """README's schema example, with its // comments stripped, is a valid config."""
     from vrgrid.cli import load_config
 
-    readme = (CONFIG_DIR.parent / "README.md").read_text()
-    block = re.search(r"## Config schema.*?```jsonc\n(.*?)```", readme, re.S).group(1)
-    path = tmp_path / "schema.json"
-    path.write_text(re.sub(r"//.*", "", block))
-    cfg = load_config(path)
+    cfg = load_config(write_config(tmp_path / "schema.json", _readme_schema()))
     assert cfg.name == "multi_branch" and cfg.scenario.kind == "voltage_pulse"
 
 

@@ -1,4 +1,5 @@
-"""Fuzz of the config loader: any document yields a RunConfig or a ConfigError.
+"""Fuzz of the config loader: any document, with or without flag values
+written over its keys, yields a RunConfig or a ConfigError.
 
 Each example starts from a valid config and applies a few random edits
 (replace a value with garbage, delete a key or item, add one) at random
@@ -72,13 +73,19 @@ def mutated_configs(draw):
     return doc
 
 
+# the values the command-line flags can give, keyed by the config key each sets
+overrides = st.fixed_dictionaries({}, optional={
+    "output.directory": st.text(max_size=4), "output.decimation": st.integers(), "scenario.seed": st.integers(),
+})
+
+
 @settings(max_examples=200, deadline=None)
-@given(doc=mutated_configs())
-def test_load_config_returns_or_raises_config_error(doc):
+@given(doc=mutated_configs(), overrides=overrides)
+def test_load_config_returns_or_raises_config_error(doc, overrides):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "cfg.json"
         path.write_text(json.dumps(doc))
         try:
-            assert isinstance(load_config(path), RunConfig)
+            assert isinstance(load_config(path, overrides), RunConfig)
         except ConfigError:
             pass
