@@ -20,7 +20,7 @@ import math
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, fields
 from itertools import chain, repeat
 from pathlib import Path
 
@@ -84,18 +84,6 @@ def _pair(obj, path, key):
     raise ConfigError(f"{path}.{key}", f"{path}.{key} must be a [d, q] pair of finite numbers")
 
 
-def _parse_grid(section):
-    _check_keys(section, "grid", required=("l_g", "r_g", "frequency_hz"), optional=("v_g_ref", "i_ref"))
-    l_g, r_g, freq = (_number(section, "grid", key) for key in ("l_g", "r_g", "frequency_hz"))
-    # GridParams holds the defaults of the optional references
-    refs = {key: _pair(section, "grid", key) for key in ("v_g_ref", "i_ref") if key in section}
-    # frequency is configured in Hz; the model consumes rad/s. GridParams checks the range
-    try:
-        return GridParams(r_g=r_g, l_g=l_g, omega_g=2.0 * math.pi * freq, **refs)
-    except ValueError as exc:
-        raise ConfigError("grid", f"grid: {exc}") from exc
-
-
 def _parse_bank(section):
     if not isinstance(section, list):
         raise ConfigError("bank", "bank must be a list of branches")
@@ -104,28 +92,40 @@ def _parse_bank(section):
         try:
             branches.append(VrBranch.from_config(record))
         except ValueError as exc:
-            raise ConfigError(f"bank[{i}]", f"bank[{i}]: {exc}") from exc
+            raise ConfigError(f"bank[{i}]", str(exc)) from exc
     try:
         bank = VrBank(tuple(branches))
     except ValueError as exc:
-        raise ConfigError("bank", f"bank: {exc}") from exc
+        raise ConfigError("bank", str(exc)) from exc
     try:
         classify_bank(bank)
     except SectorViolation as exc:
-        raise ConfigError(f"bank[{exc.branch}]", f"bank[{exc.branch}]: {exc}") from exc
+        raise ConfigError(f"bank[{exc.branch}]", str(exc)) from exc
     return bank
 
 
-def _scenario_value(section, key, field_type):
-    """``scenario.<key>`` read as its field's type; the scenario class checks its range."""
+def _field_value(section, path, key, field_type):
+    """``<path>.<key>`` read as its field's type; the field's class checks its range."""
     if field_type is float:
-        return _number(section, "scenario", key)
+        return _number(section, path, key)
     if field_type is tuple:
-        return _pair(section, "scenario", key)
+        return _pair(section, path, key)
     value = section[key]
     if field_type is int and not _is_int(value):
-        raise ConfigError(f"scenario.{key}", f"scenario.{key} must be a JSON integer, got {value!r}")
+        raise ConfigError(f"{path}.{key}", f"{path}.{key} must be a JSON integer, got {value!r}")
     return value
+
+
+def _read_fields(section, path, cls, required=()):
+    """``cls`` from the keys of ``section``: its fields, each read by its type. Fields without a
+    default and the keys ``required`` must be given; a range error of ``cls`` is on ``path``."""
+    _check_keys(section, path, required=[*required, *(f.name for f in fields(cls) if f.default is MISSING)],
+                optional=[f.name for f in fields(cls)])
+    values = {f.name: _field_value(section, path, f.name, f.type) for f in fields(cls) if f.name in section}
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise ConfigError(path, str(exc)) from exc
 
 
 def _parse_scenario(section):
@@ -134,13 +134,7 @@ def _parse_scenario(section):
     cls = SCENARIO_KINDS.get(kind) if isinstance(kind, str) else None
     if cls is None:
         raise ConfigError("scenario.kind", f"scenario.kind must be one of {', '.join(SCENARIO_KINDS)}; got {kind!r}")
-    required = [f.name for f in fields(cls) if f.default is MISSING]
-    _check_keys(section, "scenario", required=["kind", *required], optional=[f.name for f in fields(cls)])
-    values = {f.name: _scenario_value(section, f.name, f.type) for f in fields(cls) if f.name in section}
-    try:
-        return cls(**values)
-    except ValueError as exc:
-        raise ConfigError("scenario", f"scenario: {exc}") from exc
+    return _read_fields(section, "scenario", cls, required=("kind",))
 
 
 def _parse_certify(section, bank):
@@ -152,7 +146,7 @@ def _parse_certify(section, bank):
     if section.get("mode", "rederived") != "rederived":
         raise ConfigError("certify.mode", "certify.mode must be 'rederived'")
     if enabled and bank.branch_count > MAX_BRANCHES:
-        raise ConfigError("bank", f"bank: certification supports at most {MAX_BRANCHES} branches, "
+        raise ConfigError("bank", f"certification supports at most {MAX_BRANCHES} branches, "
                                   f"bank has {bank.branch_count}")
     return enabled
 
@@ -195,6 +189,14 @@ def _unique_keys(pairs):
     return obj
 
 
+def _parse_json(raw, what):
+    """The UTF-8 JSON document ``raw``, no key repeated in one object; else a ConfigError on ``what``."""
+    try:
+        return json.loads(raw.decode("utf-8"), object_pairs_hook=_unique_keys)
+    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, over-long ints, deep nesting
+        raise ConfigError("", f"{what} is not valid JSON: {exc}") from exc
+
+
 def load_config(path, overrides=()):
     """Parse and check the config at ``path``. ``overrides`` maps ``"section.key"`` to a
     value, as the flags do; it is written into the document before any section is read,
@@ -204,10 +206,7 @@ def load_config(path, overrides=()):
         raw = path.read_bytes()
     except OSError as exc:
         raise ConfigError("", f"cannot read config {path}: {exc}") from exc
-    try:
-        doc = json.loads(raw.decode("utf-8"), object_pairs_hook=_unique_keys)
-    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, over-long ints, deep nesting
-        raise ConfigError("", f"config {path} is not valid JSON: {exc}") from exc
+    doc = _parse_json(raw, f"config {path}")
 
     _check_keys(doc, "", required=("schema_version", "grid", "bank", "scenario"),
                 optional=("name", "certify", "output"))
@@ -223,7 +222,7 @@ def load_config(path, overrides=()):
         _expect_mapping(doc.setdefault(section, {}), section)
         doc[section][key] = value
 
-    grid = _parse_grid(doc["grid"])
+    grid = _read_fields(doc["grid"], "grid", GridParams)
     bank = _parse_bank(doc["bank"])
     scenario = _parse_scenario(doc["scenario"])
     certify = _parse_certify(doc.get("certify", {}), bank)
@@ -263,7 +262,7 @@ def _atomic_open(path):
             tmp.unlink(missing_ok=True)
             raise
     except OSError as exc:
-        raise ConfigError("output.directory", f"output.directory: cannot write {path}: {exc}") from exc
+        raise ConfigError("output.directory", f"cannot write {path}: {exc}") from exc
 
 
 def _atomic_write(path, data):
@@ -346,7 +345,7 @@ def certificate_payload(cert, bank):
 def load_certificate(path, bank):
     """Read a certificate JSON back for ``bank``; refuses another bank's
     certificate (checked first) or a malformed one with ValueError."""
-    doc = json.loads(Path(path).read_text(), object_pairs_hook=_unique_keys)
+    doc = _parse_json(Path(path).read_bytes(), f"certificate {path}")
     if not isinstance(doc, dict):
         raise ValueError("certificate must be a JSON object")
     if doc.get("bank_fingerprint") != bank_fingerprint(bank):
@@ -398,7 +397,7 @@ def _certify(cfg):
     try:
         cert = search_certificate(cfg.grid, cfg.bank).certificate
     except CertificateError as exc:
-        raise ConfigError("grid", f"grid: {exc}") from exc
+        raise ConfigError("grid", str(exc)) from exc
     payload = certificate_payload(cert, cfg.bank)
     cert_json = _json_bytes(payload)
     if not cert.report.valid:
@@ -418,7 +417,7 @@ def _run(cfg, cert=None):
     metrics = compute_metrics(traj, cfg.scenario)
     metrics_doc = metrics.to_dict()
     if cert is not None:
-        metrics_doc["dissipation"] = check_dissipation(traj, cert).to_dict()
+        metrics_doc["dissipation"] = asdict(check_dissipation(traj, cert))
     records = {"": metrics_doc, "dissipation.": metrics_doc.get("dissipation", {})}
     for prefix, record in records.items():
         for key, value in record.items():

@@ -14,7 +14,7 @@ error coordinates becomes
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,28 +31,33 @@ def as_dq(value, name="vector"):
 
 @dataclass(frozen=True)
 class GridParams:
-    """Physical grid/inverter constants.
+    """Physical grid/inverter constants; its fields are the config's grid keys.
 
-    r_g in ohms, l_g in henries, omega_g in rad/s (loaders convert a
-    frequency given in Hz by multiplying with 2*pi), v_g_ref in volts,
-    i_ref in amperes.
+    l_g in henries, r_g in ohms, frequency_hz in Hz (the model's omega_g
+    in rad/s is 2*pi times it), and the (d, q) pairs v_g_ref in volts and
+    i_ref in amperes, each stored as a read-only array.
     """
 
-    r_g: float
     l_g: float
-    omega_g: float
-    v_g_ref: np.ndarray = field(default_factory=lambda: np.array([392.0, 0.0]))
-    i_ref: np.ndarray = field(default_factory=lambda: np.array([10.0, 0.0]))
+    r_g: float
+    frequency_hz: float
+    v_g_ref: tuple = (392.0, 0.0)
+    i_ref: tuple = (10.0, 0.0)
 
     def __post_init__(self):
-        for name in ("r_g", "l_g", "omega_g"):
+        # omega_g is checked too: a finite frequency_hz of 1e308 overflows it
+        for name in ("r_g", "l_g", "frequency_hz", "omega_g"):
             value = getattr(self, name)
             if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be a finite positive number, got {value!r}")
-        object.__setattr__(self, "v_g_ref", as_dq(self.v_g_ref, "v_g_ref"))
-        object.__setattr__(self, "i_ref", as_dq(self.i_ref, "i_ref"))
-        self.v_g_ref.setflags(write=False)
-        self.i_ref.setflags(write=False)
+        for name in ("v_g_ref", "i_ref"):
+            object.__setattr__(self, name, as_dq(getattr(self, name), name))
+            getattr(self, name).setflags(write=False)
+
+    @property
+    def omega_g(self):
+        """Grid angular frequency in rad/s."""
+        return 2.0 * math.pi * self.frequency_hz
 
 
 def system_matrix(p):

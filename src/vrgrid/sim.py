@@ -326,13 +326,6 @@ class DissipationReport:
     worst_margin: float
     tol: float
 
-    def to_dict(self):
-        return {
-            "n_violations": self.n_violations,
-            "worst_margin": self.worst_margin,
-            "tol": self.tol,
-        }
-
 
 def check_dissipation(traj, cert):
     """Discrete check of the certified inequality along a logged trajectory.

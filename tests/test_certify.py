@@ -143,7 +143,7 @@ def test_search_m1_linear_feasible():
 
 def test_search_preconditions():
     with pytest.raises(ValueError):
-        GridParams(r_g=-1.0, l_g=3.67e-4, omega_g=377.0)
+        GridParams(r_g=-1.0, l_g=3.67e-4, frequency_hz=60.0)
     p = nominal_params()
     nine = VrBank(tuple(VrBranch.of((VrElement("linear", 1.0),)) for _ in range(9)))
     with pytest.raises(ValueError, match="at most 8"):
@@ -154,19 +154,19 @@ def test_closed_form_certificate_sweep(rng):
     """The closed form is valid with every margin >= 1e-6 at unusual parameters
     and over random draws of r_g 1e-3..1 ohm, l_g 10^-4.5..1e-2 H,
     f 10..1000 Hz and 0..8 branches."""
-    points = [(0.5, 2e-3, 100.0, 1)]
+    points = [(0.5, 2e-3, 100.0 / (2.0 * math.pi), 1)]  # omega_g = 100 rad/s
     for _ in range(200):
         points.append((
             10.0 ** rng.uniform(-3.0, 0.0),
             10.0 ** rng.uniform(-4.5, -2.0),
-            2.0 * math.pi * 10.0 ** rng.uniform(1.0, 3.0),
+            10.0 ** rng.uniform(1.0, 3.0),
             int(rng.integers(0, 9)),
         ))
-    for r_g, l_g, omega_g, m in points:
-        p = GridParams(r_g=r_g, l_g=l_g, omega_g=omega_g)
+    for r_g, l_g, f, m in points:
+        p = GridParams(r_g=r_g, l_g=l_g, frequency_hz=f)
         bank = VrBank(tuple(VrBranch.of((VrElement("linear", 1.0),)) for _ in range(m)))
         rep = search_certificate(p, bank).certificate.report
-        where = (r_g, l_g, omega_g, m)
+        where = (r_g, l_g, f, m)
         assert rep.valid, where
         assert min(rep.sigma_margin, rep.xi_margin, -rep.psi_margin, rep.varsigma) >= 1e-6, where
 
@@ -182,7 +182,7 @@ def test_closed_form_certificate_valid_over_decades():
     l_gs = [10.0 ** (i / 2) for i in range(-16, 3)]
     worst = -math.inf
     for r_g, l_g, f, bank in itertools.product(r_gs, l_gs, (1.0, 60.0, 1000.0), banks):
-        p = GridParams(r_g=r_g, l_g=l_g, omega_g=2.0 * math.pi * f)
+        p = GridParams(r_g=r_g, l_g=l_g, frequency_hz=f)
         rep = search_certificate(p, bank).certificate.report
         assert rep.valid, (r_g, l_g, f, bank.branch_count, rep)
         worst = max(worst, rep.psi_margin)
@@ -345,7 +345,7 @@ def _full_grid_gradient_check(p, bank, v_spec, cfg):
 @pytest.mark.parametrize("grid_radius", [20.0, 50.0])
 def test_gradient_check_matches_full_grid_oracle(rng, grid_points, grid_radius):
     """Per-axis evaluation gives the full-grid report bit for bit."""
-    grids = [nominal_params(), GridParams(r_g=0.3, l_g=2e-3, omega_g=2.0 * math.pi * 50.0)]
+    grids = [nominal_params(), GridParams(r_g=0.3, l_g=2e-3, frequency_hz=50.0)]
     for p in grids:
         for m in (1, 2, 3):
             bank = _random_axis_bank(rng, m)

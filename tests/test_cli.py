@@ -61,14 +61,18 @@ def test_simulate_bundled_scenario1(tmp_path):
 
 
 def test_simulate_rejects_negative_resistance(tmp_path):
-    """The range is GridParams' rule, so the field is the section, as for any range error."""
-    cfg = small_config(grid={"l_g": 3.67e-4, "r_g": -1.0, "frequency_hz": 60.0})
-    path = write_config(tmp_path / "bad.json", cfg)
-    res = run_cli("simulate", str(path), "--out", str(tmp_path / "o"))
-    assert res.returncode == 2
-    err = json.loads(res.stdout.splitlines()[0])["error"]
-    assert err["field"] == "grid"
-    assert "r_g must be a finite positive number" in err["message"]
+    """The range is GridParams' rule, so the field is the section, as for any range error.
+    The message names the config key once: frequency_hz, not the model's omega_g."""
+    for key, value in (("r_g", -1.0), ("frequency_hz", 0)):
+        cfg = small_config(grid={"l_g": 3.67e-4, "r_g": 2.76e-2, "frequency_hz": 60.0, key: value})
+        path = write_config(tmp_path / "bad.json", cfg)
+        res = run_cli("simulate", str(path), "--out", str(tmp_path / "o"))
+        assert res.returncode == 2
+        err = json.loads(res.stdout.splitlines()[0])["error"]
+        assert err["field"] == "grid"
+        assert f"{key} must be a finite positive number" in err["message"]
+        assert "omega_g" not in err["message"]
+    assert res.stderr.splitlines() == ["error [config] grid: frequency_hz must be a finite positive number, got 0.0"]
 
 
 def test_simulate_rerun_is_byte_identical(tmp_path):
@@ -238,12 +242,17 @@ def test_repeated_config_key_exit2(tmp_path, capsys, text):
 
 
 def test_scenario_fields_have_config_types():
-    """The CLI reads each scenario key by its field's annotation, so each must
-    be one of the four types it reads. A string annotation, as a
-    ``from __future__ import annotations`` in ``vrgrid.sim`` makes, fails."""
+    """The CLI reads each scenario and grid key by its field's annotation, so each
+    must be one of the four types it reads; a grid key is a number or a [d, q]
+    pair. A string annotation, as a ``from __future__ import annotations`` in
+    ``vrgrid.sim`` or ``vrgrid.plant`` makes, fails."""
+    from vrgrid.plant import GridParams
+
     for cls in SCENARIO_KINDS.values():
         for f in fields(cls):
             assert f.type in (float, int, str, tuple), (cls.__name__, f.name, f.type)
+    for f in fields(GridParams):
+        assert f.type in (float, tuple), (f.name, f.type)
 
 
 REQUIRED_SCENARIO_VALUES = {"t_end": 1.0, "dt": 1e-4, "seed": 5}
@@ -676,6 +685,20 @@ def test_load_certificate_refuses_malformed(tmp_path, capsys, mutate):
         path.write_text(json.dumps({**bad, "bank_fingerprint": "0" * 64}))
         with pytest.raises(ValueError, match="fingerprint"):
             load_certificate(path, bank)
+
+
+@pytest.mark.parametrize("loader", ["load_config", "load_certificate"])
+def test_deeply_nested_json_is_a_value_error(tmp_path, loader):
+    """JSON nested too deep for the parser is refused with ValueError, as any
+    invalid JSON is, not with a RecursionError."""
+    from vrgrid import cli
+    from vrgrid.bank import VrBank, VrBranch, VrElement
+
+    path = tmp_path / "deep.json"
+    path.write_text('{"a": ' + '[' * 100000 + ']' * 100000 + '}')
+    args = (path,) if loader == "load_config" else (path, VrBank((VrBranch.of((VrElement("linear", 1.0),)),)))
+    with pytest.raises(ValueError):
+        getattr(cli, loader)(*args)
 
 
 def test_load_certificate_refuses_repeated_key(tmp_path, capsys):

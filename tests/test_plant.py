@@ -18,13 +18,14 @@ OMEGA_60HZ = 2.0 * math.pi * 60.0
 
 
 def test_grid_params_validation():
-    for bad in ({"r_g": -1.0}, {"r_g": 0.0}, {"l_g": -1e-4}, {"omega_g": 0.0}):
-        kwargs = dict(r_g=0.0276, l_g=3.67e-4, omega_g=OMEGA_60HZ)
+    # a frequency of 1e308 Hz is finite, but its omega_g is not
+    for bad in ({"r_g": -1.0}, {"r_g": 0.0}, {"l_g": -1e-4}, {"frequency_hz": 0.0}, {"frequency_hz": 1e308}):
+        kwargs = dict(r_g=0.0276, l_g=3.67e-4, frequency_hz=60.0)
         kwargs.update(bad)
         with pytest.raises(ValueError):
             GridParams(**kwargs)
     with pytest.raises(ValueError):
-        GridParams(r_g=0.0276, l_g=3.67e-4, omega_g=OMEGA_60HZ, v_g_ref=(np.inf, 0.0))
+        GridParams(r_g=0.0276, l_g=3.67e-4, frequency_hz=60.0, v_g_ref=(np.inf, 0.0))
 
 
 def test_nominal_params_values():
