@@ -46,14 +46,8 @@ try:
 except ImportError:
     NUMBA_ENABLED = False
 
-    def njit(*args, **kwargs):  # noqa: ARG001 - mirrors numba's signature
-        if args and callable(args[0]):
-            return args[0]
-
-        def decorate(func):
-            return func
-
-        return decorate
+    def njit(**_options):  # the one form used here, @njit(cache=True)
+        return lambda func: func
 
 
 # Element kind codes; each row of vrgrid.bank's kind table carries one.

@@ -26,6 +26,10 @@ arrays (a point is a one-row array). The integrators run the scalar forms
 in ``vrgrid._kernels`` (code, ``element_value`` and ``_ELEMENT_EXPR``) on
 the ``flatten_bank`` arrays.
 :func:`classify_bank` is the sampled sector check every loaded bank passes.
+
+This module reads no config: ``vrgrid.cli`` parses bank records, taking
+each kind's keys from ``ELEMENT_PARAMS``, and ``to_config`` writes the
+canonical record that :func:`bank_fingerprint` hashes.
 """
 
 import hashlib
@@ -66,6 +70,9 @@ _ELEMENT_KINDS = {
 
 KINDS = tuple(sorted(_ELEMENT_KINDS))
 
+# Parameter names of each kind, in the order of VrElement's p1 and p2: the keys of its config record.
+ELEMENT_PARAMS = {kind: row.params for kind, row in _ELEMENT_KINDS.items()}
+
 # Most elements an axis may sum over all branches: the fallback RK4 inlines them in one expression.
 MAX_ELEMENTS_PER_AXIS = 256
 
@@ -76,19 +83,6 @@ _PROBE_SAMPLES = 128
 _PROBE_MAGS = np.geomspace(_PROBE_MIN, _PROBE_MAX, _PROBE_SAMPLES)
 _PROBE_XS = np.concatenate([-_PROBE_MAGS[::-1], _PROBE_MAGS])
 _PROBE_PTS = np.column_stack([_PROBE_XS, _PROBE_XS])
-
-
-def json_number(value):
-    """A JSON number (not a bool or string) as a finite float, else ValueError."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"must be a number, got {type(value).__name__}")
-    try:
-        value = float(value)
-    except OverflowError:
-        raise ValueError("is too large for a float") from None
-    if not math.isfinite(value):
-        raise ValueError(f"must be finite, got {value!r}")
-    return value
 
 
 class SectorViolation(ValueError):
@@ -130,28 +124,6 @@ class VrElement:
     def to_config(self):
         return {"kind": self.kind, **dict(zip(_ELEMENT_KINDS[self.kind].params, (self.p1, self.p2)))}
 
-    @classmethod
-    def from_config(cls, record):
-        if not isinstance(record, dict):
-            raise ValueError(f"element record must be an object, got {type(record).__name__}")
-        kind = record.get("kind")
-        if not isinstance(kind, str) or kind not in _ELEMENT_KINDS:
-            raise ValueError(f"unknown element kind {kind!r}; expected one of {KINDS}")
-        names = _ELEMENT_KINDS[kind].params
-        extra = set(record) - {"kind", *names}
-        if extra:
-            raise ValueError(f"{kind} element: unknown parameter(s) {sorted(extra)}")
-        missing = [n for n in names if n not in record]
-        if missing:
-            raise ValueError(f"{kind} element: missing parameter(s) {missing}")
-        params = []
-        for name in names:
-            try:
-                params.append(json_number(record[name]))
-            except ValueError as exc:
-                raise ValueError(f"{kind} element: parameter {name!r} {exc}") from None
-        return cls(kind, *params)
-
 
 def element_values(e, xs):
     """Vectorized element map over an array of inputs."""
@@ -191,22 +163,6 @@ class VrBranch:
             "d": [e.to_config() for e in self.elements_d],
             "q": [e.to_config() for e in self.elements_q],
         }
-
-    @classmethod
-    def from_config(cls, record):
-        def elements(records, what):
-            if not isinstance(records, (list, tuple)):
-                raise ValueError(f"{what} must be a list of element records, got {type(records).__name__}")
-            return tuple(VrElement.from_config(r) for r in records)
-
-        if isinstance(record, dict):
-            extra = set(record) - {"d", "q"}
-            if extra:
-                raise ValueError(f"branch record: unknown key(s) {sorted(extra)}")
-            if "d" not in record or "q" not in record:
-                raise ValueError("per-axis branch record needs both 'd' and 'q'")
-            return cls(elements(record["d"], "branch 'd'"), elements(record["q"], "branch 'q'"))
-        return cls.of(elements(record, "branch record"))
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import __version__
 from ._kernels import NUMBA_ENABLED
-from .bank import SectorViolation, VrBank, VrBranch, bank_fingerprint, classify_bank, json_number
+from .bank import ELEMENT_PARAMS, SectorViolation, VrBank, VrBranch, VrElement, bank_fingerprint, classify_bank
 from .certify import MAX_BRANCHES, CertificateError, iss_gain, search_certificate
 from .persidskii import IssCertificate
 from .plant import GridParams
@@ -38,9 +38,13 @@ SCHEMA_VERSION = 1
 
 
 class ConfigError(ValueError):
+    """A refused input value: ``field`` is its path, ``message`` says what is wrong without
+    repeating the path, and ``str()`` joins the two."""
+
     def __init__(self, field, message):
         self.field = field
-        super().__init__(message)
+        self.message = message
+        super().__init__(f"{field}: {message}" if field else message)
 
 
 class CertificationInfeasible(Exception):
@@ -49,50 +53,85 @@ class CertificationInfeasible(Exception):
 
 def _expect_mapping(obj, path):
     if not isinstance(obj, dict):
-        raise ConfigError(path, f"{path or 'config'} must be a JSON object")
+        raise ConfigError(path, "must be a JSON object" if path else "config must be a JSON object")
 
 
 def _check_keys(obj, path, required, optional=()):
     _expect_mapping(obj, path)
-    allowed = set(required) | set(optional)
     for key in obj:
-        if key not in allowed:
-            raise ConfigError(f"{path}.{key}" if path else key, f"unknown key {key!r} in {path or 'config'}")
+        if key not in required and key not in optional:
+            raise ConfigError(f"{path}.{key}" if path else key, "unknown key")
     for key in required:
         if key not in obj:
-            raise ConfigError(f"{path}.{key}" if path else key, f"missing required key {key!r} in {path or 'config'}")
-
-
-def _number(obj, path, key):
-    try:
-        return json_number(obj[key])
-    except ValueError:
-        raise ConfigError(f"{path}.{key}", f"{path}.{key} must be a finite number") from None
+            raise ConfigError(f"{path}.{key}" if path else key, "missing required key")
 
 
 def _is_int(value):
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _pair(obj, path, key):
-    value = obj[key]
-    if isinstance(value, (list, tuple)) and len(value) == 2:
+# The types json.loads gives a JSON number; bool, a subclass of int, is not one of them.
+_NUMBER_TYPES = frozenset((int, float))
+
+
+def _numbers(value, shape, field):
+    """``value`` as finite floats in nested tuples of exactly ``shape``; shape ``()`` reads one
+    number. Only JSON numbers are taken: not bools, not strings, nothing beyond the float range."""
+    if len(shape) > 1:
+        if isinstance(value, list) and len(value) == shape[0]:
+            return tuple(_numbers(row, shape[1:], field) for row in value)
+    else:
+        row, size = (value, shape[0]) if shape else ([value], 1)
+        if isinstance(row, list) and len(row) == size and _NUMBER_TYPES.issuperset(map(type, row)):
+            try:
+                floats = tuple(map(float, row))
+                if all(map(math.isfinite, floats)):
+                    return floats if shape else floats[0]
+            except OverflowError:  # an integer beyond the float range
+                pass
+    what = "finite numbers"
+    for n in reversed(shape[1:]):
+        what = f"lists of {n} {what}"
+    raise ConfigError(field, f"must be a list of {shape[0]} {what}" if shape else "must be a finite number")
+
+
+def _parse_elements(records, path):
+    """The elements of one axis of a branch, each record ``{"kind": ..., <parameters>}``."""
+    if not isinstance(records, list):
+        raise ConfigError(path, "must be a list of element records")
+    elements = []
+    for j, record in enumerate(records):
+        field = f"{path}[{j}]"
+        _expect_mapping(record, field)
+        kind = record.get("kind")
+        params = ELEMENT_PARAMS.get(kind) if isinstance(kind, str) else None
+        if params is None:
+            raise ConfigError(f"{field}.kind", f"must be one of {', '.join(sorted(ELEMENT_PARAMS))}; got {kind!r}")
+        _check_keys(record, field, required=("kind", *params))
+        values = [_numbers(record[name], (), f"{field}.{name}") for name in params]
         try:
-            return json_number(value[0]), json_number(value[1])
-        except ValueError:
-            pass
-    raise ConfigError(f"{path}.{key}", f"{path}.{key} must be a [d, q] pair of finite numbers")
+            elements.append(VrElement(kind, *values))
+        except ValueError as exc:
+            raise ConfigError(field, str(exc)) from exc
+    return tuple(elements)
 
 
 def _parse_bank(section):
+    """Branches, each a list of elements for both axes or ``{"d": [...], "q": [...]}``."""
     if not isinstance(section, list):
-        raise ConfigError("bank", "bank must be a list of branches")
+        raise ConfigError("bank", "must be a list of branches")
     branches = []
     for i, record in enumerate(section):
+        path = f"bank[{i}]"
+        if isinstance(record, dict):
+            _check_keys(record, path, required=("d", "q"))
+            axes = [_parse_elements(record[axis], f"{path}.{axis}") for axis in "dq"]
+        else:
+            axes = [_parse_elements(record, path)] * 2
         try:
-            branches.append(VrBranch.from_config(record))
+            branches.append(VrBranch(*axes))
         except ValueError as exc:
-            raise ConfigError(f"bank[{i}]", str(exc)) from exc
+            raise ConfigError(path, str(exc)) from exc
     try:
         bank = VrBank(tuple(branches))
     except ValueError as exc:
@@ -106,13 +145,13 @@ def _parse_bank(section):
 
 def _field_value(section, path, key, field_type):
     """``<path>.<key>`` read as its field's type; the field's class checks its range."""
+    field, value = f"{path}.{key}", section[key]
     if field_type is float:
-        return _number(section, path, key)
+        return _numbers(value, (), field)
     if field_type is tuple:
-        return _pair(section, path, key)
-    value = section[key]
+        return _numbers(value, (2,), field)
     if field_type is int and not _is_int(value):
-        raise ConfigError(f"{path}.{key}", f"{path}.{key} must be a JSON integer, got {value!r}")
+        raise ConfigError(field, f"must be a JSON integer, got {value!r}")
     return value
 
 
@@ -133,7 +172,7 @@ def _parse_scenario(section):
     kind = section.get("kind")
     cls = SCENARIO_KINDS.get(kind) if isinstance(kind, str) else None
     if cls is None:
-        raise ConfigError("scenario.kind", f"scenario.kind must be one of {', '.join(SCENARIO_KINDS)}; got {kind!r}")
+        raise ConfigError("scenario.kind", f"must be one of {', '.join(SCENARIO_KINDS)}; got {kind!r}")
     return _read_fields(section, "scenario", cls, required=("kind",))
 
 
@@ -142,12 +181,12 @@ def _parse_certify(section, bank):
     _check_keys(section, "certify", required=(), optional=("enabled", "mode"))
     enabled = section.get("enabled", False)
     if not isinstance(enabled, bool):
-        raise ConfigError("certify.enabled", "certify.enabled must be a boolean")
+        raise ConfigError("certify.enabled", "must be a boolean")
     if section.get("mode", "rederived") != "rederived":
-        raise ConfigError("certify.mode", "certify.mode must be 'rederived'")
+        raise ConfigError("certify.mode", "must be 'rederived'")
     if enabled and bank.branch_count > MAX_BRANCHES:
         raise ConfigError("bank", f"certification supports at most {MAX_BRANCHES} branches, "
-                                  f"bank has {bank.branch_count}")
+                                  f"got {bank.branch_count}")
     return enabled
 
 
@@ -161,10 +200,10 @@ def _parse_output(section):
     _check_keys(section, "output", required=(), optional=("directory", "decimation"))
     directory = section.get("directory", "out")
     if not isinstance(directory, str) or not directory:
-        raise ConfigError("output.directory", "output.directory must be a non-empty string")
+        raise ConfigError("output.directory", "must be a non-empty string")
     decimation = section.get("decimation", 10)
     if not _is_int(decimation) or decimation < 1:
-        raise ConfigError("output.decimation", f"output.decimation must be an integer >= 1, got {decimation!r}")
+        raise ConfigError("output.decimation", f"must be an integer >= 1, got {decimation!r}")
     return OutputSettings(directory=directory, decimation=decimation)
 
 
@@ -211,12 +250,12 @@ def load_config(path, overrides=()):
     _check_keys(doc, "", required=("schema_version", "grid", "bank", "scenario"),
                 optional=("name", "certify", "output"))
     if not _is_int(doc["schema_version"]) or doc["schema_version"] != SCHEMA_VERSION:
-        raise ConfigError("schema_version", f"unsupported schema_version {doc['schema_version']!r}; expected {SCHEMA_VERSION}")
+        raise ConfigError("schema_version", f"must be the JSON integer {SCHEMA_VERSION}, got {doc['schema_version']!r}")
     name = doc.get("name", path.stem)
     if not isinstance(name, str) or not name:
-        raise ConfigError("name", "name must be a non-empty string")
+        raise ConfigError("name", "must be a non-empty string")
     if name in (".", "..") or any(ch in name for ch in "/\\\0"):
-        raise ConfigError("name", f"name must be a single path component, got {name!r}")
+        raise ConfigError("name", f"must be a single path component, got {name!r}")
     for dotted, value in dict(overrides).items():
         section, key = dotted.split(".")
         _expect_mapping(doc.setdefault(section, {}), section)
@@ -343,35 +382,36 @@ def certificate_payload(cert, bank):
 
 
 def load_certificate(path, bank):
-    """Read a certificate JSON back for ``bank``; refuses another bank's
-    certificate (checked first) or a malformed one with ValueError."""
+    """Read a certificate JSON back for ``bank``; refuses another bank's certificate (checked
+    first) or a malformed one with a ConfigError (a ValueError) on its field ``certificate.<key>``."""
     doc = _parse_json(Path(path).read_bytes(), f"certificate {path}")
-    if not isinstance(doc, dict):
-        raise ValueError("certificate must be a JSON object")
+    _expect_mapping(doc, "certificate")
     if doc.get("bank_fingerprint") != bank_fingerprint(bank):
-        raise ValueError("certificate fingerprint does not match the supplied bank")
-    try:
-        m = doc["branch_count"]
-        if not _is_int(m) or m != bank.branch_count:
-            raise ValueError(f"certificate branch_count must be the bank's {bank.branch_count}, got {m!r}")
-        ups = np.zeros((m + 1, m + 1, 2))
-        seen = set()
-        for rec in doc["upsilon_diag"]:
-            s, l = rec["s"], rec["l"]
-            if not (_is_int(s) and _is_int(l) and 0 <= s < l <= m) or (s, l) in seen:
-                raise ValueError(f"certificate upsilon_diag (s, l) = ({s!r}, {l!r}) is not a new pair "
-                                 f"of integers with 0 <= s < l <= {m}")
-            seen.add((s, l))
-            ups[s, l] = rec["diag"]
-        return IssCertificate(
-            p_mat=np.array(doc["p"], dtype=float),
-            lam=np.array(doc["lambda_diag"], dtype=float).reshape(m, 2),
-            omega=np.array(doc["omega_diag"], dtype=float),
-            phi=np.array(doc["phi"], dtype=float),
-            upsilon=ups,
-        )
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"certificate is malformed: {type(exc).__name__}: {exc}") from exc
+        raise ConfigError("certificate.bank_fingerprint", "does not match the supplied bank")
+    _check_keys(doc, "certificate", required=("schema_version", "branch_count", "p", "lambda_diag", "omega_diag",
+                                              "upsilon_diag", "phi", "valid", "margins", "bank_fingerprint"))
+    m = doc["branch_count"]
+    if not _is_int(m) or m != bank.branch_count:
+        raise ConfigError("certificate.branch_count", f"must be the bank's {bank.branch_count}, got {m!r}")
+    if not isinstance(doc["upsilon_diag"], list):
+        raise ConfigError("certificate.upsilon_diag", "must be a list of records")
+    ups = np.zeros((m + 1, m + 1, 2))
+    seen = set()
+    for i, rec in enumerate(doc["upsilon_diag"]):
+        field = f"certificate.upsilon_diag[{i}]"
+        _check_keys(rec, field, required=("s", "l", "diag"))
+        s, l = rec["s"], rec["l"]
+        if not (_is_int(s) and _is_int(l) and 0 <= s < l <= m) or (s, l) in seen:
+            raise ConfigError(field, f"(s, l) = ({s!r}, {l!r}) is not a new pair of integers with 0 <= s < l <= {m}")
+        seen.add((s, l))
+        ups[s, l] = _numbers(rec["diag"], (2,), f"{field}.diag")
+    return IssCertificate(
+        p_mat=_numbers(doc["p"], (2, 2), "certificate.p"),
+        lam=_numbers(doc["lambda_diag"], (m, 2), "certificate.lambda_diag"),
+        omega=_numbers(doc["omega_diag"], (m + 1, 2), "certificate.omega_diag"),
+        phi=_numbers(doc["phi"], (2, 2), "certificate.phi"),
+        upsilon=ups,
+    )
 
 
 def _emit_error(exit_code, kind, field, message):
@@ -468,7 +508,7 @@ def cmd_simulate(args):
 def cmd_certify(args):
     cfg = load_config(args.config, _overrides(args))
     if not cfg.certify:
-        raise ConfigError("certify.enabled", "certify.enabled must be true for the certify command")
+        raise ConfigError("certify.enabled", "must be true for the certify command")
     cert, cert_json = _certify(cfg)
     _write_manifest(Path(cfg.output.directory), cfg, cert_json)
     print(f"certify {cfg.name}: valid (psi_margin={cert.report.psi_margin:.3e}, "
@@ -512,12 +552,12 @@ def cmd_compare(args):
     names = set()
     for cfg in configs:
         if cfg.scenario != configs[0].scenario:
-            raise ConfigError("scenario", f"config {cfg.name!r} uses a different scenario than {configs[0].name!r}")
+            raise ConfigError("scenario", f"config {cfg.name!r} differs from config {configs[0].name!r}")
         # each name is a run directory beside the comparison files
         if cfg.name in names:
-            raise ConfigError("name", f"name {cfg.name!r} is used by more than one config")
+            raise ConfigError("name", f"{cfg.name!r} is used by more than one config")
         if cfg.name in COMPARE_OUTPUTS:
-            raise ConfigError("name", f"name {cfg.name!r} is the name of a comparison file")
+            raise ConfigError("name", f"{cfg.name!r} is a comparison file")
         names.add(cfg.name)
 
     out_root = Path(configs[0].output.directory)
@@ -590,7 +630,7 @@ def main(argv=None):
         args = build_parser().parse_args(argv)
         return args.func(args)
     except ConfigError as exc:
-        return _emit_error(2, "config", exc.field, str(exc))
+        return _emit_error(2, "config", exc.field, exc.message)
     except CertificationInfeasible as exc:
         return _emit_error(4, "infeasible", "certify", str(exc))
 

@@ -408,7 +408,7 @@ def _replace(section, value):
 @pytest.mark.parametrize("mutate, field", [
     pytest.param(_set("grid", "l_g", BIG), "grid.l_g", id="l_g-400-digits"),
     pytest.param(_set("scenario", "t_end", BIG), "scenario.t_end", id="t_end-400-digits"),
-    pytest.param(_replace("bank", [[{"kind": "linear", "k": BIG}]]), "bank[0]", id="k-400-digits"),
+    pytest.param(_replace("bank", [[{"kind": "linear", "k": BIG}]]), "bank[0][0].k", id="k-400-digits"),
     pytest.param(_replace("bank", [[{"kind": "linear", "k": "@@" + "1" * 5000}]]), "", id="k-5000-digits"),
     pytest.param(_set("grid", "v_g_ref", ["@@1e400", 0.0]), "grid.v_g_ref", id="v_g_ref-1e400"),
     pytest.param(_set("grid", "v_g_ref", [float("nan"), 0.0]), "grid.v_g_ref", id="v_g_ref-nan"),
@@ -420,9 +420,15 @@ def _replace(section, value):
     pytest.param(_set("grid", "r_g", "1"), "grid.r_g", id="r_g-string"),
     pytest.param(_replace("bank", ["ab"]), "bank[0]", id="branch-string"),
     pytest.param(_replace("bank", [7]), "bank[0]", id="branch-int"),
-    pytest.param(_replace("bank", [{"d": 3, "q": [{"kind": "linear", "k": 1.0}]}]), "bank[0]", id="axis-int"),
-    pytest.param(_replace("bank", [[{"kind": "linear", "k": "1.0"}]]), "bank[0]", id="k-string"),
-    pytest.param(_replace("bank", [[{"kind": "linear", "k": True}]]), "bank[0]", id="k-bool"),
+    pytest.param(_replace("bank", [{"d": 3, "q": [{"kind": "linear", "k": 1.0}]}]), "bank[0].d", id="axis-int"),
+    pytest.param(_replace("bank", [{"d": [{"kind": "linear", "k": 1.0}], "q": [{"kind": "linear", "k": 1.0}], "x": []}]),
+                 "bank[0].x", id="axis-unknown-key"),
+    pytest.param(_replace("bank", [[{"kind": "linear", "k": 1.0, "zz": 1}]]), "bank[0][0].zz", id="element-unknown-key"),
+    pytest.param(_replace("bank", [[{"kind": "sinh", "a": 1.0}]]), "bank[0][0].b", id="sinh-missing-b"),
+    # VrElement holds the range rule, so a non-positive parameter is a range error on the element
+    pytest.param(_replace("bank", [[{"kind": "linear", "k": -1.0}]]), "bank[0][0]", id="k-negative"),
+    pytest.param(_replace("bank", [[{"kind": "linear", "k": "1.0"}]]), "bank[0][0].k", id="k-string"),
+    pytest.param(_replace("bank", [[{"kind": "linear", "k": True}]]), "bank[0][0].k", id="k-bool"),
     pytest.param(_replace("scenario", {"kind": "custom", "t_end": 0.001, "dt": 1e-5, "v_g_const": ["@@1e400", 0]}),
                  "scenario.v_g_const", id="v_g_const-1e400"),
     pytest.param(_replace("output", {"decimation": 2.7}), "output.decimation", id="decimation-2.7"),
@@ -453,6 +459,7 @@ def _replace(section, value):
 ])
 def test_bad_config_values_exit2(tmp_path, capsys, mutate, field):
     """Out-of-range and mistyped values exit 2 naming the field, never 0, 1 or 3.
+    The stderr line names the field once: the message does not repeat it.
 
     A string "@@<text>" is written into the file as the bare literal <text>."""
     from vrgrid.cli import main
@@ -463,7 +470,11 @@ def test_bad_config_values_exit2(tmp_path, capsys, mutate, field):
     path = tmp_path / "bad.json"
     path.write_text(text)
     assert main(["simulate", str(path), "--out", str(tmp_path / "o")]) == 2
-    assert json.loads(capsys.readouterr().out.splitlines()[0])["error"]["field"] == field
+    captured = capsys.readouterr()
+    err = json.loads(captured.out.splitlines()[0])["error"]
+    assert err["field"] == field
+    assert captured.err.splitlines() == [f"error [config] {field or '-'}: {err['message']}"]
+    assert not field or field not in err["message"]
     assert not (tmp_path / "o").exists()
 
 
@@ -663,6 +674,13 @@ def _upsilon_record(**changes):
     pytest.param(lambda doc: [doc], id="list-document"),
     pytest.param(lambda doc: {**doc, "p": np.eye(3).tolist()}, id="p-3x3"),
     pytest.param(lambda doc: {**doc, "phi": [[1.0]]}, id="phi-1x1"),
+    pytest.param(lambda doc: {**doc, "p": [["1", "0"], ["0", "1"]]}, id="p-strings"),
+    pytest.param(lambda doc: {**doc, "phi": [[True, False], [False, True]]}, id="phi-bools"),
+    pytest.param(lambda doc: {**doc, "lambda_diag": [[row[0]] for row in doc["lambda_diag"] * 2]},
+                 id="lambda_diag-column"),
+    pytest.param(_upsilon_record(diag=[5.0]), id="upsilon-diag-one-number"),
+    pytest.param(lambda doc: {**doc, "zz": 1}, id="unknown-key"),
+    pytest.param(_upsilon_record(zz=1), id="upsilon-record-unknown-key"),
 ])
 def test_load_certificate_refuses_malformed(tmp_path, capsys, mutate):
     """A malformed certificate raises ValueError, not a raw KeyError, TypeError,
