@@ -146,12 +146,6 @@ class VrBranch:
         if not self.elements_d or not self.elements_q:
             raise ValueError("branch needs at least one element on each axis")
 
-    @classmethod
-    def of(cls, elements, q_elements=None):
-        d = tuple(elements)
-        q = d if q_elements is None else tuple(q_elements)
-        return cls(d, q)
-
     @property
     def same_both_axes(self):
         return self.elements_d == self.elements_q

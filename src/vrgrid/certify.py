@@ -74,20 +74,17 @@ def _xi_matrix(cert):
 def verify_certificate(p, bank, cert):
     """Evaluate all three conditions; never raises on an invalid certificate."""
     _check_dims(cert, bank)
-    class_ok = _class_ok(cert)
-
     lmi_p = cert.p_mat + np.diag(cert.lam.sum(axis=0)) if cert.branch_count else cert.p_mat
     sigma_ok, sigma_margin = linalg.is_pos_def(lmi_p)
     xi_ok, xi_margin = linalg.is_pos_def(_xi_matrix(cert))
     psi_ok, psi_margin = linalg.is_neg_semidef(assemble_psi(p, cert))
     return VerifyReport(
-        valid=bool(class_ok and sigma_ok and xi_ok and psi_ok),
+        valid=bool(_class_ok(cert) and sigma_ok and xi_ok and psi_ok),
         sigma_margin=sigma_margin,
         xi_margin=xi_margin,
         psi_margin=psi_margin,
         varsigma=float(cert.omega[0].min()),
         alpha=float(linalg.lambda_max(cert.phi) / p.l_g ** 2),
-        class_ok=class_ok,
     )
 
 

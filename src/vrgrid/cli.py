@@ -70,6 +70,11 @@ def _is_int(value):
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _check_schema_version(value, field):
+    if not _is_int(value) or value != SCHEMA_VERSION:
+        raise ConfigError(field, f"must be the JSON integer {SCHEMA_VERSION}, got {value!r}")
+
+
 # The types json.loads gives a JSON number; bool, a subclass of int, is not one of them.
 _NUMBER_TYPES = frozenset((int, float))
 
@@ -249,8 +254,7 @@ def load_config(path, overrides=()):
 
     _check_keys(doc, "", required=("schema_version", "grid", "bank", "scenario"),
                 optional=("name", "certify", "output"))
-    if not _is_int(doc["schema_version"]) or doc["schema_version"] != SCHEMA_VERSION:
-        raise ConfigError("schema_version", f"must be the JSON integer {SCHEMA_VERSION}, got {doc['schema_version']!r}")
+    _check_schema_version(doc["schema_version"], "schema_version")
     name = doc.get("name", path.stem)
     if not isinstance(name, str) or not name:
         raise ConfigError("name", "must be a non-empty string")
@@ -355,6 +359,15 @@ def write_trajectory_csv(path, traj, decimation):
             f.write(("\n".join(map(",".join, zip(*cells))) + "\n").encode())
 
 
+# The matrices of certificate.json: key -> (IssCertificate field, shape for m branches)
+CERTIFICATE_MATRICES = {
+    "p": ("p_mat", lambda m: (2, 2)),
+    "lambda_diag": ("lam", lambda m: (m, 2)),
+    "omega_diag": ("omega", lambda m: (m + 1, 2)),
+    "phi": ("phi", lambda m: (2, 2)),
+}
+
+
 def certificate_payload(cert, bank):
     """certificate.json of a certificate with its report attached."""
     report = cert.report
@@ -370,11 +383,8 @@ def certificate_payload(cert, bank):
     return {
         "schema_version": SCHEMA_VERSION,
         "branch_count": cert.branch_count,
-        "p": [[float(v) for v in row] for row in cert.p_mat],
-        "lambda_diag": [[float(v) for v in row] for row in cert.lam],
-        "omega_diag": [[float(v) for v in row] for row in cert.omega],
+        **{key: getattr(cert, name).tolist() for key, (name, _) in CERTIFICATE_MATRICES.items()},
         "upsilon_diag": ups,
-        "phi": [[float(v) for v in row] for row in cert.phi],
         "valid": bool(report.valid),
         "margins": margins,
         "bank_fingerprint": bank_fingerprint(bank),
@@ -382,14 +392,19 @@ def certificate_payload(cert, bank):
 
 
 def load_certificate(path, bank):
-    """Read a certificate JSON back for ``bank``; refuses another bank's certificate (checked
-    first) or a malformed one with a ConfigError (a ValueError) on its field ``certificate.<key>``."""
+    """Read a valid certificate JSON back for ``bank``; refuses another bank's certificate (checked
+    first), an invalid one or a malformed one with a ConfigError (a ValueError) on its field
+    ``certificate.<key>``."""
     doc = _parse_json(Path(path).read_bytes(), f"certificate {path}")
     _expect_mapping(doc, "certificate")
     if doc.get("bank_fingerprint") != bank_fingerprint(bank):
         raise ConfigError("certificate.bank_fingerprint", "does not match the supplied bank")
-    _check_keys(doc, "certificate", required=("schema_version", "branch_count", "p", "lambda_diag", "omega_diag",
-                                              "upsilon_diag", "phi", "valid", "margins", "bank_fingerprint"))
+    _check_keys(doc, "certificate", required=("schema_version", "branch_count", *CERTIFICATE_MATRICES,
+                                              "upsilon_diag", "valid", "margins", "bank_fingerprint"))
+    _check_schema_version(doc["schema_version"], "certificate.schema_version")
+    if doc["valid"] is not True:
+        raise ConfigError("certificate.valid", f"must be true, got {doc['valid']!r}")
+    _expect_mapping(doc["margins"], "certificate.margins")
     m = doc["branch_count"]
     if not _is_int(m) or m != bank.branch_count:
         raise ConfigError("certificate.branch_count", f"must be the bank's {bank.branch_count}, got {m!r}")
@@ -405,13 +420,9 @@ def load_certificate(path, bank):
             raise ConfigError(field, f"(s, l) = ({s!r}, {l!r}) is not a new pair of integers with 0 <= s < l <= {m}")
         seen.add((s, l))
         ups[s, l] = _numbers(rec["diag"], (2,), f"{field}.diag")
-    return IssCertificate(
-        p_mat=_numbers(doc["p"], (2, 2), "certificate.p"),
-        lam=_numbers(doc["lambda_diag"], (m, 2), "certificate.lambda_diag"),
-        omega=_numbers(doc["omega_diag"], (m + 1, 2), "certificate.omega_diag"),
-        phi=_numbers(doc["phi"], (2, 2), "certificate.phi"),
-        upsilon=ups,
-    )
+    matrices = {name: _numbers(doc[key], shape(m), f"certificate.{key}")
+                for key, (name, shape) in CERTIFICATE_MATRICES.items()}
+    return IssCertificate(**matrices, upsilon=ups)
 
 
 def _emit_error(exit_code, kind, field, message):
@@ -455,7 +466,7 @@ def _run(cfg, cert=None):
     """
     traj = integrate(cfg.grid, cfg.bank, cfg.scenario, cert=cert)
     metrics = compute_metrics(traj, cfg.scenario)
-    metrics_doc = metrics.to_dict()
+    metrics_doc = asdict(metrics)
     if cert is not None:
         metrics_doc["dissipation"] = asdict(check_dissipation(traj, cert))
     records = {"": metrics_doc, "dissipation.": metrics_doc.get("dissipation", {})}
@@ -501,7 +512,7 @@ def cmd_simulate(args):
 
     _write_run(Path(cfg.output.directory), cfg, traj, metrics_doc, cert_json)
     print(f"simulate {cfg.name}: ok (settled={metrics.settled}, "
-          f"rms_d={metrics.rms_err_d:.6g} A, rms_q={metrics.rms_err_q:.6g} A)")
+          f"rms_d={metrics.rms_err_d_a:.6g} A, rms_q={metrics.rms_err_q_a:.6g} A)")
     return 0
 
 
@@ -521,9 +532,9 @@ def _format_table(rows):
     cells = [header] + [
         [
             name,
-            f"{m.settling_time_2pct_d * 1e3:.3f}" if m.settled else "unsettled",
-            f"{m.rms_err_d:.4f}",
-            f"{m.rms_err_q:.4f}",
+            f"{m.settling_time_2pct_d_s * 1e3:.3f}" if m.settled else "unsettled",
+            f"{m.rms_err_d_a:.4f}",
+            f"{m.rms_err_q_a:.4f}",
         ]
         for name, m in rows
     ]
@@ -577,9 +588,9 @@ def cmd_compare(args):
     for name, m in rows:
         writer.writerow([
             name,
-            repr(m.settling_time_2pct_d * 1e3) if m.settled else "",
-            repr(m.rms_err_d),
-            repr(m.rms_err_q),
+            repr(m.settling_time_2pct_d_s * 1e3) if m.settled else "",
+            repr(m.rms_err_d_a),
+            repr(m.rms_err_q_a),
         ])
     csv_name, txt_name = COMPARE_OUTPUTS
     _atomic_write(out_root / csv_name, buf.getvalue().encode())

@@ -45,7 +45,6 @@ class VerifyReport:
     psi_margin: float         # lambda_max of Psi
     varsigma: float           # lambda_min of Omega_0 (state dissipation rate)
     alpha: float              # lambda_max(Phi) / l_g**2  (disturbance gain)
-    class_ok: bool = True     # sign/shape constraints on the matrix classes
 
     def margins_dict(self):
         return {
@@ -65,39 +64,30 @@ class IssCertificate:
     Lambda_1..Lambda_M, ``omega`` is (M+1, 2) for Omega_0..Omega_M, and
     ``upsilon`` is (M+1, M+1, 2) with only the strict upper triangle
     (s < l) populated.
+
+    The fields are stored as read-only float arrays, P and Phi symmetrized;
+    nothing else is checked here. The two producers give every field at
+    these shapes: :func:`vrgrid.certify.search_certificate` builds them so,
+    and :func:`vrgrid.cli.load_certificate` reads each key of a file at its
+    exact shape as finite numbers and fills only s < l of ``upsilon``.
     """
 
     p_mat: np.ndarray
     lam: np.ndarray
     omega: np.ndarray
     phi: np.ndarray
-    upsilon: np.ndarray = None
+    upsilon: np.ndarray
     report: Optional[VerifyReport] = field(default=None, compare=False)
 
     def __post_init__(self):
-        p_mat = linalg.symmetrize(self.p_mat)
-        phi = linalg.symmetrize(self.phi)
-        if p_mat.shape != (2, 2) or phi.shape != (2, 2):
-            raise ValueError(f"certificate p_mat and phi must be 2x2, got {p_mat.shape} and {phi.shape}")
-        lam = np.asarray(self.lam, dtype=float).reshape(-1, 2)
-        omega = np.asarray(self.omega, dtype=float)
-        if omega.ndim != 2 or omega.shape[1] != 2:
-            raise ValueError(f"omega must have shape (M+1, 2), got {omega.shape}")
-        m = lam.shape[0]
-        if omega.shape[0] != m + 1:
-            raise ValueError(f"omega rows ({omega.shape[0]}) must equal branch count + 1 ({m + 1})")
-        ups = self.upsilon
-        if ups is None:
-            ups = np.zeros((m + 1, m + 1, 2))
-        ups = np.asarray(ups, dtype=float)
-        if ups.shape != (m + 1, m + 1, 2):
-            raise ValueError(f"upsilon must have shape (M+1, M+1, 2), got {ups.shape}")
-        low = np.tril_indices(m + 1)
-        if np.any(ups[low] != 0.0):
-            raise ValueError("upsilon may only populate the strict upper triangle (s < l)")
-        for name, arr in (("p_mat", p_mat), ("lam", lam), ("omega", omega), ("phi", phi), ("upsilon", ups)):
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"certificate field {name} has non-finite entries")
+        arrays = {
+            "p_mat": linalg.symmetrize(self.p_mat),
+            "lam": np.asarray(self.lam, dtype=float).reshape(-1, 2),  # M = 0 read from a file is ()
+            "omega": np.asarray(self.omega, dtype=float),
+            "phi": linalg.symmetrize(self.phi),
+            "upsilon": np.asarray(self.upsilon, dtype=float),
+        }
+        for name, arr in arrays.items():
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 

@@ -253,24 +253,15 @@ def integrate(p, bank, sc, cert=None, i_err0=(0.0, 0.0)):
 
 @dataclass(frozen=True)
 class Metrics:
-    """Scenario performance indices; settling time is NaN when unsettled."""
+    """Scenario performance indices, named as the keys of metrics.json (SI units:
+    ``_s`` seconds, ``_a`` amperes); settling time is None when unsettled."""
 
-    settling_time_2pct_d: float
+    settling_time_2pct_d_s: Optional[float]
     settled: bool
-    rms_err_d: float
-    rms_err_q: float
-    peak_abs_err_d: float
-    peak_abs_err_q: float
-
-    def to_dict(self):
-        return {
-            "settling_time_2pct_d_s": None if not self.settled else self.settling_time_2pct_d,
-            "settled": self.settled,
-            "rms_err_d_a": self.rms_err_d,
-            "rms_err_q_a": self.rms_err_q,
-            "peak_abs_err_d_a": self.peak_abs_err_d,
-            "peak_abs_err_q_a": self.peak_abs_err_q,
-        }
+    rms_err_d_a: float
+    rms_err_q_a: float
+    peak_abs_err_d_a: float
+    peak_abs_err_q_a: float
 
 
 def compute_metrics(traj, sc):
@@ -298,7 +289,7 @@ def compute_metrics(traj, sc):
         band = 0.02 * peak
         above = post > band
         if above[-1]:
-            settling, settled = math.nan, False
+            settling, settled = None, False
         elif not above.any():
             settling, settled = 0.0, True
         else:
@@ -311,12 +302,12 @@ def compute_metrics(traj, sc):
         rms = np.sqrt(np.mean(window ** 2, axis=0))
     peaks = np.abs(window).max(axis=0)
     return Metrics(
-        settling_time_2pct_d=settling,
+        settling_time_2pct_d_s=settling,
         settled=settled,
-        rms_err_d=float(rms[0]),
-        rms_err_q=float(rms[1]),
-        peak_abs_err_d=float(peaks[0]),
-        peak_abs_err_q=float(peaks[1]),
+        rms_err_d_a=float(rms[0]),
+        rms_err_q_a=float(rms[1]),
+        peak_abs_err_d_a=float(peaks[0]),
+        peak_abs_err_q_a=float(peaks[1]),
     )
 
 

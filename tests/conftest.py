@@ -11,7 +11,7 @@ CONFIG_DIR = REPO_ROOT / "configs"
 
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from vrgrid.bank import VrElement, bank_values, branch_values  # noqa: E402
+from vrgrid.bank import VrBranch, VrElement, bank_values, branch_values  # noqa: E402
 from vrgrid.cli import load_config  # noqa: E402
 from vrgrid.plant import as_dq, system_matrix  # noqa: E402
 
@@ -30,6 +30,11 @@ def bundled_banks(scenario="scenario1"):
 def nominal_params(i_ref=(10.0, 0.0)):
     """The bundled grid (0.367 mH, 27.6 mOhm, 60 Hz, 392 V d-axis) with current reference ``i_ref``."""
     return dataclasses.replace(bundled_configs("scenario1")[0].grid, i_ref=i_ref)
+
+
+def both_axes(elements):
+    """The branch with the same ``elements`` on its d and q axes."""
+    return VrBranch(tuple(elements), tuple(elements))
 
 
 def unchecked_element(kind, p1, p2=0.0):

@@ -16,6 +16,7 @@ import pytest
 
 from conftest import (
     CONFIG_DIR,
+    both_axes,
     bundled_banks,
     error_derivatives,
     nominal_params,
@@ -77,7 +78,7 @@ def test_c02_system_matrix_oracle():
 
 
 def test_c03_reconstruction_identity():
-    from vrgrid.bank import VrBank, VrBranch, VrElement
+    from vrgrid.bank import VrBank, VrElement
     from vrgrid.persidskii import assemble_psi, lyapunov_gradients
     from vrgrid.bank import branch_values
 
@@ -86,12 +87,12 @@ def test_c03_reconstruction_identity():
         rng = np.random.default_rng(3)
         cases = {
             0: VrBank(()),
-            1: VrBank((VrBranch.of((VrElement("linear", 1.0),)),)),
+            1: VrBank((both_axes((VrElement("linear", 1.0),)),)),
             2: bundled_banks()["multi_branch"],
             3: VrBank((
-                VrBranch.of((VrElement("linear", 0.5),)),
-                VrBranch.of((VrElement("cubic", 0.3),)),
-                VrBranch.of((VrElement("sinh", 0.4, 0.6), VrElement("tanh", 2.0, 0.3))),
+                both_axes((VrElement("linear", 0.5),)),
+                both_axes((VrElement("cubic", 0.3),)),
+                both_axes((VrElement("sinh", 0.4, 0.6), VrElement("tanh", 2.0, 0.3))),
             )),
         }
         for m, bank in cases.items():
@@ -122,7 +123,7 @@ def test_c03_reconstruction_identity():
 
 
 def test_c04_certification_soundness(tmp_path):
-    from vrgrid.bank import VrBank, VrBranch, VrElement
+    from vrgrid.bank import VrBank, VrElement
     from vrgrid.persidskii import lyapunov_gradients
     from vrgrid.cli import load_certificate
     from vrgrid.certify import verify_certificate
@@ -132,7 +133,7 @@ def test_c04_certification_soundness(tmp_path):
         rng = np.random.default_rng(4)
         banks = {
             "certify_m0.json": VrBank(()),
-            "certify_m1_linear.json": VrBank((VrBranch.of((VrElement("linear", 1.0),)),)),
+            "certify_m1_linear.json": VrBank((both_axes((VrElement("linear", 1.0),)),)),
         }
         for cfg_name, bank in banks.items():
             out = tmp_path / cfg_name.replace(".json", "")
@@ -172,7 +173,7 @@ def test_c05_negative_control():
         omega0 = 2.0 * (p.r_g / p.l_g) * np.eye(2) - np.eye(2)
         phi = 2.0 * p_mat @ np.linalg.inv(-(a.T + a + omega0)) @ p_mat
         cert = IssCertificate(p_mat=p_mat, lam=np.zeros((0, 2)),
-                              omega=np.diag(omega0)[None, :], phi=phi)
+                              omega=np.diag(omega0)[None, :], phi=phi, upsilon=np.zeros((1, 1, 2)))
         bank = VrBank(())
         assert verify_certificate(p, bank, cert).valid
 
@@ -187,13 +188,13 @@ def test_c05_negative_control():
 
 
 def test_c06_integrator_order():
-    from vrgrid.bank import VrBank, VrBranch, VrElement
+    from vrgrid.bank import VrBank, VrElement
     from vrgrid.sim import ConstantOffset, integrate
 
     with criterion(6, "measured RK4 order within [3.7, 4.3]"):
         p = nominal_params()
         elements = (VrElement("linear", 0.5), VrElement("cubic", 0.002), VrElement("sinh", 0.2, 0.1))
-        bank = VrBank((VrBranch.of(elements),))
+        bank = VrBank((both_axes(elements),))
         finals = []
         for dt in (4e-6, 2e-6, 1e-6):
             sc = ConstantOffset(t_end=1e-3, dt=dt, v_g_const=(50.0, 20.0))

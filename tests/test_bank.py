@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import CONFIG_DIR, bundled_banks, error_derivatives, python_impl, unchecked_element
+from conftest import CONFIG_DIR, both_axes, bundled_banks, error_derivatives, python_impl, unchecked_element
 from vrgrid import _kernels
 from vrgrid._kernels import element_value
 from vrgrid.bank import (
@@ -60,19 +60,19 @@ def test_element_construction_rejects_bad_params():
 
 
 def test_eval_branch_examples():
-    ident = VrBranch.of((VrElement("linear", 1.0),))
+    ident = both_axes((VrElement("linear", 1.0),))
     np.testing.assert_array_equal(branch_values(ident, [(3.0, -2.0)]), [[3.0, -2.0]])
 
-    series = VrBranch.of((VrElement("linear", 1.0), VrElement("linear", 2.0)))
+    series = both_axes((VrElement("linear", 1.0), VrElement("linear", 2.0)))
     np.testing.assert_array_equal(branch_values(series, [(1.0, -4.0)]), [[3.0, -12.0]])
 
-    mixed = VrBranch.of((VrElement("linear", 1.0), VrElement("cubic", 1.0)))
+    mixed = both_axes((VrElement("linear", 1.0), VrElement("cubic", 1.0)))
     np.testing.assert_array_equal(branch_values(mixed, [(1.0, 2.0)]), [[2.0, 10.0]])
 
 
 def test_eval_bank_examples():
     np.testing.assert_array_equal(bank_values(VrBank(()), [(5.0, -3.0)]), [[0.0, 0.0]])
-    b = VrBranch.of((VrElement("linear", 1.0), VrElement("cubic", 1.0)))
+    b = both_axes((VrElement("linear", 1.0), VrElement("cubic", 1.0)))
     one = bank_values(VrBank((b,)), [(1.5, 0.5)])
     np.testing.assert_array_equal(one, [[1.5 + 1.5 ** 3, 0.5 + 0.5 ** 3]])
     two = bank_values(VrBank((b, b)), [(1.5, 0.5)])
@@ -80,7 +80,7 @@ def test_eval_bank_examples():
 
 
 def test_per_axis_branch():
-    b = VrBranch.of((VrElement("linear", 1.0),), q_elements=(VrElement("linear", 3.0),))
+    b = VrBranch((VrElement("linear", 1.0),), (VrElement("linear", 3.0),))
     assert not b.same_both_axes
     np.testing.assert_array_equal(branch_values(b, [(2.0, 2.0)]), [[2.0, 6.0]])
 
@@ -179,8 +179,8 @@ def test_primitive_monotonicity():
 def test_added_dissipation(rng, p_nominal):
     """Appending any sector element strictly decreases d/dt |x|^2 pointwise."""
     p = p_nominal
-    base = VrBank((VrBranch.of((VrElement("linear", 0.5),)),))
-    extended = VrBank((VrBranch.of((VrElement("linear", 0.5), VrElement("tanh", 2.0, 0.3))),))
+    base = VrBank((both_axes((VrElement("linear", 0.5),)),))
+    extended = VrBank((both_axes((VrElement("linear", 0.5), VrElement("tanh", 2.0, 0.3))),))
     states = rng.uniform(-50.0, 50.0, (10_000, 2))
     e = VrElement("tanh", 2.0, 0.3)
     vals = np.column_stack([element_values(e, states[:, 0]), element_values(e, states[:, 1])])
@@ -193,18 +193,18 @@ def test_added_dissipation(rng, p_nominal):
 
 
 def test_classify_bank():
-    lin = VrBank((VrBranch.of((VrElement("linear", 1.0),)),))
+    lin = VrBank((both_axes((VrElement("linear", 1.0),)),))
     assert classify_bank(lin) is None
-    bounded = VrBank((VrBranch.of((VrElement("tanh", 1.0, 1.0),)),))
+    bounded = VrBank((both_axes((VrElement("tanh", 1.0, 1.0),)),))
     assert classify_bank(bounded) is None
     mixed = VrBank((
-        VrBranch.of((VrElement("saturation", 2.0, 1.0),)),
-        VrBranch.of((VrElement("cubic", 1.0),), q_elements=(VrElement("sinh", 0.5, 2.0),)),
+        both_axes((VrElement("saturation", 2.0, 1.0),)),
+        VrBranch((VrElement("cubic", 1.0),), (VrElement("sinh", 0.5, 2.0),)),
     ))
     assert classify_bank(mixed) is None
 
     # x * k * x**3 underflows to 0 on the smallest probes, so x * r(x) > 0 fails
-    tiny = VrBank((VrBranch.of((VrElement("linear", 1.0),)), VrBranch.of((VrElement("cubic", 1e-300),))))
+    tiny = VrBank((both_axes((VrElement("linear", 1.0),)), both_axes((VrElement("cubic", 1e-300),))))
     with pytest.raises(SectorViolation) as err:
         classify_bank(tiny)
     assert err.value.branch == 1
@@ -213,7 +213,7 @@ def test_classify_bank():
 
 def test_classifier_names_violating_branch():
     bad = unchecked_element("linear", -1.0)
-    bank = VrBank((VrBranch.of((VrElement("linear", 1.0),)), VrBranch.of((bad,))))
+    bank = VrBank((both_axes((VrElement("linear", 1.0),)), both_axes((bad,))))
     with pytest.raises(SectorViolation) as err:
         classify_bank(bank)
     assert err.value.branch == 1
@@ -230,7 +230,7 @@ def test_classify_bank_first_violation(d, q, axis):
     """The first failing sample, d axis before q, as a per-axis sum finds it."""
     from vrgrid.bank import _PROBE_XS, element_values
 
-    bank = VrBank((VrBranch.of((VrElement("linear", 1.0),)), VrBranch(d, q)))
+    bank = VrBank((both_axes((VrElement("linear", 1.0),)), VrBranch(d, q)))
     elements = d if axis == "d" else q
     vals = sum(element_values(e, _PROBE_XS) for e in elements)
     i = int(np.flatnonzero(~(_PROBE_XS * vals > 0.0))[0])
@@ -257,9 +257,9 @@ def test_bank_bounds_elements_per_axis():
     one = VrElement("linear", 1.0)
     limit = MAX_ELEMENTS_PER_AXIS
     assert limit == 256
-    VrBank((VrBranch.of((one,) * limit),))
+    VrBank((both_axes((one,) * limit),))
     with pytest.raises(ValueError, match="axis d sums 257 elements"):
-        VrBank((VrBranch.of((one,) * (limit + 1)),))
+        VrBank((both_axes((one,) * (limit + 1)),))
     with pytest.raises(ValueError, match="axis q sums 257 elements"):
         VrBank((VrBranch((one,), (one,) * 128), VrBranch((one,), (one,) * 129)))
 
@@ -269,13 +269,13 @@ def test_default_banks_are_the_bundled_banks(scenario):
     """configs/<scenario> bundles the repo-default gain choices, name by name."""
     lin, cub = VrElement("linear", 1.0), VrElement("cubic", 0.25)
     default_banks = {
-        "linear": VrBank((VrBranch.of((VrElement("linear", 2.0),)),)),
-        "cubic": VrBank((VrBranch.of((VrElement("cubic", 0.5),)),)),
-        "hybrid": VrBank((VrBranch.of((lin, cub)),)),
-        "sinh": VrBank((VrBranch.of((VrElement("sinh", 1.0, 1.0),)),)),
+        "linear": VrBank((both_axes((VrElement("linear", 2.0),)),)),
+        "cubic": VrBank((both_axes((VrElement("cubic", 0.5),)),)),
+        "hybrid": VrBank((both_axes((lin, cub)),)),
+        "sinh": VrBank((both_axes((VrElement("sinh", 1.0, 1.0),)),)),
         "multi_branch": VrBank((
-            VrBranch.of((lin, cub)),
-            VrBranch.of((VrElement("sinh", 0.5, 0.5), VrElement("tanh", 5.0, 0.2))),
+            both_axes((lin, cub)),
+            both_axes((VrElement("sinh", 0.5, 0.5), VrElement("tanh", 5.0, 0.2))),
         )),
     }
     assert bundled_banks(scenario) == default_banks
@@ -305,8 +305,7 @@ def test_vectorized_bank_helpers(rng, banks):
 
     bank = VrBank((
         *banks["multi_branch"].branches,
-        VrBranch.of((VrElement("saturation", 2.0, 1.5),),
-                    q_elements=(VrElement("linear", 0.5), VrElement("cubic", 0.1))),
+        VrBranch((VrElement("saturation", 2.0, 1.5),), (VrElement("linear", 0.5), VrElement("cubic", 0.1))),
     ))
     codes_d, p1_d, p2_d, codes_q, p1_q, p2_q = flatten_bank(bank)
     pts = rng.uniform(-20.0, 20.0, (100, 2))

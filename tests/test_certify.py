@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import error_derivatives, nominal_params, random_certificate, stacked_coordinates
+from conftest import both_axes, error_derivatives, nominal_params, random_certificate, stacked_coordinates
 from vrgrid import linalg
 from vrgrid.bank import _ELEMENT_KINDS, KINDS, VrBank, VrBranch, VrElement, bank_values
 from vrgrid.certify import (
@@ -27,7 +27,7 @@ from vrgrid.persidskii import (
 from vrgrid.plant import GridParams, system_matrix
 
 EMPTY = VrBank(())
-ONE_LINEAR = VrBank((VrBranch.of((VrElement("linear", 1.0),)),))
+ONE_LINEAR = VrBank((both_axes((VrElement("linear", 1.0),)),))
 
 
 def analytic_m0_certificate(p):
@@ -42,6 +42,7 @@ def analytic_m0_certificate(p):
         lam=np.zeros((0, 2)),
         omega=np.diag(omega0)[None, :],
         phi=phi,
+        upsilon=np.zeros((1, 1, 2)),
     )
 
 
@@ -58,7 +59,7 @@ def test_verify_all_zero_certificate_invalid():
     p = nominal_params()
     zero = IssCertificate(
         p_mat=np.zeros((2, 2)), lam=np.zeros((0, 2)),
-        omega=np.zeros((1, 2)), phi=np.zeros((2, 2)),
+        omega=np.zeros((1, 2)), phi=np.zeros((2, 2)), upsilon=np.zeros((1, 1, 2)),
     )
     report = verify_certificate(p, EMPTY, zero)
     assert not report.valid
@@ -145,7 +146,7 @@ def test_search_preconditions():
     with pytest.raises(ValueError):
         GridParams(r_g=-1.0, l_g=3.67e-4, frequency_hz=60.0)
     p = nominal_params()
-    nine = VrBank(tuple(VrBranch.of((VrElement("linear", 1.0),)) for _ in range(9)))
+    nine = VrBank(tuple(both_axes((VrElement("linear", 1.0),)) for _ in range(9)))
     with pytest.raises(ValueError, match="at most 8"):
         search_certificate(p, nine)
 
@@ -164,7 +165,7 @@ def test_closed_form_certificate_sweep(rng):
         ))
     for r_g, l_g, f, m in points:
         p = GridParams(r_g=r_g, l_g=l_g, frequency_hz=f)
-        bank = VrBank(tuple(VrBranch.of((VrElement("linear", 1.0),)) for _ in range(m)))
+        bank = VrBank(tuple(both_axes((VrElement("linear", 1.0),)) for _ in range(m)))
         rep = search_certificate(p, bank).certificate.report
         where = (r_g, l_g, f, m)
         assert rep.valid, where
@@ -177,7 +178,7 @@ def test_closed_form_certificate_valid_over_decades():
     f in {1, 60, 1000} Hz and 0, 1 or 8 branches. Read in raw units, Psi's
     rounded lambda_max refuses 190 of these 4,275 points (e.g. r_g = 1e-8,
     l_g = 1, no branches, reads +2.5e-9 where the exact value is -7.5e-9)."""
-    banks = [VrBank(tuple(VrBranch.of((VrElement("linear", 1.0),)) for _ in range(m))) for m in (0, 1, 8)]
+    banks = [VrBank(tuple(both_axes((VrElement("linear", 1.0),)) for _ in range(m))) for m in (0, 1, 8)]
     r_gs = [10.0 ** (i / 2) for i in range(-16, 9)]
     l_gs = [10.0 ** (i / 2) for i in range(-16, 3)]
     worst = -math.inf
@@ -278,7 +279,7 @@ def test_gradient_check_counts_non_finite_points_as_violations():
     # sinh(20 x) overflows on most of the radius-50 grid, and the composite
     # gradient then meets inf - inf: those points are violations, not passes.
     p = nominal_params()
-    bank = VrBank((VrBranch.of((VrElement("sinh", 1.0, 20.0),)),))
+    bank = VrBank((both_axes((VrElement("sinh", 1.0, 20.0),)),))
     with np.errstate(over="ignore", invalid="ignore"):
         cert = search_certificate(p, bank).certificate
         report = sampled_gradient_check(p, bank, cert, GradientCheckConfig(epsilon=1e-3))
@@ -311,7 +312,7 @@ def _random_axis_bank(rng, m):
         return [VrElement(kind, *(float(rng.uniform(lo, hi)) for lo, hi in _ELEMENT_PARAMS[kind]))
                 for kind in itertools.islice(kinds, int(rng.integers(1, 3)))]
 
-    return VrBank(tuple(VrBranch.of(elements(), elements()) for _ in range(m)))
+    return VrBank(tuple(VrBranch(tuple(elements()), tuple(elements())) for _ in range(m)))
 
 
 def _full_grid_gradient_check(p, bank, v_spec, cfg):
@@ -379,7 +380,7 @@ def test_gradient_check_block_boundaries_match_oracle(rng):
     # grad_q = 2 d is 0 only on the middle row d = 0, where it meets
     # r_q = sinh(20 q) = inf: the first NaN of the grid lies in a later block
     # (elsewhere r_q = inf gives +-inf), and it must still win
-    bank = VrBank((VrBranch.of((VrElement("linear", 1.0),), (VrElement("sinh", 1.0, 20.0),)),))
+    bank = VrBank((VrBranch((VrElement("linear", 1.0),), (VrElement("sinh", 1.0, 20.0),)),))
     spec = np.array([[1.0, 1.0], [1.0, 0.0]])
     with np.errstate(over="ignore", invalid="ignore"):
         report = sampled_gradient_check(p, bank, spec, cfg)

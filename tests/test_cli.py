@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import CONFIG_DIR
+from conftest import CONFIG_DIR, both_axes
 from vrgrid.sim import SCENARIO_KINDS
 
 
@@ -641,16 +641,16 @@ def test_certificate_roundtrip_and_fingerprint_guard(tmp_path):
     assert run_cli("certify", str(CONFIG_DIR / "certify_m1_linear.json"), "--out", str(out)).returncode == 0
 
     from conftest import nominal_params
-    from vrgrid.bank import VrBank, VrBranch, VrElement
+    from vrgrid.bank import VrBank, VrElement
     from vrgrid.certify import verify_certificate
     from vrgrid.cli import load_certificate
 
-    bank = VrBank((VrBranch.of((VrElement("linear", 1.0),)),))
+    bank = VrBank((both_axes((VrElement("linear", 1.0),)),))
     cert = load_certificate(out / "certificate.json", bank)
     report = verify_certificate(nominal_params(), bank, cert)
     assert report.valid
 
-    other = VrBank((VrBranch.of((VrElement("linear", 2.0),)),))
+    other = VrBank((both_axes((VrElement("linear", 2.0),)),))
     with pytest.raises(ValueError, match="fingerprint"):
         load_certificate(out / "certificate.json", other)
 
@@ -681,17 +681,21 @@ def _upsilon_record(**changes):
     pytest.param(_upsilon_record(diag=[5.0]), id="upsilon-diag-one-number"),
     pytest.param(lambda doc: {**doc, "zz": 1}, id="unknown-key"),
     pytest.param(_upsilon_record(zz=1), id="upsilon-record-unknown-key"),
+    pytest.param(lambda doc: {**doc, "schema_version": 7}, id="schema_version-7"),
+    pytest.param(lambda doc: {**doc, "valid": "maybe"}, id="valid-maybe"),
+    pytest.param(lambda doc: {**doc, "valid": False}, id="valid-false"),
+    pytest.param(lambda doc: {**doc, "margins": None}, id="margins-null"),
 ])
 def test_load_certificate_refuses_malformed(tmp_path, capsys, mutate):
     """A malformed certificate raises ValueError, not a raw KeyError, TypeError,
     AttributeError or IndexError, and does not load with a wrapped, truncated
     or overwritten index. A wrong fingerprint is still the first refusal."""
-    from vrgrid.bank import VrBank, VrBranch, VrElement
+    from vrgrid.bank import VrBank, VrElement
     from vrgrid.cli import load_certificate, main
 
     assert main(["certify", str(CONFIG_DIR / "certify_m1_linear.json"), "--out", str(tmp_path / "m1")]) == 0
     capsys.readouterr()
-    bank = VrBank((VrBranch.of((VrElement("linear", 1.0),)),))
+    bank = VrBank((both_axes((VrElement("linear", 1.0),)),))
     good = tmp_path / "m1" / "certificate.json"
     load_certificate(good, bank)
     bad = mutate(json.loads(good.read_text()))
@@ -710,18 +714,18 @@ def test_deeply_nested_json_is_a_value_error(tmp_path, loader):
     """JSON nested too deep for the parser is refused with ValueError, as any
     invalid JSON is, not with a RecursionError."""
     from vrgrid import cli
-    from vrgrid.bank import VrBank, VrBranch, VrElement
+    from vrgrid.bank import VrBank, VrElement
 
     path = tmp_path / "deep.json"
     path.write_text('{"a": ' + '[' * 100000 + ']' * 100000 + '}')
-    args = (path,) if loader == "load_config" else (path, VrBank((VrBranch.of((VrElement("linear", 1.0),)),)))
+    args = (path,) if loader == "load_config" else (path, VrBank((both_axes((VrElement("linear", 1.0),)),)))
     with pytest.raises(ValueError):
         getattr(cli, loader)(*args)
 
 
 def test_load_certificate_refuses_repeated_key(tmp_path, capsys):
     """A certificate that gives phi twice is refused, not read with its last phi."""
-    from vrgrid.bank import VrBank, VrBranch, VrElement
+    from vrgrid.bank import VrBank, VrElement
     from vrgrid.cli import load_certificate, main
 
     assert main(["certify", str(CONFIG_DIR / "certify_m1_linear.json"), "--out", str(tmp_path / "m1")]) == 0
@@ -730,7 +734,49 @@ def test_load_certificate_refuses_repeated_key(tmp_path, capsys):
     path = tmp_path / "repeated.json"
     path.write_text('{"phi": [[1.0, 0.0], [0.0, 1.0]], ' + text.strip()[1:])
     with pytest.raises(ValueError, match="'phi' is repeated"):
-        load_certificate(path, VrBank((VrBranch.of((VrElement("linear", 1.0),)),)))
+        load_certificate(path, VrBank((both_axes((VrElement("linear", 1.0),)),)))
+
+
+@pytest.mark.parametrize("m", range(9))
+def test_closed_form_certificate_round_trip(tmp_path, capsys, m):
+    """certificate.json of a bank of m branches loads back bit for bit, and the
+    loaded certificate with the original report writes the same payload."""
+    from dataclasses import replace
+
+    from vrgrid.certify import search_certificate
+    from vrgrid.cli import _json_bytes, certificate_payload, load_certificate, load_config, main
+
+    bank = [[{"kind": "linear", "k": 1.0 + k}, {"kind": "tanh", "a": 2.0, "b": 0.5 + k}] for k in range(m)]
+    path = write_config(tmp_path / "cfg.json", small_config(bank=bank, certify={"enabled": True}))
+    assert main(["certify", str(path), "--out", str(tmp_path / "o")]) == 0
+    capsys.readouterr()
+    cfg = load_config(path)
+    cert = search_certificate(cfg.grid, cfg.bank).certificate
+    written = (tmp_path / "o" / "certificate.json").read_bytes()
+
+    loaded = load_certificate(tmp_path / "o" / "certificate.json", cfg.bank)
+    assert loaded.lam.shape == (m, 2)
+    for name in ("p_mat", "lam", "omega", "phi", "upsilon"):
+        original, back = getattr(cert, name), getattr(loaded, name)
+        assert back.shape == original.shape and back.tobytes() == original.tobytes(), name
+    payload = certificate_payload(replace(loaded, report=cert.report), cfg.bank)
+    assert payload == certificate_payload(cert, cfg.bank)
+    assert _json_bytes(payload) == written
+
+
+def test_readme_certificate_fields_match_payload():
+    """README's certificate.json field list names exactly the payload's keys, those
+    of ``margins`` and of an ``upsilon_diag`` record included."""
+    from vrgrid.certify import search_certificate
+    from vrgrid.cli import certificate_payload, load_config
+
+    readme = (CONFIG_DIR.parent / "README.md").read_text()
+    block = re.search(r"certificate.json`\s+bytes\. Its fields:\n(.*?)\n\n", readme, re.S).group(1)
+    cfg = load_config(CONFIG_DIR / "certify_m1_linear.json")
+    payload = certificate_payload(search_certificate(cfg.grid, cfg.bank).certificate, cfg.bank)
+    assert payload["valid"] and payload["upsilon_diag"]
+    keys = {*payload, *payload["margins"], *payload["upsilon_diag"][0]}
+    assert set(re.findall(r"`(\w+)`", block)) == keys
 
 
 def test_certify_and_simulate_write_the_same_certificate(tmp_path, capsys):
@@ -893,7 +939,7 @@ def test_certify_infeasible_exit4(tmp_path, monkeypatch, capsys, command):
 
     def fake_search(p, bank):
         cert = IssCertificate(p_mat=np.zeros((2, 2)), lam=np.zeros((0, 2)),
-                              omega=np.zeros((1, 2)), phi=np.zeros((2, 2)))
+                              omega=np.zeros((1, 2)), phi=np.zeros((2, 2)), upsilon=np.zeros((1, 1, 2)))
         report = verify_certificate(p, bank, cert)
         return SearchResult(certificate=replace(cert, report=report), feasible=False, starts_run=1)
 

@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
 
-from conftest import error_derivatives, nominal_params, random_certificate, stacked_coordinates
-from vrgrid.bank import VrBank, VrBranch, VrElement, branch_values
+from conftest import both_axes, error_derivatives, nominal_params, random_certificate, stacked_coordinates
+from vrgrid.bank import VrBank, VrElement, branch_values
 from vrgrid.persidskii import IssCertificate, assemble_psi, lyapunov_gradients, lyapunov_values
 from vrgrid.plant import system_matrix
 
 
 def _cert(p_mat, lam, omega, phi, ups=None):
+    if ups is None:
+        ups = np.zeros((len(omega), len(omega), 2))
     return IssCertificate(p_mat=p_mat, lam=lam, omega=omega, phi=phi, upsilon=ups)
 
 
@@ -16,7 +18,7 @@ def test_lyapunov_value_examples():
     c0 = _cert(np.eye(2), np.zeros((0, 2)), np.zeros((1, 2)), np.zeros((2, 2)))
     np.testing.assert_array_equal(lyapunov_values(c0, bank0, [(1.0, 0.0), (0.0, 0.0)]), [1.0, 0.0])
 
-    bank1 = VrBank((VrBranch.of((VrElement("linear", 1.0),)),))
+    bank1 = VrBank((both_axes((VrElement("linear", 1.0),)),))
     c1 = _cert(np.eye(2), np.ones((1, 2)), np.zeros((2, 2)), np.zeros((2, 2)))
     # x'Px = 2 plus 2 * (1*(1/2) + 1*(1/2)) = 2
     vals = lyapunov_values(c1, bank1, [(1.0, 1.0), (0.0, 0.0)])
@@ -139,12 +141,12 @@ def test_reconstruction_identity(rng, banks):
     p = nominal_params()
     cases = {
         0: VrBank(()),
-        1: VrBank((VrBranch.of((VrElement("linear", 1.0),)),)),
+        1: VrBank((both_axes((VrElement("linear", 1.0),)),)),
         2: banks["multi_branch"],
         3: VrBank((
-            VrBranch.of((VrElement("linear", 0.5),)),
-            VrBranch.of((VrElement("cubic", 0.3),)),
-            VrBranch.of((VrElement("sinh", 0.4, 0.6), VrElement("tanh", 2.0, 0.3))),
+            both_axes((VrElement("linear", 0.5),)),
+            both_axes((VrElement("cubic", 0.3),)),
+            both_axes((VrElement("sinh", 0.4, 0.6), VrElement("tanh", 2.0, 0.3))),
         )),
     }
     for m, bank in cases.items():

@@ -5,13 +5,14 @@ import numpy as np
 import pytest
 
 from conftest import (
+    both_axes,
     coupling_matrix,
     error_derivatives,
     feedforward_v0,
     nominal_params,
     open_loop_derivative,
 )
-from vrgrid.bank import VrBank, VrBranch, VrElement, bank_values
+from vrgrid.bank import VrBank, VrElement, bank_values
 from vrgrid.plant import GridParams, system_matrix
 
 OMEGA_60HZ = 2.0 * math.pi * 60.0
@@ -124,7 +125,7 @@ def test_closed_loop_integration_matches_error_integration():
     """Integrate the raw plant under the control law and compare against the
     error-dynamics integrator, pointwise to 1e-8."""
     p = nominal_params()
-    bank = VrBank((VrBranch.of((VrElement("linear", 1.0), VrElement("cubic", 0.25))),))
+    bank = VrBank((both_axes((VrElement("linear", 1.0), VrElement("cubic", 0.25))),))
     from vrgrid.sim import ConstantOffset, integrate
 
     dt = 1e-6

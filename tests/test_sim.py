@@ -4,8 +4,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import error_derivatives, nominal_params, passivity_ball, unchecked_element
-from vrgrid.bank import VrBank, VrBranch, VrElement
+from conftest import both_axes, error_derivatives, nominal_params, passivity_ball, unchecked_element
+from vrgrid.bank import VrBank, VrElement
 from vrgrid.certify import search_certificate
 from vrgrid.persidskii import VerifyReport
 from vrgrid.plant import system_matrix
@@ -23,8 +23,8 @@ from vrgrid.sim import (
 )
 
 SMOOTH_BANK = VrBank((
-    VrBranch.of((VrElement("linear", 1.0), VrElement("cubic", 0.25))),
-    VrBranch.of((VrElement("sinh", 0.5, 0.5),)),
+    both_axes((VrElement("linear", 1.0), VrElement("cubic", 0.25))),
+    both_axes((VrElement("sinh", 0.5, 0.5),)),
 ))
 
 
@@ -84,7 +84,7 @@ def test_rk4_convergence_order():
     """
     p = nominal_params()
     elements = (VrElement("linear", 0.5), VrElement("cubic", 0.002), VrElement("sinh", 0.2, 0.1))
-    bank = VrBank((VrBranch.of(elements),))
+    bank = VrBank((both_axes(elements),))
     finals = []
     for dt in (4e-6, 2e-6, 1e-6):
         sc = ConstantOffset(t_end=1e-3, dt=dt, v_g_const=(50.0, 20.0))
@@ -159,7 +159,7 @@ def test_settling_time_exponential_oracle():
     sc = ConstantOffset(t_end=0.02, dt=dt)
     m = compute_metrics(traj, sc)
     assert m.settled
-    assert abs(m.settling_time_2pct_d - tau * math.log(50.0)) <= dt
+    assert abs(m.settling_time_2pct_d_s - tau * math.log(50.0)) <= dt
 
 
 def test_metrics_constant_and_zero_signals():
@@ -169,14 +169,14 @@ def test_metrics_constant_and_zero_signals():
 
     const = _synthetic_trajectory(np.full(n + 1, -3.0), dt)
     m = compute_metrics(const, sc)
-    assert m.rms_err_d == pytest.approx(3.0)
-    assert not m.settled and math.isnan(m.settling_time_2pct_d)
-    assert m.peak_abs_err_d == pytest.approx(3.0)
+    assert m.rms_err_d_a == pytest.approx(3.0)
+    assert not m.settled and m.settling_time_2pct_d_s is None
+    assert m.peak_abs_err_d_a == pytest.approx(3.0)
 
     zero = _synthetic_trajectory(np.zeros(n + 1), dt)
     m = compute_metrics(zero, sc)
-    assert m.settled and m.settling_time_2pct_d == 0.0
-    assert m.rms_err_d == 0.0 and m.rms_err_q == 0.0
+    assert m.settled and m.settling_time_2pct_d_s == 0.0
+    assert m.rms_err_d_a == 0.0 and m.rms_err_q_a == 0.0
 
 
 def test_check_dissipation_zero_case(banks):
@@ -191,7 +191,7 @@ def test_check_dissipation_zero_case(banks):
 
 def test_check_dissipation_scenario1_and_corruption(banks):
     p = nominal_params()
-    bank = VrBank((VrBranch.of((VrElement("linear", 1.0),)),))
+    bank = VrBank((both_axes((VrElement("linear", 1.0),)),))
     result = search_certificate(p, bank)
     assert result.feasible
     sc = VoltagePulse(t_end=0.15, dt=1e-6)
@@ -236,7 +236,7 @@ def test_passivity_ball_negative_control(banks):
     """A negative resistance breaks x * r(x) >= 0 and leaves the ball a sector bank stays in."""
     p = nominal_params()
     sc = ConstantOffset(t_end=1e-3, dt=1e-6)
-    unstable = VrBank((VrBranch.of((unchecked_element("linear", -3.0),)),))
+    unstable = VrBank((both_axes((unchecked_element("linear", -3.0),)),))
     # zero disturbance: the ball's radius is |x0|, and a sector bank's peak is x0 itself
     assert passivity_ball(integrate(p, banks["linear"], sc, i_err0=(1e-3, 0.0))) == (1e-3, 1e-3)
     peak, radius = passivity_ball(integrate(p, unstable, sc, i_err0=(1e-3, 0.0)))
@@ -246,7 +246,7 @@ def test_passivity_ball_negative_control(banks):
 
 def test_simulation_abort_diagnostic():
     p = nominal_params()
-    unstable = VrBank((VrBranch.of((unchecked_element("linear", -3.0),)),))
+    unstable = VrBank((both_axes((unchecked_element("linear", -3.0),)),))
     sc = ConstantOffset(t_end=0.2, dt=1e-6)
     with pytest.raises(SimulationAbort) as err:
         integrate(p, unstable, sc, i_err0=(1.0, 0.0))
@@ -280,7 +280,7 @@ def test_monotone_damping_pointwise(rng, banks):
     p = nominal_params()
     base = banks["hybrid"]
     extended = VrBank((
-        VrBranch.of(base.branches[0].elements_d + (VrElement("tanh", 4.0, 0.5),)),
+        both_axes(base.branches[0].elements_d + (VrElement("tanh", 4.0, 0.5),)),
     ))
     xs = rng.uniform(-60.0, 60.0, (10_000, 2))
     ds = rng.uniform(-300.0, 300.0, (10_000, 2))
