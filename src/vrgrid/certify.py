@@ -1,4 +1,26 @@
-"""Certificate construction and verification, and sampled stability checks.
+"""Persidskii-form ISS certificates of the error dynamics: construction and verification.
+
+The closed loop has a linear part A0 = A, one channel
+A_k = -(1/l_g) I per bank branch acting on the branch map r_k, and the
+disturbance input phi = -(1/l_g) vg_err:
+
+    d(ierr)/dt = A0 ierr + sum_k A_k r_k(ierr) + phi.
+
+The stability certificate is the matrix tuple (P, Lambda_k, Omega_s,
+Upsilon_{s,l}, Phi) entering the composite Lyapunov function
+
+    V(x) = x' P x + 2 sum_k sum_axis Lambda_{k,axis} * Int_0^{x_axis} r_k
+
+and the quadratic-form matrix Psi over z = (x, r_1(x), ..., r_M(x), w),
+which :func:`assemble_psi` builds from this form.
+
+Sign convention for the disturbance coordinate: w = phi = -(1/l_g) vg_err,
+i.e. the scale AND the sign are absorbed into w. With that choice the
+block layout of :func:`assemble_psi` satisfies, identically in (x, vg_err),
+
+    z' Psi z = Vdot + x' Omega_0 x + sum_k r_k' Omega_k r_k
+               + 2 sum_k x' Upsilon_{0,k} r_k
+               + 2 sum_{s<l} r_s' Upsilon_{s,l} r_l - w' Phi w.
 
 Verification evaluates three conditions on a candidate certificate:
 
@@ -7,8 +29,9 @@ Verification evaluates three conditions on a candidate certificate:
      + sum_{1<=s<l} Upsilon_{s,l} positive definite   (xi margin)
   3. Psi negative semidefinite                        (psi margin)
 
-plus the sign-class constraints (nonnegative diagonals, P and Phi PSD).
-A valid certificate yields the pointwise dissipation bound
+plus the sign class of :func:`sign_class_violation` (nonnegative
+diagonals, P and Phi symmetric PSD). A valid certificate yields the
+pointwise dissipation bound
 
     Vdot <= -varsigma * |x|^2 + alpha * |vg_err|^2
 
@@ -23,20 +46,14 @@ elsewhere, see its docstring) and checks it once with
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from typing import Optional
 
 import numpy as np
 
 from . import linalg
-from .bank import bank_values, branch_values
+from .bank import bank_values, branch_primitive_values, branch_values
 from .bank import classify_bank  # not called here; the certify.classify_bank trace site
-from .persidskii import (
-    IssCertificate,
-    VerifyReport,
-    _check_dims,
-    assemble_psi,
-    lyapunov_gradients,  # not called here; the persidskii.lyapunov_gradients trace site
-)
 from .plant import system_matrix
 
 
@@ -52,14 +69,133 @@ class CertificateError(ValueError):
     """Raised for unusable certificates (e.g. gain requested with varsigma <= 0)."""
 
 
-def _class_ok(cert):
-    if np.any(cert.lam < 0.0) or np.any(cert.omega < 0.0) or np.any(cert.upsilon < 0.0):
-        return False
-    if linalg.lambda_min(cert.p_mat) < -linalg.TOL:
-        return False
-    if linalg.lambda_min(cert.phi) < -linalg.TOL:
-        return False
-    return True
+@dataclass(frozen=True)
+class VerifyReport:
+    """Outcome of checking one certificate against the three conditions."""
+
+    valid: bool
+    sigma_margin: float       # lambda_min of P + sum Lambda_k
+    xi_margin: float          # lambda_min of the summed regularizer matrix
+    psi_margin: float         # lambda_max of Psi
+    varsigma: float           # lambda_min of Omega_0 (state dissipation rate)
+    alpha: float              # lambda_max(Phi) / l_g**2  (disturbance gain)
+
+    def margins_dict(self):
+        return {
+            "sigma": self.sigma_margin,
+            "xi": self.xi_margin,
+            "psi": self.psi_margin,
+            "varsigma": self.varsigma,
+            "alpha": self.alpha,
+        }
+
+
+@dataclass(frozen=True)
+class IssCertificate:
+    """Candidate certificate matrices; ``report`` is attached by verification.
+
+    Diagonal matrices are stored by their diagonals: ``lam`` is (M, 2) for
+    Lambda_1..Lambda_M, ``omega`` is (M+1, 2) for Omega_0..Omega_M, and
+    ``upsilon`` is (M+1, M+1, 2) with only the strict upper triangle
+    (s < l) populated.
+
+    The fields are stored as read-only float arrays; nothing is checked
+    here. The two producers give every field at these shapes, with P and
+    Phi symmetric: :func:`search_certificate` builds them so, and
+    :func:`vrgrid.cli.load_certificate` reads each key of a file at its
+    exact shape as finite numbers, fills only s < l of ``upsilon`` and
+    refuses a certificate outside the class of :func:`sign_class_violation`.
+    """
+
+    p_mat: np.ndarray
+    lam: np.ndarray
+    omega: np.ndarray
+    phi: np.ndarray
+    upsilon: np.ndarray
+    report: Optional[VerifyReport] = field(default=None, compare=False)
+
+    def __post_init__(self):
+        for name in ("p_mat", "lam", "omega", "phi", "upsilon"):
+            arr = np.asarray(getattr(self, name), dtype=float)
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+
+    @property
+    def branch_count(self):
+        return self.lam.shape[0]
+
+
+def _check_dims(cert, bank):
+    if cert.branch_count != bank.branch_count:
+        raise ValueError(
+            f"certificate sized for {cert.branch_count} branches, bank has {bank.branch_count}"
+        )
+
+
+def lyapunov_values(cert, bank, pts):
+    """Vectorized V over an (N, 2) array of states."""
+    _check_dims(cert, bank)
+    pts = np.asarray(pts, dtype=float)
+    value = np.einsum("...i,ij,...j->...", pts, cert.p_mat, pts)
+    for k, branch in enumerate(bank.branches):
+        value = value + 2.0 * branch_primitive_values(branch, pts) @ cert.lam[k]
+    return value
+
+
+def lyapunov_gradients(cert, bank, pts):
+    """Vectorized grad V over an (N, 2) array of states."""
+    _check_dims(cert, bank)
+    pts = np.asarray(pts, dtype=float)
+    grad = 2.0 * pts @ cert.p_mat.T
+    for k, branch in enumerate(bank.branches):
+        grad = grad + 2.0 * cert.lam[k] * branch_values(branch, pts)
+    return grad
+
+
+def assemble_psi(p, cert):
+    """Assemble the symmetric 2(M+2) matrix Psi for the given grid params.
+
+    The blocks are laid out over z = (x, r_1..r_M, w); see the module
+    docstring.
+    """
+    m = cert.branch_count
+    a_mat = system_matrix(p)
+    inv_lg = 1.0 / p.l_g
+    p_mat, lam, omega, upsilon = cert.p_mat, cert.lam, cert.omega, cert.upsilon
+    psi = np.zeros((2 * m + 4, 2 * m + 4))
+    rows = [slice(2 * i, 2 * i + 2) for i in range(m + 2)]
+
+    def put(i, j, block):
+        psi[rows[i], rows[j]] = block
+        psi[rows[j], rows[i]] = block.T
+
+    ap = a_mat.T @ p_mat
+    psi[rows[0], rows[0]] = ap + ap.T + np.diag(omega[0])
+    for k in range(1, m + 1):
+        put(0, k, -inv_lg * p_mat + a_mat.T @ np.diag(lam[k - 1]) + np.diag(upsilon[0, k]))
+        psi[rows[k], rows[k]] = np.diag(-2.0 * inv_lg * lam[k - 1] + omega[k])
+        put(k, m + 1, np.diag(lam[k - 1]))
+    for s in range(1, m + 1):
+        for l in range(s + 1, m + 1):
+            put(s, l, np.diag(-inv_lg * (lam[s - 1] + lam[l - 1]) + upsilon[s, l]))
+    put(0, m + 1, p_mat)
+    psi[rows[m + 1], rows[m + 1]] = -cert.phi
+    return psi
+
+
+def sign_class_violation(cert):
+    """``(field, reason)`` of the first field of ``cert`` outside the sign class, else None: ``lam``,
+    ``omega`` and ``upsilon`` have no negative entry, ``p_mat`` and ``phi`` are symmetric PSD."""
+    for name in ("lam", "omega", "upsilon"):
+        if np.any(getattr(cert, name) < 0.0):
+            return name, "has a negative entry"
+    for name in ("p_mat", "phi"):
+        mat = getattr(cert, name)
+        if not np.array_equal(mat, mat.T):
+            return name, "is not symmetric"
+        if linalg.lambda_min(mat) < -linalg.TOL:
+            return name, "is not positive semidefinite"
+    return None
 
 
 def _xi_matrix(cert):
@@ -72,14 +208,17 @@ def _xi_matrix(cert):
 
 
 def verify_certificate(p, bank, cert):
-    """Evaluate all three conditions; never raises on an invalid certificate."""
+    """Evaluate all three conditions; an invalid certificate gives a report, not an error.
+
+    P and Phi must be symmetric, as both producers give them: ``linalg`` refuses an asymmetric one.
+    """
     _check_dims(cert, bank)
     lmi_p = cert.p_mat + np.diag(cert.lam.sum(axis=0)) if cert.branch_count else cert.p_mat
     sigma_ok, sigma_margin = linalg.is_pos_def(lmi_p)
     xi_ok, xi_margin = linalg.is_pos_def(_xi_matrix(cert))
     psi_ok, psi_margin = linalg.is_neg_semidef(assemble_psi(p, cert))
     return VerifyReport(
-        valid=bool(_class_ok(cert) and sigma_ok and xi_ok and psi_ok),
+        valid=bool(sign_class_violation(cert) is None and sigma_ok and xi_ok and psi_ok),
         sigma_margin=sigma_margin,
         xi_margin=xi_margin,
         psi_margin=psi_margin,

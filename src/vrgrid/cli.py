@@ -1,7 +1,8 @@
 """Command-line front end: config ingestion, scenario runs, certification.
 
 Exit codes: 0 success, 2 config/schema violation or an output location
-that cannot be written, 3 numeric abort, 4 certification infeasible.
+that cannot be written, 3 numeric abort, 4 certification infeasible or a
+certified run that breaks its certificate's dissipation inequality.
 Errors are also emitted as a single JSON object on stdout so sweep
 scripts can triage failures.
 
@@ -29,8 +30,7 @@ import numpy as np
 from . import __version__
 from ._kernels import NUMBA_ENABLED
 from .bank import ELEMENT_PARAMS, SectorViolation, VrBank, VrBranch, VrElement, bank_fingerprint, classify_bank
-from .certify import MAX_BRANCHES, CertificateError, iss_gain, search_certificate
-from .persidskii import IssCertificate
+from .certify import MAX_BRANCHES, CertificateError, IssCertificate, iss_gain, search_certificate, sign_class_violation
 from .plant import GridParams
 from .sim import SCENARIO_KINDS, Scenario, SimulationAbort, check_dissipation, compute_metrics, integrate
 
@@ -48,7 +48,7 @@ class ConfigError(ValueError):
 
 
 class CertificationInfeasible(Exception):
-    """Ends a certified command with exit 4, after its certificate.json is written."""
+    """Ends a certified command with exit 4, after the files that show why are written."""
 
 
 def _expect_mapping(obj, path):
@@ -393,7 +393,8 @@ def certificate_payload(cert, bank):
 
 def load_certificate(path, bank):
     """Read a valid certificate JSON back for ``bank``; refuses another bank's certificate (checked
-    first), an invalid one or a malformed one with a ConfigError (a ValueError) on its field
+    first), an invalid one, a malformed one or one whose matrices are outside the sign class of
+    :func:`vrgrid.certify.sign_class_violation` with a ConfigError (a ValueError) on its field
     ``certificate.<key>``."""
     doc = _parse_json(Path(path).read_bytes(), f"certificate {path}")
     _expect_mapping(doc, "certificate")
@@ -420,9 +421,15 @@ def load_certificate(path, bank):
             raise ConfigError(field, f"(s, l) = ({s!r}, {l!r}) is not a new pair of integers with 0 <= s < l <= {m}")
         seen.add((s, l))
         ups[s, l] = _numbers(rec["diag"], (2,), f"{field}.diag")
-    matrices = {name: _numbers(doc[key], shape(m), f"certificate.{key}")
+    matrices = {name: np.reshape(_numbers(doc[key], shape(m), f"certificate.{key}"), shape(m))
                 for key, (name, shape) in CERTIFICATE_MATRICES.items()}
-    return IssCertificate(**matrices, upsilon=ups)
+    cert = IssCertificate(**matrices, upsilon=ups)
+    violation = sign_class_violation(cert)
+    if violation is not None:
+        name, reason = violation
+        key = next((k for k, (attr, _) in CERTIFICATE_MATRICES.items() if attr == name), "upsilon_diag")
+        raise ConfigError(f"certificate.{key}", reason)
+    return cert
 
 
 def _emit_error(exit_code, kind, field, message):
@@ -511,6 +518,10 @@ def cmd_simulate(args):
         return _emit_error(3, "numeric", "scenario", str(exc))
 
     _write_run(Path(cfg.output.directory), cfg, traj, metrics_doc, cert_json)
+    if cert is not None and metrics_doc["dissipation"]["n_violations"]:
+        raise CertificationInfeasible("the certificate does not cover this run: {n_violations} steps break its "
+                                      "dissipation inequality, worst margin {worst_margin!r} against a "
+                                      "tolerance of {tol!r}".format(**metrics_doc["dissipation"]))
     print(f"simulate {cfg.name}: ok (settled={metrics.settled}, "
           f"rms_d={metrics.rms_err_d_a:.6g} A, rms_q={metrics.rms_err_q_a:.6g} A)")
     return 0

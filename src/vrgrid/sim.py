@@ -22,7 +22,7 @@ import numpy as np
 
 from . import _kernels
 from .bank import flatten_bank
-from .persidskii import lyapunov_values
+from .certify import lyapunov_values
 from .plant import as_dq
 
 MAX_DT = 1e-4

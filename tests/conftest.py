@@ -117,7 +117,7 @@ def rng():
 
 def random_certificate(m, rng):
     """Arbitrary well-formed (not necessarily valid) certificate matrices."""
-    from vrgrid.persidskii import IssCertificate
+    from vrgrid.certify import IssCertificate
 
     ups = np.zeros((m + 1, m + 1, 2))
     for s in range(m + 1):

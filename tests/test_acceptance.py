@@ -79,7 +79,7 @@ def test_c02_system_matrix_oracle():
 
 def test_c03_reconstruction_identity():
     from vrgrid.bank import VrBank, VrElement
-    from vrgrid.persidskii import assemble_psi, lyapunov_gradients
+    from vrgrid.certify import assemble_psi, lyapunov_gradients
     from vrgrid.bank import branch_values
 
     with criterion(3, "z'Psi z equals the direct Vdot expansion (1e-8)"):
@@ -124,9 +124,8 @@ def test_c03_reconstruction_identity():
 
 def test_c04_certification_soundness(tmp_path):
     from vrgrid.bank import VrBank, VrElement
-    from vrgrid.persidskii import lyapunov_gradients
+    from vrgrid.certify import lyapunov_gradients, verify_certificate
     from vrgrid.cli import load_certificate
-    from vrgrid.certify import verify_certificate
 
     with criterion(4, "searched certificates verify and dissipate pointwise"):
         p = nominal_params()
@@ -162,9 +161,8 @@ def test_c04_certification_soundness(tmp_path):
 
 def test_c05_negative_control():
     from vrgrid.bank import VrBank
-    from vrgrid.certify import verify_certificate
+    from vrgrid.certify import IssCertificate, verify_certificate
     from vrgrid.plant import system_matrix
-    from vrgrid.persidskii import IssCertificate
 
     with criterion(5, "corrupting any single condition invalidates the certificate"):
         p = nominal_params()

@@ -14,15 +14,13 @@ from vrgrid.certify import (
     CertificateError,
     GradientCheckConfig,
     GradientCheckReport,
+    IssCertificate,
+    VerifyReport,
     iss_gain,
+    lyapunov_gradients,
     search_certificate,
     sampled_gradient_check,
     verify_certificate,
-)
-from vrgrid.persidskii import (
-    IssCertificate,
-    VerifyReport,
-    lyapunov_gradients,
 )
 from vrgrid.plant import GridParams, system_matrix
 

@@ -685,6 +685,11 @@ def _upsilon_record(**changes):
     pytest.param(lambda doc: {**doc, "valid": "maybe"}, id="valid-maybe"),
     pytest.param(lambda doc: {**doc, "valid": False}, id="valid-false"),
     pytest.param(lambda doc: {**doc, "margins": None}, id="margins-null"),
+    pytest.param(lambda doc: {**doc, "omega_diag": [[-v for v in row] for row in doc["omega_diag"]]},
+                 id="omega_diag-negated"),
+    pytest.param(_upsilon_record(diag=[-1.0, 0.0]), id="upsilon-diag-negative"),
+    pytest.param(lambda doc: {**doc, "p": [[1.0, 0.5], [0.0, 1.0]]}, id="p-asymmetric"),
+    pytest.param(lambda doc: {**doc, "phi": [[1.0, 0.0], [0.0, -1.0]]}, id="phi-indefinite"),
 ])
 def test_load_certificate_refuses_malformed(tmp_path, capsys, mutate):
     """A malformed certificate raises ValueError, not a raw KeyError, TypeError,
@@ -931,8 +936,7 @@ def test_certify_infeasible_exit4(tmp_path, monkeypatch, capsys, command):
     from dataclasses import replace
 
     import vrgrid.cli as cli
-    from vrgrid.certify import SearchResult, verify_certificate
-    from vrgrid.persidskii import IssCertificate
+    from vrgrid.certify import IssCertificate, SearchResult, verify_certificate
 
     doc = small_config(bank=[], certify={"enabled": True})
     path = write_config(tmp_path / "cfg.json", doc)
@@ -954,6 +958,32 @@ def test_certify_infeasible_exit4(tmp_path, monkeypatch, capsys, command):
     assert "sigma" in payload["margins"]
     assert json.loads((out / "manifest.json").read_text())["certificate"] == "certificate.json"
     assert sorted(p.name for p in out.iterdir()) == ["certificate.json", "manifest.json"]
+
+
+def test_certified_run_outside_its_certificate_exit4(tmp_path, capsys):
+    """A certified simulate whose trajectory breaks the certificate's dissipation
+    inequality writes its files, then exits 4 naming the count and worst margin.
+
+    The certificate is built at the nominal r_g; this run holds r_g at a tenth of
+    it for the whole horizon, on a 1 Hz grid with no bank, which it does not cover."""
+    from vrgrid.cli import main
+
+    doc = small_config(
+        bank=[], certify={"enabled": True},
+        grid={"l_g": 3.67e-4, "r_g": 2.76e-2, "frequency_hz": 1.0},
+        scenario={"kind": "random_resistance", "t_end": 0.05, "dt": 1e-5, "seed": 0,
+                  "lo_fraction": 0.1, "hi_fraction": 0.1, "t_start": 0.0, "t_stop": 0.05},
+    )
+    out = tmp_path / "o"
+    assert main(["simulate", str(write_config(tmp_path / "cfg.json", doc)), "--out", str(out)]) == 4
+    err = json.loads(capsys.readouterr().out.splitlines()[0])["error"]
+    dissipation = json.loads((out / "metrics.json").read_text())["dissipation"]
+    assert dissipation["n_violations"] > 0
+    assert err["kind"] == "infeasible"
+    assert f"{dissipation['n_violations']} steps" in err["message"]
+    assert repr(dissipation["worst_margin"]) in err["message"]
+    assert sorted(p.name for p in out.iterdir()) == [
+        "certificate.json", "manifest.json", "metrics.json", "trajectory.csv"]
 
 
 @pytest.mark.parametrize("command", ["certify", "simulate"])

@@ -56,9 +56,8 @@ def _jacobi_eigenvalues(s):
 
 def _bundled_certificate_matrices():
     """The sigma, xi and Psi matrices verified for each bundled certify config."""
-    from vrgrid.certify import _xi_matrix, search_certificate
+    from vrgrid.certify import _xi_matrix, assemble_psi, search_certificate
     from vrgrid.cli import load_config
-    from vrgrid.persidskii import assemble_psi
 
     for path in sorted(CONFIG_DIR.glob("certify_*.json")):
         cfg = load_config(path)

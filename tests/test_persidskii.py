@@ -3,7 +3,7 @@ import pytest
 
 from conftest import both_axes, error_derivatives, nominal_params, random_certificate, stacked_coordinates
 from vrgrid.bank import VrBank, VrElement, branch_values
-from vrgrid.persidskii import IssCertificate, assemble_psi, lyapunov_gradients, lyapunov_values
+from vrgrid.certify import IssCertificate, assemble_psi, lyapunov_gradients, lyapunov_values
 from vrgrid.plant import system_matrix
 
 

@@ -4,7 +4,8 @@ A use is a whole-word occurrence of the name in a module of ``src/vrgrid``
 (its own included), ``README.md``, ``perfbench/*.py`` or ``pyproject.toml``.
 A helper that only tests call fails here; such helpers live in
 ``tests/conftest.py``. ``vrgrid/__init__.py`` binds only ``__version__``, so
-each name has one import path: its submodule.
+each name has one import path: its submodule. A name with a leading
+underscore is private to its module: no sibling imports it.
 """
 
 import ast
@@ -44,3 +45,21 @@ def test_package_binds_only_version():
     body = tree.body[1:] if ast.get_docstring(tree) is not None else tree.body
     assert len(body) == 1 and isinstance(body[0], ast.Assign), [ast.unparse(node) for node in body]
     assert [ast.unparse(target) for target in body[0].targets] == ["__version__"]
+
+
+def _private_imports(path):
+    """``module:name`` of each underscore-prefixed name that ``path`` imports from a sibling
+    module; a sibling module itself (``from . import _kernels``) and dunders are not private."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if not isinstance(node, ast.ImportFrom) or not (node.level or (node.module or "").startswith("vrgrid")):
+            continue
+        for alias in node.names:
+            is_module = node.module in (None, "vrgrid") and (SRC / f"{alias.name}.py").exists()
+            if alias.name.startswith("_") and not alias.name.endswith("__") and not is_module:
+                yield f"{node.module or '.'}:{alias.name}"
+
+
+def test_no_module_imports_a_private_name_of_a_sibling():
+    """A name with a leading underscore belongs to its module: no other module imports it."""
+    found = {path.name: list(_private_imports(path)) for path in sorted(SRC.glob("*.py"))}
+    assert not any(found.values()), {name: names for name, names in found.items() if names}
