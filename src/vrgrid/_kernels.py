@@ -1,6 +1,16 @@
-"""Hot numeric kernels.
+"""Hot numeric kernels and the element kind table.
 
-Everything in this module is compiled with numba's ``njit`` when numba is
+``ELEMENT_KINDS`` has one row per element kind: its code, parameter names,
+scalar expression, vector map and primitive. It lives beside
+``element_value`` because ``vrgrid.bank`` and the integrators both import
+this module. A kind has two scalar forms: the ``element_value`` branch,
+which numba compiles with static dispatch and the tests take as the
+reference, and the row's ``expr``, which the generated fallback loop
+inlines. The vector map is a third form: saturation's conditional
+expression takes no arrays, and on one float ``np.clip`` costs about 4 us
+against 55 ns for that expression (Python 3.11).
+
+The functions under ``@njit`` are compiled with numba when numba is
 importable. Setting the environment variable ``VRGRID_DISABLE_NUMBA=1``
 before import (or running without numba installed) selects the pure
 Python/NumPy fallback path instead; the fallback computes the same values,
@@ -10,7 +20,7 @@ As plain Python, ``rk4_loop`` pays for a ``series_sum`` ->
 ``element_value`` dispatch on numpy scalars four times per axis per step.
 The fallback integrator is therefore ``specialized_rk4_loop``:
 ``build_rk4_loop`` generates the RK4 loop for one bank, with every element
-inlined from ``_ELEMENT_EXPR`` as a Python-float expression, and computes
+inlined from its row's ``expr`` as a Python-float expression, and computes
 the same trajectory bit for bit, with fewer float operations per step (the
 element sums drop the generic loop's ``0.0 +`` head, which is exact once
 the disturbance is read as ``v + 0.0``). The generated loop walks the
@@ -27,6 +37,7 @@ loop's us/step per bundled bank.
 
 import math
 import os
+from collections import namedtuple
 
 import numpy as np
 
@@ -50,7 +61,7 @@ except ImportError:
         return lambda func: func
 
 
-# Element kind codes; each row of vrgrid.bank's kind table carries one.
+# Element kind codes; each row of ELEMENT_KINDS carries one.
 LINEAR = 0
 CUBIC = 1
 SINH = 2
@@ -78,15 +89,37 @@ def element_value(code, p1, p2, x):
     raise ValueError("unknown element code")
 
 
-# element_value as Python-float expressions, one per kind, in the same
-# operation order; {x} is the state and {p1}/{p2} are the locals of the
-# generated loop that hold the element parameters.
-_ELEMENT_EXPR = {
-    LINEAR: "{p1} * {x}",
-    CUBIC: "{p1} * {x} * {x} * {x}",
-    SINH: "{p1} * sinh({p2} * {x})",
-    TANH: "{p1} * tanh({p2} * {x})",
-    SATURATION: "({p1} * {p2} if {x} > {p2} else -{p1} * {p2} if {x} < -{p2} else {p1} * {x})",
+def _tanh_primitive(a, b, xs):
+    u = np.abs(b * xs)  # overflow-safe log(cosh(b * x))
+    return (a / b) * (u + np.log1p(np.exp(-2.0 * u)) - math.log(2.0))
+
+
+def _saturation_primitive(k, x_sat, xs):
+    a = np.abs(xs)
+    inside = 0.5 * k * xs ** 2
+    outside = k * x_sat * a - 0.5 * k * x_sat ** 2
+    return np.where(a <= x_sat, inside, outside)
+
+
+# One row per element kind, by its config name. ``params`` names p1 and p2
+# (the keys of its config record). ``expr`` is its element_value branch as a
+# Python-float expression in the same operation order, {x} the state and
+# {p1}/{p2} the locals of the loop build_rk4_loop generates. ``values`` (the
+# map) and ``primitives`` (its integral from 0) take (p1, p2, xs) on arrays.
+_Kind = namedtuple("_Kind", "code params expr values primitives")
+
+ELEMENT_KINDS = {
+    "linear": _Kind(LINEAR, ("k",), "{p1} * {x}",
+                    lambda k, _, xs: k * xs, lambda k, _, xs: 0.5 * k * xs ** 2),
+    "cubic": _Kind(CUBIC, ("k",), "{p1} * {x} * {x} * {x}",
+                   lambda k, _, xs: k * xs ** 3, lambda k, _, xs: 0.25 * k * xs ** 4),
+    "sinh": _Kind(SINH, ("a", "b"), "{p1} * sinh({p2} * {x})",
+                  lambda a, b, xs: a * np.sinh(b * xs), lambda a, b, xs: (a / b) * (np.cosh(b * xs) - 1.0)),
+    "tanh": _Kind(TANH, ("a", "b"), "{p1} * tanh({p2} * {x})",
+                  lambda a, b, xs: a * np.tanh(b * xs), _tanh_primitive),
+    "saturation": _Kind(SATURATION, ("k", "x_sat"),
+                        "({p1} * {p2} if {x} > {p2} else -{p1} * {p2} if {x} < -{p2} else {p1} * {x})",
+                        lambda k, x_sat, xs: k * np.clip(xs, -x_sat, x_sat), _saturation_primitive),
 }
 
 
@@ -242,16 +275,17 @@ def build_rk4_loop(codes_d, p1_d, p2_d, codes_q, p1_q, p2_q):
     to NaN. Element parameters, ``sinh`` and ``tanh`` are bound as locals of
     ``run`` from a tuple in its namespace, never formatted into its text.
     """
-    local = {"sinh": math.sinh, "tanh": math.tanh}
+    local = dict(sinh=math.sinh, tanh=math.tanh)
+    exprs = {row.code: row.expr for row in ELEMENT_KINDS.values()}
 
     def series(axis, codes, p1s, p2s, x):
         terms = []
         for i, code in enumerate(codes):
-            if int(code) not in _ELEMENT_EXPR:
+            if int(code) not in exprs:
                 raise ValueError(f"unknown element code {code!r}")
             p1, p2 = f"p1_{axis}{i}", f"p2_{axis}{i}"
             local[p1], local[p2] = float(p1s[i]), float(p2s[i])
-            terms.append(_ELEMENT_EXPR[int(code)].format(p1=p1, p2=p2, x=x))
+            terms.append(exprs[int(code)].format(p1=p1, p2=p2, x=x))
         return " + ".join([*terms, f"v{axis}"])
 
     source = _RK4_SOURCE.format(

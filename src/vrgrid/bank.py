@@ -18,60 +18,28 @@ tanh           a, b        a * tanh(b * x)        (bounded)
 saturation     k, x_sat    k * clip(x, -x_sat, x_sat)   (bounded)
 =============  ==========  ==========================================
 
-Each kind is one row of ``_ELEMENT_KINDS``: its kernel code, parameter
-names, map and closed-form primitive (integral of the map from 0 to x),
-which backs the composite Lyapunov function; all five primitives diverge
-as |x| grows even when the map is bounded. Maps and primitives run over
-arrays (a point is a one-row array). The integrators run the scalar forms
-in ``vrgrid._kernels`` (code, ``element_value`` and ``_ELEMENT_EXPR``) on
+Each kind is one row of ``vrgrid._kernels.ELEMENT_KINDS``: its kernel
+code, parameter names, scalar expression, map and closed-form primitive
+(integral of the map from 0 to x), which backs the composite Lyapunov
+function; all five primitives diverge as |x| grows even when the map is
+bounded. This module sums the rows' maps and primitives over arrays (a
+point is a one-row array); the integrators run the rows' scalar forms on
 the ``flatten_bank`` arrays.
 :func:`classify_bank` is the sampled sector check every loaded bank passes.
 
 This module reads no config: ``vrgrid.cli`` parses bank records, taking
-each kind's keys from ``ELEMENT_PARAMS``, and ``to_config`` writes the
+each kind's keys from its row's ``params``, and ``to_config`` writes the
 canonical record that :func:`bank_fingerprint` hashes.
 """
 
 import hashlib
 import json
 import math
-from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
-
-
-def _tanh_primitive(a, b, xs):
-    u = np.abs(b * xs)  # overflow-safe log(cosh(b * x))
-    return (a / b) * (u + np.log1p(np.exp(-2.0 * u)) - math.log(2.0))
-
-
-def _saturation_primitive(k, x_sat, xs):
-    a = np.abs(xs)
-    inside = 0.5 * k * xs ** 2
-    outside = k * x_sat * a - 0.5 * k * x_sat ** 2
-    return np.where(a <= x_sat, inside, outside)
-
-
-# One row per element kind; ``values`` and ``primitives`` take (p1, p2, xs).
-_Kind = namedtuple("_Kind", "code params values primitives")
-
-_ELEMENT_KINDS = {
-    "linear": _Kind(_kernels.LINEAR, ("k",), lambda k, _, xs: k * xs, lambda k, _, xs: 0.5 * k * xs ** 2),
-    "cubic": _Kind(_kernels.CUBIC, ("k",), lambda k, _, xs: k * xs ** 3, lambda k, _, xs: 0.25 * k * xs ** 4),
-    "sinh": _Kind(_kernels.SINH, ("a", "b"), lambda a, b, xs: a * np.sinh(b * xs),
-                  lambda a, b, xs: (a / b) * (np.cosh(b * xs) - 1.0)),
-    "tanh": _Kind(_kernels.TANH, ("a", "b"), lambda a, b, xs: a * np.tanh(b * xs), _tanh_primitive),
-    "saturation": _Kind(_kernels.SATURATION, ("k", "x_sat"),
-                        lambda k, x_sat, xs: k * np.clip(xs, -x_sat, x_sat), _saturation_primitive),
-}
-
-KINDS = tuple(sorted(_ELEMENT_KINDS))
-
-# Parameter names of each kind, in the order of VrElement's p1 and p2: the keys of its config record.
-ELEMENT_PARAMS = {kind: row.params for kind, row in _ELEMENT_KINDS.items()}
+from ._kernels import ELEMENT_KINDS
 
 # Most elements an axis may sum over all branches: the fallback RK4 inlines them in one expression.
 MAX_ELEMENTS_PER_AXIS = 256
@@ -108,9 +76,10 @@ class VrElement:
     p2: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in _ELEMENT_KINDS:
-            raise ValueError(f"unknown element kind {self.kind!r}; expected one of {KINDS}")
-        names = _ELEMENT_KINDS[self.kind].params
+        if self.kind not in ELEMENT_KINDS:
+            kinds = tuple(sorted(ELEMENT_KINDS))
+            raise ValueError(f"unknown element kind {self.kind!r}; expected one of {kinds}")
+        names = ELEMENT_KINDS[self.kind].params
         for name, value in zip(names, (self.p1, self.p2)):
             if not (math.isfinite(value) and value > 0.0):
                 raise ValueError(f"{self.kind} element: parameter {name!r} must be finite and > 0, got {value!r}")
@@ -119,20 +88,10 @@ class VrElement:
 
     @property
     def code(self):
-        return _ELEMENT_KINDS[self.kind].code
+        return ELEMENT_KINDS[self.kind].code
 
     def to_config(self):
-        return {"kind": self.kind, **dict(zip(_ELEMENT_KINDS[self.kind].params, (self.p1, self.p2)))}
-
-
-def element_values(e, xs):
-    """Vectorized element map over an array of inputs."""
-    return _ELEMENT_KINDS[e.kind].values(e.p1, e.p2, np.asarray(xs, dtype=float))
-
-
-def element_primitives(e, xs):
-    """Vectorized closed-form primitive over an array of inputs."""
-    return _ELEMENT_KINDS[e.kind].primitives(e.p1, e.p2, np.asarray(xs, dtype=float))
+        return {"kind": self.kind, **dict(zip(ELEMENT_KINDS[self.kind].params, (self.p1, self.p2)))}
 
 
 @dataclass(frozen=True)
@@ -180,18 +139,19 @@ class VrBank:
 
 
 def _axis_sums(branch, pts, column):
-    """Per-axis sums of ``column(e, x)`` over a branch's elements, on (N, 2) points."""
+    """Per-axis sums of each element's ``column`` of its kind row (``values`` or
+    ``primitives``), over a branch's elements, on (N, 2) points."""
     pts = np.asarray(pts, dtype=float)
     out = np.zeros_like(pts)
     for axis, elements in enumerate((branch.elements_d, branch.elements_q)):
         for e in elements:
-            out[..., axis] += column(e, pts[..., axis])
+            out[..., axis] += getattr(ELEMENT_KINDS[e.kind], column)(e.p1, e.p2, pts[..., axis])
     return out
 
 
 def branch_values(branch, pts):
     """Vectorized branch map over an (N, 2) array of dq points."""
-    return _axis_sums(branch, pts, element_values)
+    return _axis_sums(branch, pts, "values")
 
 
 def bank_values(bank, pts):
@@ -201,7 +161,7 @@ def bank_values(bank, pts):
 
 def branch_primitive_values(branch, pts):
     """Vectorized per-axis primitive sums over an (N, 2) array."""
-    return _axis_sums(branch, pts, element_primitives)
+    return _axis_sums(branch, pts, "primitives")
 
 
 def classify_bank(bank):

@@ -99,9 +99,10 @@ class IssCertificate:
     ``upsilon`` is (M+1, M+1, 2) with only the strict upper triangle
     (s < l) populated.
 
-    The fields are stored as read-only float arrays; nothing is checked
-    here. The two producers give every field at these shapes, with P and
-    Phi symmetric: :func:`search_certificate` builds them so, and
+    The fields are stored as read-only float copies, so the caller's
+    arrays stay writable; nothing is checked here. The two producers give
+    every field at these shapes, with P and Phi symmetric:
+    :func:`search_certificate` builds them so, and
     :func:`vrgrid.cli.load_certificate` reads each key of a file at its
     exact shape as finite numbers, fills only s < l of ``upsilon`` and
     refuses a certificate outside the class of :func:`sign_class_violation`.
@@ -116,7 +117,7 @@ class IssCertificate:
 
     def __post_init__(self):
         for name in ("p_mat", "lam", "omega", "phi", "upsilon"):
-            arr = np.asarray(getattr(self, name), dtype=float)
+            arr = np.array(getattr(self, name), dtype=float)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 

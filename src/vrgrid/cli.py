@@ -28,8 +28,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from ._kernels import NUMBA_ENABLED
-from .bank import ELEMENT_PARAMS, SectorViolation, VrBank, VrBranch, VrElement, bank_fingerprint, classify_bank
+from ._kernels import ELEMENT_KINDS, NUMBA_ENABLED
+from .bank import SectorViolation, VrBank, VrBranch, VrElement, bank_fingerprint, classify_bank
 from .certify import MAX_BRANCHES, CertificateError, IssCertificate, iss_gain, search_certificate, sign_class_violation
 from .plant import GridParams
 from .sim import SCENARIO_KINDS, Scenario, SimulationAbort, check_dissipation, compute_metrics, integrate
@@ -109,11 +109,11 @@ def _parse_elements(records, path):
         field = f"{path}[{j}]"
         _expect_mapping(record, field)
         kind = record.get("kind")
-        params = ELEMENT_PARAMS.get(kind) if isinstance(kind, str) else None
-        if params is None:
-            raise ConfigError(f"{field}.kind", f"must be one of {', '.join(sorted(ELEMENT_PARAMS))}; got {kind!r}")
-        _check_keys(record, field, required=("kind", *params))
-        values = [_numbers(record[name], (), f"{field}.{name}") for name in params]
+        row = ELEMENT_KINDS.get(kind) if isinstance(kind, str) else None
+        if row is None:
+            raise ConfigError(f"{field}.kind", f"must be one of {', '.join(sorted(ELEMENT_KINDS))}; got {kind!r}")
+        _check_keys(record, field, required=("kind", *row.params))
+        values = [_numbers(record[name], (), f"{field}.{name}") for name in row.params]
         try:
             elements.append(VrElement(kind, *values))
         except ValueError as exc:
@@ -538,9 +538,13 @@ def cmd_certify(args):
     return 0
 
 
+COMPARE_OUTPUTS = ("comparison.csv", "comparison.txt")
+# The header of both comparison files, which have one row per config.
+COMPARE_COLUMNS = ("vr_law", "settling_time_ms", "rms_err_d_a", "rms_err_q_a")
+
+
 def _format_table(rows):
-    header = ["vr_law", "settling_time_ms", "rms_err_d_a", "rms_err_q_a"]
-    cells = [header] + [
+    cells = [COMPARE_COLUMNS] + [
         [
             name,
             f"{m.settling_time_2pct_d_s * 1e3:.3f}" if m.settled else "unsettled",
@@ -549,16 +553,13 @@ def _format_table(rows):
         ]
         for name, m in rows
     ]
-    widths = [max(len(r[j]) for r in cells) for j in range(len(header))]
+    widths = [max(len(r[j]) for r in cells) for j in range(len(COMPARE_COLUMNS))]
     lines = []
     for i, r in enumerate(cells):
         lines.append("  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip())
         if i == 0:
             lines.append("  ".join("-" * w for w in widths))
     return "\n".join(lines) + "\n"
-
-
-COMPARE_OUTPUTS = ("comparison.csv", "comparison.txt")
 
 
 def cmd_compare(args):
@@ -595,7 +596,7 @@ def cmd_compare(args):
 
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["vr_law", "settling_time_ms", "rms_err_d_a", "rms_err_q_a"])
+    writer.writerow(COMPARE_COLUMNS)
     for name, m in rows:
         writer.writerow([
             name,

@@ -11,6 +11,7 @@ CONFIG_DIR = REPO_ROOT / "configs"
 
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
+from vrgrid._kernels import ELEMENT_KINDS  # noqa: E402
 from vrgrid.bank import VrBranch, VrElement, bank_values, branch_values  # noqa: E402
 from vrgrid.cli import load_config  # noqa: E402
 from vrgrid.plant import as_dq, system_matrix  # noqa: E402
@@ -44,6 +45,26 @@ def unchecked_element(kind, p1, p2=0.0):
     object.__setattr__(element, "p1", float(p1))
     object.__setattr__(element, "p2", float(p2))
     return element
+
+
+# One example element of each kind of vrgrid._kernels.ELEMENT_KINDS, in its order.
+EXAMPLE_ELEMENTS = (
+    VrElement("linear", 2.0),
+    VrElement("cubic", 0.5),
+    VrElement("sinh", 0.8, 1.2),
+    VrElement("tanh", 3.0, 0.4),
+    VrElement("saturation", 2.0, 1.5),
+)
+
+
+def element_values(e, xs):
+    """The map of ``e``'s kind row over an array of inputs."""
+    return ELEMENT_KINDS[e.kind].values(e.p1, e.p2, np.asarray(xs, dtype=float))
+
+
+def element_primitives(e, xs):
+    """The closed-form primitive of ``e``'s kind row over an array of inputs."""
+    return ELEMENT_KINDS[e.kind].primitives(e.p1, e.p2, np.asarray(xs, dtype=float))
 
 
 def python_impl(func):

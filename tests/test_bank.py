@@ -3,12 +3,20 @@ import json
 import numpy as np
 import pytest
 
-from conftest import CONFIG_DIR, both_axes, bundled_banks, error_derivatives, python_impl, unchecked_element
-from vrgrid import _kernels
-from vrgrid._kernels import element_value
+from conftest import (
+    CONFIG_DIR,
+    EXAMPLE_ELEMENTS,
+    both_axes,
+    bundled_banks,
+    element_primitives,
+    element_values,
+    error_derivatives,
+    python_impl,
+    unchecked_element,
+)
+from vrgrid._kernels import ELEMENT_KINDS, element_value
 from vrgrid.bank import (
-    _ELEMENT_KINDS,
-    KINDS,
+    _PROBE_XS,
     MAX_ELEMENTS_PER_AXIS,
     SectorViolation,
     VrBank,
@@ -19,23 +27,13 @@ from vrgrid.bank import (
     branch_primitive_values,
     branch_values,
     classify_bank,
-    element_primitives,
-    element_values,
     flatten_bank,
 )
 
-ALL_KINDS = [
-    VrElement("linear", 2.0),
-    VrElement("cubic", 1.5),
-    VrElement("sinh", 0.8, 1.2),
-    VrElement("tanh", 3.0, 0.4),
-    VrElement("saturation", 2.0, 1.5),
-]
-
 
 def test_all_kinds_cover_the_table():
-    # a kind added to the table must get test parameters here
-    assert sorted(e.kind for e in ALL_KINDS) == sorted(KINDS)
+    # a kind added to vrgrid._kernels.ELEMENT_KINDS must get an example in conftest
+    assert [e.kind for e in EXAMPLE_ELEMENTS] == list(ELEMENT_KINDS)
 
 
 def test_eval_element_examples():
@@ -87,7 +85,7 @@ def test_per_axis_branch():
 
 def test_element_primitive_examples():
     assert element_primitives(VrElement("linear", 2.0), [3.0]) == [9.0]
-    for e in ALL_KINDS:
+    for e in EXAMPLE_ELEMENTS:
         assert element_primitives(e, [0.0]) == [0.0]
 
 
@@ -124,18 +122,12 @@ def test_element_primitive_matches_quadrature(rng):
 
 
 def test_vectorized_matches_scalar(rng):
-    """Each kind of the table has its scalar forms in _kernels (a distinct code,
-    an _ELEMENT_EXPR entry, an element_value branch), and element_values
+    """Each row of the kind table has a distinct code, and its vector map
     matches the scalar kernel that the integrators run."""
-    codes = {kind: row.code for kind, row in _ELEMENT_KINDS.items()}
-    assert len(set(codes.values())) == len(KINDS)
-    assert set(_kernels._ELEMENT_EXPR) == set(codes.values())
+    assert len({row.code for row in ELEMENT_KINDS.values()}) == len(ELEMENT_KINDS)
     kernel = python_impl(element_value)
     xs = rng.uniform(-8.0, 8.0, 64)
-    by_kind = {e.kind: e for e in ALL_KINDS}
-    for kind in KINDS:
-        e = by_kind[kind]
-        assert e.code == codes[kind]
+    for e in EXAMPLE_ELEMENTS:
         vals = element_values(e, xs)
         for i, x in enumerate(xs):
             assert vals[i] == pytest.approx(kernel(e.code, e.p1, e.p2, x), rel=1e-14, abs=1e-14)
@@ -143,7 +135,7 @@ def test_vectorized_matches_scalar(rng):
 
 def test_oddness_property(rng):
     xs = rng.uniform(0.0, 50.0, 200)
-    for e in ALL_KINDS:
+    for e in EXAMPLE_ELEMENTS:
         np.testing.assert_allclose(element_values(e, -xs), -element_values(e, xs), rtol=1e-14)
 
 
@@ -169,7 +161,7 @@ def test_sector_property_never_fires(rng):
 
 def test_primitive_monotonicity():
     xs = np.linspace(0.0, 30.0, 400)
-    for e in ALL_KINDS:
+    for e in EXAMPLE_ELEMENTS:
         prims = element_primitives(e, xs)
         assert np.all(prims >= 0.0)
         assert np.all(np.diff(prims) >= 0.0)
@@ -228,8 +220,6 @@ def test_classifier_names_violating_branch():
 ])
 def test_classify_bank_first_violation(d, q, axis):
     """The first failing sample, d axis before q, as a per-axis sum finds it."""
-    from vrgrid.bank import _PROBE_XS, element_values
-
     bank = VrBank((both_axes((VrElement("linear", 1.0),)), VrBranch(d, q)))
     elements = d if axis == "d" else q
     vals = sum(element_values(e, _PROBE_XS) for e in elements)

@@ -1,29 +1,38 @@
 """The numba path and the pure-Python fallback must compute the same values."""
 
 import importlib.util
+import math
+import struct
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from conftest import CONFIG_DIR, python_impl
+from conftest import CONFIG_DIR, EXAMPLE_ELEMENTS, python_impl
 from vrgrid import _kernels, sim
-from vrgrid._kernels import element_value, jacobi_sweep, rk4_loop, series_sum
-from vrgrid.bank import _ELEMENT_KINDS
+from vrgrid._kernels import ELEMENT_KINDS, element_value, jacobi_sweep, rk4_loop, series_sum
 
-KINDS = [
-    (_kernels.LINEAR, 2.0, 0.0),
-    (_kernels.CUBIC, 0.5, 0.0),
-    (_kernels.SINH, 0.8, 1.2),
-    (_kernels.TANH, 3.0, 0.4),
-    (_kernels.SATURATION, 2.0, 1.5),
-]
+# (code, p1, p2) of each example element, as the kernels take them
+KINDS = [(e.code, e.p1, e.p2) for e in EXAMPLE_ELEMENTS]
 
 
-def test_kinds_cover_the_table():
-    # a kind added to vrgrid.bank's table must get test parameters here
-    assert sorted(code for code, _, _ in KINDS) == sorted(row.code for row in _ELEMENT_KINDS.values())
+def test_element_expr_matches_element_value(rng):
+    """Each row's ``expr``, the form build_rk4_loop inlines, gives element_value's bits."""
+    kernel = python_impl(element_value)
+    for e in EXAMPLE_ELEMENTS:
+        row = ELEMENT_KINDS[e.kind]
+        expr = eval(f"lambda p1, p2, x: {row.expr.format(p1='p1', p2='p2', x='x')}",
+                    {"sinh": math.sinh, "tanh": math.tanh})
+        # the example's parameters, then drawn ones (an example p1 such as 0.5
+        # scales exactly, which hides a reordered product)
+        drawn = (float(rng.uniform(0.1, 3.0)), float(rng.uniform(0.1, 3.0)) if len(row.params) == 2 else 0.0)
+        for p1, p2 in [(e.p1, e.p2), drawn]:
+            # saturation clips at x = +-p2 (x_sat): the edges and their neighbours
+            edges = [s * math.nextafter(p2, t) for s in (1.0, -1.0) for t in (0.0, p2, math.inf)]
+            for x in [*rng.uniform(-30.0, 30.0, 200).tolist(), 0.0, -0.0, *edges]:
+                got, want = expr(p1, p2, x), kernel(row.code, p1, p2, x)
+                assert struct.pack("<d", got) == struct.pack("<d", want), (e.kind, p1, p2, x, got, want)
 
 
 def test_element_kernels_match_python_fallback(rng):

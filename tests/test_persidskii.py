@@ -13,6 +13,18 @@ def _cert(p_mat, lam, omega, phi, ups=None):
     return IssCertificate(p_mat=p_mat, lam=lam, omega=omega, phi=phi, upsilon=ups)
 
 
+def test_certificate_copies_its_arrays():
+    """The certificate is read-only, and the caller's arrays stay writable and apart from it."""
+    fields = dict(p_mat=np.eye(2), lam=np.ones((1, 2)), omega=np.ones((2, 2)), phi=np.eye(2),
+                  upsilon=np.zeros((2, 2, 2)))
+    cert = IssCertificate(**fields)
+    for name, arr in fields.items():
+        arr[(0,) * arr.ndim] = 2.0
+        assert getattr(cert, name)[(0,) * arr.ndim] != 2.0, name
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(cert, name)[(0,) * arr.ndim] = 2.0
+
+
 def test_lyapunov_value_examples():
     bank0 = VrBank(())
     c0 = _cert(np.eye(2), np.zeros((0, 2)), np.zeros((1, 2)), np.zeros((2, 2)))
