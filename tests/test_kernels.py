@@ -17,6 +17,10 @@ from vrgrid._kernels import ELEMENT_KINDS, element_value, jacobi_sweep, rk4_loop
 KINDS = [(e.code, e.p1, e.p2) for e in EXAMPLE_ELEMENTS]
 
 
+def test_kinds_cover_the_table():
+    # every kernel code in ELEMENT_KINDS must be exercised by the tests here
+    assert sorted(code for code, _, _ in KINDS) == sorted(row.code for row in ELEMENT_KINDS.values())
+
 def test_element_expr_matches_element_value(rng):
     """Each row's ``expr``, the form build_rk4_loop inlines, gives element_value's bits."""
     kernel = python_impl(element_value)
