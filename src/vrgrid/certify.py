@@ -38,15 +38,21 @@ pointwise dissipation bound
 with varsigma = lambda_min(Omega_0) and alpha = lambda_max(Phi) / l_g^2,
 because the dropped cross terms are nonnegative under the sector condition.
 The disturbance-to-state gain slope is sqrt(alpha / varsigma).
+:func:`verify_certificate` reports the verdict, the three margins,
+varsigma, alpha and that slope (None unless valid with varsigma > 0) as
+one :class:`VerifyReport`: its fields after ``valid`` are the ``margins``
+record of certificate.json.
 
 :func:`search_certificate` builds a certificate in closed form from
 (r_g, l_g, omega_g) and the branch count (P = I and scaled identities
 elsewhere, see its docstring) and checks it once with
-:func:`verify_certificate`, whose report alone decides validity.
+:func:`verify_certificate`, whose report alone decides validity. It raises
+:class:`CertificateError` only for grid values that put the certificate
+outside the float64 range.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -66,28 +72,20 @@ BLOCK_POINTS = 4096
 
 
 class CertificateError(ValueError):
-    """Raised for unusable certificates (e.g. gain requested with varsigma <= 0)."""
+    """Raised when (r_g, l_g, omega_g) put the closed-form certificate outside the float64 range."""
 
 
 @dataclass(frozen=True)
 class VerifyReport:
-    """Outcome of checking one certificate against the three conditions."""
+    """Outcome of checking one certificate: ``valid``, then the ``margins`` record of certificate.json."""
 
     valid: bool
-    sigma_margin: float       # lambda_min of P + sum Lambda_k
-    xi_margin: float          # lambda_min of the summed regularizer matrix
-    psi_margin: float         # lambda_max of Psi
+    sigma: float              # lambda_min of P + sum Lambda_k
+    xi: float                 # lambda_min of the summed regularizer matrix
+    psi: float                # lambda_max of D Psi D
     varsigma: float           # lambda_min of Omega_0 (state dissipation rate)
     alpha: float              # lambda_max(Phi) / l_g**2  (disturbance gain)
-
-    def margins_dict(self):
-        return {
-            "sigma": self.sigma_margin,
-            "xi": self.xi_margin,
-            "psi": self.psi_margin,
-            "varsigma": self.varsigma,
-            "alpha": self.alpha,
-        }
+    iss_gain_slope: Optional[float]  # sqrt(alpha / varsigma) if valid with varsigma > 0, else None
 
 
 @dataclass(frozen=True)
@@ -215,26 +213,14 @@ def verify_certificate(p, bank, cert):
     """
     _check_dims(cert, bank)
     lmi_p = cert.p_mat + np.diag(cert.lam.sum(axis=0)) if cert.branch_count else cert.p_mat
-    sigma_ok, sigma_margin = linalg.is_pos_def(lmi_p)
-    xi_ok, xi_margin = linalg.is_pos_def(_xi_matrix(cert))
-    psi_ok, psi_margin = linalg.is_neg_semidef(assemble_psi(p, cert))
-    return VerifyReport(
-        valid=bool(sign_class_violation(cert) is None and sigma_ok and xi_ok and psi_ok),
-        sigma_margin=sigma_margin,
-        xi_margin=xi_margin,
-        psi_margin=psi_margin,
-        varsigma=float(cert.omega[0].min()),
-        alpha=float(linalg.lambda_max(cert.phi) / p.l_g ** 2),
-    )
-
-
-def iss_gain(report):
-    """Slope of the linear disturbance-to-state gain, sqrt(alpha / varsigma), from a VerifyReport."""
-    if report is None:
-        raise CertificateError("certificate has no verification report attached")
-    if report.varsigma <= 0.0:
-        raise CertificateError(f"gain undefined: varsigma = {report.varsigma!r} <= 0")
-    return math.sqrt(report.alpha / report.varsigma)
+    sigma_ok, sigma = linalg.is_pos_def(lmi_p)
+    xi_ok, xi = linalg.is_pos_def(_xi_matrix(cert))
+    psi_ok, psi = linalg.is_neg_semidef(assemble_psi(p, cert))
+    valid = bool(sign_class_violation(cert) is None and sigma_ok and xi_ok and psi_ok)
+    varsigma = float(cert.omega[0].min())
+    alpha = float(linalg.lambda_max(cert.phi) / p.l_g ** 2)
+    slope = math.sqrt(alpha / varsigma) if valid and varsigma > 0.0 else None
+    return VerifyReport(valid, sigma, xi, psi, varsigma, alpha, slope)
 
 
 # --------------------------------------------------------------------------
@@ -294,8 +280,8 @@ def search_certificate(p, bank):
                 upsilon=upsilon,
             )
             report = verify_certificate(p, bank, cert)
-            gain = iss_gain(report) if report.valid and report.varsigma > 0.0 else 0.0
-            if not all(map(math.isfinite, (*report.margins_dict().values(), gain))):
+            margins = astuple(report)[1:]  # every field after ``valid``
+            if not all(math.isfinite(v) for v in margins if v is not None):
                 raise ArithmeticError("non-finite margin or gain")
         except (ArithmeticError, ValueError) as exc:  # overflow, underflow to 0, non-finite entries
             raise CertificateError(

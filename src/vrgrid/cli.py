@@ -30,7 +30,7 @@ import numpy as np
 from . import __version__
 from ._kernels import ELEMENT_KINDS, NUMBA_ENABLED
 from .bank import SectorViolation, VrBank, VrBranch, VrElement, bank_fingerprint, classify_bank
-from .certify import MAX_BRANCHES, CertificateError, IssCertificate, iss_gain, search_certificate, sign_class_violation
+from .certify import MAX_BRANCHES, CertificateError, IssCertificate, search_certificate, sign_class_violation
 from .plant import GridParams
 from .sim import SCENARIO_KINDS, Scenario, SimulationAbort, check_dissipation, compute_metrics, integrate
 
@@ -369,7 +369,8 @@ CERTIFICATE_MATRICES = {
 
 
 def certificate_payload(cert, bank):
-    """certificate.json of a certificate with its report attached."""
+    """certificate.json of a certificate with its report attached: ``margins`` is the report's fields
+    but ``valid``, leaving out a None ``iss_gain_slope``."""
     report = cert.report
     ups = [
         {"s": s, "l": l, "diag": [float(v) for v in cert.upsilon[s, l]]}
@@ -377,16 +378,13 @@ def certificate_payload(cert, bank):
         for l in range(s + 1, cert.branch_count + 1)
         if np.any(cert.upsilon[s, l] != 0.0)
     ]
-    margins = report.margins_dict()
-    if report.valid and report.varsigma > 0.0:
-        margins["iss_gain_slope"] = iss_gain(report)
     return {
         "schema_version": SCHEMA_VERSION,
         "branch_count": cert.branch_count,
         **{key: getattr(cert, name).tolist() for key, (name, _) in CERTIFICATE_MATRICES.items()},
         "upsilon_diag": ups,
         "valid": bool(report.valid),
-        "margins": margins,
+        "margins": {key: value for key, value in asdict(report).items() if key != "valid" and value is not None},
         "bank_fingerprint": bank_fingerprint(bank),
     }
 
@@ -460,7 +458,7 @@ def _certify(cfg):
     cert_json = _json_bytes(payload)
     if not cert.report.valid:
         _write_manifest(Path(cfg.output.directory), cfg, cert_json)
-        raise CertificationInfeasible(f"certification infeasible; best margins {payload['margins']}")
+        raise CertificationInfeasible(f"certification infeasible; margins {payload['margins']}")
     return cert, cert_json
 
 
@@ -533,8 +531,8 @@ def cmd_certify(args):
         raise ConfigError("certify.enabled", "must be true for the certify command")
     cert, cert_json = _certify(cfg)
     _write_manifest(Path(cfg.output.directory), cfg, cert_json)
-    print(f"certify {cfg.name}: valid (psi_margin={cert.report.psi_margin:.3e}, "
-          f"gain_slope={iss_gain(cert.report):.6g})")
+    print(f"certify {cfg.name}: valid (psi_margin={cert.report.psi:.3e}, "
+          f"gain_slope={cert.report.iss_gain_slope:.6g})")
     return 0
 
 

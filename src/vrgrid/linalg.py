@@ -36,10 +36,10 @@ def _check_symmetric(s, op):
         raise LinalgError(f"{op}: expected a square matrix, got shape {s.shape}")
     if s.shape[0] > MAX_DIM:
         raise LinalgError(f"{op}: dimension {s.shape[0]} exceeds supported maximum {MAX_DIM}")
+    if not np.all(np.isfinite(s)):  # first: a NaN entry would also fail the symmetry check
+        raise LinalgError(f"{op}: matrix has non-finite entries")
     if not np.array_equal(s, s.T):
         raise LinalgError(f"{op}: matrix is not symmetric (use symmetrize() first)")
-    if not np.all(np.isfinite(s)):
-        raise LinalgError(f"{op}: matrix has non-finite entries")
 
 
 def sym_eig(s):

@@ -206,7 +206,9 @@ class Trajectory:
 
     ``v_dist`` is the effective disturbance driving the error dynamics
     (grid-voltage error plus the resistance-mismatch term); ``v_lyap`` is
-    populated only when a certificate was attached to the run.
+    populated only when a certificate was attached to the run. Every array
+    has one row per point of the uniform grid ``times``; :func:`integrate`
+    builds them so, and nothing is checked here.
     """
 
     times: np.ndarray
@@ -214,17 +216,6 @@ class Trajectory:
     v_dist: np.ndarray
     r_g: np.ndarray
     v_lyap: Optional[np.ndarray] = None
-
-    def __post_init__(self):
-        n = len(self.times)
-        if not (len(self.i_err) == len(self.v_dist) == len(self.r_g) == n):
-            raise ValueError("trajectory arrays must share one length")
-        if self.v_lyap is not None and len(self.v_lyap) != n:
-            raise ValueError("v_lyap length mismatch")
-        if n >= 3:
-            steps = np.diff(self.times)
-            if not np.allclose(steps, steps[0], rtol=1e-9, atol=0.0):
-                raise ValueError("time grid must be uniform")
 
     @property
     def dt(self):

@@ -47,14 +47,17 @@ def unchecked_element(kind, p1, p2=0.0):
     return element
 
 
-# One example element of each kind of vrgrid._kernels.ELEMENT_KINDS, in its order.
-EXAMPLE_ELEMENTS = (
-    VrElement("linear", 2.0),
-    VrElement("cubic", 0.5),
-    VrElement("sinh", 0.8, 1.2),
-    VrElement("tanh", 3.0, 0.4),
-    VrElement("saturation", 2.0, 1.5),
+# One row per kind of vrgrid._kernels.ELEMENT_KINDS, in its order: an example
+# element, and the (low, high) range of each parameter for random banks.
+EXAMPLE_TABLE = (
+    (VrElement("linear", 2.0), ((0.1, 5.0),)),
+    (VrElement("cubic", 0.5), ((1e-3, 1.0),)),
+    (VrElement("sinh", 0.8, 1.2), ((0.01, 1.0), (0.01, 0.5))),
+    (VrElement("tanh", 3.0, 0.4), ((0.1, 10.0), (0.01, 1.0))),
+    (VrElement("saturation", 2.0, 1.5), ((0.1, 5.0), (0.5, 30.0))),
 )
+EXAMPLE_ELEMENTS = tuple(e for e, _ in EXAMPLE_TABLE)
+PARAM_RANGES = {e.kind: ranges for e, ranges in EXAMPLE_TABLE}
 
 
 def element_values(e, xs):

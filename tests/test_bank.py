@@ -6,6 +6,7 @@ import pytest
 from conftest import (
     CONFIG_DIR,
     EXAMPLE_ELEMENTS,
+    PARAM_RANGES,
     both_axes,
     bundled_banks,
     element_primitives,
@@ -32,8 +33,10 @@ from vrgrid.bank import (
 
 
 def test_all_kinds_cover_the_table():
-    # a kind added to vrgrid._kernels.ELEMENT_KINDS must get an example in conftest
+    # a kind added to vrgrid._kernels.ELEMENT_KINDS must get a row of conftest.EXAMPLE_TABLE
     assert [e.kind for e in EXAMPLE_ELEMENTS] == list(ELEMENT_KINDS)
+    for kind, ranges in PARAM_RANGES.items():
+        assert len(ranges) == len(ELEMENT_KINDS[kind].params), kind
 
 
 def test_eval_element_examples():

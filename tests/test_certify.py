@@ -6,19 +6,18 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import both_axes, error_derivatives, nominal_params, random_certificate, stacked_coordinates
+from conftest import PARAM_RANGES, both_axes, error_derivatives, nominal_params, random_certificate, stacked_coordinates
 from vrgrid import linalg
 from vrgrid._kernels import ELEMENT_KINDS
-from vrgrid.bank import VrBank, VrBranch, VrElement, bank_values
+from vrgrid.bank import VrBank, VrBranch, VrElement, bank_values, branch_values
 from vrgrid.certify import (
     BLOCK_POINTS,
-    CertificateError,
     GradientCheckConfig,
     GradientCheckReport,
     IssCertificate,
-    VerifyReport,
-    iss_gain,
+    assemble_psi,
     lyapunov_gradients,
+    lyapunov_values,
     search_certificate,
     sampled_gradient_check,
     verify_certificate,
@@ -45,12 +44,177 @@ def analytic_m0_certificate(p):
     )
 
 
+def _cert(p_mat, lam, omega, phi, ups=None):
+    if ups is None:
+        ups = np.zeros((len(omega), len(omega), 2))
+    return IssCertificate(p_mat=p_mat, lam=lam, omega=omega, phi=phi, upsilon=ups)
+
+
+def test_certificate_copies_its_arrays():
+    """The certificate is read-only, and the caller's arrays stay writable and apart from it."""
+    fields = dict(p_mat=np.eye(2), lam=np.ones((1, 2)), omega=np.ones((2, 2)), phi=np.eye(2),
+                  upsilon=np.zeros((2, 2, 2)))
+    cert = IssCertificate(**fields)
+    for name, arr in fields.items():
+        arr[(0,) * arr.ndim] = 2.0
+        assert getattr(cert, name)[(0,) * arr.ndim] != 2.0, name
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(cert, name)[(0,) * arr.ndim] = 2.0
+
+
+def test_lyapunov_value_examples():
+    bank0 = VrBank(())
+    c0 = _cert(np.eye(2), np.zeros((0, 2)), np.zeros((1, 2)), np.zeros((2, 2)))
+    np.testing.assert_array_equal(lyapunov_values(c0, bank0, [(1.0, 0.0), (0.0, 0.0)]), [1.0, 0.0])
+
+    bank1 = VrBank((both_axes((VrElement("linear", 1.0),)),))
+    c1 = _cert(np.eye(2), np.ones((1, 2)), np.zeros((2, 2)), np.zeros((2, 2)))
+    # x'Px = 2 plus 2 * (1*(1/2) + 1*(1/2)) = 2
+    vals = lyapunov_values(c1, bank1, [(1.0, 1.0), (0.0, 0.0)])
+    assert vals[0] == pytest.approx(4.0, rel=1e-14)
+    assert vals[1] == 0.0
+
+    with pytest.raises(ValueError):
+        lyapunov_values(c0, bank1, [(1.0, 0.0)])
+
+
+def test_lyapunov_gradient_examples(rng, banks):
+    bank0 = VrBank(())
+    c0 = _cert(np.eye(2), np.zeros((0, 2)), np.zeros((1, 2)), np.zeros((2, 2)))
+    np.testing.assert_array_equal(lyapunov_gradients(c0, bank0, [(3.0, -1.0)]), [[6.0, -2.0]])
+
+    bank = banks["multi_branch"]
+    cert = random_certificate(2, rng)
+    np.testing.assert_array_equal(lyapunov_gradients(cert, bank, [(0.0, 0.0)]), [[0.0, 0.0]])
+
+    # finite-difference oracle on 1e3 states
+    h = 1e-5
+    xs = rng.uniform(-20.0, 20.0, (1000, 2))
+    grads = lyapunov_gradients(cert, bank, xs)
+    fd = np.column_stack([
+        (lyapunov_values(cert, bank, xs + [h, 0]) - lyapunov_values(cert, bank, xs - [h, 0])) / (2 * h),
+        (lyapunov_values(cert, bank, xs + [0, h]) - lyapunov_values(cert, bank, xs - [0, h])) / (2 * h),
+    ])
+    np.testing.assert_allclose(grads, fd, rtol=1e-5, atol=1e-4)
+
+
+def test_lyapunov_vectorized_consistency(rng, banks):
+    """Each row of a bulk call equals the call on that row alone."""
+    bank = banks["multi_branch"]
+    cert = random_certificate(2, rng)
+    pts = rng.uniform(-30, 30, (200, 2))
+    vals = lyapunov_values(cert, bank, pts)
+    grads = lyapunov_gradients(cert, bank, pts)
+    assert vals.shape == (200,) and grads.shape == (200, 2)
+    for i in range(0, 200, 17):
+        assert vals[i] == pytest.approx(lyapunov_values(cert, bank, pts[i:i + 1])[0], rel=1e-14)
+        np.testing.assert_allclose(grads[i], lyapunov_gradients(cert, bank, pts[i:i + 1])[0], rtol=1e-14)
+
+
+def test_assemble_psi_m0_layout():
+    p = nominal_params()
+    a = system_matrix(p)
+    cert = _cert(np.eye(2), np.zeros((0, 2)), np.ones((1, 2)), np.eye(2))
+    psi = assemble_psi(p, cert)
+    expected = np.zeros((4, 4))
+    expected[:2, :2] = a.T + a + np.eye(2)
+    expected[:2, 2:] = np.eye(2)
+    expected[2:, :2] = np.eye(2)
+    expected[2:, 2:] = -np.eye(2)
+    np.testing.assert_allclose(psi, expected, rtol=1e-14)
+
+    # M = 1: the (0, 1) block is not symmetric; its mirror is its transpose
+    lam, ups = np.array([[1.0, 2.0]]), np.zeros((2, 2, 2))
+    ups[0, 1] = [0.5, 0.25]
+    psi = assemble_psi(p, _cert(np.eye(2), lam, np.ones((2, 2)), np.eye(2), ups))
+    inv_lg = 1.0 / p.l_g
+    b01 = np.array([[-inv_lg + a[0, 0] + 0.5, 2.0 * a[1, 0]],
+                    [a[0, 1], -inv_lg + 2.0 * a[1, 1] + 0.25]])
+    assert not np.array_equal(b01, b01.T)
+    expected = np.zeros((6, 6))
+    expected[:2, :2] = a.T + a + np.eye(2)
+    expected[:2, 2:4], expected[2:4, :2] = b01, b01.T
+    expected[2:4, 2:4] = np.diag(-2.0 * inv_lg * lam[0] + 1.0)
+    expected[2:4, 4:] = expected[4:, 2:4] = np.diag(lam[0])
+    expected[:2, 4:] = expected[4:, :2] = np.eye(2)
+    expected[4:, 4:] = -np.eye(2)
+    np.testing.assert_array_equal(psi, expected)
+
+
+def test_assemble_psi_zero_certificate():
+    p = nominal_params()
+    cert = _cert(np.zeros((2, 2)), np.zeros((1, 2)), np.zeros((2, 2)), np.zeros((2, 2)))
+    psi = assemble_psi(p, cert)
+    np.testing.assert_array_equal(psi, np.zeros((6, 6)))
+
+
+def _direct_expansion(p, bank, cert, xs, ds):
+    """Vdot plus the regularizer terms, straight from the definitions."""
+    grads = lyapunov_gradients(cert, bank, xs)
+    vdot = np.einsum("ni,ni->n", grads, error_derivatives(p, xs, bank, ds))
+    total = vdot + np.einsum("ni,i,ni->n", xs, cert.omega[0], xs)
+    rvals = [branch_values(b, xs) for b in bank.branches]
+    m = bank.branch_count
+    for k in range(m):
+        total += np.einsum("ni,i,ni->n", rvals[k], cert.omega[k + 1], rvals[k])
+        total += 2.0 * np.einsum("ni,i,ni->n", xs, cert.upsilon[0, k + 1], rvals[k])
+    for s in range(1, m + 1):
+        for l in range(s + 1, m + 1):
+            total += 2.0 * np.einsum("ni,i,ni->n", rvals[s - 1], cert.upsilon[s, l], rvals[l - 1])
+    w = -ds / p.l_g
+    total -= np.einsum("ni,ij,nj->n", w, cert.phi, w)
+    return total
+
+
+def test_lyapunov_positive_definite_under_lmi_p(rng, banks):
+    """P + sum(Lambda) > 0 with a sector bank makes V positive and radially
+    increasing along rays."""
+    p = nominal_params()
+    bank = banks["multi_branch"]
+    cert = search_certificate(p, bank).certificate
+    pts = rng.uniform(-100.0, 100.0, (100_000, 2))
+    pts = pts[np.any(pts != 0.0, axis=1)]
+    assert np.all(lyapunov_values(cert, bank, pts) > 0.0)
+
+    directions = rng.normal(size=(50, 2))
+    directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+    radii = np.array([1.0, 2.0, 4.0, 8.0])
+    for u in directions:
+        vals = lyapunov_values(cert, bank, radii[:, None] * u)
+        assert np.all(np.diff(vals) > 0.0)
+
+
+def test_reconstruction_identity(rng, banks):
+    p = nominal_params()
+    cases = {
+        0: VrBank(()),
+        1: VrBank((both_axes((VrElement("linear", 1.0),)),)),
+        2: banks["multi_branch"],
+        3: VrBank((
+            both_axes((VrElement("linear", 0.5),)),
+            both_axes((VrElement("cubic", 0.3),)),
+            both_axes((VrElement("sinh", 0.4, 0.6), VrElement("tanh", 2.0, 0.3))),
+        )),
+    }
+    for m, bank in cases.items():
+        for _ in range(5):
+            cert = random_certificate(m, rng)
+            psi = assemble_psi(p, cert)
+            xs = rng.uniform(-100, 100, (500, 2))
+            ds = rng.uniform(-500, 500, (500, 2))
+            z = stacked_coordinates(bank, xs, ds, p.l_g)
+            quad = np.einsum("ni,ij,nj->n", z, psi, z)
+            direct = _direct_expansion(p, bank, cert, xs, ds)
+            scale = 1.0 + np.maximum(np.abs(quad), np.abs(direct))
+            assert np.max(np.abs(quad - direct) / scale) <= 1e-8
+
+
 def test_verify_analytic_m0_certificate():
     p = nominal_params()
     report = verify_certificate(p, EMPTY, analytic_m0_certificate(p))
     assert report.valid
-    assert report.sigma_margin == pytest.approx(1.0)
-    assert report.psi_margin < 0.0
+    assert report.sigma == pytest.approx(1.0)
+    assert report.psi < 0.0
     assert report.varsigma == pytest.approx(2.0 * p.r_g / p.l_g - 1.0)
 
 
@@ -62,7 +226,7 @@ def test_verify_all_zero_certificate_invalid():
     )
     report = verify_certificate(p, EMPTY, zero)
     assert not report.valid
-    assert report.sigma_margin == pytest.approx(0.0, abs=1e-15)
+    assert report.sigma == pytest.approx(0.0, abs=1e-15)
 
 
 def test_verify_homogeneity():
@@ -78,9 +242,9 @@ def test_verify_homogeneity():
         )
         rep = verify_certificate(p, EMPTY, scaled)
         assert rep.valid == base.valid
-        assert rep.sigma_margin == pytest.approx(c * base.sigma_margin, rel=1e-9)
-        assert rep.xi_margin == pytest.approx(c * base.xi_margin, rel=1e-9)
-        assert rep.psi_margin == pytest.approx(base.psi_margin, rel=1e-9)
+        assert rep.sigma == pytest.approx(c * base.sigma, rel=1e-9)
+        assert rep.xi == pytest.approx(c * base.xi, rel=1e-9)
+        assert rep.psi == pytest.approx(base.psi, rel=1e-9)
 
 
 def test_verify_negative_controls():
@@ -91,15 +255,15 @@ def test_verify_negative_controls():
 
     flipped_p = replace(cert, p_mat=-cert.p_mat)
     rep = verify_certificate(p, EMPTY, flipped_p)
-    assert not rep.valid and rep.sigma_margin < 0.0
+    assert not rep.valid and rep.sigma < 0.0
 
     omega_bad = cert.omega.copy()
     omega_bad[0, 0] = -omega_bad[0, 0]
     rep = verify_certificate(p, EMPTY, replace(cert, omega=omega_bad))
-    assert not rep.valid and rep.xi_margin < 0.0
+    assert not rep.valid and rep.xi < 0.0
 
     rep = verify_certificate(p, EMPTY, replace(cert, phi=np.zeros((2, 2))))
-    assert not rep.valid and rep.psi_margin > 0.0
+    assert not rep.valid and rep.psi > 0.0
 
 
 def test_verify_dimension_mismatch():
@@ -111,17 +275,23 @@ def test_verify_dimension_mismatch():
 
 
 def test_iss_gain():
-    def rep(varsigma, alpha):
-        return VerifyReport(valid=True, sigma_margin=1.0, xi_margin=1.0,
-                            psi_margin=-1.0, varsigma=varsigma, alpha=alpha)
+    """The report's slope is sqrt(alpha / varsigma), 2 / r_g for the closed form; None unless valid with varsigma > 0."""
+    for r_g, l_g, m in [(0.0276, 3.67e-4, 0), (0.5, 2e-3, 1), (1e-3, 1e-2, 8)]:
+        p = GridParams(r_g=r_g, l_g=l_g, frequency_hz=60.0)
+        bank = VrBank(tuple(both_axes((VrElement("linear", 1.0),)) for _ in range(m)))
+        cert = search_certificate(p, bank).certificate
+        rep = cert.report
+        assert rep.valid and rep.iss_gain_slope == math.sqrt(rep.alpha / rep.varsigma)
+        assert rep.iss_gain_slope == pytest.approx(2.0 / r_g, rel=1e-12)
 
-    assert iss_gain(rep(1.0, 4.0)) == pytest.approx(2.0)
-    assert iss_gain(rep(3.7, 3.7)) == pytest.approx(1.0)
-    assert iss_gain(rep(2.0, 8.0)) == pytest.approx(math.sqrt(2.0) * iss_gain(rep(2.0, 4.0)))
-    with pytest.raises(CertificateError):
-        iss_gain(rep(0.0, 1.0))
-    with pytest.raises(CertificateError):
-        iss_gain(None)
+        rep = verify_certificate(p, bank, replace(cert, phi=np.zeros((2, 2))))
+        assert not rep.valid and rep.varsigma > 0.0 and rep.iss_gain_slope is None
+
+    # with a branch, Omega_0 = 0 still certifies: valid, but with no gain
+    omega = cert.omega.copy()
+    omega[0] = 0.0
+    rep = verify_certificate(p, bank, replace(cert, omega=omega))
+    assert rep.valid and rep.varsigma == 0.0 and rep.iss_gain_slope is None
 
 
 def test_search_m0_feasible():
@@ -129,15 +299,15 @@ def test_search_m0_feasible():
     result = search_certificate(p, EMPTY)
     assert result.feasible
     rep = result.certificate.report
-    assert rep.sigma_margin > 0 and rep.xi_margin > 0 and rep.psi_margin < 0
-    assert min(rep.sigma_margin, rep.xi_margin, -rep.psi_margin, rep.varsigma) >= 1e-6
+    assert rep.sigma > 0 and rep.xi > 0 and rep.psi < 0
+    assert min(rep.sigma, rep.xi, -rep.psi, rep.varsigma) >= 1e-6
 
 
 def test_search_m1_linear_feasible():
     p = nominal_params()
     result = search_certificate(p, ONE_LINEAR)
     assert result.feasible
-    assert result.certificate.report.psi_margin <= -1e-6
+    assert result.certificate.report.psi <= -1e-6
     assert result.certificate.report.varsigma > 0.0
 
 
@@ -168,7 +338,7 @@ def test_closed_form_certificate_sweep(rng):
         rep = search_certificate(p, bank).certificate.report
         where = (r_g, l_g, f, m)
         assert rep.valid, where
-        assert min(rep.sigma_margin, rep.xi_margin, -rep.psi_margin, rep.varsigma) >= 1e-6, where
+        assert min(rep.sigma, rep.xi, -rep.psi, rep.varsigma) >= 1e-6, where
 
 
 def test_closed_form_certificate_valid_over_decades():
@@ -185,7 +355,7 @@ def test_closed_form_certificate_valid_over_decades():
         p = GridParams(r_g=r_g, l_g=l_g, frequency_hz=f)
         rep = search_certificate(p, bank).certificate.report
         assert rep.valid, (r_g, l_g, f, bank.branch_count, rep)
-        worst = max(worst, rep.psi_margin)
+        worst = max(worst, rep.psi)
     # the largest scaled lambda_max of the sweep is -(1 - 1/sqrt(2))
     assert worst == pytest.approx(-(1.0 - 1.0 / math.sqrt(2.0)), abs=1e-9)
 
@@ -287,28 +457,12 @@ def test_gradient_check_counts_non_finite_points_as_violations():
     assert report.n_violations > 0
 
 
-_ELEMENT_PARAMS = {
-    "linear": ((0.1, 5.0),),
-    "cubic": ((1e-3, 1.0),),
-    "sinh": ((0.01, 1.0), (0.01, 0.5)),
-    "tanh": ((0.1, 10.0), (0.01, 1.0)),
-    "saturation": ((0.1, 5.0), (0.5, 30.0)),
-}
-
-
-def test_element_params_cover_the_table():
-    # a kind added to vrgrid._kernels.ELEMENT_KINDS must get parameter ranges here
-    assert sorted(_ELEMENT_PARAMS) == sorted(ELEMENT_KINDS)
-    for kind, ranges in _ELEMENT_PARAMS.items():
-        assert len(ranges) == len(ELEMENT_KINDS[kind].params)
-
-
 def _random_axis_bank(rng, m):
     """m branches with different elements on d and q, cycling through all kinds."""
     kinds = itertools.cycle(sorted(ELEMENT_KINDS))
 
     def elements():
-        return [VrElement(kind, *(float(rng.uniform(lo, hi)) for lo, hi in _ELEMENT_PARAMS[kind]))
+        return [VrElement(kind, *(float(rng.uniform(lo, hi)) for lo, hi in PARAM_RANGES[kind]))
                 for kind in itertools.islice(kinds, int(rng.integers(1, 3)))]
 
     return VrBank(tuple(VrBranch(tuple(elements()), tuple(elements())) for _ in range(m)))

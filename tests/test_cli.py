@@ -521,13 +521,14 @@ def test_sampled_sector_check_at_load(tmp_path, capsys, command):
 
 @pytest.mark.filterwarnings("error")  # pytest would otherwise keep a warning off stderr
 @pytest.mark.parametrize("command", ["simulate", "certify"])
-@pytest.mark.parametrize("r_g, l_g", [
-    pytest.param(1e-300, 1e300, id="l_g-squared-overflows"),
-    pytest.param(1e300, 1e-300, id="omega-not-finite"),
-    pytest.param(1e-320, 1e-3, id="phi-not-finite"),
+@pytest.mark.parametrize("r_g, l_g, detail", [
+    pytest.param(1e-300, 1e300, "", id="l_g-squared-overflows"),  # Python's OverflowError text
+    pytest.param(1e300, 1e-300, "non-finite", id="omega-not-finite"),
+    pytest.param(1e-320, 1e-3, "non-finite", id="phi-not-finite"),
 ])
-def test_certificate_out_of_float_range_exit2(tmp_path, capsys, command, r_g, l_g):
-    """Finite grid values whose closed-form certificate overflows exit 2 at field grid."""
+def test_certificate_out_of_float_range_exit2(tmp_path, capsys, command, r_g, l_g, detail):
+    """Finite grid values whose closed-form certificate overflows exit 2 at field grid. A matrix with
+    an infinite entry is reported as non-finite, not as asymmetric for the NaN of inf * 0 beside it."""
     from vrgrid.cli import main
 
     doc = small_config(grid={"l_g": l_g, "r_g": r_g, "frequency_hz": 60.0}, certify={"enabled": True})
@@ -536,7 +537,7 @@ def test_certificate_out_of_float_range_exit2(tmp_path, capsys, command, r_g, l_
     captured = capsys.readouterr()
     err = json.loads(captured.out.splitlines()[0])["error"]
     assert err["field"] == "grid"
-    assert "float range" in err["message"]
+    assert "float range" in err["message"] and detail in err["message"]
     # only the error line: no floating-point warning from the construction
     assert len(captured.err.splitlines()) == 1
     assert captured.err.startswith("error [config] grid:")
@@ -610,6 +611,29 @@ def test_certify_m0_bundled(tmp_path):
     assert cert["valid"] is True
     assert cert["margins"]["psi"] <= 1e-6
     assert cert["margins"]["varsigma"] > 0.0
+
+
+def test_certify_prints_what_it_wrote(tmp_path, capsys):
+    """certify's line shows the psi margin and gain slope of the certificate.json it wrote; an
+    infeasible certificate (exit 4) has no gain slope in its margins."""
+    from vrgrid.cli import main
+
+    keys = {"sigma", "xi", "psi", "varsigma", "alpha"}
+    for config in ("certify_m0.json", "certify_m1_linear.json"):
+        out = tmp_path / config
+        assert main(["certify", str(CONFIG_DIR / config), "--out", str(out)]) == 0
+        margins = json.loads((out / "certificate.json").read_text())["margins"]
+        assert set(margins) == keys | {"iss_gain_slope"}
+        name = json.loads((CONFIG_DIR / config).read_text())["name"]
+        assert capsys.readouterr().out == (f"certify {name}: valid (psi_margin={margins['psi']:.3e}, "
+                                           f"gain_slope={margins['iss_gain_slope']:.6g})\n")
+
+    doc = json.loads((CONFIG_DIR / "certify_m0.json").read_text())
+    doc["grid"].update(r_g=1e-10, l_g=1.0)
+    out = tmp_path / "infeasible"
+    assert main(["certify", str(write_config(tmp_path / "infeasible.json", doc)), "--out", str(out)]) == 4
+    cert = json.loads((out / "certificate.json").read_text())
+    assert cert["valid"] is False and set(cert["margins"]) == keys
 
 
 def test_certify_rerun_byte_identical(tmp_path):

@@ -6,7 +6,7 @@ import pytest
 
 from conftest import both_axes, error_derivatives, nominal_params, passivity_ball, unchecked_element
 from vrgrid.bank import VrBank, VrElement
-from vrgrid.certify import VerifyReport, search_certificate
+from vrgrid.certify import search_certificate
 from vrgrid.plant import system_matrix
 from vrgrid.sim import (
     ConstantOffset,
