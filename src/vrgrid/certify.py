@@ -52,7 +52,7 @@ outside the float64 range.
 """
 
 import math
-from dataclasses import astuple, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Optional
 
 import numpy as np
@@ -255,39 +255,46 @@ def search_certificate(p, bank):
 
     The bank enters only through its branch count; its sector condition is
     the caller's to check (``vrgrid.cli.load_config`` does on every bank it
-    loads). Raises :class:`CertificateError` when (r_g, l_g, omega_g) put a
-    certificate entry, a margin or the gain outside the float64 range
-    (e.g. r_g = 1e-300 with l_g = 1e300).
+    loads). Raises :class:`CertificateError` naming the first quantity that
+    (r_g, l_g, omega_g) put outside the float64 range: the branch weight c
+    (e.g. r_g = 1e-300 with l_g = 1e300), a certificate field or a margin.
     """
     m = bank.branch_count
     if m > MAX_BRANCHES:
         raise ValueError(f"certification supports at most {MAX_BRANCHES} branches, bank has {m}")
 
+    def out_of_range(what):
+        return CertificateError(f"r_g={p.r_g!r}, l_g={p.l_g!r}, omega_g={p.omega_g!r} put the closed-form "
+                                f"certificate outside the float range: {what}")
+
     with np.errstate(all="ignore"):  # a non-finite entry or margin is refused below
+        a = p.r_g / p.l_g
         try:
-            a = p.r_g / p.l_g
             c = min(0.01, p.r_g / (4.0 * max(m, 1) * (a ** 2 + p.omega_g ** 2) * p.l_g ** 2))
-            omega = np.full((m + 1, 2), c / p.l_g)
-            omega[0] = a
-            upsilon = np.zeros((m + 1, m + 1, 2))
-            upsilon[np.triu_indices(m + 1, 1)] = 2.0 * c / p.l_g
-            upsilon[0, 1:] = 1.0 / p.l_g
-            cert = IssCertificate(
-                p_mat=np.eye(2),
-                lam=np.full((m, 2), c),
-                omega=omega,
-                phi=(4.0 * p.l_g / p.r_g) * np.eye(2),
-                upsilon=upsilon,
-            )
+        except ArithmeticError:
+            raise out_of_range("branch weight c: a square in its denominator overflows, or underflows to 0") from None
+        omega = np.full((m + 1, 2), c / p.l_g)
+        omega[0] = a
+        upsilon = np.zeros((m + 1, m + 1, 2))
+        upsilon[np.triu_indices(m + 1, 1)] = 2.0 * c / p.l_g
+        upsilon[0, 1:] = 1.0 / p.l_g
+        cert = IssCertificate(
+            p_mat=np.eye(2),
+            lam=np.full((m, 2), c),
+            omega=omega,
+            phi=(4.0 * p.l_g / p.r_g) * np.eye(2),
+            upsilon=upsilon,
+        )
+        for f in fields(cert):
+            if f.name != "report" and not np.all(np.isfinite(getattr(cert, f.name))):
+                raise out_of_range(f"{f.name} has a non-finite entry")
+        try:
             report = verify_certificate(p, bank, cert)
-            margins = astuple(report)[1:]  # every field after ``valid``
-            if not all(math.isfinite(v) for v in margins if v is not None):
-                raise ArithmeticError("non-finite margin or gain")
-        except (ArithmeticError, ValueError) as exc:  # overflow, underflow to 0, non-finite entries
-            raise CertificateError(
-                f"r_g={p.r_g!r}, l_g={p.l_g!r}, omega_g={p.omega_g!r} put the closed-form "
-                f"certificate outside the float range: {exc}"
-            ) from None
+        except ValueError as exc:  # a non-finite product of finite entries
+            raise out_of_range(exc) from None
+        for name, value in asdict(report).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise out_of_range(f"margins.{name} is not finite")
     return SearchResult(certificate=replace(cert, report=report), feasible=report.valid, starts_run=1)
 
 

@@ -3,8 +3,9 @@
 Exit codes: 0 success, 2 config/schema violation or an output location
 that cannot be written, 3 numeric abort, 4 certification infeasible or a
 certified run that breaks its certificate's dissipation inequality.
-Errors are also emitted as a single JSON object on stdout so sweep
-scripts can triage failures.
+The three :class:`Refusal` classes are the one table of exit codes and
+error kinds; ``main`` reports a refusal as one JSON object on stdout, so
+sweep scripts can triage failures, and one line on stderr.
 
 All artifacts are written atomically (temp file + rename) inside the
 configured output directory and contain nothing time-dependent, so a rerun
@@ -21,7 +22,7 @@ import math
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import MISSING, asdict, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, fields, replace
 from itertools import chain, repeat
 from pathlib import Path
 
@@ -37,9 +38,11 @@ from .sim import SCENARIO_KINDS, Scenario, SimulationAbort, check_dissipation, c
 SCHEMA_VERSION = 1
 
 
-class ConfigError(ValueError):
-    """A refused input value: ``field`` is its path, ``message`` says what is wrong without
-    repeating the path, and ``str()`` joins the two."""
+class Refusal(Exception):
+    """A failed command: ``main`` exits with its ``exit_code`` and reports ``kind``, ``field`` (where the
+    fault is) and ``message`` (what is wrong, not repeating the field); ``str()`` joins the last two."""
+
+    exit_code = kind = None  # set by each subclass below
 
     def __init__(self, field, message):
         self.field = field
@@ -47,8 +50,22 @@ class ConfigError(ValueError):
         super().__init__(f"{field}: {message}" if field else message)
 
 
-class CertificationInfeasible(Exception):
-    """Ends a certified command with exit 4, after the files that show why are written."""
+class ConfigError(Refusal, ValueError):
+    """Exit 2: a refused input value, or an output location that cannot be written."""
+
+    exit_code, kind = 2, "config"
+
+
+class NumericAbort(Refusal):
+    """Exit 3: a run whose state or metrics leave the float range, before it writes a file."""
+
+    exit_code, kind = 3, "numeric"
+
+
+class CertificationInfeasible(Refusal):
+    """Exit 4: an infeasible certificate, or a certified run that breaks it; raised after writing why."""
+
+    exit_code, kind = 4, "infeasible"
 
 
 def _expect_mapping(obj, path):
@@ -430,11 +447,12 @@ def load_certificate(path, bank):
     return cert
 
 
-def _emit_error(exit_code, kind, field, message):
-    payload = {"error": {"exit_code": exit_code, "kind": kind, "field": field, "message": message}}
+def _emit_error(exc):
+    """Report refusal ``exc`` as one JSON object on stdout and one line on stderr; its exit code."""
+    payload = {"error": {"exit_code": exc.exit_code, "kind": exc.kind, "field": exc.field, "message": exc.message}}
     print(json.dumps(payload, sort_keys=True))
-    print(f"error [{kind}] {field or '-'}: {message}", file=sys.stderr)
-    return exit_code
+    print(f"error [{exc.kind}] {exc.field or '-'}: {exc.message}", file=sys.stderr)
+    return exc.exit_code
 
 
 def _overrides(args):
@@ -458,28 +476,8 @@ def _certify(cfg):
     cert_json = _json_bytes(payload)
     if not cert.report.valid:
         _write_manifest(Path(cfg.output.directory), cfg, cert_json)
-        raise CertificationInfeasible(f"certification infeasible; margins {payload['margins']}")
+        raise CertificationInfeasible("certify", f"certification infeasible; margins {payload['margins']}")
     return cert, cert_json
-
-
-def _run(cfg, cert=None):
-    """Integrate one config: (trajectory, metrics, metrics.json record).
-
-    Raises SimulationAbort on a non-finite state, and FloatingPointError
-    when a number of the metrics record, ``dissipation`` included, is not
-    finite; both end the command with exit 3 before the run writes a file.
-    """
-    traj = integrate(cfg.grid, cfg.bank, cfg.scenario, cert=cert)
-    metrics = compute_metrics(traj, cfg.scenario)
-    metrics_doc = asdict(metrics)
-    if cert is not None:
-        metrics_doc["dissipation"] = asdict(check_dissipation(traj, cert))
-    records = {"": metrics_doc, "dissipation.": metrics_doc.get("dissipation", {})}
-    for prefix, record in records.items():
-        for key, value in record.items():
-            if isinstance(value, float) and not math.isfinite(value):
-                raise FloatingPointError(f"metric {prefix}{key} is not finite: {value!r}")
-    return traj, metrics, metrics_doc
 
 
 def _write_manifest(run_dir, cfg, cert_json=None):
@@ -500,26 +498,42 @@ def _write_manifest(run_dir, cfg, cert_json=None):
     _atomic_write(run_dir / "manifest.json", _json_bytes(doc))
 
 
-def _write_run(run_dir, cfg, traj, metrics_doc, cert_json=None):
-    """Write a run's trajectory.csv, metrics.json, certificate.json and manifest.json."""
+def _simulate(cfg, field):
+    """Run one config into its output directory, certifying it first if enabled; its metrics.
+
+    A state or a metrics number (``dissipation`` included) that is not finite
+    raises NumericAbort on ``field`` before the run writes a file; a certified
+    run that breaks its dissipation inequality raises CertificationInfeasible
+    after writing its files.
+    """
+    run_dir = Path(cfg.output.directory)
+    cert, cert_json = _certify(cfg) if cfg.certify else (None, None)
+    try:
+        traj = integrate(cfg.grid, cfg.bank, cfg.scenario, cert=cert)
+    except SimulationAbort as exc:
+        raise NumericAbort(field, str(exc)) from exc
+    metrics = compute_metrics(traj, cfg.scenario)
+    metrics_doc = asdict(metrics)
+    if cert is not None:
+        metrics_doc["dissipation"] = asdict(check_dissipation(traj, cert))
+    for prefix, record in (("", metrics_doc), ("dissipation.", metrics_doc.get("dissipation", {}))):
+        for key, value in record.items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise NumericAbort(field, f"metric {prefix}{key} is not finite: {value!r}")
+
     write_trajectory_csv(run_dir / "trajectory.csv", traj, cfg.output.decimation)
     _atomic_write(run_dir / "metrics.json", _json_bytes(metrics_doc))
     _write_manifest(run_dir, cfg, cert_json)
+    if cert is not None and metrics_doc["dissipation"]["n_violations"]:
+        raise CertificationInfeasible("certify", "the certificate does not cover this run: {n_violations} steps "
+                                      "break its dissipation inequality, worst margin {worst_margin!r} against "
+                                      "a tolerance of {tol!r}".format(**metrics_doc["dissipation"]))
+    return metrics
 
 
 def cmd_simulate(args):
     cfg = load_config(args.config, _overrides(args))
-    cert, cert_json = _certify(cfg) if cfg.certify else (None, None)
-    try:
-        traj, metrics, metrics_doc = _run(cfg, cert)
-    except (SimulationAbort, FloatingPointError) as exc:
-        return _emit_error(3, "numeric", "scenario", str(exc))
-
-    _write_run(Path(cfg.output.directory), cfg, traj, metrics_doc, cert_json)
-    if cert is not None and metrics_doc["dissipation"]["n_violations"]:
-        raise CertificationInfeasible("the certificate does not cover this run: {n_violations} steps break its "
-                                      "dissipation inequality, worst margin {worst_margin!r} against a "
-                                      "tolerance of {tol!r}".format(**metrics_doc["dissipation"]))
+    metrics = _simulate(cfg, "scenario")
     print(f"simulate {cfg.name}: ok (settled={metrics.settled}, "
           f"rms_d={metrics.rms_err_d_a:.6g} A, rms_q={metrics.rms_err_q_a:.6g} A)")
     return 0
@@ -537,27 +551,15 @@ def cmd_certify(args):
 
 
 COMPARE_OUTPUTS = ("comparison.csv", "comparison.txt")
-# The header of both comparison files, which have one row per config.
-COMPARE_COLUMNS = ("vr_law", "settling_time_ms", "rms_err_d_a", "rms_err_q_a")
-
-
-def _format_table(rows):
-    cells = [COMPARE_COLUMNS] + [
-        [
-            name,
-            f"{m.settling_time_2pct_d_s * 1e3:.3f}" if m.settled else "unsettled",
-            f"{m.rms_err_d_a:.4f}",
-            f"{m.rms_err_q_a:.4f}",
-        ]
-        for name, m in rows
-    ]
-    widths = [max(len(r[j]) for r in cells) for j in range(len(COMPARE_COLUMNS))]
-    lines = []
-    for i, r in enumerate(cells):
-        lines.append("  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip())
-        if i == 0:
-            lines.append("  ".join("-" * w for w in widths))
-    return "\n".join(lines) + "\n"
+# The columns of both comparison files (one row per config): header, value of (config name,
+# metrics) or None, and comparison.txt format. A comparison.csv cell is str(value), the
+# shortest round-trip repr of a float, or empty for None; comparison.txt writes None as "unsettled".
+COMPARE_COLUMNS = (
+    ("vr_law", lambda name, m: name, ""),
+    ("settling_time_ms", lambda name, m: m.settling_time_2pct_d_s * 1e3 if m.settled else None, ".3f"),
+    ("rms_err_d_a", lambda name, m: m.rms_err_d_a, ".4f"),
+    ("rms_err_q_a", lambda name, m: m.rms_err_q_a, ".4f"),
+)
 
 
 def cmd_compare(args):
@@ -582,30 +584,22 @@ def cmd_compare(args):
         names.add(cfg.name)
 
     out_root = Path(configs[0].output.directory)
+    header, values, formats = zip(*COMPARE_COLUMNS)
     rows = []
     for cfg in configs:
-        run_dir = out_root / cfg.name
-        try:
-            traj, metrics, metrics_doc = _run(cfg)
-        except (SimulationAbort, FloatingPointError) as exc:
-            return _emit_error(3, "numeric", cfg.name, str(exc))
-        _write_run(run_dir, cfg, traj, metrics_doc)
-        rows.append((cfg.name, metrics))
+        run = replace(cfg, output=replace(cfg.output, directory=str(out_root / cfg.name)))
+        metrics = _simulate(run, cfg.name)  # what simulate <config> --out <out_root>/<name> writes
+        rows.append([value(cfg.name, metrics) for value in values])
 
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(COMPARE_COLUMNS)
-    for name, m in rows:
-        writer.writerow([
-            name,
-            repr(m.settling_time_2pct_d_s * 1e3) if m.settled else "",
-            repr(m.rms_err_d_a),
-            repr(m.rms_err_q_a),
-        ])
-    csv_name, txt_name = COMPARE_OUTPUTS
-    _atomic_write(out_root / csv_name, buf.getvalue().encode())
-    table = _format_table(rows)
-    _atomic_write(out_root / txt_name, table.encode())
+    csv.writer(buf, lineterminator="\n").writerows([header] + [["" if v is None else str(v) for v in r] for r in rows])
+    cells = [header] + [["unsettled" if v is None else format(v, f) for v, f in zip(row, formats)] for row in rows]
+    widths = [max(map(len, column)) for column in zip(*cells)]
+    lines = ["  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip() for r in cells]
+    lines.insert(1, "  ".join("-" * w for w in widths))
+    table = "\n".join(lines) + "\n"
+    for name, text in zip(COMPARE_OUTPUTS, (buf.getvalue(), table)):
+        _atomic_write(out_root / name, text.encode())
     print(table, end="")
     return 0
 
@@ -650,11 +644,5 @@ def main(argv=None):
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except ConfigError as exc:
-        return _emit_error(2, "config", exc.field, exc.message)
-    except CertificationInfeasible as exc:
-        return _emit_error(4, "infeasible", "certify", str(exc))
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+    except Refusal as exc:
+        return _emit_error(exc)

@@ -281,9 +281,7 @@ def compute_metrics(traj, sc):
         above = post > band
         if above[-1]:
             settling, settled = None, False
-        elif not above.any():
-            settling, settled = 0.0, True
-        else:
+        else:  # the finite peak's own sample is above its band
             last = int(np.nonzero(above)[0][-1])
             settling = float(traj.times[i_end + last + 1] - traj.times[i_end])
             settled = True

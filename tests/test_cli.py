@@ -522,13 +522,14 @@ def test_sampled_sector_check_at_load(tmp_path, capsys, command):
 @pytest.mark.filterwarnings("error")  # pytest would otherwise keep a warning off stderr
 @pytest.mark.parametrize("command", ["simulate", "certify"])
 @pytest.mark.parametrize("r_g, l_g, detail", [
-    pytest.param(1e-300, 1e300, "", id="l_g-squared-overflows"),  # Python's OverflowError text
-    pytest.param(1e300, 1e-300, "non-finite", id="omega-not-finite"),
-    pytest.param(1e-320, 1e-3, "non-finite", id="phi-not-finite"),
+    pytest.param(1e-300, 1e300, "float range: branch weight c:", id="l_g-squared-overflows"),
+    pytest.param(1e300, 1e-300, "float range: omega has a non-finite entry", id="omega-not-finite"),
+    pytest.param(1e-320, 1e-3, "float range: phi has a non-finite entry", id="phi-not-finite"),
 ])
 def test_certificate_out_of_float_range_exit2(tmp_path, capsys, command, r_g, l_g, detail):
-    """Finite grid values whose closed-form certificate overflows exit 2 at field grid. A matrix with
-    an infinite entry is reported as non-finite, not as asymmetric for the NaN of inf * 0 beside it."""
+    """Finite grid values whose closed-form certificate overflows exit 2 at field grid, naming the
+    quantity that left the float range: the branch weight c, or the first certificate field with a
+    non-finite entry (not an asymmetric matrix for the NaN of inf * 0 beside it)."""
     from vrgrid.cli import main
 
     doc = small_config(grid={"l_g": l_g, "r_g": r_g, "frequency_hz": 60.0}, certify={"enabled": True})
@@ -831,6 +832,26 @@ def _tiny_compare_dir(tmp_path, names=("a", "b")):
     return d
 
 
+def _tree(root):
+    return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def test_compare_run_directory_is_what_simulate_writes(tmp_path, capsys):
+    """Each compare run directory holds, byte for byte, what simulate of that config writes,
+    certificate and dissipation record included when the config enables certification."""
+    from vrgrid.cli import main
+
+    d = _tiny_compare_dir(tmp_path)
+    write_config(d / "certified.json", small_config(name="certified", certify={"enabled": True}))
+    assert main(["compare", str(d), "--out", str(tmp_path / "cmp")]) == 0
+    for name in ("a", "b", "certified"):
+        assert main(["simulate", str(d / f"{name}.json"), "--out", str(tmp_path / "sim" / name)]) == 0
+        run = _tree(tmp_path / "cmp" / name)
+        assert run == _tree(tmp_path / "sim" / name)
+        assert ("certificate.json" in map(str, run)) == (name == "certified")
+    capsys.readouterr()
+
+
 def test_compare_table(tmp_path):
     d = _tiny_compare_dir(tmp_path, names=("a", "b", "c"))
     out = tmp_path / "cmp"
@@ -949,11 +970,12 @@ def test_atomic_write_removes_temp_when_rename_fails(tmp_path):
     assert not any(target.iterdir())
 
 
-@pytest.mark.parametrize("command", ["certify", "simulate"])
+@pytest.mark.parametrize("command", ["certify", "simulate", "compare"])
 def test_certify_infeasible_exit4(tmp_path, monkeypatch, capsys, command):
     """Exit code 4 with a margin report when the certificate is infeasible:
-    both commands write the certificate and a manifest naming it, and
-    simulate integrates nothing.
+    every command writes the certificate and a manifest naming it (compare
+    into the config's run directory), and simulate and compare integrate
+    nothing.
 
     Any positive-resistance loop admits a certificate, so the infeasible
     branch is exercised by stubbing the construction result."""
@@ -972,10 +994,11 @@ def test_certify_infeasible_exit4(tmp_path, monkeypatch, capsys, command):
         return SearchResult(certificate=replace(cert, report=report), feasible=False, starts_run=1)
 
     monkeypatch.setattr(cli, "search_certificate", fake_search)
-    out = tmp_path / "o"
-    assert cli.main([command, str(path), "--out", str(out)]) == 4
+    target = tmp_path if command == "compare" else path
+    assert cli.main([command, str(target), "--out", str(tmp_path / "o")]) == 4
     err = json.loads(capsys.readouterr().out.splitlines()[0])["error"]
     assert err["kind"] == "infeasible"
+    out = tmp_path / "o" / "tiny" if command == "compare" else tmp_path / "o"
     # the margins are still reported in the certificate artifact
     payload = json.loads((out / "certificate.json").read_text())
     assert payload["valid"] is False
