@@ -173,13 +173,14 @@ def classify_bank(bank):
     as (x, x) points, and its d axis is checked before its q axis. A
     violation raises :class:`SectorViolation` naming branch, axis and sample.
     """
-    for idx, branch in enumerate(bank.branches):
-        vals = branch_values(branch, _PROBE_PTS)
-        for col, axis in enumerate("dq"):
-            bad = np.flatnonzero(~(_PROBE_XS * vals[:, col] > 0.0))
-            if bad.size:
-                i = bad[0]
-                raise SectorViolation(idx, axis, float(_PROBE_XS[i]), float(vals[i, col]))
+    with np.errstate(over="ignore"):  # an overflowed value or product is +-inf, with the sign the check reads
+        for idx, branch in enumerate(bank.branches):
+            vals = branch_values(branch, _PROBE_PTS)
+            for col, axis in enumerate("dq"):
+                bad = np.flatnonzero(~(_PROBE_XS * vals[:, col] > 0.0))
+                if bad.size:
+                    i = bad[0]
+                    raise SectorViolation(idx, axis, float(_PROBE_XS[i]), float(vals[i, col]))
 
 
 def flatten_bank(bank):

@@ -7,9 +7,11 @@ The three :class:`Refusal` classes are the one table of exit codes and
 error kinds; ``main`` reports a refusal as one JSON object on stdout, so
 sweep scripts can triage failures, and one line on stderr.
 
-All artifacts are written atomically (temp file + rename) inside the
-configured output directory and contain nothing time-dependent, so a rerun
-with the same config produces byte-identical files.
+``simulate`` and ``certify`` pass the config's ``output.directory`` to the
+run as its run directory; ``compare`` passes ``<--out>/<name>``, and each
+refusal of that run is on field ``<name>``. All artifacts are written
+atomically (temp file + rename) inside the run directory and contain nothing
+time-dependent, so a rerun with the same config produces byte-identical files.
 """
 
 import argparse
@@ -22,7 +24,7 @@ import math
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import MISSING, asdict, dataclass, fields, replace
+from dataclasses import MISSING, asdict, dataclass, fields
 from itertools import chain, repeat
 from pathlib import Path
 
@@ -212,12 +214,6 @@ def _parse_certify(section, bank):
     return enabled
 
 
-@dataclass(frozen=True)
-class OutputSettings:
-    directory: str
-    decimation: int
-
-
 def _parse_output(section):
     _check_keys(section, "output", required=(), optional=("directory", "decimation"))
     directory = section.get("directory", "out")
@@ -226,7 +222,7 @@ def _parse_output(section):
     decimation = section.get("decimation", 10)
     if not _is_int(decimation) or decimation < 1:
         raise ConfigError("output.decimation", f"must be an integer >= 1, got {decimation!r}")
-    return OutputSettings(directory=directory, decimation=decimation)
+    return {"directory": directory, "decimation": decimation}
 
 
 @dataclass(frozen=True)
@@ -236,7 +232,8 @@ class RunConfig:
     bank: VrBank
     scenario: Scenario
     certify: bool              # certification enabled
-    output: OutputSettings
+    directory: str             # output.directory: the run directory of simulate and certify
+    decimation: int            # output.decimation: every decimation-th step is a trajectory.csv row
     config_sha256: str
 
 
@@ -286,14 +283,13 @@ def load_config(path, overrides=()):
     bank = _parse_bank(doc["bank"])
     scenario = _parse_scenario(doc["scenario"])
     certify = _parse_certify(doc.get("certify", {}), bank)
-    output = _parse_output(doc.get("output", {}))
     return RunConfig(
         name=name,
         grid=grid,
         bank=bank,
         scenario=scenario,
         certify=certify,
-        output=output,
+        **_parse_output(doc.get("output", {})),
         config_sha256=hashlib.sha256(raw).hexdigest(),
     )
 
@@ -460,13 +456,13 @@ def _overrides(args):
     return {dest: value for dest, value in vars(args).items() if "." in dest and value is not None}
 
 
-def _certify(cfg):
+def _certify(cfg, run_dir, field):
     """(certificate with its report, certificate.json bytes) of a certified config.
 
     Grid values that put the certificate outside the float range raise
     ConfigError on field ``grid``. An infeasible certificate is written to
-    the output directory with a manifest.json naming it, and raises
-    CertificationInfeasible.
+    ``run_dir`` with a manifest.json naming it, and raises
+    CertificationInfeasible on ``field``.
     """
     try:
         cert = search_certificate(cfg.grid, cfg.bank).certificate
@@ -475,8 +471,8 @@ def _certify(cfg):
     payload = certificate_payload(cert, cfg.bank)
     cert_json = _json_bytes(payload)
     if not cert.report.valid:
-        _write_manifest(Path(cfg.output.directory), cfg, cert_json)
-        raise CertificationInfeasible("certify", f"certification infeasible; margins {payload['margins']}")
+        _write_manifest(run_dir, cfg, cert_json)
+        raise CertificationInfeasible(field, f"certification infeasible; margins {payload['margins']}")
     return cert, cert_json
 
 
@@ -498,20 +494,21 @@ def _write_manifest(run_dir, cfg, cert_json=None):
     _atomic_write(run_dir / "manifest.json", _json_bytes(doc))
 
 
-def _simulate(cfg, field):
-    """Run one config into its output directory, certifying it first if enabled; its metrics.
+def _simulate(cfg, run_dir, name=None):
+    """Run one config into ``run_dir``, certifying it first if enabled; its metrics.
 
     A state or a metrics number (``dissipation`` included) that is not finite
-    raises NumericAbort on ``field`` before the run writes a file; a certified
-    run that breaks its dissipation inequality raises CertificationInfeasible
-    after writing its files.
+    raises NumericAbort before the run writes a file; an infeasible certificate,
+    or a certified run that breaks its dissipation inequality, raises
+    CertificationInfeasible after writing why. Each is on field ``name`` if
+    given (``compare`` passes the config's), else on ``scenario`` or ``certify``.
     """
-    run_dir = Path(cfg.output.directory)
-    cert, cert_json = _certify(cfg) if cfg.certify else (None, None)
+    numeric, infeasible = (name, name) if name else ("scenario", "certify")
+    cert, cert_json = _certify(cfg, run_dir, infeasible) if cfg.certify else (None, None)
     try:
         traj = integrate(cfg.grid, cfg.bank, cfg.scenario, cert=cert)
     except SimulationAbort as exc:
-        raise NumericAbort(field, str(exc)) from exc
+        raise NumericAbort(numeric, str(exc)) from exc
     metrics = compute_metrics(traj, cfg.scenario)
     metrics_doc = asdict(metrics)
     if cert is not None:
@@ -519,13 +516,13 @@ def _simulate(cfg, field):
     for prefix, record in (("", metrics_doc), ("dissipation.", metrics_doc.get("dissipation", {}))):
         for key, value in record.items():
             if isinstance(value, float) and not math.isfinite(value):
-                raise NumericAbort(field, f"metric {prefix}{key} is not finite: {value!r}")
+                raise NumericAbort(numeric, f"metric {prefix}{key} is not finite: {value!r}")
 
-    write_trajectory_csv(run_dir / "trajectory.csv", traj, cfg.output.decimation)
+    write_trajectory_csv(run_dir / "trajectory.csv", traj, cfg.decimation)
     _atomic_write(run_dir / "metrics.json", _json_bytes(metrics_doc))
     _write_manifest(run_dir, cfg, cert_json)
     if cert is not None and metrics_doc["dissipation"]["n_violations"]:
-        raise CertificationInfeasible("certify", "the certificate does not cover this run: {n_violations} steps "
+        raise CertificationInfeasible(infeasible, "the certificate does not cover this run: {n_violations} steps "
                                       "break its dissipation inequality, worst margin {worst_margin!r} against "
                                       "a tolerance of {tol!r}".format(**metrics_doc["dissipation"]))
     return metrics
@@ -533,7 +530,7 @@ def _simulate(cfg, field):
 
 def cmd_simulate(args):
     cfg = load_config(args.config, _overrides(args))
-    metrics = _simulate(cfg, "scenario")
+    metrics = _simulate(cfg, Path(cfg.directory))
     print(f"simulate {cfg.name}: ok (settled={metrics.settled}, "
           f"rms_d={metrics.rms_err_d_a:.6g} A, rms_q={metrics.rms_err_q_a:.6g} A)")
     return 0
@@ -543,8 +540,9 @@ def cmd_certify(args):
     cfg = load_config(args.config, _overrides(args))
     if not cfg.certify:
         raise ConfigError("certify.enabled", "must be true for the certify command")
-    cert, cert_json = _certify(cfg)
-    _write_manifest(Path(cfg.output.directory), cfg, cert_json)
+    run_dir = Path(cfg.directory)
+    cert, cert_json = _certify(cfg, run_dir, "certify")
+    _write_manifest(run_dir, cfg, cert_json)
     print(f"certify {cfg.name}: valid (psi_margin={cert.report.psi:.3e}, "
           f"gain_slope={cert.report.iss_gain_slope:.6g})")
     return 0
@@ -583,12 +581,12 @@ def cmd_compare(args):
             raise ConfigError("name", f"{cfg.name!r} is a comparison file")
         names.add(cfg.name)
 
-    out_root = Path(configs[0].output.directory)
+    out_root = Path(configs[0].directory)
     header, values, formats = zip(*COMPARE_COLUMNS)
     rows = []
     for cfg in configs:
-        run = replace(cfg, output=replace(cfg.output, directory=str(out_root / cfg.name)))
-        metrics = _simulate(run, cfg.name)  # what simulate <config> --out <out_root>/<name> writes
+        # what simulate <config> --out <out_root>/<name> writes
+        metrics = _simulate(cfg, out_root / cfg.name, cfg.name)
         rows.append([value(cfg.name, metrics) for value in values])
 
     buf = io.StringIO()

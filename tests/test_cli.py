@@ -520,6 +520,21 @@ def test_sampled_sector_check_at_load(tmp_path, capsys, command):
 
 
 @pytest.mark.filterwarnings("error")  # pytest would otherwise keep a warning off stderr
+@pytest.mark.parametrize("bank", [
+    pytest.param([[{"kind": "sinh", "a": 1.0, "b": 50.0}]], id="sinh-overflows"),
+    pytest.param([[{"kind": "linear", "k": 1e307}]], id="product-overflows"),
+])
+def test_sampled_sector_check_of_steep_bank_is_silent(tmp_path, capsys, bank):
+    """A steep bank whose probe values or x * r(x) products overflow passes the sampled sector
+    check by their sign: certify exits 0 with nothing on stderr, not a numpy overflow warning."""
+    from vrgrid.cli import main
+
+    path = write_config(tmp_path / "cfg.json", small_config(bank=bank, certify={"enabled": True}))
+    assert main(["certify", str(path), "--out", str(tmp_path / "o")]) == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.filterwarnings("error")  # pytest would otherwise keep a warning off stderr
 @pytest.mark.parametrize("command", ["simulate", "certify"])
 @pytest.mark.parametrize("r_g, l_g, detail", [
     pytest.param(1e-300, 1e300, "float range: branch weight c:", id="l_g-squared-overflows"),
@@ -852,6 +867,27 @@ def test_compare_run_directory_is_what_simulate_writes(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_compare_takes_decimation_not_directory_from_output(tmp_path, capsys):
+    """Each compare run keeps its config's output.decimation, as simulate of that config into
+    the same run directory does, and writes nothing under the config's own output.directory."""
+    from vrgrid.cli import main
+
+    d = tmp_path / "cfgs"
+    d.mkdir()
+    for name, decimation in (("a", 1), ("b", 7)):
+        write_config(d / f"{name}.json", small_config(
+            name=name, output={"directory": str(tmp_path / f"own_{name}"), "decimation": decimation}))
+    assert main(["compare", str(d), "--out", str(tmp_path / "cmp")]) == 0
+    rows = {}
+    for name in ("a", "b"):
+        assert main(["simulate", str(d / f"{name}.json"), "--out", str(tmp_path / "sim" / name)]) == 0
+        assert _tree(tmp_path / "cmp" / name) == _tree(tmp_path / "sim" / name)
+        rows[name] = len((tmp_path / "cmp" / name / "trajectory.csv").read_text().splitlines())
+        assert not (tmp_path / f"own_{name}").exists()
+    assert rows["a"] > rows["b"]
+    capsys.readouterr()
+
+
 def test_compare_table(tmp_path):
     d = _tiny_compare_dir(tmp_path, names=("a", "b", "c"))
     out = tmp_path / "cmp"
@@ -998,6 +1034,7 @@ def test_certify_infeasible_exit4(tmp_path, monkeypatch, capsys, command):
     assert cli.main([command, str(target), "--out", str(tmp_path / "o")]) == 4
     err = json.loads(capsys.readouterr().out.splitlines()[0])["error"]
     assert err["kind"] == "infeasible"
+    assert err["field"] == ("tiny" if command == "compare" else "certify")
     out = tmp_path / "o" / "tiny" if command == "compare" else tmp_path / "o"
     # the margins are still reported in the certificate artifact
     payload = json.loads((out / "certificate.json").read_text())
@@ -1007,9 +1044,12 @@ def test_certify_infeasible_exit4(tmp_path, monkeypatch, capsys, command):
     assert sorted(p.name for p in out.iterdir()) == ["certificate.json", "manifest.json"]
 
 
-def test_certified_run_outside_its_certificate_exit4(tmp_path, capsys):
-    """A certified simulate whose trajectory breaks the certificate's dissipation
-    inequality writes its files, then exits 4 naming the count and worst margin.
+@pytest.mark.parametrize("command", ["simulate", "compare"])
+def test_certified_run_outside_its_certificate_exit4(tmp_path, capsys, command):
+    """A certified run whose trajectory breaks the certificate's dissipation
+    inequality writes its files, then exits 4 naming the count and worst margin,
+    on field certify in simulate and on the config's name in compare, which then
+    writes no comparison file.
 
     The certificate is built at the nominal r_g; this run holds r_g at a tenth of
     it for the whole horizon, on a 1 Hz grid with no bank, which it does not cover."""
@@ -1021,12 +1061,17 @@ def test_certified_run_outside_its_certificate_exit4(tmp_path, capsys):
         scenario={"kind": "random_resistance", "t_end": 0.05, "dt": 1e-5, "seed": 0,
                   "lo_fraction": 0.1, "hi_fraction": 0.1, "t_start": 0.0, "t_stop": 0.05},
     )
+    path = write_config(tmp_path / "cfg.json", doc)
     out = tmp_path / "o"
-    assert main(["simulate", str(write_config(tmp_path / "cfg.json", doc)), "--out", str(out)]) == 4
+    assert main([command, str(tmp_path if command == "compare" else path), "--out", str(out)]) == 4
     err = json.loads(capsys.readouterr().out.splitlines()[0])["error"]
+    if command == "compare":
+        assert sorted(p.name for p in out.iterdir()) == ["tiny"]
+        out = out / "tiny"
     dissipation = json.loads((out / "metrics.json").read_text())["dissipation"]
     assert dissipation["n_violations"] > 0
     assert err["kind"] == "infeasible"
+    assert err["field"] == ("tiny" if command == "compare" else "certify")
     assert f"{dissipation['n_violations']} steps" in err["message"]
     assert repr(dissipation["worst_margin"]) in err["message"]
     assert sorted(p.name for p in out.iterdir()) == [
