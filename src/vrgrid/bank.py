@@ -170,17 +170,17 @@ def classify_bank(bank):
     The grid is symmetric about zero (zero excluded), with
     ``_PROBE_SAMPLES`` log-spaced magnitudes from ``_PROBE_MIN`` to
     ``_PROBE_MAX`` on each side. Each branch is evaluated once on the grid
-    as (x, x) points, and its d axis is checked before its q axis. A
+    as (x, x) points, and its d axis is checked before its q axis; an
+    overflowed value or product is +-inf and counts by its sign. A
     violation raises :class:`SectorViolation` naming branch, axis and sample.
     """
-    with np.errstate(over="ignore"):  # an overflowed value or product is +-inf, with the sign the check reads
-        for idx, branch in enumerate(bank.branches):
-            vals = branch_values(branch, _PROBE_PTS)
-            for col, axis in enumerate("dq"):
-                bad = np.flatnonzero(~(_PROBE_XS * vals[:, col] > 0.0))
-                if bad.size:
-                    i = bad[0]
-                    raise SectorViolation(idx, axis, float(_PROBE_XS[i]), float(vals[i, col]))
+    for idx, branch in enumerate(bank.branches):
+        vals = branch_values(branch, _PROBE_PTS)
+        for col, axis in enumerate("dq"):
+            bad = np.flatnonzero(~(_PROBE_XS * vals[:, col] > 0.0))
+            if bad.size:
+                i = bad[0]
+                raise SectorViolation(idx, axis, float(_PROBE_XS[i]), float(vals[i, col]))
 
 
 def flatten_bank(bank):

@@ -267,34 +267,33 @@ def search_certificate(p, bank):
         return CertificateError(f"r_g={p.r_g!r}, l_g={p.l_g!r}, omega_g={p.omega_g!r} put the closed-form "
                                 f"certificate outside the float range: {what}")
 
-    with np.errstate(all="ignore"):  # a non-finite entry or margin is refused below
-        a = p.r_g / p.l_g
-        try:
-            c = min(0.01, p.r_g / (4.0 * max(m, 1) * (a ** 2 + p.omega_g ** 2) * p.l_g ** 2))
-        except ArithmeticError:
-            raise out_of_range("branch weight c: a square in its denominator overflows, or underflows to 0") from None
-        omega = np.full((m + 1, 2), c / p.l_g)
-        omega[0] = a
-        upsilon = np.zeros((m + 1, m + 1, 2))
-        upsilon[np.triu_indices(m + 1, 1)] = 2.0 * c / p.l_g
-        upsilon[0, 1:] = 1.0 / p.l_g
-        cert = IssCertificate(
-            p_mat=np.eye(2),
-            lam=np.full((m, 2), c),
-            omega=omega,
-            phi=(4.0 * p.l_g / p.r_g) * np.eye(2),
-            upsilon=upsilon,
-        )
-        for f in fields(cert):
-            if f.name != "report" and not np.all(np.isfinite(getattr(cert, f.name))):
-                raise out_of_range(f"{f.name} has a non-finite entry")
-        try:
-            report = verify_certificate(p, bank, cert)
-        except ValueError as exc:  # a non-finite product of finite entries
-            raise out_of_range(exc) from None
-        for name, value in asdict(report).items():
-            if isinstance(value, float) and not math.isfinite(value):
-                raise out_of_range(f"margins.{name} is not finite")
+    a = p.r_g / p.l_g
+    try:
+        c = min(0.01, p.r_g / (4.0 * max(m, 1) * (a ** 2 + p.omega_g ** 2) * p.l_g ** 2))
+    except ArithmeticError:
+        raise out_of_range("branch weight c: a square in its denominator overflows, or underflows to 0") from None
+    omega = np.full((m + 1, 2), c / p.l_g)
+    omega[0] = a
+    upsilon = np.zeros((m + 1, m + 1, 2))
+    upsilon[np.triu_indices(m + 1, 1)] = 2.0 * c / p.l_g
+    upsilon[0, 1:] = 1.0 / p.l_g
+    cert = IssCertificate(
+        p_mat=np.eye(2),
+        lam=np.full((m, 2), c),
+        omega=omega,
+        phi=(4.0 * p.l_g / p.r_g) * np.eye(2),
+        upsilon=upsilon,
+    )
+    for f in fields(cert):
+        if f.name != "report" and not np.all(np.isfinite(getattr(cert, f.name))):
+            raise out_of_range(f"{f.name} has a non-finite entry")
+    try:
+        report = verify_certificate(p, bank, cert)
+    except ValueError as exc:  # a non-finite product of finite entries
+        raise out_of_range(exc) from None
+    for name, value in asdict(report).items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise out_of_range(f"margins.{name} is not finite")
     return SearchResult(certificate=replace(cert, report=report), feasible=report.valid, starts_run=1)
 
 

@@ -72,6 +72,14 @@ class Scenario:
     def n_steps(self):
         return int(round(self.t_end / self.dt))
 
+    def _window_steps(self, t0, t1, window):
+        """The steps that edges ``t0 < t1`` snap to; a window whose edges snap to one step is refused."""
+        i0, i1 = _snap(t0, self.dt, self.n_steps), _snap(t1, self.dt, self.n_steps)
+        if i0 == i1:
+            raise ValueError(f"{window} [{t0!r}, {t1!r}] holds no step: "
+                             f"both edges snap to step {i0} of dt = {self.dt!r}")
+        return i0, i1
+
 
 @dataclass(frozen=True, kw_only=True)
 class VoltagePulse(Scenario):
@@ -91,15 +99,14 @@ class VoltagePulse(Scenario):
             raise ValueError("pulse window must satisfy t_on < t_off <= t_end")
         if self.t_on < 0.0 or self.amplitude_fraction < 0.0:
             raise ValueError("pulse t_on and amplitude_fraction must be >= 0")
+        self._window_steps(self.t_on, self.t_off, "pulse window")
 
     def disturbance_window(self):
         """(start, end) of the disturbance interval used by the metrics."""
         return self.t_on, self.t_off
 
     def fill(self, p, rg, vg):
-        n = self.n_steps
-        i_on = _snap(self.t_on, self.dt, n)
-        i_off = _snap(self.t_off, self.dt, n)
+        i_on, i_off = self._window_steps(self.t_on, self.t_off, "pulse window")
         axis = 0 if self.axis == "d" else 1
         vg[i_on:i_off, axis] = self.amplitude_fraction * float(p.v_g_ref[axis])
 
@@ -129,23 +136,19 @@ class RandomResistance(Scenario):
             raise ValueError("resample_period must be > 0")
         if isinstance(self.seed, bool) or not isinstance(self.seed, int) or not 0 <= self.seed < 2 ** 64:
             raise ValueError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
+        self._window_steps(self.t_start, self.t_stop, "resistance window")
 
     def disturbance_window(self):
         """(start, end) of the disturbance interval used by the metrics."""
         return self.t_start, self.t_stop
 
     def fill(self, p, rg, vg):
-        n = self.n_steps
-        i0 = _snap(self.t_start, self.dt, n)
-        i1 = _snap(self.t_stop, self.dt, n)
+        i0, i1 = self._window_steps(self.t_start, self.t_stop, "resistance window")
         # any period of at least t_end is one interval; the min keeps the ratio finite
         steps_per = max(1, int(round(min(self.resample_period, self.t_end) / self.dt)))
-        n_int = (i1 - i0 + steps_per - 1) // steps_per
-        if n_int > 0:
-            u = splitmix64_uniform(self.seed, n_int)
-            values = (self.lo_fraction + (self.hi_fraction - self.lo_fraction) * u) * p.r_g
-            interval = np.arange(i1 - i0) // steps_per
-            rg[i0:i1] = values[interval]
+        u = splitmix64_uniform(self.seed, (i1 - i0 + steps_per - 1) // steps_per)
+        values = (self.lo_fraction + (self.hi_fraction - self.lo_fraction) * u) * p.r_g
+        rg[i0:i1] = values[np.arange(i1 - i0) // steps_per]
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -237,8 +240,7 @@ def integrate(p, bank, sc, cert=None, i_err0=(0.0, 0.0)):
     if bad >= 0:
         raise SimulationAbort(times[bad], out[bad])
 
-    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite V is refused downstream
-        v_lyap = lyapunov_values(cert, bank, out) if cert is not None else None
+    v_lyap = lyapunov_values(cert, bank, out) if cert is not None else None
     return Trajectory(times=times, i_err=out, v_dist=v_dist, r_g=rg, v_lyap=v_lyap)
 
 
@@ -287,8 +289,7 @@ def compute_metrics(traj, sc):
             settled = True
 
     window = traj.i_err[i_start:]
-    with np.errstate(over="ignore"):  # an infinite RMS is refused downstream
-        rms = np.sqrt(np.mean(window ** 2, axis=0))
+    rms = np.sqrt(np.mean(window ** 2, axis=0))
     peaks = np.abs(window).max(axis=0)
     return Metrics(
         settling_time_2pct_d_s=settling,
@@ -320,8 +321,7 @@ def check_dissipation(traj, cert):
     report = cert.report
     if report is None:
         raise ValueError("certificate has no verification report attached")
-    with np.errstate(over="ignore", invalid="ignore"):  # inf - inf counts as a violation below
-        dv = np.diff(traj.v_lyap) / traj.dt
+    dv = np.diff(traj.v_lyap) / traj.dt
     x2 = np.einsum("ni,ni->n", traj.i_err[:-1], traj.i_err[:-1])
     w2 = np.einsum("ni,ni->n", traj.v_dist[:-1], traj.v_dist[:-1])
     rhs = -report.varsigma * x2 + report.alpha * w2

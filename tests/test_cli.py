@@ -12,14 +12,14 @@ from conftest import CONFIG_DIR, both_axes
 from vrgrid.sim import SCENARIO_KINDS
 
 
-def run_cli(*args, env=None):
+def run_cli(*args, env=None, python_flags=()):
     import os
 
     full_env = dict(os.environ)
     if env:
         full_env.update(env)
     return subprocess.run(
-        [sys.executable, "-m", "vrgrid", *args],
+        [sys.executable, *python_flags, "-m", "vrgrid", *args],
         capture_output=True, text=True, env=full_env,
     )
 
@@ -312,7 +312,11 @@ def test_nonfinite_metric_exit3(tmp_path, capsys, command):
     path = _overflowing_rms_config(tmp_path / "cfgs")
     out = tmp_path / "o"
     target = path if command == "simulate" else path.parent
-    assert main([command, str(target), "--out", str(out)]) == 3
+    # main sets numpy's error state for the command only: a caller's state holds before and after
+    with np.errstate(over="raise", invalid="warn"):
+        before = np.geterr()
+        assert main([command, str(target), "--out", str(out)]) == 3
+        assert np.geterr() == before
     err = json.loads(capsys.readouterr().out.splitlines()[0])["error"]
     assert (err["kind"], err["field"]) == ("numeric", "scenario" if command == "simulate" else "linear")
     assert "rms_err_d_a" in err["message"]
@@ -351,12 +355,50 @@ def test_failed_certified_run_leaves_no_files(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("make_config", [_overflowing_v_config, _overflowing_rms_config], ids=["V", "rms"])
-def test_overflow_exit3_stderr_is_the_error_line(tmp_path, make_config):
-    """An overflow in V, in its differences or in the RMS error prints no numpy warning."""
-    res = run_cli("simulate", str(make_config(tmp_path)), "--out", str(tmp_path / "o"))
-    assert res.returncode == 3
-    assert res.stderr.splitlines() == [f"error [numeric] scenario: {json.loads(res.stdout)['error']['message']}"]
+def _overflowing_random_resistance_config(directory, grid, hi_fraction):
+    """scenario2's linear config on a 200-step resistance window, with ``grid`` keys and ``hi_fraction`` set."""
+    doc = json.loads((CONFIG_DIR / "scenario2" / "linear.json").read_text())
+    doc["grid"].update(grid)
+    doc["scenario"].update(t_end=2e-4, t_start=0.0, t_stop=2e-4, resample_period=1e-5, hi_fraction=hi_fraction)
+    return write_config(directory / "linear.json", doc)
+
+
+def _overflowing_resistance_config(directory):
+    """A config whose drawn resistance, r_g = 1e10 times up to 1e300, overflows."""
+    return _overflowing_random_resistance_config(directory, {"r_g": 1e10}, 1e300)
+
+
+def _overflowing_mismatch_config(directory):
+    """A config whose mismatch term (r_g(t) - r_g) * i_ref, with i_ref = 1e308, overflows."""
+    return _overflowing_random_resistance_config(directory, {"i_ref": [1e308, 0.0]}, 1e10)
+
+
+def _overflowing_squares_config(directory):
+    """A certified config whose squares |x|^2 and |v_dist|^2 overflow in the dissipation check."""
+    doc = json.loads((CONFIG_DIR / "certify_m1_linear.json").read_text())
+    doc["scenario"] = {"kind": "custom", "t_end": 2e-4, "dt": 1e-6, "v_g_const": [1e154, 0.0]}
+    return write_config(directory / "single_linear.json", doc)
+
+
+@pytest.mark.parametrize("command, make_config", [
+    pytest.param("simulate", _overflowing_v_config, id="V"),
+    pytest.param("simulate", _overflowing_rms_config, id="rms"),
+    pytest.param("simulate", _overflowing_resistance_config, id="rr-resistance-overflows"),
+    pytest.param("simulate", _overflowing_mismatch_config, id="rr-mismatch-overflows"),
+    pytest.param("simulate", _overflowing_squares_config, id="certified-squares-overflow"),
+    pytest.param("compare", _overflowing_resistance_config, id="compare-rr-resistance-overflows"),
+])
+def test_overflow_exit3_stderr_is_the_error_line(tmp_path, command, make_config):
+    """An overflow in the drawn resistance, the mismatch term, V, its differences, the squares of
+    the dissipation check or the RMS error prints no numpy warning: stderr is the error line, and
+    under ``python -W error`` the run still exits 3, not 1 with a traceback."""
+    (tmp_path / "cfgs").mkdir()
+    path = make_config(tmp_path / "cfgs")
+    target, field = (path, "scenario") if command == "simulate" else (path.parent, path.stem)
+    for python_flags in ((), ("-W", "error")):
+        res = run_cli(command, str(target), "--out", str(tmp_path / "o"), python_flags=python_flags)
+        assert res.returncode == 3, res.stderr
+        assert res.stderr.splitlines() == [f"error [numeric] {field}: {json.loads(res.stdout)['error']['message']}"]
 
 
 def test_simulate_sinh_overflow_exit3(tmp_path):
@@ -456,6 +498,12 @@ def _replace(section, value):
                  id="custom-under-half-step"),
     pytest.param(_replace("scenario", {"kind": "voltage_pulse", "t_end": 4e-7, "dt": 1e-6,
                                        "t_on": 0.0, "t_off": 4e-7}), "scenario", id="pulse-under-half-step"),
+    # a window whose edges snap to one step would hold no disturbance
+    pytest.param(_replace("scenario", {"kind": "voltage_pulse", "t_end": 0.01, "dt": 1e-6,
+                                       "t_on": 0.0, "t_off": 1e-12}), "scenario", id="pulse-window-holds-no-step"),
+    pytest.param(_replace("scenario", {"kind": "random_resistance", "t_end": 0.01, "dt": 1e-6, "seed": 1,
+                                       "t_start": 1e-3, "t_stop": 1.0004e-3}), "scenario",
+                 id="resistance-window-holds-no-step"),
 ])
 def test_bad_config_values_exit2(tmp_path, capsys, mutate, field):
     """Out-of-range and mistyped values exit 2 naming the field, never 0, 1 or 3.

@@ -46,6 +46,10 @@ def test_scenario_validation():
         ConstantOffset(t_end=4e-7, dt=1e-6)                           # rounds to 0 steps
     with pytest.raises(ValueError, match="at least one step"):
         VoltagePulse(t_end=4e-7, dt=1e-6, t_on=0.0, t_off=4e-7)
+    with pytest.raises(ValueError, match="holds no step: both edges snap to step 0 of dt"):
+        VoltagePulse(t_end=0.01, dt=1e-6, t_on=0.0, t_off=1e-12)      # narrower than half a step
+    with pytest.raises(ValueError, match="holds no step: both edges snap to step 1000 of dt"):
+        RandomResistance(t_end=0.01, dt=1e-6, seed=1, t_start=1e-3, t_stop=1.0004e-3)
 
 
 @pytest.mark.parametrize("seed", [1.5, True, -1, 2 ** 64])

@@ -5,7 +5,8 @@ A use is a whole-word occurrence of the name in a module of ``src/vrgrid``
 A helper that only tests call fails here; such helpers live in
 ``tests/conftest.py``. ``vrgrid/__init__.py`` binds only ``__version__``, so
 each name has one import path: its submodule. A name with a leading
-underscore is private to its module: no sibling imports it.
+underscore is private to its module: no sibling imports it. ``cli.main`` is
+the one function that sets numpy's floating-point error state.
 """
 
 import ast
@@ -63,3 +64,17 @@ def test_no_module_imports_a_private_name_of_a_sibling():
     """A name with a leading underscore belongs to its module: no other module imports it."""
     found = {path.name: list(_private_imports(path)) for path in sorted(SRC.glob("*.py"))}
     assert not any(found.values()), {name: names for name, names in found.items() if names}
+
+
+def test_only_main_sets_numpy_error_state():
+    """``cli.main`` runs each command under one ``np.errstate``; no other function in ``src/vrgrid``
+    calls ``np.errstate`` or ``np.seterr``, so a library function leaves the state to its caller."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        # ast.walk visits an outer function before the functions inside it, so the innermost name wins
+        scope = {node: func.name for func in ast.walk(tree)
+                 if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)) for node in ast.walk(func)}
+        found += [f"{path.stem}.{scope.get(node, '<module>')}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] in ("errstate", "seterr")]
+    assert found == ["cli.main"]
