@@ -49,12 +49,17 @@ class SimulationAbort(RuntimeError):
 class Scenario:
     """A disturbance scenario on a fixed time grid of ``t_end / dt`` steps.
 
-    Each scenario kind is a subclass: its class attribute ``kind`` names it
-    in a config, its fields, with their defaults, are the config keys, and
-    its ``fill(p, rg, vg)`` writes its disturbance into the arrays that
+    Each scenario kind is a subclass. Its class attribute ``kind`` names it
+    in a config, and its fields, with their defaults, are the config keys.
+    Its class attribute ``window_keys`` names the two fields that open and
+    close its disturbance window, or is None for a kind without one; the
+    window rule below is checked here for every kind, and :meth:`window`
+    gives the window's steps to ``fill`` and ``compute_metrics``. Its
+    ``fill(p, rg, vg)`` writes its disturbance into the arrays that
     ``disturbance_profile`` allocates.
     """
 
+    window_keys = None
     t_end: float
     dt: float
 
@@ -67,18 +72,28 @@ class Scenario:
             raise ValueError(f"t_end / dt must be <= {MAX_STEPS}, got {self.t_end / self.dt:.6g}")
         if self.n_steps < 1:
             raise ValueError(f"t_end / dt must round to at least one step, got {self.t_end / self.dt:.6g}")
+        if self.window_keys is not None:
+            (k0, t0), (k1, t1) = ((key, getattr(self, key)) for key in self.window_keys)
+            if not 0.0 <= t0 < t1 <= self.t_end:
+                raise ValueError(f"window must satisfy 0 <= {k0} < {k1} <= t_end, got [{t0!r}, {t1!r}]")
+            first, end = self.window()
+            if first == end:
+                raise ValueError(f"window [{k0}, {k1}] = [{t0!r}, {t1!r}] holds no step: "
+                                 f"both edges snap to step {first} of dt = {self.dt!r}")
 
     @property
     def n_steps(self):
         return int(round(self.t_end / self.dt))
 
-    def _window_steps(self, t0, t1, window):
-        """The steps that edges ``t0 < t1`` snap to; a window whose edges snap to one step is refused."""
-        i0, i1 = _snap(t0, self.dt, self.n_steps), _snap(t1, self.dt, self.n_steps)
-        if i0 == i1:
-            raise ValueError(f"{window} [{t0!r}, {t1!r}] holds no step: "
-                             f"both edges snap to step {i0} of dt = {self.dt!r}")
-        return i0, i1
+    def window(self):
+        """(first, end) steps of the disturbance window, (0, 0) without one.
+
+        Each edge snaps to the nearest step; the window rule keeps both in
+        [0, n_steps].
+        """
+        if self.window_keys is None:
+            return 0, 0
+        return tuple(int(round(getattr(self, key) / self.dt)) for key in self.window_keys)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -86,6 +101,7 @@ class VoltagePulse(Scenario):
     """Rectangular grid-voltage pulse on one axis, height = fraction * reference."""
 
     kind = "voltage_pulse"
+    window_keys = ("t_on", "t_off")
     axis: str = "d"
     amplitude_fraction: float = 0.4
     t_on: float = 0.1
@@ -95,18 +111,11 @@ class VoltagePulse(Scenario):
         super().__post_init__()
         if self.axis not in ("d", "q"):
             raise ValueError(f"pulse axis must be 'd' or 'q', got {self.axis!r}")
-        if not self.t_on < self.t_off <= self.t_end:
-            raise ValueError("pulse window must satisfy t_on < t_off <= t_end")
-        if self.t_on < 0.0 or self.amplitude_fraction < 0.0:
-            raise ValueError("pulse t_on and amplitude_fraction must be >= 0")
-        self._window_steps(self.t_on, self.t_off, "pulse window")
-
-    def disturbance_window(self):
-        """(start, end) of the disturbance interval used by the metrics."""
-        return self.t_on, self.t_off
+        if self.amplitude_fraction < 0.0:
+            raise ValueError("pulse amplitude_fraction must be >= 0")
 
     def fill(self, p, rg, vg):
-        i_on, i_off = self._window_steps(self.t_on, self.t_off, "pulse window")
+        i_on, i_off = self.window()
         axis = 0 if self.axis == "d" else 1
         vg[i_on:i_off, axis] = self.amplitude_fraction * float(p.v_g_ref[axis])
 
@@ -119,6 +128,7 @@ class RandomResistance(Scenario):
     """
 
     kind = "random_resistance"
+    window_keys = ("t_start", "t_stop")
     seed: int
     lo_fraction: float = 0.1
     hi_fraction: float = 1.9
@@ -130,20 +140,13 @@ class RandomResistance(Scenario):
         super().__post_init__()
         if not (0.0 < self.lo_fraction <= self.hi_fraction):
             raise ValueError("resistance bounds must satisfy 0 < lo <= hi")
-        if not 0.0 <= self.t_start < self.t_stop <= self.t_end:
-            raise ValueError("resistance window must satisfy 0 <= t_start < t_stop <= t_end")
         if self.resample_period <= 0.0:
             raise ValueError("resample_period must be > 0")
         if isinstance(self.seed, bool) or not isinstance(self.seed, int) or not 0 <= self.seed < 2 ** 64:
             raise ValueError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
-        self._window_steps(self.t_start, self.t_stop, "resistance window")
-
-    def disturbance_window(self):
-        """(start, end) of the disturbance interval used by the metrics."""
-        return self.t_start, self.t_stop
 
     def fill(self, p, rg, vg):
-        i0, i1 = self._window_steps(self.t_start, self.t_stop, "resistance window")
+        i0, i1 = self.window()
         # any period of at least t_end is one interval; the min keeps the ratio finite
         steps_per = max(1, int(round(min(self.resample_period, self.t_end) / self.dt)))
         u = splitmix64_uniform(self.seed, (i1 - i0 + steps_per - 1) // steps_per)
@@ -157,10 +160,6 @@ class ConstantOffset(Scenario):
 
     kind = "custom"
     v_g_const: tuple = (0.0, 0.0)
-
-    def disturbance_window(self):
-        """The offset has no window: the metrics cover the whole horizon."""
-        return 0.0, 0.0
 
     def fill(self, p, rg, vg):
         vg[:] = np.asarray(self.v_g_const, dtype=float)
@@ -187,10 +186,6 @@ def splitmix64_uniform(seed, count):
     z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
     z = z ^ (z >> np.uint64(31))
     return (z >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
-
-
-def _snap(t, dt, n):
-    return min(max(int(round(t / dt)), 0), n)
 
 
 def disturbance_profile(p, sc):
@@ -264,15 +259,12 @@ def compute_metrics(traj, sc):
     of |i_err_d| (the error reference is zero, so a band relative to the
     final value would be degenerate); settling is the first time after the
     disturbance end at which |i_err_d| enters and then stays inside the
-    band. RMS and peaks are taken over [disturbance start, t_end].
+    band. RMS and peaks are taken over [disturbance start, t_end]; a
+    scenario without a window is measured over the whole horizon.
     """
     if len(traj.times) < 2:
         raise ValueError("trajectory is empty")
-    dt = traj.dt
-    n = len(traj.times) - 1
-    t_start, t_end_dist = sc.disturbance_window()
-    i_start = _snap(t_start, dt, n)
-    i_end = _snap(t_end_dist, dt, n)
+    i_start, i_end = sc.window()
 
     post = np.abs(traj.i_err[i_end:, 0])
     peak = float(post.max())

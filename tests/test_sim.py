@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import MISSING, fields, replace
 
 import numpy as np
 import pytest
@@ -9,6 +9,7 @@ from vrgrid.bank import VrBank, VrElement
 from vrgrid.certify import search_certificate
 from vrgrid.plant import system_matrix
 from vrgrid.sim import (
+    SCENARIO_KINDS,
     ConstantOffset,
     RandomResistance,
     SimulationAbort,
@@ -50,6 +51,44 @@ def test_scenario_validation():
         VoltagePulse(t_end=0.01, dt=1e-6, t_on=0.0, t_off=1e-12)      # narrower than half a step
     with pytest.raises(ValueError, match="holds no step: both edges snap to step 1000 of dt"):
         RandomResistance(t_end=0.01, dt=1e-6, seed=1, t_start=1e-3, t_stop=1.0004e-3)
+
+
+WINDOWED_KINDS = sorted(kind for kind, cls in SCENARIO_KINDS.items() if cls.window_keys is not None)
+# values of the fields without a default, by name
+REQUIRED_VALUES = {"seed": 1}
+
+
+def _windowed(cls, t0, t1, t_end=0.01, dt=1e-6):
+    required = {f.name: REQUIRED_VALUES[f.name] for f in fields(cls) if f.default is MISSING
+                and f.name not in ("t_end", "dt")}
+    return cls(t_end=t_end, dt=dt, **dict(zip(cls.window_keys, (t0, t1))), **required)
+
+
+@pytest.mark.parametrize("kind", WINDOWED_KINDS)
+@pytest.mark.parametrize("t0, t1, match", [
+    pytest.param(-1e-3, 2e-3, "window must satisfy", id="start-negative"),
+    pytest.param(2e-3, 2e-3, "window must satisfy", id="start-equals-stop"),
+    pytest.param(3e-3, 2e-3, "window must satisfy", id="start-after-stop"),
+    pytest.param(1e-3, 0.011, "window must satisfy", id="stop-after-t_end"),
+    pytest.param(1e-3, 1.0004e-3, "holds no step: both edges snap to step 1000 of dt", id="sub-step"),
+])
+def test_window_rule_of_every_kind(kind, t0, t1, match):
+    """One rule for every kind with a window: 0 <= start < stop <= t_end, holding a step."""
+    cls = SCENARIO_KINDS[kind]
+    with pytest.raises(ValueError, match=match):
+        _windowed(cls, t0, t1)
+    assert _windowed(cls, 0.0, 0.01).window() == (0, 10_000)
+    assert _windowed(cls, 1e-3, 1.0006e-3).window() == (1000, 1001)
+
+
+def test_window_keys_name_two_float_fields():
+    """A kind's ``window_keys`` is a class attribute, no config key: None or two of its float fields."""
+    for cls in SCENARIO_KINDS.values():
+        types = {f.name: f.type for f in fields(cls)}
+        assert "window_keys" not in types, cls.__name__
+        keys = cls.window_keys
+        assert keys is None or (len(keys) == 2 and all(types.get(key) is float for key in keys)), cls.__name__
+    assert ConstantOffset(t_end=1e-3, dt=1e-6).window() == (0, 0)
 
 
 @pytest.mark.parametrize("seed", [1.5, True, -1, 2 ** 64])
