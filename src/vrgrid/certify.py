@@ -45,8 +45,11 @@ record of certificate.json.
 
 :func:`search_certificate` builds a certificate in closed form from
 (r_g, l_g, omega_g) and the branch count (P = I and scaled identities
-elsewhere, see its docstring) and checks it once with
-:func:`verify_certificate`, whose report alone decides validity. It raises
+elsewhere, see its docstring) at the low end of a grid-resistance interval,
+and checks it with :func:`verify_certificate` at both ends of the interval,
+whose reports alone decide validity. Psi depends on r_g only through A, and
+affinely, and nothing else verified depends on r_g, so a certificate valid
+at both ends is valid on the whole interval. It raises
 :class:`CertificateError` only for grid values that put the certificate
 outside the float64 range.
 """
@@ -97,13 +100,17 @@ class IssCertificate:
     ``upsilon`` is (M+1, M+1, 2) with only the strict upper triangle
     (s < l) populated.
 
-    The fields are stored as read-only float copies, so the caller's
+    ``resistance_interval`` is the (r_min, r_max) of grid resistance the
+    certificate claims to cover.
+
+    The matrices are stored as read-only float copies, so the caller's
     arrays stay writable; nothing is checked here. The two producers give
-    every field at these shapes, with P and Phi symmetric:
+    every field, the matrices at these shapes with P and Phi symmetric:
     :func:`search_certificate` builds them so, and
     :func:`vrgrid.cli.load_certificate` reads each key of a file at its
-    exact shape as finite numbers, fills only s < l of ``upsilon`` and
-    refuses a certificate outside the class of :func:`sign_class_violation`.
+    exact shape as finite numbers, fills only s < l of ``upsilon``, reads
+    an interval with 0 < r_min <= r_max and refuses a certificate outside
+    the class of :func:`sign_class_violation`.
     """
 
     p_mat: np.ndarray
@@ -111,6 +118,7 @@ class IssCertificate:
     omega: np.ndarray
     phi: np.ndarray
     upsilon: np.ndarray
+    resistance_interval: Optional[tuple] = None
     report: Optional[VerifyReport] = field(default=None, compare=False)
 
     def __post_init__(self):
@@ -234,8 +242,12 @@ class SearchResult:
     starts_run: int
 
 
-def search_certificate(p, bank):
-    """Closed-form certificate for a stable linear part, verified once.
+def search_certificate(p, bank, resistance_interval=None):
+    """Closed-form certificate for a stable linear part over a grid-resistance interval.
+
+    ``resistance_interval`` (r_min, r_max), with r_min <= r_max, defaults
+    to the nominal point (p.r_g, p.r_g). The construction below reads r_g
+    as r_min.
 
     With the branch weight c = min(0.01, r_g / (4 max(M, 1) |A|^2 l_g^2)),
     |A|^2 = (r_g / l_g)^2 + omega_g^2 (A is normal), and
@@ -250,23 +262,33 @@ def search_certificate(p, bank):
     A Schur bound then keeps the whole matrix strictly negative whenever
     M c l_g |A|^2 <= (r_g / l_g) / 4, which fixes the branch weight c for
     any admissible parameters. The bound only motivates the construction:
-    validity is decided by :func:`verify_certificate`, whose report is
-    attached to the returned certificate.
+    validity is decided by :func:`verify_certificate` at r_min and, if it
+    differs, at r_max. Only Psi depends on r_g, so the attached report is
+    that of the end with the larger psi margin; its varsigma, alpha and
+    slope (2 / r_min) are those of the r_min build.
 
     The bank enters only through its branch count; its sector condition is
     the caller's to check (``vrgrid.cli.load_config`` does on every bank it
     loads). Raises :class:`CertificateError` naming the first quantity that
-    (r_g, l_g, omega_g) put outside the float64 range: the branch weight c
-    (e.g. r_g = 1e-300 with l_g = 1e300), a certificate field or a margin.
+    (r_g, l_g, omega_g) put outside the float64 range: an interval end that
+    is not a finite positive number, the branch weight c (e.g. r_g = 1e-300
+    with l_g = 1e300), a certificate field or a margin.
     """
     m = bank.branch_count
     if m > MAX_BRANCHES:
         raise ValueError(f"certification supports at most {MAX_BRANCHES} branches, bank has {m}")
+    r_min, r_max = resistance_interval or (p.r_g, p.r_g)
+    resistance = f"r_g={r_min!r}" if r_min == r_max else f"r_g in [{r_min!r}, {r_max!r}]"
 
     def out_of_range(what):
-        return CertificateError(f"r_g={p.r_g!r}, l_g={p.l_g!r}, omega_g={p.omega_g!r} put the closed-form "
+        return CertificateError(f"{resistance}, l_g={p.l_g!r}, omega_g={p.omega_g!r} put the closed-form "
                                 f"certificate outside the float range: {what}")
 
+    try:
+        ends = [replace(p, r_g=r) for r in dict.fromkeys((r_min, r_max))]
+    except ValueError:  # a scenario's fraction times r_g that underflows to 0 or overflows
+        raise out_of_range("an end of the resistance interval is not a finite positive number") from None
+    p = ends[0]
     a = p.r_g / p.l_g
     try:
         c = min(0.01, p.r_g / (4.0 * max(m, 1) * (a ** 2 + p.omega_g ** 2) * p.l_g ** 2))
@@ -283,12 +305,13 @@ def search_certificate(p, bank):
         omega=omega,
         phi=(4.0 * p.l_g / p.r_g) * np.eye(2),
         upsilon=upsilon,
+        resistance_interval=(r_min, r_max),
     )
     for f in fields(cert):
         if f.name != "report" and not np.all(np.isfinite(getattr(cert, f.name))):
             raise out_of_range(f"{f.name} has a non-finite entry")
     try:
-        report = verify_certificate(p, bank, cert)
+        report = max((verify_certificate(end, bank, cert) for end in ends), key=lambda report: report.psi)
     except ValueError as exc:  # a non-finite product of finite entries
         raise out_of_range(exc) from None
     for name, value in asdict(report).items():

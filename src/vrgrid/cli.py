@@ -398,6 +398,7 @@ def certificate_payload(cert, bank):
         "branch_count": cert.branch_count,
         **{key: getattr(cert, name).tolist() for key, (name, _) in CERTIFICATE_MATRICES.items()},
         "upsilon_diag": ups,
+        "resistance_interval": list(cert.resistance_interval),
         "valid": bool(report.valid),
         "margins": {key: value for key, value in asdict(report).items() if key != "valid" and value is not None},
         "bank_fingerprint": bank_fingerprint(bank),
@@ -406,15 +407,15 @@ def certificate_payload(cert, bank):
 
 def load_certificate(path, bank):
     """Read a valid certificate JSON back for ``bank``; refuses another bank's certificate (checked
-    first), an invalid one, a malformed one or one whose matrices are outside the sign class of
-    :func:`vrgrid.certify.sign_class_violation` with a ConfigError (a ValueError) on its field
-    ``certificate.<key>``."""
+    first), an invalid one, a malformed one, one whose resistance interval is not 0 < r_min <= r_max
+    or one whose matrices are outside the sign class of :func:`vrgrid.certify.sign_class_violation`
+    with a ConfigError (a ValueError) on its field ``certificate.<key>``."""
     doc = _parse_json(Path(path).read_bytes(), f"certificate {path}")
     _expect_mapping(doc, "certificate")
     if doc.get("bank_fingerprint") != bank_fingerprint(bank):
         raise ConfigError("certificate.bank_fingerprint", "does not match the supplied bank")
-    _check_keys(doc, "certificate", required=("schema_version", "branch_count", *CERTIFICATE_MATRICES,
-                                              "upsilon_diag", "valid", "margins", "bank_fingerprint"))
+    _check_keys(doc, "certificate", required=("schema_version", "branch_count", *CERTIFICATE_MATRICES, "upsilon_diag",
+                                              "resistance_interval", "valid", "margins", "bank_fingerprint"))
     _check_schema_version(doc["schema_version"], "certificate.schema_version")
     if doc["valid"] is not True:
         raise ConfigError("certificate.valid", f"must be true, got {doc['valid']!r}")
@@ -436,7 +437,10 @@ def load_certificate(path, bank):
         ups[s, l] = _numbers(rec["diag"], (2,), f"{field}.diag")
     matrices = {name: np.reshape(_numbers(doc[key], shape(m), f"certificate.{key}"), shape(m))
                 for key, (name, shape) in CERTIFICATE_MATRICES.items()}
-    cert = IssCertificate(**matrices, upsilon=ups)
+    interval = _numbers(doc["resistance_interval"], (2,), "certificate.resistance_interval")
+    if not 0.0 < interval[0] <= interval[1]:
+        raise ConfigError("certificate.resistance_interval", f"must satisfy 0 < r_min <= r_max, got {list(interval)!r}")
+    cert = IssCertificate(**matrices, upsilon=ups, resistance_interval=interval)
     violation = sign_class_violation(cert)
     if violation is not None:
         name, reason = violation
@@ -467,7 +471,7 @@ def _certify(cfg, run_dir, field):
     CertificationInfeasible on ``field``.
     """
     try:
-        cert = search_certificate(cfg.grid, cfg.bank).certificate
+        cert = search_certificate(cfg.grid, cfg.bank, cfg.scenario.resistance_range(cfg.grid)).certificate
     except CertificateError as exc:
         raise ConfigError("grid", str(exc)) from exc
     payload = certificate_payload(cert, cfg.bank)

@@ -55,8 +55,10 @@ class Scenario:
     close its disturbance window, or is None for a kind without one; the
     window rule below is checked here for every kind, and :meth:`window`
     gives the window's steps to ``fill`` and ``compute_metrics``. Its
-    ``fill(p, rg, vg)`` writes its disturbance into the arrays that
-    ``disturbance_profile`` allocates.
+    :meth:`resistance_range` bounds the grid resistance of its runs, the
+    interval a certificate of the run covers, and its ``fill(p, rg, vg)``
+    writes its disturbance into the arrays that ``disturbance_profile``
+    allocates.
     """
 
     window_keys = None
@@ -94,6 +96,10 @@ class Scenario:
         if self.window_keys is None:
             return 0, 0
         return tuple(int(round(getattr(self, key) / self.dt)) for key in self.window_keys)
+
+    def resistance_range(self, p):
+        """(r_min, r_max) holding every grid resistance of a run on grid ``p``: here its nominal r_g."""
+        return p.r_g, p.r_g
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -144,6 +150,10 @@ class RandomResistance(Scenario):
             raise ValueError("resample_period must be > 0")
         if isinstance(self.seed, bool) or not isinstance(self.seed, int) or not 0 <= self.seed < 2 ** 64:
             raise ValueError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
+
+    def resistance_range(self, p):
+        """The drawn values lie in [lo_fraction, hi_fraction] x r_g, and r_g is nominal outside the window."""
+        return min(self.lo_fraction, 1.0) * p.r_g, max(self.hi_fraction, 1.0) * p.r_g
 
     def fill(self, p, rg, vg):
         i0, i1 = self.window()

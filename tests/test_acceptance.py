@@ -235,23 +235,28 @@ def test_c07_scenario1_pipeline(tmp_path):
 
 
 def test_c08_scenario2_robustness():
-    from vrgrid.certify import search_certificate
+    from vrgrid.certify import search_certificate, verify_certificate
     from vrgrid.sim import RandomResistance, integrate
 
     # RK4 at dt = 1e-6 s, where dt * (r_g + bank slope) / l_g < 0.01 along
     # these runs: the per-step error is far below this share of the radius
     rk4_tol = 1e-6
-    with criterion(8, "random-resistance runs stay in the passivity ball; banks certify at both vertices"):
+    with criterion(8, "random-resistance runs stay in the passivity ball; one certificate covers both vertices"):
         p = nominal_params()
         sc = RandomResistance(t_end=1.0, dt=1e-6, seed=42)
+        interval = sc.resistance_range(p)
+        assert interval == (0.1 * p.r_g, 1.9 * p.r_g)
         banks = bundled_banks("scenario2")
         assert len(banks) == 5
         for name, bank in banks.items():
             peak, radius = passivity_ball(integrate(p, bank, sc))   # raises on numeric abort
             assert peak <= (1.0 + rk4_tol) * radius, f"{name}: peak {peak} A outside the ball of {radius} A"
-            for frac in (0.1, 1.9):
-                result = search_certificate(replace(p, r_g=frac * p.r_g), bank)
-                assert result.feasible and result.certificate.report.varsigma > 0.0, f"{name}: no certificate at {frac} r_g"
+            result = search_certificate(p, bank, interval)
+            cert = result.certificate
+            assert result.feasible and cert.report.varsigma > 0.0, f"{name}: no certificate of {interval}"
+            assert cert.resistance_interval == interval
+            for r_g in interval:
+                assert verify_certificate(replace(p, r_g=r_g), bank, cert).valid, f"{name}: not valid at r_g = {r_g}"
 
 
 def test_c09_gradient_condition_threshold():

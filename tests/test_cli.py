@@ -802,6 +802,32 @@ def test_load_certificate_refuses_malformed(tmp_path, capsys, mutate):
             load_certificate(path, bank)
 
 
+@pytest.mark.parametrize("interval, message", [
+    pytest.param(None, "missing required key", id="missing"),
+    pytest.param([0.0276], "must be a list of 2 finite numbers", id="one-number"),
+    pytest.param(["0.0276", 0.0276], "must be a list of 2 finite numbers", id="string"),
+    pytest.param([0.0276, float("inf")], "must be a list of 2 finite numbers", id="inf"),
+    pytest.param([0.0, 0.0276], "must satisfy 0 < r_min <= r_max", id="r_min-0"),
+    pytest.param([-1.0, 0.0276], "must satisfy 0 < r_min <= r_max", id="r_min-negative"),
+    pytest.param([0.03, 0.0276], "must satisfy 0 < r_min <= r_max", id="inverted"),
+])
+def test_load_certificate_refuses_bad_resistance_interval(tmp_path, capsys, interval, message):
+    """The interval a certificate covers is read back as two finite numbers with 0 < r_min <= r_max."""
+    from vrgrid.bank import VrBank, VrElement
+    from vrgrid.cli import load_certificate, main
+
+    assert main(["certify", str(CONFIG_DIR / "certify_m1_linear.json"), "--out", str(tmp_path / "m1")]) == 0
+    capsys.readouterr()
+    doc = json.loads((tmp_path / "m1" / "certificate.json").read_text())
+    assert doc["resistance_interval"] == [0.0276, 0.0276]
+    doc["resistance_interval"] = interval
+    if interval is None:
+        del doc["resistance_interval"]
+    path = write_config(tmp_path / "bad.json", doc)
+    with pytest.raises(ValueError, match=rf"^certificate\.resistance_interval: {message}"):
+        load_certificate(path, VrBank((both_axes((VrElement("linear", 1.0),)),)))
+
+
 @pytest.mark.parametrize("loader", ["load_config", "load_certificate"])
 def test_deeply_nested_json_is_a_value_error(tmp_path, loader):
     """JSON nested too deep for the parser is refused with ValueError, as any
@@ -1071,9 +1097,10 @@ def test_certify_infeasible_exit4(tmp_path, monkeypatch, capsys, command):
     doc = small_config(bank=[], certify={"enabled": True})
     path = write_config(tmp_path / "cfg.json", doc)
 
-    def fake_search(p, bank):
-        cert = IssCertificate(p_mat=np.zeros((2, 2)), lam=np.zeros((0, 2)),
-                              omega=np.zeros((1, 2)), phi=np.zeros((2, 2)), upsilon=np.zeros((1, 1, 2)))
+    def fake_search(p, bank, resistance_interval):
+        cert = IssCertificate(p_mat=np.zeros((2, 2)), lam=np.zeros((0, 2)), omega=np.zeros((1, 2)),
+                              phi=np.zeros((2, 2)), upsilon=np.zeros((1, 1, 2)),
+                              resistance_interval=resistance_interval)
         report = verify_certificate(p, bank, cert)
         return SearchResult(certificate=replace(cert, report=report), feasible=False, starts_run=1)
 
@@ -1093,15 +1120,20 @@ def test_certify_infeasible_exit4(tmp_path, monkeypatch, capsys, command):
 
 
 @pytest.mark.parametrize("command", ["simulate", "compare"])
-def test_certified_run_outside_its_certificate_exit4(tmp_path, capsys, command):
+def test_certified_run_outside_its_certificate_exit4(tmp_path, monkeypatch, capsys, command):
     """A certified run whose trajectory breaks the certificate's dissipation
     inequality writes its files, then exits 4 naming the count and worst margin,
     on field certify in simulate and on the config's name in compare, which then
     writes no comparison file.
 
-    The certificate is built at the nominal r_g; this run holds r_g at a tenth of
-    it for the whole horizon, on a 1 Hz grid with no bank, which it does not cover."""
+    The run holds r_g at a tenth of its nominal value for the whole horizon, on a
+    1 Hz grid with no bank. A certificate of the scenario's resistance interval
+    covers it, so the stream is made to report the nominal point: the certificate
+    is then built at the nominal r_g alone, and the run-time check catches it."""
     from vrgrid.cli import main
+    from vrgrid.sim import RandomResistance, Scenario
+
+    monkeypatch.setattr(RandomResistance, "resistance_range", Scenario.resistance_range)
 
     doc = small_config(
         bank=[], certify={"enabled": True},

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -61,10 +63,11 @@ def _bundled_certificate_matrices():
 
     for path in sorted(CONFIG_DIR.glob("certify_*.json")):
         cfg = load_config(path)
-        cert = search_certificate(cfg.grid, cfg.bank).certificate
+        cert = search_certificate(cfg.grid, cfg.bank, cfg.scenario.resistance_range(cfg.grid)).certificate
         yield cert.p_mat + np.diag(cert.lam.sum(axis=0))
         yield _xi_matrix(cert)
-        yield assemble_psi(cfg.grid, cert)
+        for r_g in dict.fromkeys(cert.resistance_interval):
+            yield assemble_psi(replace(cfg.grid, r_g=r_g), cert)
 
 
 def test_sym_eig_matches_jacobi_reference(rng):
@@ -73,7 +76,8 @@ def test_sym_eig_matches_jacobi_reference(rng):
     mats = [symmetrize(rng.normal(scale=rng.uniform(0.1, 100.0), size=(n, n)))
             for n in range(1, 21) for _ in range(5)]
     mats += list(_bundled_certificate_matrices())
-    assert len(mats) == 100 + 6
+    # sigma, xi and one Psi per resistance end: two nominal certify configs and one interval
+    assert len(mats) == 100 + 3 + 3 + 4
     for s in mats:
         np.testing.assert_allclose(sym_eig(s), _jacobi_eigenvalues(s),
                                    rtol=0.0, atol=1e-12 * np.linalg.norm(s))
