@@ -608,6 +608,28 @@ def test_certificate_out_of_float_range_exit2(tmp_path, capsys, command, r_g, l_
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("r_g, lo_fraction, hi_fraction, interval", [
+    pytest.param(2.76e-2, 5e-324, 1.0, "[0.0, 0.0276]", id="r_min-underflows"),
+    pytest.param(100.0, 0.1, 1e308, "[10.0, inf]", id="r_max-overflows"),
+])
+def test_resistance_interval_out_of_float_range_exit2(tmp_path, capsys, r_g, lo_fraction, hi_fraction, interval):
+    """A scenario fraction whose product with r_g leaves the positive floats exits 2 at field grid,
+    naming the interval, before anything is written."""
+    from vrgrid.cli import main
+
+    doc = small_config(grid={"l_g": 3.67e-4, "r_g": r_g, "frequency_hz": 60.0}, certify={"enabled": True},
+                       scenario={"kind": "random_resistance", "t_end": 1e-3, "dt": 1e-5, "seed": 0,
+                                 "lo_fraction": lo_fraction, "hi_fraction": hi_fraction,
+                                 "t_start": 0.0, "t_stop": 1e-3})
+    path = write_config(tmp_path / "cfg.json", doc)
+    assert main(["certify", str(path), "--out", str(tmp_path / "o")]) == 2
+    err = json.loads(capsys.readouterr().out.splitlines()[0])["error"]
+    assert err["field"] == "grid"
+    assert err["message"].startswith(f"r_g in {interval},")
+    assert "an end of the resistance interval is not a finite positive number" in err["message"]
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("command", ["simulate", "certify"])
 def test_certify_more_than_8_branches_exit2(tmp_path, capsys, command):
     """A certified bank of 9 branches exits 2 at field bank before writing."""
