@@ -75,7 +75,8 @@ class Scenario:
         if self.n_steps < 1:
             raise ValueError(f"t_end / dt must round to at least one step, got {self.t_end / self.dt:.6g}")
         if self.window_keys is not None:
-            (k0, t0), (k1, t1) = ((key, getattr(self, key)) for key in self.window_keys)
+            k0, k1 = self.window_keys
+            t0, t1 = getattr(self, k0), getattr(self, k1)
             if not 0.0 <= t0 < t1 <= self.t_end:
                 raise ValueError(f"window must satisfy 0 <= {k0} < {k1} <= t_end, got [{t0!r}, {t1!r}]")
             first, end = self.window()
