@@ -56,6 +56,7 @@ outside the float64 range.
 
 import math
 from dataclasses import asdict, dataclass, field, fields, replace
+from functools import reduce
 from typing import Optional
 
 import numpy as np
@@ -97,8 +98,8 @@ class IssCertificate:
 
     Diagonal matrices are stored by their diagonals: ``lam`` is (M, 2) for
     Lambda_1..Lambda_M, ``omega`` is (M+1, 2) for Omega_0..Omega_M, and
-    ``upsilon`` is (M+1, M+1, 2) with only the strict upper triangle
-    (s < l) populated.
+    ``upsilon`` is (M(M+1)/2, 2) for the Upsilon_{s,l} with s < l, in the
+    row order of ``np.triu_indices(M + 1, 1)``: (0, 1)..(0, M), (1, 2)..
 
     ``resistance_interval`` is the (r_min, r_max) of grid resistance the
     certificate claims to cover.
@@ -108,9 +109,8 @@ class IssCertificate:
     every field, the matrices at these shapes with P and Phi symmetric:
     :func:`search_certificate` builds them so, and
     :func:`vrgrid.cli.load_certificate` reads each key of a file at its
-    exact shape as finite numbers, fills only s < l of ``upsilon``, reads
-    an interval with 0 < r_min <= r_max and refuses a certificate outside
-    the class of :func:`sign_class_violation`.
+    exact shape as finite numbers, reads an interval with 0 < r_min <= r_max
+    and refuses a certificate outside the class of :func:`sign_class_violation`.
     """
 
     p_mat: np.ndarray
@@ -179,12 +179,13 @@ def assemble_psi(p, cert):
     ap = a_mat.T @ p_mat
     psi[rows[0], rows[0]] = ap + ap.T + np.diag(omega[0])
     for k in range(1, m + 1):
-        put(0, k, -inv_lg * p_mat + a_mat.T @ np.diag(lam[k - 1]) + np.diag(upsilon[0, k]))
         psi[rows[k], rows[k]] = np.diag(-2.0 * inv_lg * lam[k - 1] + omega[k])
         put(k, m + 1, np.diag(lam[k - 1]))
-    for s in range(1, m + 1):
-        for l in range(s + 1, m + 1):
-            put(s, l, np.diag(-inv_lg * (lam[s - 1] + lam[l - 1]) + upsilon[s, l]))
+    for s, l, ups in zip(*np.triu_indices(m + 1, 1), upsilon):
+        if s == 0:
+            put(0, l, -inv_lg * p_mat + a_mat.T @ np.diag(lam[l - 1]) + np.diag(ups))
+        else:
+            put(s, l, np.diag(-inv_lg * (lam[s - 1] + lam[l - 1]) + ups))
     put(0, m + 1, p_mat)
     psi[rows[m + 1], rows[m + 1]] = -cert.phi
     return psi
@@ -205,15 +206,6 @@ def sign_class_violation(cert):
     return None
 
 
-def _xi_matrix(cert):
-    m = cert.branch_count
-    diag = cert.omega.sum(axis=0).astype(float)
-    for s in range(m + 1):
-        for l in range(s + 1, m + 1):
-            diag = diag + cert.upsilon[s, l]
-    return np.diag(diag)
-
-
 def verify_certificate(p, bank, cert):
     """Evaluate all three conditions; an invalid certificate gives a report, not an error.
 
@@ -222,7 +214,8 @@ def verify_certificate(p, bank, cert):
     _check_dims(cert, bank)
     lmi_p = cert.p_mat + np.diag(cert.lam.sum(axis=0)) if cert.branch_count else cert.p_mat
     sigma_ok, sigma = linalg.is_pos_def(lmi_p)
-    xi_ok, xi = linalg.is_pos_def(_xi_matrix(cert))
+    # the pairs are added one at a time, in row order: upsilon.sum(axis=0) rounds differently
+    xi_ok, xi = linalg.is_pos_def(np.diag(reduce(np.add, cert.upsilon, cert.omega.sum(axis=0))))
     psi_ok, psi = linalg.is_neg_semidef(assemble_psi(p, cert))
     valid = bool(sign_class_violation(cert) is None and sigma_ok and xi_ok and psi_ok)
     varsigma = float(cert.omega[0].min())
@@ -245,9 +238,10 @@ class SearchResult:
 def search_certificate(p, bank, resistance_interval=None):
     """Closed-form certificate for a stable linear part over a grid-resistance interval.
 
-    ``resistance_interval`` (r_min, r_max), with r_min <= r_max, defaults
-    to the nominal point (p.r_g, p.r_g). The construction below reads r_g
-    as r_min.
+    ``resistance_interval`` (r_min, r_max), two finite positive numbers
+    with r_min <= r_max (``GridParams`` raises ValueError on an end that is
+    not), defaults to the nominal point (p.r_g, p.r_g). The construction
+    below reads r_g as r_min.
 
     With the branch weight c = min(0.01, r_g / (4 max(M, 1) |A|^2 l_g^2)),
     |A|^2 = (r_g / l_g)^2 + omega_g^2 (A is normal), and
@@ -270,9 +264,8 @@ def search_certificate(p, bank, resistance_interval=None):
     The bank enters only through its branch count; its sector condition is
     the caller's to check (``vrgrid.cli.load_config`` does on every bank it
     loads). Raises :class:`CertificateError` naming the first quantity that
-    (r_g, l_g, omega_g) put outside the float64 range: an interval end that
-    is not a finite positive number, the branch weight c (e.g. r_g = 1e-300
-    with l_g = 1e300), a certificate field or a margin.
+    (r_g, l_g, omega_g) put outside the float64 range: the branch weight c
+    (e.g. r_g = 1e-300 with l_g = 1e300), a certificate field or a margin.
     """
     m = bank.branch_count
     if m > MAX_BRANCHES:
@@ -284,10 +277,7 @@ def search_certificate(p, bank, resistance_interval=None):
         return CertificateError(f"{resistance}, l_g={p.l_g!r}, omega_g={p.omega_g!r} put the closed-form "
                                 f"certificate outside the float range: {what}")
 
-    try:
-        ends = [replace(p, r_g=r) for r in dict.fromkeys((r_min, r_max))]
-    except ValueError:  # a scenario's fraction times r_g that underflows to 0 or overflows
-        raise out_of_range("an end of the resistance interval is not a finite positive number") from None
+    ends = [replace(p, r_g=r) for r in dict.fromkeys((r_min, r_max))]
     p = ends[0]
     a = p.r_g / p.l_g
     try:
@@ -296,9 +286,8 @@ def search_certificate(p, bank, resistance_interval=None):
         raise out_of_range("branch weight c: a square in its denominator overflows, or underflows to 0") from None
     omega = np.full((m + 1, 2), c / p.l_g)
     omega[0] = a
-    upsilon = np.zeros((m + 1, m + 1, 2))
-    upsilon[np.triu_indices(m + 1, 1)] = 2.0 * c / p.l_g
-    upsilon[0, 1:] = 1.0 / p.l_g
+    upsilon = np.full((m * (m + 1) // 2, 2), 2.0 * c / p.l_g)
+    upsilon[:m] = 1.0 / p.l_g  # the pairs (0, k)
     cert = IssCertificate(
         p_mat=np.eye(2),
         lam=np.full((m, 2), c),

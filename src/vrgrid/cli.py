@@ -249,12 +249,17 @@ def _unique_keys(pairs):
     return obj
 
 
-def _parse_json(raw, what):
-    """The UTF-8 JSON document ``raw``, no key repeated in one object; else a ConfigError on ``what``."""
+def _read_json(path, what, field):
+    """(bytes, document) of the UTF-8 JSON file ``path``, no key repeated in one object; a file
+    that cannot be read or parsed is a ConfigError on ``field`` naming ``what`` and ``path``."""
     try:
-        return json.loads(raw.decode("utf-8"), object_pairs_hook=_unique_keys)
+        raw = Path(path).read_bytes()
+    except OSError as exc:  # missing, a directory, no permission
+        raise ConfigError(field, f"cannot read {what} {path}: {exc}") from exc
+    try:
+        return raw, json.loads(raw.decode("utf-8"), object_pairs_hook=_unique_keys)
     except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, over-long ints, deep nesting
-        raise ConfigError("", f"{what} is not valid JSON: {exc}") from exc
+        raise ConfigError(field, f"{what} {path} is not valid JSON: {exc}") from exc
 
 
 def load_config(path, overrides=()):
@@ -262,11 +267,7 @@ def load_config(path, overrides=()):
     value, as the flags do; it is written into the document before any section is read,
     so it meets the rules and error fields of that key in the file (not its sha256)."""
     path = Path(path)
-    try:
-        raw = path.read_bytes()
-    except OSError as exc:
-        raise ConfigError("", f"cannot read config {path}: {exc}") from exc
-    doc = _parse_json(raw, f"config {path}")
+    raw, doc = _read_json(path, "config", "")
 
     _check_keys(doc, "", required=("schema_version", "grid", "bank", "scenario"),
                 optional=("name", "certify", "output"))
@@ -380,6 +381,7 @@ CERTIFICATE_MATRICES = {
     "lambda_diag": ("lam", lambda m: (m, 2)),
     "omega_diag": ("omega", lambda m: (m + 1, 2)),
     "phi": ("phi", lambda m: (2, 2)),
+    "upsilon_diag": ("upsilon", lambda m: (m * (m + 1) // 2, 2)),
 }
 
 
@@ -387,17 +389,10 @@ def certificate_payload(cert, bank):
     """certificate.json of a certificate with its report attached: ``margins`` is the report's fields
     but ``valid``, leaving out a None ``iss_gain_slope``."""
     report = cert.report
-    ups = [
-        {"s": s, "l": l, "diag": [float(v) for v in cert.upsilon[s, l]]}
-        for s in range(cert.branch_count + 1)
-        for l in range(s + 1, cert.branch_count + 1)
-        if np.any(cert.upsilon[s, l] != 0.0)
-    ]
     return {
         "schema_version": SCHEMA_VERSION,
         "branch_count": cert.branch_count,
         **{key: getattr(cert, name).tolist() for key, (name, _) in CERTIFICATE_MATRICES.items()},
-        "upsilon_diag": ups,
         "resistance_interval": list(cert.resistance_interval),
         "valid": bool(report.valid),
         "margins": {key: value for key, value in asdict(report).items() if key != "valid" and value is not None},
@@ -406,15 +401,15 @@ def certificate_payload(cert, bank):
 
 
 def load_certificate(path, bank):
-    """Read a valid certificate JSON back for ``bank``; refuses another bank's certificate (checked
-    first), an invalid one, a malformed one, one whose resistance interval is not 0 < r_min <= r_max
-    or one whose matrices are outside the sign class of :func:`vrgrid.certify.sign_class_violation`
-    with a ConfigError (a ValueError) on its field ``certificate.<key>``."""
-    doc = _parse_json(Path(path).read_bytes(), f"certificate {path}")
+    """Read a valid certificate JSON back for ``bank``. A ConfigError (a ValueError) refuses a file it
+    cannot read or parse on field ``certificate``, and on its field ``certificate.<key>`` another bank's
+    certificate (checked first), an invalid or malformed one, one whose resistance interval is not
+    0 < r_min <= r_max or one outside the sign class of :func:`vrgrid.certify.sign_class_violation`."""
+    _, doc = _read_json(path, "certificate", "certificate")
     _expect_mapping(doc, "certificate")
     if doc.get("bank_fingerprint") != bank_fingerprint(bank):
         raise ConfigError("certificate.bank_fingerprint", "does not match the supplied bank")
-    _check_keys(doc, "certificate", required=("schema_version", "branch_count", *CERTIFICATE_MATRICES, "upsilon_diag",
+    _check_keys(doc, "certificate", required=("schema_version", "branch_count", *CERTIFICATE_MATRICES,
                                               "resistance_interval", "valid", "margins", "bank_fingerprint"))
     _check_schema_version(doc["schema_version"], "certificate.schema_version")
     if doc["valid"] is not True:
@@ -423,28 +418,16 @@ def load_certificate(path, bank):
     m = doc["branch_count"]
     if not _is_int(m) or m != bank.branch_count:
         raise ConfigError("certificate.branch_count", f"must be the bank's {bank.branch_count}, got {m!r}")
-    if not isinstance(doc["upsilon_diag"], list):
-        raise ConfigError("certificate.upsilon_diag", "must be a list of records")
-    ups = np.zeros((m + 1, m + 1, 2))
-    seen = set()
-    for i, rec in enumerate(doc["upsilon_diag"]):
-        field = f"certificate.upsilon_diag[{i}]"
-        _check_keys(rec, field, required=("s", "l", "diag"))
-        s, l = rec["s"], rec["l"]
-        if not (_is_int(s) and _is_int(l) and 0 <= s < l <= m) or (s, l) in seen:
-            raise ConfigError(field, f"(s, l) = ({s!r}, {l!r}) is not a new pair of integers with 0 <= s < l <= {m}")
-        seen.add((s, l))
-        ups[s, l] = _numbers(rec["diag"], (2,), f"{field}.diag")
     matrices = {name: np.reshape(_numbers(doc[key], shape(m), f"certificate.{key}"), shape(m))
                 for key, (name, shape) in CERTIFICATE_MATRICES.items()}
     interval = _numbers(doc["resistance_interval"], (2,), "certificate.resistance_interval")
     if not 0.0 < interval[0] <= interval[1]:
         raise ConfigError("certificate.resistance_interval", f"must satisfy 0 < r_min <= r_max, got {list(interval)!r}")
-    cert = IssCertificate(**matrices, upsilon=ups, resistance_interval=interval)
+    cert = IssCertificate(**matrices, resistance_interval=interval)
     violation = sign_class_violation(cert)
     if violation is not None:
         name, reason = violation
-        key = next((k for k, (attr, _) in CERTIFICATE_MATRICES.items() if attr == name), "upsilon_diag")
+        key = next(k for k, (attr, _) in CERTIFICATE_MATRICES.items() if attr == name)
         raise ConfigError(f"certificate.{key}", reason)
     return cert
 
@@ -465,13 +448,17 @@ def _overrides(args):
 def _certify(cfg, run_dir, field):
     """(certificate with its report, certificate.json bytes) of a certified config.
 
-    Grid values that put the certificate outside the float range raise
-    ConfigError on field ``grid``. An infeasible certificate is written to
-    ``run_dir`` with a manifest.json naming it, and raises
+    A resistance range outside the positive floats raises ConfigError on field ``scenario``, grid
+    values that put the certificate outside the float range on field ``grid``. An infeasible
+    certificate is written to ``run_dir`` with a manifest.json naming it, and raises
     CertificationInfeasible on ``field``.
     """
     try:
-        cert = search_certificate(cfg.grid, cfg.bank, cfg.scenario.resistance_range(cfg.grid)).certificate
+        interval = cfg.scenario.resistance_range(cfg.grid)
+    except ValueError as exc:
+        raise ConfigError("scenario", str(exc)) from exc
+    try:
+        cert = search_certificate(cfg.grid, cfg.bank, interval).certificate
     except CertificateError as exc:
         raise ConfigError("grid", str(exc)) from exc
     payload = certificate_payload(cert, cfg.bank)

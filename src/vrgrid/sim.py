@@ -154,7 +154,11 @@ class RandomResistance(Scenario):
 
     def resistance_range(self, p):
         """The drawn values lie in [lo_fraction, hi_fraction] x r_g, and r_g is nominal outside the window."""
-        return min(self.lo_fraction, 1.0) * p.r_g, max(self.hi_fraction, 1.0) * p.r_g
+        ends = min(self.lo_fraction, 1.0) * p.r_g, max(self.hi_fraction, 1.0) * p.r_g
+        for key, r in zip(("lo_fraction", "hi_fraction"), ends):
+            if not 0.0 < r < math.inf:
+                raise ValueError(f"{key} x r_g = {getattr(self, key)!r} x {p.r_g!r} = {r!r} is out of (0, inf)")
+        return ends
 
     def fill(self, p, rg, vg):
         i0, i1 = self.window()

@@ -139,14 +139,16 @@ def rng():
     return np.random.default_rng(20240817)
 
 
+def upsilon_pairs(m):
+    """The (s, l) of each row of a certificate's ``upsilon`` for m branches: 0 <= s < l <= m, s-major."""
+    return [(s, l) for s in range(m + 1) for l in range(s + 1, m + 1)]
+
+
 def random_certificate(m, rng):
     """Arbitrary well-formed (not necessarily valid) certificate matrices."""
     from vrgrid.certify import IssCertificate
 
-    ups = np.zeros((m + 1, m + 1, 2))
-    for s in range(m + 1):
-        for l in range(s + 1, m + 1):
-            ups[s, l] = rng.uniform(0.0, 2.0, 2)
+    ups = rng.uniform(0.0, 2.0, (len(upsilon_pairs(m)), 2))
     p_mat = rng.uniform(-1.0, 1.0, (2, 2))
     phi = rng.uniform(-1.0, 1.0, (2, 2))
     return IssCertificate(

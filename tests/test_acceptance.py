@@ -23,6 +23,7 @@ from conftest import (
     passivity_ball,
     random_certificate,
     stacked_coordinates,
+    upsilon_pairs,
 )
 
 BUDGETS = {
@@ -108,13 +109,14 @@ def test_c03_reconstruction_identity():
                 direct = np.einsum("ni,ni->n", grads, error_derivatives(p, xs, bank, ds))
                 direct = direct + np.einsum("ni,i,ni->n", xs, cert.omega[0], xs)
                 rvals = [branch_values(b, xs) for b in bank.branches]
+                ups = dict(zip(upsilon_pairs(m), cert.upsilon))
                 for k in range(m):
                     direct += np.einsum("ni,i,ni->n", rvals[k], cert.omega[k + 1], rvals[k])
-                    direct += 2.0 * np.einsum("ni,i,ni->n", xs, cert.upsilon[0, k + 1], rvals[k])
+                    direct += 2.0 * np.einsum("ni,i,ni->n", xs, ups[0, k + 1], rvals[k])
                 for s in range(1, m + 1):
                     for l in range(s + 1, m + 1):
                         direct += 2.0 * np.einsum(
-                            "ni,i,ni->n", rvals[s - 1], cert.upsilon[s, l], rvals[l - 1])
+                            "ni,i,ni->n", rvals[s - 1], ups[s, l], rvals[l - 1])
                 w = -ds / p.l_g
                 direct -= np.einsum("ni,ij,nj->n", w, cert.phi, w)
 
@@ -171,7 +173,7 @@ def test_c05_negative_control():
         omega0 = 2.0 * (p.r_g / p.l_g) * np.eye(2) - np.eye(2)
         phi = 2.0 * p_mat @ np.linalg.inv(-(a.T + a + omega0)) @ p_mat
         cert = IssCertificate(p_mat=p_mat, lam=np.zeros((0, 2)),
-                              omega=np.diag(omega0)[None, :], phi=phi, upsilon=np.zeros((1, 1, 2)))
+                              omega=np.diag(omega0)[None, :], phi=phi, upsilon=np.zeros((0, 2)))
         bank = VrBank(())
         assert verify_certificate(p, bank, cert).valid
 

@@ -6,7 +6,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import PARAM_RANGES, both_axes, error_derivatives, nominal_params, random_certificate, stacked_coordinates
+from conftest import (
+    PARAM_RANGES,
+    both_axes,
+    error_derivatives,
+    nominal_params,
+    random_certificate,
+    stacked_coordinates,
+    upsilon_pairs,
+)
 from vrgrid import linalg
 from vrgrid._kernels import ELEMENT_KINDS
 from vrgrid.bank import VrBank, VrBranch, VrElement, bank_values, branch_values
@@ -40,20 +48,20 @@ def analytic_m0_certificate(p):
         lam=np.zeros((0, 2)),
         omega=np.diag(omega0)[None, :],
         phi=phi,
-        upsilon=np.zeros((1, 1, 2)),
+        upsilon=np.zeros((0, 2)),
     )
 
 
 def _cert(p_mat, lam, omega, phi, ups=None):
     if ups is None:
-        ups = np.zeros((len(omega), len(omega), 2))
+        ups = np.zeros((len(upsilon_pairs(len(lam))), 2))
     return IssCertificate(p_mat=p_mat, lam=lam, omega=omega, phi=phi, upsilon=ups)
 
 
 def test_certificate_copies_its_arrays():
     """The certificate is read-only, and the caller's arrays stay writable and apart from it."""
     fields = dict(p_mat=np.eye(2), lam=np.ones((1, 2)), omega=np.ones((2, 2)), phi=np.eye(2),
-                  upsilon=np.zeros((2, 2, 2)))
+                  upsilon=np.zeros((1, 2)))
     cert = IssCertificate(**fields)
     for name, arr in fields.items():
         arr[(0,) * arr.ndim] = 2.0
@@ -124,8 +132,7 @@ def test_assemble_psi_m0_layout():
     np.testing.assert_allclose(psi, expected, rtol=1e-14)
 
     # M = 1: the (0, 1) block is not symmetric; its mirror is its transpose
-    lam, ups = np.array([[1.0, 2.0]]), np.zeros((2, 2, 2))
-    ups[0, 1] = [0.5, 0.25]
+    lam, ups = np.array([[1.0, 2.0]]), np.array([[0.5, 0.25]])  # Upsilon_{0,1}
     psi = assemble_psi(p, _cert(np.eye(2), lam, np.ones((2, 2)), np.eye(2), ups))
     inv_lg = 1.0 / p.l_g
     b01 = np.array([[-inv_lg + a[0, 0] + 0.5, 2.0 * a[1, 0]],
@@ -155,12 +162,13 @@ def _direct_expansion(p, bank, cert, xs, ds):
     total = vdot + np.einsum("ni,i,ni->n", xs, cert.omega[0], xs)
     rvals = [branch_values(b, xs) for b in bank.branches]
     m = bank.branch_count
+    ups = dict(zip(upsilon_pairs(m), cert.upsilon))
     for k in range(m):
         total += np.einsum("ni,i,ni->n", rvals[k], cert.omega[k + 1], rvals[k])
-        total += 2.0 * np.einsum("ni,i,ni->n", xs, cert.upsilon[0, k + 1], rvals[k])
+        total += 2.0 * np.einsum("ni,i,ni->n", xs, ups[0, k + 1], rvals[k])
     for s in range(1, m + 1):
         for l in range(s + 1, m + 1):
-            total += 2.0 * np.einsum("ni,i,ni->n", rvals[s - 1], cert.upsilon[s, l], rvals[l - 1])
+            total += 2.0 * np.einsum("ni,i,ni->n", rvals[s - 1], ups[s, l], rvals[l - 1])
     w = -ds / p.l_g
     total -= np.einsum("ni,ij,nj->n", w, cert.phi, w)
     return total
@@ -222,7 +230,7 @@ def test_verify_all_zero_certificate_invalid():
     p = nominal_params()
     zero = IssCertificate(
         p_mat=np.zeros((2, 2)), lam=np.zeros((0, 2)),
-        omega=np.zeros((1, 2)), phi=np.zeros((2, 2)), upsilon=np.zeros((1, 1, 2)),
+        omega=np.zeros((1, 2)), phi=np.zeros((2, 2)), upsilon=np.zeros((0, 2)),
     )
     report = verify_certificate(p, EMPTY, zero)
     assert not report.valid

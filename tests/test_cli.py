@@ -608,13 +608,13 @@ def test_certificate_out_of_float_range_exit2(tmp_path, capsys, command, r_g, l_
     assert not (tmp_path / "o").exists()
 
 
-@pytest.mark.parametrize("r_g, lo_fraction, hi_fraction, interval", [
-    pytest.param(2.76e-2, 5e-324, 1.0, "[0.0, 0.0276]", id="r_min-underflows"),
-    pytest.param(100.0, 0.1, 1e308, "[10.0, inf]", id="r_max-overflows"),
+@pytest.mark.parametrize("r_g, lo_fraction, hi_fraction, product", [
+    pytest.param(2.76e-2, 5e-324, 1.0, "lo_fraction x r_g = 5e-324 x 0.0276 = 0.0", id="r_min-underflows"),
+    pytest.param(100.0, 0.1, 1e308, "hi_fraction x r_g = 1e+308 x 100.0 = inf", id="r_max-overflows"),
 ])
-def test_resistance_interval_out_of_float_range_exit2(tmp_path, capsys, r_g, lo_fraction, hi_fraction, interval):
-    """A scenario fraction whose product with r_g leaves the positive floats exits 2 at field grid,
-    naming the interval, before anything is written."""
+def test_resistance_interval_out_of_float_range_exit2(tmp_path, capsys, r_g, lo_fraction, hi_fraction, product):
+    """A scenario fraction whose product with r_g leaves the positive floats exits 2 at field scenario,
+    naming the fraction and the product, before anything is written."""
     from vrgrid.cli import main
 
     doc = small_config(grid={"l_g": 3.67e-4, "r_g": r_g, "frequency_hz": 60.0}, certify={"enabled": True},
@@ -624,9 +624,8 @@ def test_resistance_interval_out_of_float_range_exit2(tmp_path, capsys, r_g, lo_
     path = write_config(tmp_path / "cfg.json", doc)
     assert main(["certify", str(path), "--out", str(tmp_path / "o")]) == 2
     err = json.loads(capsys.readouterr().out.splitlines()[0])["error"]
-    assert err["field"] == "grid"
-    assert err["message"].startswith(f"r_g in {interval},")
-    assert "an end of the resistance interval is not a finite positive number" in err["message"]
+    assert err["field"] == "scenario"
+    assert err["message"] == f"{product} is out of (0, inf)"
     assert not (tmp_path / "o").exists()
 
 
@@ -765,21 +764,22 @@ def test_certificate_roundtrip_and_fingerprint_guard(tmp_path):
         load_certificate(out / "certificate.json", other)
 
 
-def _upsilon_record(**changes):
-    return lambda doc: {**doc, "upsilon_diag": [{**doc["upsilon_diag"][0], **changes}]}
+def _upsilon_pairs(pairs):
+    """A mutation that gives ``upsilon_diag`` (one pair for the one-branch bank) as ``pairs(first pair)``."""
+    return lambda doc: {**doc, "upsilon_diag": pairs(doc["upsilon_diag"][0])}
 
 
 @pytest.mark.parametrize("mutate", [
-    pytest.param(_upsilon_record(s=-2), id="s=-2"),
-    pytest.param(_upsilon_record(l=-1), id="l=-1"),
-    pytest.param(_upsilon_record(l=5), id="l=5"),
-    pytest.param(_upsilon_record(s=1), id="s=l"),
-    pytest.param(_upsilon_record(s=False), id="s-bool"),
-    pytest.param(_upsilon_record(l=1.0), id="l-float"),
     pytest.param(lambda doc: {**doc, "branch_count": 1.7}, id="branch_count-1.7"),
     pytest.param(lambda doc: {**doc, "branch_count": 2}, id="branch_count-2"),
-    pytest.param(lambda doc: {**doc, "upsilon_diag": doc["upsilon_diag"] * 2}, id="duplicate-pair"),
-    pytest.param(lambda doc: {**doc, "upsilon_diag": [[0, 1]]}, id="record-list"),
+    pytest.param(_upsilon_pairs(lambda pair: []), id="upsilon_diag-one-pair-too-few"),
+    pytest.param(_upsilon_pairs(lambda pair: [pair, pair]), id="upsilon_diag-one-pair-too-many"),
+    pytest.param(_upsilon_pairs(lambda pair: pair), id="upsilon_diag-pair-not-in-a-list"),
+    pytest.param(_upsilon_pairs(lambda pair: [[*pair, 1.0]]), id="upsilon_diag-three-number-pair"),
+    pytest.param(_upsilon_pairs(lambda pair: [[str(pair[0]), pair[1]]]), id="upsilon_diag-string-entry"),
+    pytest.param(_upsilon_pairs(lambda pair: [[True, pair[1]]]), id="upsilon_diag-bool-entry"),
+    # the record list an older writer gave: [{"s": 0, "l": 1, "diag": [...]}]
+    pytest.param(_upsilon_pairs(lambda pair: [{"s": 0, "l": 1, "diag": pair}]), id="record-list"),
     pytest.param(lambda doc: {k: v for k, v in doc.items() if k != "phi"}, id="missing-phi"),
     pytest.param(lambda doc: [doc], id="list-document"),
     pytest.param(lambda doc: {**doc, "p": np.eye(3).tolist()}, id="p-3x3"),
@@ -788,23 +788,22 @@ def _upsilon_record(**changes):
     pytest.param(lambda doc: {**doc, "phi": [[True, False], [False, True]]}, id="phi-bools"),
     pytest.param(lambda doc: {**doc, "lambda_diag": [[row[0]] for row in doc["lambda_diag"] * 2]},
                  id="lambda_diag-column"),
-    pytest.param(_upsilon_record(diag=[5.0]), id="upsilon-diag-one-number"),
+    pytest.param(_upsilon_pairs(lambda pair: [[5.0]]), id="upsilon-diag-one-number"),
     pytest.param(lambda doc: {**doc, "zz": 1}, id="unknown-key"),
-    pytest.param(_upsilon_record(zz=1), id="upsilon-record-unknown-key"),
     pytest.param(lambda doc: {**doc, "schema_version": 7}, id="schema_version-7"),
     pytest.param(lambda doc: {**doc, "valid": "maybe"}, id="valid-maybe"),
     pytest.param(lambda doc: {**doc, "valid": False}, id="valid-false"),
     pytest.param(lambda doc: {**doc, "margins": None}, id="margins-null"),
     pytest.param(lambda doc: {**doc, "omega_diag": [[-v for v in row] for row in doc["omega_diag"]]},
                  id="omega_diag-negated"),
-    pytest.param(_upsilon_record(diag=[-1.0, 0.0]), id="upsilon-diag-negative"),
+    pytest.param(_upsilon_pairs(lambda pair: [[-1.0, 0.0]]), id="upsilon-diag-negative"),
     pytest.param(lambda doc: {**doc, "p": [[1.0, 0.5], [0.0, 1.0]]}, id="p-asymmetric"),
     pytest.param(lambda doc: {**doc, "phi": [[1.0, 0.0], [0.0, -1.0]]}, id="phi-indefinite"),
 ])
 def test_load_certificate_refuses_malformed(tmp_path, capsys, mutate):
-    """A malformed certificate raises ValueError, not a raw KeyError, TypeError,
-    AttributeError or IndexError, and does not load with a wrapped, truncated
-    or overwritten index. A wrong fingerprint is still the first refusal."""
+    """A malformed certificate raises ValueError on the field of the key it breaks, not a raw
+    KeyError, TypeError, AttributeError or IndexError, and does not load with a wrapped,
+    truncated or overwritten index. A wrong fingerprint is still the first refusal."""
     from vrgrid.bank import VrBank, VrElement
     from vrgrid.cli import load_certificate, main
 
@@ -813,10 +812,15 @@ def test_load_certificate_refuses_malformed(tmp_path, capsys, mutate):
     bank = VrBank((both_axes((VrElement("linear", 1.0),)),))
     good = tmp_path / "m1" / "certificate.json"
     load_certificate(good, bank)
-    bad = mutate(json.loads(good.read_text()))
+    doc = json.loads(good.read_text())
+    bad = mutate(doc)
+    field = "certificate"
+    if isinstance(bad, dict):
+        (key,) = [k for k in {**doc, **bad} if k not in doc or k not in bad or doc[k] != bad[k]]
+        field += f".{key}"
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(bad))
-    with pytest.raises(ValueError, match="certificate"):
+    with pytest.raises(ValueError, match=rf"^{re.escape(field)}: "):
         load_certificate(path, bank)
     if isinstance(bad, dict):
         path.write_text(json.dumps({**bad, "bank_fingerprint": "0" * 64}))
@@ -878,6 +882,26 @@ def test_load_certificate_refuses_repeated_key(tmp_path, capsys):
         load_certificate(path, VrBank((both_axes((VrElement("linear", 1.0),)),)))
 
 
+@pytest.mark.parametrize("loader, field", [("load_config", ""), ("load_certificate", "certificate")])
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda path: None, id="missing"),
+    pytest.param(lambda path: path.mkdir(), id="directory"),
+])
+def test_unreadable_file_is_a_config_error(tmp_path, loader, field, make):
+    """A config or certificate path that cannot be read is a ConfigError on the file's field
+    ("" for a config), naming the path, not a raw FileNotFoundError or IsADirectoryError."""
+    from vrgrid import cli
+    from vrgrid.bank import VrBank
+
+    path = tmp_path / "file.json"
+    make(path)
+    args = (path,) if loader == "load_config" else (path, VrBank(()))
+    with pytest.raises(cli.ConfigError) as info:
+        getattr(cli, loader)(*args)
+    assert info.value.field == field
+    assert info.value.message.startswith(f"cannot read {loader.removeprefix('load_')} {path}: ")
+
+
 @pytest.mark.parametrize("m", range(9))
 def test_closed_form_certificate_round_trip(tmp_path, capsys, m):
     """certificate.json of a bank of m branches loads back bit for bit, and the
@@ -907,7 +931,7 @@ def test_closed_form_certificate_round_trip(tmp_path, capsys, m):
 
 def test_readme_certificate_fields_match_payload():
     """README's certificate.json field list names exactly the payload's keys, those
-    of ``margins`` and of an ``upsilon_diag`` record included."""
+    of ``margins`` included."""
     from vrgrid.certify import search_certificate
     from vrgrid.cli import certificate_payload, load_config
 
@@ -915,8 +939,8 @@ def test_readme_certificate_fields_match_payload():
     block = re.search(r"certificate.json`\s+bytes\. Its fields:\n(.*?)\n\n", readme, re.S).group(1)
     cfg = load_config(CONFIG_DIR / "certify_m1_linear.json")
     payload = certificate_payload(search_certificate(cfg.grid, cfg.bank).certificate, cfg.bank)
-    assert payload["valid"] and payload["upsilon_diag"]
-    keys = {*payload, *payload["margins"], *payload["upsilon_diag"][0]}
+    assert payload["valid"]
+    keys = {*payload, *payload["margins"]}
     assert set(re.findall(r"`(\w+)`", block)) == keys
 
 
@@ -1121,7 +1145,7 @@ def test_certify_infeasible_exit4(tmp_path, monkeypatch, capsys, command):
 
     def fake_search(p, bank, resistance_interval):
         cert = IssCertificate(p_mat=np.zeros((2, 2)), lam=np.zeros((0, 2)), omega=np.zeros((1, 2)),
-                              phi=np.zeros((2, 2)), upsilon=np.zeros((1, 1, 2)),
+                              phi=np.zeros((2, 2)), upsilon=np.zeros((0, 2)),
                               resistance_interval=resistance_interval)
         report = verify_certificate(p, bank, cert)
         return SearchResult(certificate=replace(cert, report=report), feasible=False, starts_run=1)
@@ -1250,3 +1274,16 @@ def test_readme_cli_synopsis_matches_parser():
         for command, parser in subparsers.choices.items()
     }
     assert documented == defined
+
+
+def test_ci_workflow_runs_the_bundled_configs():
+    """Every configs/ path the CI workflow names exists, and the fallback job's warnings-as-errors
+    step (``python -W error -m vrgrid <command> <config>``) runs every bundled certify config."""
+    root = CONFIG_DIR.parent
+    workflow = (root / ".github" / "workflows" / "tests.yml").read_text()
+    named = set(re.findall(r"configs/[\w./-]*[\w-]", workflow))
+    assert named and {path for path in named if not (root / path).exists()} == set()
+    fallback = re.search(r"\n  fallback:\n(.*?)\n  \w+:\n", workflow, re.S).group(1)
+    werror = [line.split() for line in fallback.splitlines() if line.strip().startswith("python -W error -m vrgrid ")]
+    run = {words[6] for words in werror}
+    assert {f"configs/{path.name}" for path in CONFIG_DIR.glob("certify_*.json")} <= run

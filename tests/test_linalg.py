@@ -1,3 +1,4 @@
+import functools
 from dataclasses import replace
 
 import numpy as np
@@ -58,14 +59,14 @@ def _jacobi_eigenvalues(s):
 
 def _bundled_certificate_matrices():
     """The sigma, xi and Psi matrices verified for each bundled certify config."""
-    from vrgrid.certify import _xi_matrix, assemble_psi, search_certificate
+    from vrgrid.certify import assemble_psi, search_certificate
     from vrgrid.cli import load_config
 
     for path in sorted(CONFIG_DIR.glob("certify_*.json")):
         cfg = load_config(path)
         cert = search_certificate(cfg.grid, cfg.bank, cfg.scenario.resistance_range(cfg.grid)).certificate
         yield cert.p_mat + np.diag(cert.lam.sum(axis=0))
-        yield _xi_matrix(cert)
+        yield np.diag(functools.reduce(np.add, cert.upsilon, cert.omega.sum(axis=0)))  # xi, as verified
         for r_g in dict.fromkeys(cert.resistance_interval):
             yield assemble_psi(replace(cfg.grid, r_g=r_g), cert)
 
