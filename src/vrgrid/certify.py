@@ -27,7 +27,7 @@ Verification evaluates three conditions on a candidate certificate:
   1. P + sum_k Lambda_k positive definite        (sigma margin)
   2. Omega_0 + sum Upsilon_{0,k} + sum Omega_k
      + sum_{1<=s<l} Upsilon_{s,l} positive definite   (xi margin)
-  3. Psi negative semidefinite                        (psi margin)
+  3. Psi negative semidefinite at both interval ends (psi margin)
 
 plus the sign class of :func:`sign_class_violation` (nonnegative
 diagonals, P and Phi symmetric PSD). A valid certificate yields the
@@ -45,13 +45,10 @@ record of certificate.json.
 
 :func:`search_certificate` builds a certificate in closed form from
 (r_g, l_g, omega_g) and the branch count (P = I and scaled identities
-elsewhere, see its docstring) at the low end of a grid-resistance interval,
-and checks it with :func:`verify_certificate` at both ends of the interval,
-whose reports alone decide validity. Psi depends on r_g only through A, and
-affinely, and nothing else verified depends on r_g, so a certificate valid
-at both ends is valid on the whole interval. It raises
-:class:`CertificateError` only for grid values that put the certificate
-outside the float64 range.
+elsewhere, see its docstring) at the low end of the grid-resistance
+interval it carries, and attaches the report of :func:`verify_certificate`.
+It raises :class:`CertificateError` only for grid values that put the
+certificate outside the float64 range.
 """
 
 import math
@@ -101,10 +98,10 @@ class IssCertificate:
     ``upsilon`` is (M(M+1)/2, 2) for the Upsilon_{s,l} with s < l, in the
     row order of ``np.triu_indices(M + 1, 1)``: (0, 1)..(0, M), (1, 2)..
 
-    ``resistance_interval`` is the (r_min, r_max) of grid resistance the
-    certificate claims to cover.
+    ``resistance_interval`` is the (2,) array (r_min, r_max) of grid
+    resistance that :func:`verify_certificate` checks the certificate over.
 
-    The matrices are stored as read-only float copies, so the caller's
+    The arrays are stored as read-only float copies, so the caller's
     arrays stay writable; nothing is checked here. The two producers give
     every field, the matrices at these shapes with P and Phi symmetric:
     :func:`search_certificate` builds them so, and
@@ -118,11 +115,11 @@ class IssCertificate:
     omega: np.ndarray
     phi: np.ndarray
     upsilon: np.ndarray
-    resistance_interval: Optional[tuple] = None
+    resistance_interval: np.ndarray
     report: Optional[VerifyReport] = field(default=None, compare=False)
 
     def __post_init__(self):
-        for name in ("p_mat", "lam", "omega", "phi", "upsilon"):
+        for name in ("p_mat", "lam", "omega", "phi", "upsilon", "resistance_interval"):
             arr = np.array(getattr(self, name), dtype=float)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -207,16 +204,21 @@ def sign_class_violation(cert):
 
 
 def verify_certificate(p, bank, cert):
-    """Evaluate all three conditions; an invalid certificate gives a report, not an error.
+    """Evaluate all three conditions over ``cert.resistance_interval``; an invalid certificate gives a
+    report, not an error. ``p`` gives l_g and omega_g; its r_g is not read.
 
-    P and Phi must be symmetric, as both producers give them: ``linalg`` refuses an asymmetric one.
+    Only Psi depends on r_g, through A and affinely, so it is negative semidefinite on the whole
+    interval when it is at both ends: it is checked at each distinct end, and the report gives the
+    larger psi margin. P and Phi must be symmetric, as both producers give them: ``linalg`` refuses
+    an asymmetric one.
     """
     _check_dims(cert, bank)
     lmi_p = cert.p_mat + np.diag(cert.lam.sum(axis=0)) if cert.branch_count else cert.p_mat
     sigma_ok, sigma = linalg.is_pos_def(lmi_p)
     # the pairs are added one at a time, in row order: upsilon.sum(axis=0) rounds differently
     xi_ok, xi = linalg.is_pos_def(np.diag(reduce(np.add, cert.upsilon, cert.omega.sum(axis=0))))
-    psi_ok, psi = linalg.is_neg_semidef(assemble_psi(p, cert))
+    psi_ok, psi = max((linalg.is_neg_semidef(assemble_psi(replace(p, r_g=r), cert))
+                       for r in dict.fromkeys(cert.resistance_interval.tolist())), key=lambda check: check[1])
     valid = bool(sign_class_violation(cert) is None and sigma_ok and xi_ok and psi_ok)
     varsigma = float(cert.omega[0].min())
     alpha = float(linalg.lambda_max(cert.phi) / p.l_g ** 2)
@@ -235,13 +237,12 @@ class SearchResult:
     starts_run: int
 
 
-def search_certificate(p, bank, resistance_interval=None):
+def search_certificate(p, bank, resistance_interval):
     """Closed-form certificate for a stable linear part over a grid-resistance interval.
 
-    ``resistance_interval`` (r_min, r_max), two finite positive numbers
-    with r_min <= r_max (``GridParams`` raises ValueError on an end that is
-    not), defaults to the nominal point (p.r_g, p.r_g). The construction
-    below reads r_g as r_min.
+    ``resistance_interval`` (r_min, r_max) must be finite positive numbers
+    with r_min <= r_max (``GridParams`` raises ValueError on an r_min that is
+    not). The certificate carries it; below, r_g is r_min and p.r_g unread.
 
     With the branch weight c = min(0.01, r_g / (4 max(M, 1) |A|^2 l_g^2)),
     |A|^2 = (r_g / l_g)^2 + omega_g^2 (A is normal), and
@@ -256,10 +257,9 @@ def search_certificate(p, bank, resistance_interval=None):
     A Schur bound then keeps the whole matrix strictly negative whenever
     M c l_g |A|^2 <= (r_g / l_g) / 4, which fixes the branch weight c for
     any admissible parameters. The bound only motivates the construction:
-    validity is decided by :func:`verify_certificate` at r_min and, if it
-    differs, at r_max. Only Psi depends on r_g, so the attached report is
-    that of the end with the larger psi margin; its varsigma, alpha and
-    slope (2 / r_min) are those of the r_min build.
+    validity over the interval is decided by :func:`verify_certificate`,
+    whose report is attached; its varsigma, alpha and slope (2 / r_min) are
+    those of the r_min build.
 
     The bank enters only through its branch count; its sector condition is
     the caller's to check (``vrgrid.cli.load_config`` does on every bank it
@@ -270,15 +270,14 @@ def search_certificate(p, bank, resistance_interval=None):
     m = bank.branch_count
     if m > MAX_BRANCHES:
         raise ValueError(f"certification supports at most {MAX_BRANCHES} branches, bank has {m}")
-    r_min, r_max = resistance_interval or (p.r_g, p.r_g)
+    r_min, r_max = resistance_interval
     resistance = f"r_g={r_min!r}" if r_min == r_max else f"r_g in [{r_min!r}, {r_max!r}]"
 
     def out_of_range(what):
         return CertificateError(f"{resistance}, l_g={p.l_g!r}, omega_g={p.omega_g!r} put the closed-form "
                                 f"certificate outside the float range: {what}")
 
-    ends = [replace(p, r_g=r) for r in dict.fromkeys((r_min, r_max))]
-    p = ends[0]
+    p = replace(p, r_g=r_min)
     a = p.r_g / p.l_g
     try:
         c = min(0.01, p.r_g / (4.0 * max(m, 1) * (a ** 2 + p.omega_g ** 2) * p.l_g ** 2))
@@ -294,13 +293,13 @@ def search_certificate(p, bank, resistance_interval=None):
         omega=omega,
         phi=(4.0 * p.l_g / p.r_g) * np.eye(2),
         upsilon=upsilon,
-        resistance_interval=(r_min, r_max),
+        resistance_interval=resistance_interval,
     )
     for f in fields(cert):
         if f.name != "report" and not np.all(np.isfinite(getattr(cert, f.name))):
             raise out_of_range(f"{f.name} has a non-finite entry")
     try:
-        report = max((verify_certificate(end, bank, cert) for end in ends), key=lambda report: report.psi)
+        report = verify_certificate(p, bank, cert)
     except ValueError as exc:  # a non-finite product of finite entries
         raise out_of_range(exc) from None
     for name, value in asdict(report).items():

@@ -101,16 +101,18 @@ _NUMBER_TYPES = frozenset((int, float))
 
 
 def _numbers(value, shape, field):
-    """``value`` as finite floats in nested tuples of exactly ``shape``; shape ``()`` reads one
-    number. Only JSON numbers are taken: not bools, not strings, nothing beyond the float range."""
-    if len(shape) > 1:
-        if isinstance(value, list) and len(value) == shape[0]:
-            return tuple(_numbers(row, shape[1:], field) for row in value)
+    """The finite floats of ``value``, nested lists of exactly ``shape``, in row-major order: a tuple,
+    or one float for shape ``()``. Only JSON numbers are taken: not bools, not strings, nothing beyond
+    the float range. A refusal names the whole shape, whichever row breaks it."""
+    rows = [value]
+    for n in shape:
+        if not all(isinstance(row, list) and len(row) == n for row in rows):
+            break
+        rows = [x for row in rows for x in row]
     else:
-        row, size = (value, shape[0]) if shape else ([value], 1)
-        if isinstance(row, list) and len(row) == size and _NUMBER_TYPES.issuperset(map(type, row)):
+        if _NUMBER_TYPES.issuperset(map(type, rows)):
             try:
-                floats = tuple(map(float, row))
+                floats = tuple(map(float, rows))
                 if all(map(math.isfinite, floats)):
                     return floats if shape else floats[0]
             except OverflowError:  # an integer beyond the float range
@@ -375,13 +377,14 @@ def write_trajectory_csv(path, traj, decimation):
             f.write(("\n".join(map(",".join, zip(*cells))) + "\n").encode())
 
 
-# The matrices of certificate.json: key -> (IssCertificate field, shape for m branches)
-CERTIFICATE_MATRICES = {
+# The arrays of certificate.json: key -> (IssCertificate field, shape for m branches)
+CERTIFICATE_ARRAYS = {
     "p": ("p_mat", lambda m: (2, 2)),
     "lambda_diag": ("lam", lambda m: (m, 2)),
     "omega_diag": ("omega", lambda m: (m + 1, 2)),
     "phi": ("phi", lambda m: (2, 2)),
     "upsilon_diag": ("upsilon", lambda m: (m * (m + 1) // 2, 2)),
+    "resistance_interval": ("resistance_interval", lambda m: (2,)),
 }
 
 
@@ -392,8 +395,7 @@ def certificate_payload(cert, bank):
     return {
         "schema_version": SCHEMA_VERSION,
         "branch_count": cert.branch_count,
-        **{key: getattr(cert, name).tolist() for key, (name, _) in CERTIFICATE_MATRICES.items()},
-        "resistance_interval": list(cert.resistance_interval),
+        **{key: getattr(cert, name).tolist() for key, (name, _) in CERTIFICATE_ARRAYS.items()},
         "valid": bool(report.valid),
         "margins": {key: value for key, value in asdict(report).items() if key != "valid" and value is not None},
         "bank_fingerprint": bank_fingerprint(bank),
@@ -409,8 +411,8 @@ def load_certificate(path, bank):
     _expect_mapping(doc, "certificate")
     if doc.get("bank_fingerprint") != bank_fingerprint(bank):
         raise ConfigError("certificate.bank_fingerprint", "does not match the supplied bank")
-    _check_keys(doc, "certificate", required=("schema_version", "branch_count", *CERTIFICATE_MATRICES,
-                                              "resistance_interval", "valid", "margins", "bank_fingerprint"))
+    _check_keys(doc, "certificate", required=("schema_version", "branch_count", *CERTIFICATE_ARRAYS,
+                                              "valid", "margins", "bank_fingerprint"))
     _check_schema_version(doc["schema_version"], "certificate.schema_version")
     if doc["valid"] is not True:
         raise ConfigError("certificate.valid", f"must be true, got {doc['valid']!r}")
@@ -418,16 +420,15 @@ def load_certificate(path, bank):
     m = doc["branch_count"]
     if not _is_int(m) or m != bank.branch_count:
         raise ConfigError("certificate.branch_count", f"must be the bank's {bank.branch_count}, got {m!r}")
-    matrices = {name: np.reshape(_numbers(doc[key], shape(m), f"certificate.{key}"), shape(m))
-                for key, (name, shape) in CERTIFICATE_MATRICES.items()}
-    interval = _numbers(doc["resistance_interval"], (2,), "certificate.resistance_interval")
-    if not 0.0 < interval[0] <= interval[1]:
-        raise ConfigError("certificate.resistance_interval", f"must satisfy 0 < r_min <= r_max, got {list(interval)!r}")
-    cert = IssCertificate(**matrices, resistance_interval=interval)
+    cert = IssCertificate(**{name: np.reshape(_numbers(doc[key], shape(m), f"certificate.{key}"), shape(m))
+                             for key, (name, shape) in CERTIFICATE_ARRAYS.items()})
+    if not 0.0 < cert.resistance_interval[0] <= cert.resistance_interval[1]:
+        raise ConfigError("certificate.resistance_interval",
+                          f"must satisfy 0 < r_min <= r_max, got {cert.resistance_interval.tolist()!r}")
     violation = sign_class_violation(cert)
     if violation is not None:
         name, reason = violation
-        key = next(k for k, (attr, _) in CERTIFICATE_MATRICES.items() if attr == name)
+        key = next(k for k, (attr, _) in CERTIFICATE_ARRAYS.items() if attr == name)
         raise ConfigError(f"certificate.{key}", reason)
     return cert
 

@@ -145,19 +145,31 @@ def upsilon_pairs(m):
 
 
 def random_certificate(m, rng):
-    """Arbitrary well-formed (not necessarily valid) certificate matrices."""
+    """Arbitrary well-formed (not necessarily valid) certificate matrices, at the nominal r_g."""
     from vrgrid.certify import IssCertificate
 
     ups = rng.uniform(0.0, 2.0, (len(upsilon_pairs(m)), 2))
     p_mat = rng.uniform(-1.0, 1.0, (2, 2))
     phi = rng.uniform(-1.0, 1.0, (2, 2))
+    p = nominal_params()
     return IssCertificate(
         p_mat=0.5 * (p_mat + p_mat.T),
         lam=rng.uniform(0.0, 1.0, (m, 2)),
         omega=rng.uniform(0.0, 2.0, (m + 1, 2)),
         phi=0.5 * (phi + phi.T),
         upsilon=ups,
+        resistance_interval=(p.r_g, p.r_g),
     )
+
+
+def reverified(cfg, path):
+    """(valid, margins) of the certificate.json at ``path``, loaded for ``cfg``'s bank and verified
+    on its grid, in the file's form: ``margins`` without ``valid`` and a None slope."""
+    from vrgrid.certify import verify_certificate
+    from vrgrid.cli import load_certificate
+
+    report = dataclasses.asdict(verify_certificate(cfg.grid, cfg.bank, load_certificate(path, cfg.bank)))
+    return report.pop("valid"), {key: value for key, value in report.items() if value is not None}
 
 
 def passivity_ball(traj):

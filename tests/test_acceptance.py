@@ -173,7 +173,8 @@ def test_c05_negative_control():
         omega0 = 2.0 * (p.r_g / p.l_g) * np.eye(2) - np.eye(2)
         phi = 2.0 * p_mat @ np.linalg.inv(-(a.T + a + omega0)) @ p_mat
         cert = IssCertificate(p_mat=p_mat, lam=np.zeros((0, 2)),
-                              omega=np.diag(omega0)[None, :], phi=phi, upsilon=np.zeros((0, 2)))
+                              omega=np.diag(omega0)[None, :], phi=phi, upsilon=np.zeros((0, 2)),
+                              resistance_interval=(p.r_g, p.r_g))
         bank = VrBank(())
         assert verify_certificate(p, bank, cert).valid
 
@@ -237,7 +238,8 @@ def test_c07_scenario1_pipeline(tmp_path):
 
 
 def test_c08_scenario2_robustness():
-    from vrgrid.certify import search_certificate, verify_certificate
+    from vrgrid import linalg
+    from vrgrid.certify import assemble_psi, search_certificate, verify_certificate
     from vrgrid.sim import RandomResistance, integrate
 
     # RK4 at dt = 1e-6 s, where dt * (r_g + bank slope) / l_g < 0.01 along
@@ -256,9 +258,12 @@ def test_c08_scenario2_robustness():
             result = search_certificate(p, bank, interval)
             cert = result.certificate
             assert result.feasible and cert.report.varsigma > 0.0, f"{name}: no certificate of {interval}"
-            assert cert.resistance_interval == interval
+            np.testing.assert_array_equal(cert.resistance_interval, interval)
             for r_g in interval:
-                assert verify_certificate(replace(p, r_g=r_g), bank, cert).valid, f"{name}: not valid at r_g = {r_g}"
+                psi_ok, _ = linalg.is_neg_semidef(assemble_psi(replace(p, r_g=r_g), cert))
+                assert psi_ok, f"{name}: Psi not negative semidefinite at r_g = {r_g}"
+            # the interval is the certificate's: a grid at another r_g re-verifies it alike
+            assert verify_certificate(replace(p, r_g=10.0 * p.r_g), bank, cert) == cert.report, name
 
 
 def test_c09_gradient_condition_threshold():

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    CONFIG_DIR,
     PARAM_RANGES,
     both_axes,
     error_derivatives,
@@ -30,6 +31,7 @@ from vrgrid.certify import (
     sampled_gradient_check,
     verify_certificate,
 )
+from vrgrid.cli import load_config
 from vrgrid.plant import GridParams, system_matrix
 
 EMPTY = VrBank(())
@@ -49,19 +51,23 @@ def analytic_m0_certificate(p):
         omega=np.diag(omega0)[None, :],
         phi=phi,
         upsilon=np.zeros((0, 2)),
+        resistance_interval=(p.r_g, p.r_g),
     )
 
 
 def _cert(p_mat, lam, omega, phi, ups=None):
+    """Certificate at the nominal r_g, with zero Upsilon unless ``ups`` is given."""
     if ups is None:
         ups = np.zeros((len(upsilon_pairs(len(lam))), 2))
-    return IssCertificate(p_mat=p_mat, lam=lam, omega=omega, phi=phi, upsilon=ups)
+    p = nominal_params()
+    return IssCertificate(p_mat=p_mat, lam=lam, omega=omega, phi=phi, upsilon=ups,
+                          resistance_interval=(p.r_g, p.r_g))
 
 
 def test_certificate_copies_its_arrays():
     """The certificate is read-only, and the caller's arrays stay writable and apart from it."""
     fields = dict(p_mat=np.eye(2), lam=np.ones((1, 2)), omega=np.ones((2, 2)), phi=np.eye(2),
-                  upsilon=np.zeros((1, 2)))
+                  upsilon=np.zeros((1, 2)), resistance_interval=np.array([0.01, 0.03]))
     cert = IssCertificate(**fields)
     for name, arr in fields.items():
         arr[(0,) * arr.ndim] = 2.0
@@ -179,7 +185,7 @@ def test_lyapunov_positive_definite_under_lmi_p(rng, banks):
     increasing along rays."""
     p = nominal_params()
     bank = banks["multi_branch"]
-    cert = search_certificate(p, bank).certificate
+    cert = search_certificate(p, bank, (p.r_g, p.r_g)).certificate
     pts = rng.uniform(-100.0, 100.0, (100_000, 2))
     pts = pts[np.any(pts != 0.0, axis=1)]
     assert np.all(lyapunov_values(cert, bank, pts) > 0.0)
@@ -231,6 +237,7 @@ def test_verify_all_zero_certificate_invalid():
     zero = IssCertificate(
         p_mat=np.zeros((2, 2)), lam=np.zeros((0, 2)),
         omega=np.zeros((1, 2)), phi=np.zeros((2, 2)), upsilon=np.zeros((0, 2)),
+        resistance_interval=(p.r_g, p.r_g),
     )
     report = verify_certificate(p, EMPTY, zero)
     assert not report.valid
@@ -247,6 +254,7 @@ def test_verify_homogeneity():
         scaled = IssCertificate(
             p_mat=c * cert.p_mat, lam=c * cert.lam,
             omega=c * cert.omega, phi=c * cert.phi, upsilon=c * cert.upsilon,
+            resistance_interval=cert.resistance_interval,
         )
         rep = verify_certificate(p, EMPTY, scaled)
         assert rep.valid == base.valid
@@ -282,12 +290,24 @@ def test_verify_dimension_mismatch():
         sampled_gradient_check(p, ONE_LINEAR, analytic_m0_certificate(p), GradientCheckConfig(epsilon=1e-3))
 
 
+def test_verify_checks_the_interval_the_certificate_carries():
+    """certify_m1_linear's nominal certificate, widened to (0.1 r_g, r_g), breaks Psi at 0.1 r_g:
+    verify_certificate alone refuses it, whatever r_g the grid it is given has."""
+    cfg = load_config(CONFIG_DIR / "certify_m1_linear.json")
+    p = cfg.grid
+    cert = search_certificate(p, cfg.bank, (p.r_g, p.r_g)).certificate
+    assert cert.report.valid
+    rep = verify_certificate(p, cfg.bank, replace(cert, resistance_interval=(0.1 * p.r_g, p.r_g)))
+    assert not rep.valid and rep.psi == pytest.approx(1.149, abs=5e-4)
+    assert verify_certificate(replace(p, r_g=0.5 * p.r_g), cfg.bank, cert) == cert.report
+
+
 def test_iss_gain():
     """The report's slope is sqrt(alpha / varsigma), 2 / r_g for the closed form; None unless valid with varsigma > 0."""
     for r_g, l_g, m in [(0.0276, 3.67e-4, 0), (0.5, 2e-3, 1), (1e-3, 1e-2, 8)]:
         p = GridParams(r_g=r_g, l_g=l_g, frequency_hz=60.0)
         bank = VrBank(tuple(both_axes((VrElement("linear", 1.0),)) for _ in range(m)))
-        cert = search_certificate(p, bank).certificate
+        cert = search_certificate(p, bank, (p.r_g, p.r_g)).certificate
         rep = cert.report
         assert rep.valid and rep.iss_gain_slope == math.sqrt(rep.alpha / rep.varsigma)
         assert rep.iss_gain_slope == pytest.approx(2.0 / r_g, rel=1e-12)
@@ -304,7 +324,7 @@ def test_iss_gain():
 
 def test_search_m0_feasible():
     p = nominal_params()
-    result = search_certificate(p, EMPTY)
+    result = search_certificate(p, EMPTY, (p.r_g, p.r_g))
     assert result.feasible
     rep = result.certificate.report
     assert rep.sigma > 0 and rep.xi > 0 and rep.psi < 0
@@ -313,7 +333,7 @@ def test_search_m0_feasible():
 
 def test_search_m1_linear_feasible():
     p = nominal_params()
-    result = search_certificate(p, ONE_LINEAR)
+    result = search_certificate(p, ONE_LINEAR, (p.r_g, p.r_g))
     assert result.feasible
     assert result.certificate.report.psi <= -1e-6
     assert result.certificate.report.varsigma > 0.0
@@ -325,7 +345,7 @@ def test_search_preconditions():
     p = nominal_params()
     nine = VrBank(tuple(both_axes((VrElement("linear", 1.0),)) for _ in range(9)))
     with pytest.raises(ValueError, match="at most 8"):
-        search_certificate(p, nine)
+        search_certificate(p, nine, (p.r_g, p.r_g))
 
 
 def test_closed_form_certificate_sweep(rng):
@@ -343,7 +363,7 @@ def test_closed_form_certificate_sweep(rng):
     for r_g, l_g, f, m in points:
         p = GridParams(r_g=r_g, l_g=l_g, frequency_hz=f)
         bank = VrBank(tuple(both_axes((VrElement("linear", 1.0),)) for _ in range(m)))
-        rep = search_certificate(p, bank).certificate.report
+        rep = search_certificate(p, bank, (p.r_g, p.r_g)).certificate.report
         where = (r_g, l_g, f, m)
         assert rep.valid, where
         assert min(rep.sigma, rep.xi, -rep.psi, rep.varsigma) >= 1e-6, where
@@ -361,7 +381,7 @@ def test_closed_form_certificate_valid_over_decades():
     worst = -math.inf
     for r_g, l_g, f, bank in itertools.product(r_gs, l_gs, (1.0, 60.0, 1000.0), banks):
         p = GridParams(r_g=r_g, l_g=l_g, frequency_hz=f)
-        rep = search_certificate(p, bank).certificate.report
+        rep = search_certificate(p, bank, (p.r_g, p.r_g)).certificate.report
         assert rep.valid, (r_g, l_g, f, bank.branch_count, rep)
         worst = max(worst, rep.psi)
     # the largest scaled lambda_max of the sweep is -(1 - 1/sqrt(2))
@@ -372,7 +392,7 @@ def test_certified_pointwise_dissipation(rng, banks):
     """Valid certificate implies Vdot <= -varsigma|x|^2 + alpha|d|^2 pointwise."""
     p = nominal_params()
     for bank in (EMPTY, ONE_LINEAR, banks["multi_branch"]):
-        result = search_certificate(p, bank)
+        result = search_certificate(p, bank, (p.r_g, p.r_g))
         assert result.feasible
         cert, rep = result.certificate, result.certificate.report
         xs = rng.uniform(-100.0, 100.0, (30_000, 2))
@@ -444,7 +464,7 @@ def test_gradient_check_origin_contributes_zero():
 def test_gradient_check_accepts_certificate(banks):
     p = nominal_params()
     bank = banks["multi_branch"]
-    result = search_certificate(p, bank)
+    result = search_certificate(p, bank, (p.r_g, p.r_g))
     report = sampled_gradient_check(
         p, bank, result.certificate, GradientCheckConfig(epsilon=1e-4, grid_radius=20.0, grid_points=51)
     )
@@ -458,7 +478,7 @@ def test_gradient_check_counts_non_finite_points_as_violations():
     p = nominal_params()
     bank = VrBank((both_axes((VrElement("sinh", 1.0, 20.0),)),))
     with np.errstate(over="ignore", invalid="ignore"):
-        cert = search_certificate(p, bank).certificate
+        cert = search_certificate(p, bank, (p.r_g, p.r_g)).certificate
         report = sampled_gradient_check(p, bank, cert, GradientCheckConfig(epsilon=1e-3))
     assert math.isnan(report.max_value)
     assert not report.passes
@@ -515,7 +535,7 @@ def test_gradient_check_matches_full_grid_oracle(rng, grid_points, grid_radius):
             quad = rng.uniform(-1.0, 1.0, (2, 2))
             specs = [
                 random_certificate(m, rng),
-                search_certificate(p, bank).certificate,
+                search_certificate(p, bank, (p.r_g, p.r_g)).certificate,
                 np.array([[1.5, 0.3], [0.3, 0.8]]),
                 quad + quad.T,
             ]
@@ -534,7 +554,7 @@ def test_gradient_check_block_boundaries_match_oracle(rng):
     rows = BLOCK_POINTS // cfg.grid_points
     assert cfg.grid_points > 2 * rows and cfg.grid_points % rows  # >= 3 blocks, the last partial
     bank = _random_axis_bank(rng, 3)
-    for spec in (search_certificate(p, bank).certificate, np.array([[1.5, 0.3], [0.3, 0.8]])):
+    for spec in (search_certificate(p, bank, (p.r_g, p.r_g)).certificate, np.array([[1.5, 0.3], [0.3, 0.8]])):
         assert repr(sampled_gradient_check(p, bank, spec, cfg)) == repr(
             _full_grid_gradient_check(p, bank, spec, cfg))
 
@@ -562,7 +582,7 @@ def test_gradient_check_memory_is_blocked(banks):
     """A 1001-point grid (1e6 points) peaks at a few block-sized buffers."""
     p = nominal_params()
     bank = banks["multi_branch"]
-    cert = search_certificate(p, bank).certificate
+    cert = search_certificate(p, bank, (p.r_g, p.r_g)).certificate
     cfg = GradientCheckConfig(epsilon=1e-3, grid_points=1001)
     tracemalloc.start()
     try:

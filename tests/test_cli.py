@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import CONFIG_DIR, both_axes
+from conftest import CONFIG_DIR, both_axes, reverified
 from vrgrid.sim import SCENARIO_KINDS
 
 
@@ -764,46 +764,69 @@ def test_certificate_roundtrip_and_fingerprint_guard(tmp_path):
         load_certificate(out / "certificate.json", other)
 
 
+@pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("certify_*.json")), ids=lambda path: path.stem)
+def test_bundled_certificate_reverifies_to_its_file(tmp_path, capsys, path):
+    """A bundled certify config's certificate.json, loaded back and verified on the config's grid,
+    gives the verdict and margins it states: it is checked over the interval it carries."""
+    from vrgrid.cli import load_config, main
+
+    assert main(["certify", str(path), "--out", str(tmp_path / "o")]) == 0
+    capsys.readouterr()
+    doc = json.loads((tmp_path / "o" / "certificate.json").read_text())
+    assert reverified(load_config(path), tmp_path / "o" / "certificate.json") == (doc["valid"], doc["margins"])
+
+
+# the refusals of a 2x2 matrix and of one branch's (1, 2) array, whichever row breaks them
+TWO_BY_TWO, ONE_PAIR = "must be a list of 2 lists of 2 finite numbers", "must be a list of 1 lists of 2 finite numbers"
+
+
 def _upsilon_pairs(pairs):
     """A mutation that gives ``upsilon_diag`` (one pair for the one-branch bank) as ``pairs(first pair)``."""
     return lambda doc: {**doc, "upsilon_diag": pairs(doc["upsilon_diag"][0])}
 
 
-@pytest.mark.parametrize("mutate", [
-    pytest.param(lambda doc: {**doc, "branch_count": 1.7}, id="branch_count-1.7"),
-    pytest.param(lambda doc: {**doc, "branch_count": 2}, id="branch_count-2"),
-    pytest.param(_upsilon_pairs(lambda pair: []), id="upsilon_diag-one-pair-too-few"),
-    pytest.param(_upsilon_pairs(lambda pair: [pair, pair]), id="upsilon_diag-one-pair-too-many"),
-    pytest.param(_upsilon_pairs(lambda pair: pair), id="upsilon_diag-pair-not-in-a-list"),
-    pytest.param(_upsilon_pairs(lambda pair: [[*pair, 1.0]]), id="upsilon_diag-three-number-pair"),
-    pytest.param(_upsilon_pairs(lambda pair: [[str(pair[0]), pair[1]]]), id="upsilon_diag-string-entry"),
-    pytest.param(_upsilon_pairs(lambda pair: [[True, pair[1]]]), id="upsilon_diag-bool-entry"),
+@pytest.mark.parametrize("mutate, message", [
+    pytest.param(lambda doc: {**doc, "branch_count": 1.7}, None, id="branch_count-1.7"),
+    pytest.param(lambda doc: {**doc, "branch_count": 2}, None, id="branch_count-2"),
+    pytest.param(_upsilon_pairs(lambda pair: []), None, id="upsilon_diag-one-pair-too-few"),
+    pytest.param(_upsilon_pairs(lambda pair: [pair, pair]), None, id="upsilon_diag-one-pair-too-many"),
+    pytest.param(_upsilon_pairs(lambda pair: pair), None, id="upsilon_diag-pair-not-in-a-list"),
+    pytest.param(_upsilon_pairs(lambda pair: [[*pair, 1.0]]), ONE_PAIR, id="upsilon_diag-three-number-pair"),
+    pytest.param(_upsilon_pairs(lambda pair: [[str(pair[0]), pair[1]]]), ONE_PAIR, id="upsilon_diag-string-entry"),
+    pytest.param(_upsilon_pairs(lambda pair: [[True, pair[1]]]), ONE_PAIR, id="upsilon_diag-bool-entry"),
     # the record list an older writer gave: [{"s": 0, "l": 1, "diag": [...]}]
-    pytest.param(_upsilon_pairs(lambda pair: [{"s": 0, "l": 1, "diag": pair}]), id="record-list"),
-    pytest.param(lambda doc: {k: v for k, v in doc.items() if k != "phi"}, id="missing-phi"),
-    pytest.param(lambda doc: [doc], id="list-document"),
-    pytest.param(lambda doc: {**doc, "p": np.eye(3).tolist()}, id="p-3x3"),
-    pytest.param(lambda doc: {**doc, "phi": [[1.0]]}, id="phi-1x1"),
-    pytest.param(lambda doc: {**doc, "p": [["1", "0"], ["0", "1"]]}, id="p-strings"),
-    pytest.param(lambda doc: {**doc, "phi": [[True, False], [False, True]]}, id="phi-bools"),
+    pytest.param(_upsilon_pairs(lambda pair: [{"s": 0, "l": 1, "diag": pair}]), ONE_PAIR, id="record-list"),
+    pytest.param(lambda doc: {k: v for k, v in doc.items() if k != "phi"}, None, id="missing-phi"),
+    pytest.param(lambda doc: [doc], None, id="list-document"),
+    pytest.param(lambda doc: {**doc, "p": np.eye(3).tolist()}, None, id="p-3x3"),
+    pytest.param(lambda doc: {**doc, "phi": [[1.0]]}, None, id="phi-1x1"),
+    pytest.param(lambda doc: {**doc, "p": [["1", "0"], ["0", "1"]]}, TWO_BY_TWO, id="p-strings"),
+    # a malformed row is refused with the shape of the whole value
+    pytest.param(lambda doc: {**doc, "p": ["1 0", [0.0, 1.0]]}, TWO_BY_TWO, id="p-string-row"),
+    pytest.param(lambda doc: {**doc, "p": [[1.0], [0.0, 1.0]]}, TWO_BY_TWO, id="p-short-row"),
+    pytest.param(_upsilon_pairs(lambda pair: {"s": 0, "l": 1, "diag": pair}), ONE_PAIR, id="upsilon_diag-record"),
+    pytest.param(lambda doc: {**doc, "lambda_diag": [doc["lambda_diag"][0][:1]]}, ONE_PAIR,
+                 id="lambda_diag-one-number-row"),
+    pytest.param(lambda doc: {**doc, "phi": [[True, False], [False, True]]}, TWO_BY_TWO, id="phi-bools"),
     pytest.param(lambda doc: {**doc, "lambda_diag": [[row[0]] for row in doc["lambda_diag"] * 2]},
-                 id="lambda_diag-column"),
-    pytest.param(_upsilon_pairs(lambda pair: [[5.0]]), id="upsilon-diag-one-number"),
-    pytest.param(lambda doc: {**doc, "zz": 1}, id="unknown-key"),
-    pytest.param(lambda doc: {**doc, "schema_version": 7}, id="schema_version-7"),
-    pytest.param(lambda doc: {**doc, "valid": "maybe"}, id="valid-maybe"),
-    pytest.param(lambda doc: {**doc, "valid": False}, id="valid-false"),
-    pytest.param(lambda doc: {**doc, "margins": None}, id="margins-null"),
+                 None, id="lambda_diag-column"),
+    pytest.param(_upsilon_pairs(lambda pair: [[5.0]]), ONE_PAIR, id="upsilon-diag-one-number"),
+    pytest.param(lambda doc: {**doc, "zz": 1}, None, id="unknown-key"),
+    pytest.param(lambda doc: {**doc, "schema_version": 7}, None, id="schema_version-7"),
+    pytest.param(lambda doc: {**doc, "valid": "maybe"}, None, id="valid-maybe"),
+    pytest.param(lambda doc: {**doc, "valid": False}, None, id="valid-false"),
+    pytest.param(lambda doc: {**doc, "margins": None}, None, id="margins-null"),
     pytest.param(lambda doc: {**doc, "omega_diag": [[-v for v in row] for row in doc["omega_diag"]]},
-                 id="omega_diag-negated"),
-    pytest.param(_upsilon_pairs(lambda pair: [[-1.0, 0.0]]), id="upsilon-diag-negative"),
-    pytest.param(lambda doc: {**doc, "p": [[1.0, 0.5], [0.0, 1.0]]}, id="p-asymmetric"),
-    pytest.param(lambda doc: {**doc, "phi": [[1.0, 0.0], [0.0, -1.0]]}, id="phi-indefinite"),
+                 None, id="omega_diag-negated"),
+    pytest.param(_upsilon_pairs(lambda pair: [[-1.0, 0.0]]), None, id="upsilon-diag-negative"),
+    pytest.param(lambda doc: {**doc, "p": [[1.0, 0.5], [0.0, 1.0]]}, None, id="p-asymmetric"),
+    pytest.param(lambda doc: {**doc, "phi": [[1.0, 0.0], [0.0, -1.0]]}, None, id="phi-indefinite"),
 ])
-def test_load_certificate_refuses_malformed(tmp_path, capsys, mutate):
-    """A malformed certificate raises ValueError on the field of the key it breaks, not a raw
-    KeyError, TypeError, AttributeError or IndexError, and does not load with a wrapped,
-    truncated or overwritten index. A wrong fingerprint is still the first refusal."""
+def test_load_certificate_refuses_malformed(tmp_path, capsys, mutate, message):
+    """A malformed certificate raises ValueError on the field of the key it breaks (with exactly
+    ``message``, where given), not a raw KeyError, TypeError, AttributeError or IndexError, and does
+    not load with a wrapped, truncated or overwritten index. A wrong fingerprint is still the first
+    refusal."""
     from vrgrid.bank import VrBank, VrElement
     from vrgrid.cli import load_certificate, main
 
@@ -820,8 +843,10 @@ def test_load_certificate_refuses_malformed(tmp_path, capsys, mutate):
         field += f".{key}"
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(bad))
-    with pytest.raises(ValueError, match=rf"^{re.escape(field)}: "):
+    with pytest.raises(ValueError, match=rf"^{re.escape(field)}: ") as info:
         load_certificate(path, bank)
+    if message is not None:
+        assert str(info.value) == f"{field}: {message}"
     if isinstance(bad, dict):
         path.write_text(json.dumps({**bad, "bank_fingerprint": "0" * 64}))
         with pytest.raises(ValueError, match="fingerprint"):
@@ -916,7 +941,7 @@ def test_closed_form_certificate_round_trip(tmp_path, capsys, m):
     assert main(["certify", str(path), "--out", str(tmp_path / "o")]) == 0
     capsys.readouterr()
     cfg = load_config(path)
-    cert = search_certificate(cfg.grid, cfg.bank).certificate
+    cert = search_certificate(cfg.grid, cfg.bank, (cfg.grid.r_g, cfg.grid.r_g)).certificate
     written = (tmp_path / "o" / "certificate.json").read_bytes()
 
     loaded = load_certificate(tmp_path / "o" / "certificate.json", cfg.bank)
@@ -938,7 +963,7 @@ def test_readme_certificate_fields_match_payload():
     readme = (CONFIG_DIR.parent / "README.md").read_text()
     block = re.search(r"certificate.json`\s+bytes\. Its fields:\n(.*?)\n\n", readme, re.S).group(1)
     cfg = load_config(CONFIG_DIR / "certify_m1_linear.json")
-    payload = certificate_payload(search_certificate(cfg.grid, cfg.bank).certificate, cfg.bank)
+    payload = certificate_payload(search_certificate(cfg.grid, cfg.bank, (cfg.grid.r_g, cfg.grid.r_g)).certificate, cfg.bank)
     assert payload["valid"]
     keys = {*payload, *payload["margins"]}
     assert set(re.findall(r"`(\w+)`", block)) == keys
@@ -1277,10 +1302,16 @@ def test_readme_cli_synopsis_matches_parser():
 
 
 def test_ci_workflow_runs_the_bundled_configs():
-    """Every configs/ path the CI workflow names exists, and the fallback job's warnings-as-errors
-    step (``python -W error -m vrgrid <command> <config>``) runs every bundled certify config."""
+    """Every configs/ path the CI workflow names exists, the fallback job's warnings-as-errors
+    step (``python -W error -m vrgrid <command> <config>``) runs every bundled certify config, and
+    every job bounds its run time. The file is read as text: PyYAML is not a dependency."""
     root = CONFIG_DIR.parent
     workflow = (root / ".github" / "workflows" / "tests.yml").read_text()
+    jobs = re.split(r"^  ([\w-]+):\n", workflow.split("\njobs:\n", 1)[1], flags=re.M)[1:]
+    assert len(jobs) >= 2 and len(jobs) % 2 == 0
+    untimed = [name for name, body in zip(jobs[::2], jobs[1::2])
+               if not re.search(r"^    timeout-minutes: [1-9]\d*$", body, re.M)]
+    assert untimed == [], f"jobs without timeout-minutes: {untimed}"
     named = set(re.findall(r"configs/[\w./-]*[\w-]", workflow))
     assert named and {path for path in named if not (root / path).exists()} == set()
     fallback = re.search(r"\n  fallback:\n(.*?)\n  \w+:\n", workflow, re.S).group(1)

@@ -224,7 +224,7 @@ def test_metrics_constant_and_zero_signals():
 def test_check_dissipation_zero_case(banks):
     p = nominal_params()
     bank = banks["multi_branch"]
-    result = search_certificate(p, bank)
+    result = search_certificate(p, bank, (p.r_g, p.r_g))
     sc = ConstantOffset(t_end=1e-3, dt=1e-6)
     traj = integrate(p, bank, sc, cert=result.certificate)
     rep = check_dissipation(traj, result.certificate)
@@ -234,7 +234,7 @@ def test_check_dissipation_zero_case(banks):
 def test_check_dissipation_scenario1_and_corruption(banks):
     p = nominal_params()
     bank = VrBank((both_axes((VrElement("linear", 1.0),)),))
-    result = search_certificate(p, bank)
+    result = search_certificate(p, bank, (p.r_g, p.r_g))
     assert result.feasible
     sc = VoltagePulse(t_end=0.15, dt=1e-6)
     traj = integrate(p, bank, sc, cert=result.certificate)
@@ -252,7 +252,7 @@ def test_check_dissipation_scenario1_and_corruption(banks):
 def test_check_dissipation_requires_logs(banks):
     p = nominal_params()
     bank = banks["linear"]
-    result = search_certificate(p, bank)
+    result = search_certificate(p, bank, (p.r_g, p.r_g))
     sc = ConstantOffset(t_end=1e-3, dt=1e-6)
     with pytest.raises(ValueError, match="Lyapunov log"):
         check_dissipation(integrate(p, bank, sc), result.certificate)
@@ -266,7 +266,7 @@ def test_check_dissipation_requires_logs(banks):
 def test_check_dissipation_counts_nonfinite_steps(banks, v_lyap):
     """A step whose excess is not <= tol is a violation, NaN and inf included."""
     p = nominal_params()
-    cert = search_certificate(p, banks["linear"]).certificate
+    cert = search_certificate(p, banks["linear"], (p.r_g, p.r_g)).certificate
     n = len(v_lyap)
     traj = Trajectory(times=np.arange(n) * 1e-6, i_err=np.ones((n, 2)), v_dist=np.zeros((n, 2)),
                       r_g=np.full(n, p.r_g), v_lyap=np.array(v_lyap))

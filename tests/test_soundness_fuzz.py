@@ -14,7 +14,8 @@ dissipation violation. Two outcomes are counted (``hypothesis.event``), not
 failed: a certificate found infeasible before integration (exit 4 with no
 metrics.json) and a numeric abort (exit 3). Every grid resistance of the
 run's profile must lie in the scenario's ``resistance_range``, the interval
-the certificate covers.
+the certificate covers, and the certificate, loaded back and verified on
+the run's grid, must give the verdict and margins its file states.
 """
 
 import contextlib
@@ -28,7 +29,7 @@ from pathlib import Path
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import EXAMPLE_TABLE
+from conftest import EXAMPLE_TABLE, reverified
 from vrgrid._kernels import ELEMENT_KINDS
 from vrgrid.cli import load_config, main
 from vrgrid.sim import SCENARIO_KINDS, disturbance_profile
@@ -126,4 +127,5 @@ def test_certified_run_keeps_its_certificate(doc):
         assert dissipation["n_violations"] == 0 and math.isfinite(dissipation["worst_margin"])
         certificate = json.loads((out / "certificate.json").read_text())
         assert certificate["valid"] and certificate["resistance_interval"] == [r_min, r_max]
+        assert reverified(cfg, out / "certificate.json") == (certificate["valid"], certificate["margins"])
         event("certified run kept its inequality (exit 0)")
