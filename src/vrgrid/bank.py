@@ -50,7 +50,6 @@ _PROBE_MIN = _PROBE_MAX * 1e-9
 _PROBE_SAMPLES = 128
 _PROBE_MAGS = np.geomspace(_PROBE_MIN, _PROBE_MAX, _PROBE_SAMPLES)
 _PROBE_XS = np.concatenate([-_PROBE_MAGS[::-1], _PROBE_MAGS])
-_PROBE_PTS = np.column_stack([_PROBE_XS, _PROBE_XS])
 
 
 class SectorViolation(ValueError):
@@ -138,14 +137,21 @@ class VrBank:
         return [b.to_config() for b in self.branches]
 
 
+def _element_sums(elements, xs, column):
+    """Sum of each element's ``column`` of its kind row (``values`` or ``primitives``) on the
+    samples ``xs`` of one axis, added in element order from zeros."""
+    out = np.zeros_like(xs)
+    for e in elements:
+        out += getattr(ELEMENT_KINDS[e.kind], column)(e.p1, e.p2, xs)
+    return out
+
+
 def _axis_sums(branch, pts, column):
-    """Per-axis sums of each element's ``column`` of its kind row (``values`` or
-    ``primitives``), over a branch's elements, on (N, 2) points."""
+    """Per-axis :func:`_element_sums` of a branch's elements on (N, 2) points."""
     pts = np.asarray(pts, dtype=float)
-    out = np.zeros_like(pts)
+    out = np.empty_like(pts)
     for axis, elements in enumerate((branch.elements_d, branch.elements_q)):
-        for e in elements:
-            out[..., axis] += getattr(ELEMENT_KINDS[e.kind], column)(e.p1, e.p2, pts[..., axis])
+        out[..., axis] = _element_sums(elements, pts[..., axis], column)
     return out
 
 
@@ -169,18 +175,20 @@ def classify_bank(bank):
 
     The grid is symmetric about zero (zero excluded), with
     ``_PROBE_SAMPLES`` log-spaced magnitudes from ``_PROBE_MIN`` to
-    ``_PROBE_MAX`` on each side. Each branch is evaluated once on the grid
-    as (x, x) points, and its d axis is checked before its q axis; an
-    overflowed value or product is +-inf and counts by its sign. A
-    violation raises :class:`SectorViolation` naming branch, axis and sample.
+    ``_PROBE_MAX`` on each side. Each distinct axis of a branch is summed
+    once on the grid, its d axis before its q axis, and q is skipped when it
+    holds the d elements; an overflowed value or product is +-inf and counts
+    by its sign. A violation raises :class:`SectorViolation` naming branch,
+    axis and sample.
     """
     for idx, branch in enumerate(bank.branches):
-        vals = branch_values(branch, _PROBE_PTS)
-        for col, axis in enumerate("dq"):
-            bad = np.flatnonzero(~(_PROBE_XS * vals[:, col] > 0.0))
+        distinct = (branch.elements_d,) if branch.same_both_axes else (branch.elements_d, branch.elements_q)
+        for axis, elements in zip("dq", distinct):
+            vals = _element_sums(elements, _PROBE_XS, "values")
+            bad = np.flatnonzero(~(_PROBE_XS * vals > 0.0))
             if bad.size:
                 i = bad[0]
-                raise SectorViolation(idx, axis, float(_PROBE_XS[i]), float(vals[i, col]))
+                raise SectorViolation(idx, axis, float(_PROBE_XS[i]), float(vals[i]))
 
 
 def flatten_bank(bank):

@@ -52,9 +52,9 @@ certificate outside the float64 range.
 """
 
 import math
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import reduce
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -76,9 +76,12 @@ class CertificateError(ValueError):
     """Raised when (r_g, l_g, omega_g) put the closed-form certificate outside the float64 range."""
 
 
-@dataclass(frozen=True)
-class VerifyReport:
-    """Outcome of checking one certificate: ``valid``, then the ``margins`` record of certificate.json."""
+class VerifyReport(NamedTuple):
+    """Outcome of checking one certificate: ``valid``, then the ``margins`` record of certificate.json.
+
+    A NamedTuple, as every record without a ``__post_init__`` check: ``_asdict()`` and ``_replace()``
+    stand for ``dataclasses.asdict`` and ``replace``, which do not apply to it.
+    """
 
     valid: bool
     sigma: float              # lambda_min of P + sum Lambda_k
@@ -178,11 +181,14 @@ def assemble_psi(p, cert):
     for k in range(1, m + 1):
         psi[rows[k], rows[k]] = np.diag(-2.0 * inv_lg * lam[k - 1] + omega[k])
         put(k, m + 1, np.diag(lam[k - 1]))
-    for s, l, ups in zip(*np.triu_indices(m + 1, 1), upsilon):
-        if s == 0:
-            put(0, l, -inv_lg * p_mat + a_mat.T @ np.diag(lam[l - 1]) + np.diag(ups))
-        else:
-            put(s, l, np.diag(-inv_lg * (lam[s - 1] + lam[l - 1]) + ups))
+    for l, ups in zip(range(1, m + 1), upsilon):  # the pairs (0, l) lead the rows of upsilon
+        put(0, l, -inv_lg * p_mat + a_mat.T @ np.diag(lam[l - 1]) + np.diag(ups))
+    # the pairs (s, l) with s >= 1 are diagonal blocks: both axes of all of them at once
+    s, l = (index[m:] for index in np.triu_indices(m + 1, 1))
+    diag = -inv_lg * (lam[s - 1] + lam[l - 1]) + upsilon[m:]
+    i, j = 2 * s[:, None] + (0, 1), 2 * l[:, None] + (0, 1)
+    psi[i, j] = diag
+    psi[j, i] = diag
     put(0, m + 1, p_mat)
     psi[rows[m + 1], rows[m + 1]] = -cert.phi
     return psi
@@ -230,8 +236,7 @@ def verify_certificate(p, bank, cert):
 # Closed-form certificate
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(NamedTuple):
     certificate: IssCertificate   # its ``report`` decides ``feasible``
     feasible: bool
     starts_run: int
@@ -302,7 +307,7 @@ def search_certificate(p, bank, resistance_interval):
         report = verify_certificate(p, bank, cert)
     except ValueError as exc:  # a non-finite product of finite entries
         raise out_of_range(exc) from None
-    for name, value in asdict(report).items():
+    for name, value in report._asdict().items():
         if isinstance(value, float) and not math.isfinite(value):
             raise out_of_range(f"margins.{name} is not finite")
     return SearchResult(certificate=replace(cert, report=report), feasible=report.valid, starts_run=1)
@@ -331,8 +336,7 @@ class GradientCheckConfig:
             raise ValueError("grid_points must be an odd count >= 11 (grid must contain the origin)")
 
 
-@dataclass(frozen=True)
-class GradientCheckReport:
+class GradientCheckReport(NamedTuple):
     passes: bool
     max_value: float
     max_point: tuple

@@ -26,9 +26,10 @@ import math
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import MISSING, asdict, dataclass, fields
+from dataclasses import MISSING, fields
 from itertools import chain, repeat
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -186,9 +187,10 @@ def _field_value(section, path, key, field_type):
 def _read_fields(section, path, cls, required=()):
     """``cls`` from the keys of ``section``: its fields, each read by its type. Fields without a
     default and the keys ``required`` must be given; a range error of ``cls`` is on ``path``."""
-    _check_keys(section, path, required=[*required, *(f.name for f in fields(cls) if f.default is MISSING)],
-                optional=[f.name for f in fields(cls)])
-    values = {f.name: _field_value(section, path, f.name, f.type) for f in fields(cls) if f.name in section}
+    cls_fields = fields(cls)
+    _check_keys(section, path, required=[*required, *(f.name for f in cls_fields if f.default is MISSING)],
+                optional=[f.name for f in cls_fields])
+    values = {f.name: _field_value(section, path, f.name, f.type) for f in cls_fields if f.name in section}
     try:
         return cls(**values)
     except ValueError as exc:
@@ -229,8 +231,7 @@ def _parse_output(section):
     return {"directory": directory, "decimation": decimation}
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     name: str
     grid: GridParams
     bank: VrBank
@@ -397,7 +398,7 @@ def certificate_payload(cert, bank):
         "branch_count": cert.branch_count,
         **{key: getattr(cert, name).tolist() for key, (name, _) in CERTIFICATE_ARRAYS.items()},
         "valid": bool(report.valid),
-        "margins": {key: value for key, value in asdict(report).items() if key != "valid" and value is not None},
+        "margins": {key: value for key, value in report._asdict().items() if key != "valid" and value is not None},
         "bank_fingerprint": bank_fingerprint(bank),
     }
 
@@ -504,9 +505,9 @@ def _simulate(cfg, run_dir, name=None):
     except SimulationAbort as exc:
         raise NumericAbort(numeric, str(exc)) from exc
     metrics = compute_metrics(traj, cfg.scenario)
-    metrics_doc = asdict(metrics)
+    metrics_doc = metrics._asdict()
     if cert is not None:
-        metrics_doc["dissipation"] = asdict(check_dissipation(traj, cert))
+        metrics_doc["dissipation"] = check_dissipation(traj, cert)._asdict()
     for prefix, record in (("", metrics_doc), ("dissipation.", metrics_doc.get("dissipation", {}))):
         for key, value in record.items():
             if isinstance(value, float) and not math.isfinite(value):

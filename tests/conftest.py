@@ -168,7 +168,7 @@ def reverified(cfg, path):
     from vrgrid.certify import verify_certificate
     from vrgrid.cli import load_certificate
 
-    report = dataclasses.asdict(verify_certificate(cfg.grid, cfg.bank, load_certificate(path, cfg.bank)))
+    report = verify_certificate(cfg.grid, cfg.bank, load_certificate(path, cfg.bank))._asdict()
     return report.pop("valid"), {key: value for key, value in report.items() if value is not None}
 
 

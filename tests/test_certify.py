@@ -21,6 +21,7 @@ from vrgrid._kernels import ELEMENT_KINDS
 from vrgrid.bank import VrBank, VrBranch, VrElement, bank_values, branch_values
 from vrgrid.certify import (
     BLOCK_POINTS,
+    MAX_BRANCHES,
     GradientCheckConfig,
     GradientCheckReport,
     IssCertificate,
@@ -159,6 +160,45 @@ def test_assemble_psi_zero_certificate():
     cert = _cert(np.zeros((2, 2)), np.zeros((1, 2)), np.zeros((2, 2)), np.zeros((2, 2)))
     psi = assemble_psi(p, cert)
     np.testing.assert_array_equal(psi, np.zeros((6, 6)))
+
+
+def _psi_per_block(p, cert):
+    """Psi written one block at a time, each Upsilon_{s,l} by its own pair of block writes: the
+    reference construction that :func:`assemble_psi` must match bit for bit."""
+    m = cert.branch_count
+    a_mat = system_matrix(p)
+    inv_lg = 1.0 / p.l_g
+    p_mat, lam, omega, upsilon = cert.p_mat, cert.lam, cert.omega, cert.upsilon
+    psi = np.zeros((2 * m + 4, 2 * m + 4))
+    rows = [slice(2 * i, 2 * i + 2) for i in range(m + 2)]
+
+    def put(i, j, block):
+        psi[rows[i], rows[j]] = block
+        psi[rows[j], rows[i]] = block.T
+
+    ap = a_mat.T @ p_mat
+    psi[rows[0], rows[0]] = ap + ap.T + np.diag(omega[0])
+    for k in range(1, m + 1):
+        psi[rows[k], rows[k]] = np.diag(-2.0 * inv_lg * lam[k - 1] + omega[k])
+        put(k, m + 1, np.diag(lam[k - 1]))
+    for (s, l), ups in zip(upsilon_pairs(m), upsilon):
+        if s == 0:
+            put(0, l, -inv_lg * p_mat + a_mat.T @ np.diag(lam[l - 1]) + np.diag(ups))
+        else:
+            put(s, l, np.diag(-inv_lg * (lam[s - 1] + lam[l - 1]) + ups))
+    put(0, m + 1, p_mat)
+    psi[rows[m + 1], rows[m + 1]] = -cert.phi
+    return psi
+
+
+def test_assemble_psi_matches_per_block_construction(rng):
+    """Every branch count the certificate construction accepts, on random grids and certificates."""
+    for m in range(MAX_BRANCHES + 1):
+        for _ in range(4):
+            p = replace(nominal_params(), r_g=10.0 ** rng.uniform(-3.0, 1.0), l_g=10.0 ** rng.uniform(-5.0, -1.0))
+            cert = random_certificate(m, rng)
+            cert = replace(cert, lam=cert.lam * 10.0 ** rng.uniform(-3.0, 3.0, (m, 2)))
+            assert assemble_psi(p, cert).tobytes() == _psi_per_block(p, cert).tobytes(), m
 
 
 def _direct_expansion(p, bank, cert, xs, ds):

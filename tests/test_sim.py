@@ -244,7 +244,7 @@ def test_check_dissipation_scenario1_and_corruption(banks):
 
     # negative control: inflating the decay rate by 100x must surface violations
     rep = result.certificate.report
-    corrupted = replace(result.certificate, report=replace(rep, varsigma=100.0 * rep.varsigma))
+    corrupted = replace(result.certificate, report=rep._replace(varsigma=100.0 * rep.varsigma))
     dirty = check_dissipation(traj, corrupted)
     assert dirty.n_violations > 0
 

@@ -6,10 +6,14 @@ A helper that only tests call fails here; such helpers live in
 ``tests/conftest.py``. ``vrgrid/__init__.py`` binds only ``__version__``, so
 each name has one import path: its submodule. A name with a leading
 underscore is private to its module: no sibling imports it. ``cli.main`` is
-the one function that sets numpy's floating-point error state.
+the one function that sets numpy's floating-point error state. A dataclass
+checks its fields in ``__post_init__``; a record without a check is a
+``typing.NamedTuple``.
 """
 
 import ast
+import dataclasses
+import importlib
 import re
 
 from conftest import REPO_ROOT
@@ -78,3 +82,23 @@ def test_only_main_sets_numpy_error_state():
         found += [f"{path.stem}.{scope.get(node, '<module>')}" for node in ast.walk(tree)
                   if isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] in ("errstate", "seterr")]
     assert found == ["cli.main"]
+
+
+def test_only_checked_records_are_dataclasses():
+    """Every dataclass of ``src/vrgrid`` has a ``__post_init__``, its own or inherited. Any other
+    class that declares annotated fields is a ``typing.NamedTuple``, which costs every command ~10x
+    less to define at import than a frozen dataclass."""
+    misplaced = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem.startswith("__"):
+            continue
+        module = importlib.import_module(f"vrgrid.{path.stem}")
+        for cls in vars(module).values():
+            if not isinstance(cls, type) or cls.__module__ != module.__name__:
+                continue
+            if dataclasses.is_dataclass(cls):
+                if not hasattr(cls, "__post_init__"):
+                    misplaced.append(f"{path.stem}.{cls.__name__}: a dataclass without __post_init__")
+            elif cls.__dict__.get("__annotations__") and not (issubclass(cls, tuple) and hasattr(cls, "_fields")):
+                misplaced.append(f"{path.stem}.{cls.__name__}: a record that is not a NamedTuple")
+    assert not misplaced, misplaced
