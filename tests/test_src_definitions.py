@@ -86,7 +86,7 @@ def test_only_main_sets_numpy_error_state():
 
 def test_only_checked_records_are_dataclasses():
     """Every dataclass of ``src/vrgrid`` has a ``__post_init__``, its own or inherited. Any other
-    class that declares annotated fields is a ``typing.NamedTuple``, which costs every command ~10x
+    class that declares annotated fields is a ``typing.NamedTuple``, which costs every command ~8x
     less to define at import than a frozen dataclass."""
     misplaced = []
     for path in sorted(SRC.glob("*.py")):
