@@ -5,7 +5,7 @@ scalar expression, vector map and primitive. It lives beside
 ``element_value`` because ``vrgrid.bank`` and the integrators both import
 this module. A kind has two scalar forms: the ``element_value`` branch,
 which numba compiles with static dispatch and the tests take as the
-reference, and the row's ``expr``, which the generated fallback loop
+reference, and the row's ``expr``, which the generated fallback step
 inlines. The vector map is a third form: saturation's conditional
 expression takes no arrays, and on one float ``np.clip`` costs about 4 us
 against 55 ns for that expression (Python 3.11).
@@ -18,21 +18,14 @@ only slower.
 
 As plain Python, ``rk4_loop`` pays for a ``series_sum`` ->
 ``element_value`` dispatch on numpy scalars four times per axis per step.
-The fallback integrator is therefore ``specialized_rk4_loop``:
-``build_rk4_loop`` generates the RK4 loop for one bank, with every element
-inlined from its row's ``expr`` as a Python-float expression, and computes
-the same trajectory bit for bit, with fewer float operations per step (the
-element sums drop the generic loop's ``0.0 +`` head, which is exact once
-the disturbance is read as ``v + 0.0``). The generated loop walks the
-horizon one run at a time, a run being a block of steps whose inputs
-(resistance and both disturbance axes) are bit-identical, and reads those
-inputs once per run. When the first step of a run leaves the state
-bit-identical (an exact equilibrium, such as the zero state before a
-disturbance arrives), the rest of the run is that state and is filled
-without stepping. ``vrgrid.sim`` picks one of the two by
-``NUMBA_ENABLED``; the uncompiled ``rk4_loop`` stays the reference that
-the tests compare against. ``perfbench/run.py --trace 1`` reports the
-loop's us/step per bundled bank.
+The fallback integrator is therefore ``specialized_rk4_loop``, plain code
+that walks the horizon one run of bit-identical inputs at a time and skips
+runs that hold an exact equilibrium. Only its RK4 step depends on the bank:
+``build_rk4_loop`` generates it with every element inlined from its row's
+``expr``, and the walk computes ``rk4_loop``'s trajectory bit for bit.
+``vrgrid.sim`` picks one of the two by ``NUMBA_ENABLED``; the uncompiled
+``rk4_loop`` stays the reference that the tests compare against.
+``perfbench/run.py --trace 1`` reports the loop's us/step per bundled bank.
 """
 
 import math
@@ -97,7 +90,10 @@ def _tanh_primitive(a, b, xs):
 def _saturation_primitive(k, x_sat, xs):
     a = np.abs(xs)
     inside = 0.5 * k * xs ** 2
-    outside = k * x_sat * a - 0.5 * k * x_sat ** 2
+    try:
+        outside = k * x_sat * a - 0.5 * k * x_sat ** 2
+    except OverflowError:  # Python raises past about 1.3e154 where numpy gives inf
+        outside = k * x_sat * a - math.inf
     return np.where(a <= x_sat, inside, outside)
 
 
@@ -180,100 +176,63 @@ def rk4_loop(y0d, y0q, dt, n_steps, lg, wg, rg_seq, dist_d, dist_q,
 
 
 _RK4_SOURCE = """
-def run(y0d, y0q, dt, n_steps, lg, wg, rg_seq, dist_d, dist_q):
+def steps(od, oq, first, last, yd, yq, a, vd, vq, dt, wg, inv_lg):
     {names} = bound
-    out = np.empty((n_steps + 1, 2))
-    od, oq = map(memoryview, out.T)
-    bd, bq = map(memoryview, out.view(np.uint64).T)
-    inputs = [np.asarray(x, dtype=np.float64)[:n_steps] for x in (rg_seq, dist_d, dist_q)]
-    rg, dd, dq = map(memoryview, inputs)
-    # a run is a block of steps whose inputs are bit-identical; edge marks
-    # the first step of each run, and n_steps ends the last one
-    edge = np.zeros(n_steps + 1, dtype=bool)
-    edge[[0, -1]] = True
-    for x in inputs:
-        bits = x.view(np.uint64)
-        edge[1:n_steps] |= bits[1:] != bits[:-1]
-    bounds = np.flatnonzero(edge)
-    yd = od[0] = float(y0d)
-    yq = oq[0] = float(y0q)
-    dt = float(dt)
-    h = 0.5 * dt
-    c = dt / 6.0
-    wg = float(wg)
-    mwg = -wg
-    inv_lg = 1.0 / float(lg)
+    h, c, mwg = 0.5 * dt, dt / 6.0, -wg
     try:
-        for s, e in zip(memoryview(bounds[:-1]), memoryview(bounds[1:])):
-            a = -rg[s] * inv_lg
-            # + 0.0 turns -0.0 into 0.0 and keeps every other value, so the
-            # element sums need no 0.0 head (see build_rk4_loop)
-            vd = dd[s] + 0.0
-            vq = dq[s] + 0.0
-            # steps s .. e - 1 write rows s + 1 .. e; the first step goes
-            # alone, so that only it is followed by the stationary check
-            for rows in (range(s + 1, s + 2), range(s + 2, e + 1)):
-                for n in rows:
-                    k1d = a * yd + wg * yq - inv_lg * ({sd_yd})
-                    k1q = mwg * yd + a * yq - inv_lg * ({sq_yq})
+        for n in range(first, last + 1):
+            k1d = a * yd + wg * yq - inv_lg * ({sd_yd})
+            k1q = mwg * yd + a * yq - inv_lg * ({sq_yq})
 
-                    td = yd + h * k1d
-                    tq = yq + h * k1q
-                    k2d = a * td + wg * tq - inv_lg * ({sd_td})
-                    k2q = mwg * td + a * tq - inv_lg * ({sq_tq})
+            td = yd + h * k1d
+            tq = yq + h * k1q
+            k2d = a * td + wg * tq - inv_lg * ({sd_td})
+            k2q = mwg * td + a * tq - inv_lg * ({sq_tq})
 
-                    td = yd + h * k2d
-                    tq = yq + h * k2q
-                    k3d = a * td + wg * tq - inv_lg * ({sd_td})
-                    k3q = mwg * td + a * tq - inv_lg * ({sq_tq})
+            td = yd + h * k2d
+            tq = yq + h * k2q
+            k3d = a * td + wg * tq - inv_lg * ({sd_td})
+            k3q = mwg * td + a * tq - inv_lg * ({sq_tq})
 
-                    td = yd + dt * k3d
-                    tq = yq + dt * k3q
-                    k4d = a * td + wg * tq - inv_lg * ({sd_td})
-                    k4q = mwg * td + a * tq - inv_lg * ({sq_tq})
+            td = yd + dt * k3d
+            tq = yq + dt * k3q
+            k4d = a * td + wg * tq - inv_lg * ({sd_td})
+            k4q = mwg * td + a * tq - inv_lg * ({sq_tq})
 
-                    yd = yd + c * (k1d + 2.0 * k2d + 2.0 * k3d + k4d)
-                    yq = yq + c * (k1q + 2.0 * k2q + 2.0 * k3q + k4q)
-                    od[n] = yd
-                    oq[n] = yq
-                    # x - x is 0.0 for a finite x and nan otherwise
-                    if yd - yd != yq - yq:
-                        return out, n
-                # a step is a pure function of the state and the run's
-                # inputs, so a state its first step leaves bit-identical
-                # (-0.0 is not 0.0) stays so for the rest of the run
-                if n == s + 1 and bd[s] == bd[n] and bq[s] == bq[n]:
-                    out[n + 1:e + 1] = out[n]
-                    break
+            yd = yd + c * (k1d + 2.0 * k2d + 2.0 * k3d + k4d)
+            yq = yq + c * (k1q + 2.0 * k2q + 2.0 * k3q + k4q)
+            od[n] = yd
+            oq[n] = yq
+            if yd - yd != yq - yq:
+                return yd, yq, n
     except OverflowError:
         # math.sinh raises where numba's sinh returns inf: the same abort
         od[n] = oq[n] = nan
-        return out, n
-    return out, -1
+        return yd, yq, n
+    return yd, yq, -1
 """
 
 
 def build_rk4_loop(codes_d, p1_d, p2_d, codes_q, p1_q, p2_q):
-    """Generate ``rk4_loop`` for one bank as straight-line Python.
+    """Generate the RK4 step of ``rk4_loop`` for one bank as straight-line Python.
 
-    Takes the ``flatten_bank`` arrays and returns ``run(y0d, y0q, dt,
-    n_steps, lg, wg, rg_seq, dist_d, dist_q)``, which returns what
-    ``rk4_loop`` returns for that bank, bit for bit. Each
+    Takes the ``flatten_bank`` arrays and returns ``steps(od, oq, first,
+    last, yd, yq, a, vd, vq, dt, wg, inv_lg)``: from the state ``(yd, yq)``
+    of row ``first - 1`` and with the inputs held, it writes rows ``first ..
+    last`` of the ``memoryview``s ``od`` and ``oq`` and returns the state
+    and the abort index (-1, or the first non-finite row). Each
     ``series_sum(...) + v`` is inlined as ``e0 + e1 + ... + v`` in element
-    order, on Python floats read from and written to ``memoryview``s over
-    float64 arrays. The
-    generic loop's ``0.0 +`` head is dropped: ``0.0 + e0 + ... + v`` and
-    ``e0 + ... + v`` differ only when every term is -0.0 (+0.0 against
-    -0.0), and ``v`` is read as ``v + 0.0``, which turns -0.0 into +0.0 and
-    keeps every other value, so both give the same bits, also for an axis
-    without elements. ``0.5 * dt``, ``dt / 6.0`` and ``-wg`` are hoisted out
-    of the loop (Python groups ``0.5 * dt * k`` as ``(0.5 * dt) * k``), and
-    a row is non-finite exactly when ``yd - yd != yq - yq``. Steps are taken
-    one run of bit-identical inputs at a time, and a run whose first step
-    leaves the state bit-identical is filled with that state. A term that
-    overflows in ``math.sinh`` aborts the step it is in, with that row set
-    to NaN. Element parameters, ``sinh`` and ``tanh`` are bound as locals of
-    ``run`` from a tuple in its namespace, never formatted into its text.
+    order, on Python floats. The generic loop's ``0.0 +`` head is dropped:
+    ``0.0 + e0 + ... + v`` and ``e0 + ... + v`` differ only when every term
+    is -0.0, and the caller reads ``v`` as ``v + 0.0``, which turns -0.0
+    into +0.0 and keeps every other value, so both give the same bits, also
+    for an axis without elements. ``0.5 * dt``, ``dt / 6.0`` and ``-wg`` are
+    hoisted out of the loop (Python groups ``0.5 * dt * k`` as
+    ``(0.5 * dt) * k``), and a row is non-finite exactly when ``yd - yd !=
+    yq - yq`` (``x - x`` is NaN for a non-finite ``x``). A term that
+    overflows in ``math.sinh`` aborts its step with that row set to NaN.
+    Element parameters, ``sinh`` and ``tanh`` are locals of ``steps``,
+    unpacked from a tuple in its namespace, never formatted into its text.
     """
     local = dict(sinh=math.sinh, tanh=math.tanh)
     exprs = {row.code: row.expr for row in ELEMENT_KINDS.values()}
@@ -295,16 +254,56 @@ def build_rk4_loop(codes_d, p1_d, p2_d, codes_q, p1_q, p2_q):
         sq_tq=series("q", codes_q, p1_q, p2_q, "tq"),
         names=", ".join(local),
     )
-    namespace = {"np": np, "nan": math.nan, "bound": tuple(local.values())}
-    exec(compile(source, "<vrgrid rk4_loop>", "exec"), namespace)
-    return namespace["run"]
+    namespace = {"nan": math.nan, "bound": tuple(local.values())}
+    exec(compile(source, "<vrgrid rk4 steps>", "exec"), namespace)
+    return namespace["steps"]
 
 
 def specialized_rk4_loop(y0d, y0q, dt, n_steps, lg, wg, rg_seq, dist_d, dist_q,
                          codes_d, p1_d, p2_d, codes_q, p1_q, p2_q):
-    """``rk4_loop`` with its signature and values, run on ``build_rk4_loop``."""
-    run = build_rk4_loop(codes_d, p1_d, p2_d, codes_q, p1_q, p2_q)
-    return run(y0d, y0q, dt, n_steps, lg, wg, rg_seq, dist_d, dist_q)
+    """``rk4_loop`` with its signature and values, stepped by ``build_rk4_loop``.
+
+    The horizon is walked one run of bit-identical inputs (resistance and
+    both disturbance axes) at a time, reading the inputs once per run. A
+    run whose first step leaves the state bit-identical (an exact
+    equilibrium, such as the zero state before a disturbance arrives) is
+    filled with that state without stepping.
+    """
+    steps = build_rk4_loop(codes_d, p1_d, p2_d, codes_q, p1_q, p2_q)
+    out = np.empty((n_steps + 1, 2))
+    od, oq = map(memoryview, out.T)
+    bd, bq = map(memoryview, out.view(np.uint64).T)
+    inputs = [np.asarray(x, dtype=np.float64)[:n_steps] for x in (rg_seq, dist_d, dist_q)]
+    rg, dd, dq = map(memoryview, inputs)
+    # edge marks the first step of each run, and n_steps ends the last one
+    edge = np.zeros(n_steps + 1, dtype=bool)
+    edge[[0, -1]] = True
+    for x in inputs:
+        bits = x.view(np.uint64)
+        edge[1:n_steps] |= bits[1:] != bits[:-1]
+    bounds = np.flatnonzero(edge)
+    yd = od[0] = float(y0d)
+    yq = oq[0] = float(y0q)
+    dt, wg, inv_lg = float(dt), float(wg), 1.0 / float(lg)
+    for s, e in zip(memoryview(bounds[:-1]), memoryview(bounds[1:])):
+        a = -rg[s] * inv_lg
+        # + 0.0 turns -0.0 into 0.0 and keeps all else (see build_rk4_loop)
+        vd, vq = dd[s] + 0.0, dq[s] + 0.0
+        # steps s .. e - 1 write rows s + 1 .. e; the first goes alone
+        yd, yq, bad = steps(od, oq, s + 1, s + 1, yd, yq, a, vd, vq, dt, wg, inv_lg)
+        if bad >= 0:
+            return out, bad
+        if e == s + 1:
+            continue
+        # a step is a pure function of the state and the run's inputs, so a state
+        # its first step leaves bit-identical (-0.0 is not 0.0) holds for the run
+        if bd[s] == bd[s + 1] and bq[s] == bq[s + 1]:
+            out[s + 2:e + 1] = out[s + 1]
+            continue
+        yd, yq, bad = steps(od, oq, s + 2, e, yd, yq, a, vd, vq, dt, wg, inv_lg)
+        if bad >= 0:
+            return out, bad
+    return out, -1
 
 
 @njit(cache=True)

@@ -337,8 +337,9 @@ def _json_bytes(obj):
 
 
 # trajectory.csv is written this many rows at a time, so the writer's memory
-# does not grow with the horizon
-_CSV_CHUNK_ROWS = 8192
+# does not grow with the horizon. Blocks of 1024 rows peak 3.8 MB below 8192
+# on rr_certified's simulates at the same us/row (ROADMAP item 4 has the table).
+_CSV_CHUNK_ROWS = 1024
 
 
 def _repr_cells(col):

@@ -27,7 +27,7 @@ from .plant import as_dq
 
 MAX_DT = 1e-4
 # t_end / dt bound, checked before anything is allocated. A certified
-# simulate at decimation 1 peaks near 130 MB at a million steps and grows
+# simulate at decimation 1 peaks near 128 MB at a million steps and grows
 # about 92 MB per million more (the trajectory CSV is streamed), so this cap
 # (five times the longest bundled horizon) keeps a run near 0.5 GB.
 MAX_STEPS = 5_000_000

@@ -56,3 +56,19 @@ def test_traced_certify_notes_its_search(monkeypatch, tmp_path, capsys):
         tracer.uninstall()
     capsys.readouterr()
     assert [span[4] for span in tracer.spans if span[0] == "certify.search_certificate"] == [[1, True]]
+
+
+def test_traced_simulate_notes_its_steps(monkeypatch, tmp_path, capsys):
+    """The ``sim.rk4_loop`` site notes the step count as ``args[3]``, where
+    ``rk4_loop``'s positional signature puts ``n_steps``."""
+    run = _perfbench_run(monkeypatch)
+    tracer = run.Tracer()
+    config = CONFIG_DIR / "certify_rr_linear.json"
+    try:
+        run.install_trace(tracer, VR)
+        assert cli.main(["simulate", str(config), "--out", str(tmp_path)]) == 0
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    n_steps = cli.load_config(config).scenario.n_steps
+    assert [span[4] for span in tracer.spans if span[0] == "sim.rk4_loop"] == [n_steps]

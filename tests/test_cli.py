@@ -295,6 +295,19 @@ def test_simulate_numeric_abort_exit3(tmp_path):
 RUN_FILES = ("trajectory.csv", "metrics.json", "manifest.json")
 
 
+def test_certified_simulate_with_huge_x_sat(tmp_path, capsys):
+    """``x_sat ** 2`` on a Python float raises OverflowError past about 1.3e154;
+    the saturation primitive takes it as inf instead of exiting with a traceback."""
+    from vrgrid import cli
+
+    doc = json.loads((CONFIG_DIR / "certify_m1_linear.json").read_text())
+    doc["bank"] = [[{"kind": "saturation", "k": 1.0, "x_sat": 1e200}]]
+    out = tmp_path / "o"
+    assert cli.main(["simulate", str(write_config(tmp_path / "sat.json", doc)), "--out", str(out)]) == 0, \
+        capsys.readouterr()
+    assert sorted(p.name for p in out.iterdir()) == ["certificate.json", *sorted(RUN_FILES)]
+
+
 def _overflowing_rms_config(directory):
     """A config whose finite trajectory squares past the float range in its RMS error."""
     doc = json.loads((CONFIG_DIR / "scenario1" / "linear.json").read_text())

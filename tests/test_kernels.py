@@ -55,7 +55,7 @@ def test_series_sum_matches_python_fallback(rng):
         assert series_sum(codes, p1, p2, x) == py_sum(codes, p1, p2, x)
 
 
-def _rk4_args(bank_d, bank_q, *, n=200, dt=1e-6, y0=(2.0, -1.0), dist=40.0, rg=None, lg=3.67e-4):
+def _rk4_args(bank_d, bank_q, *, n=200, dt=1e-6, y0=(2.0, -1.0), dist=40.0, rg=None, lg=3.67e-4, wg=377.0):
     def pack(bank):
         return (np.array([k for k, _, _ in bank], dtype=np.int64),
                 np.array([p for _, p, _ in bank], dtype=float),
@@ -64,7 +64,7 @@ def _rk4_args(bank_d, bank_q, *, n=200, dt=1e-6, y0=(2.0, -1.0), dist=40.0, rg=N
     rg_seq = np.full(n + 1, 0.0276) if rg is None else rg
     dist_d = np.full(n + 1, dist)  # dist: a scalar or n + 1 values
     dist_q = -0.5 * dist_d
-    return (y0[0], y0[1], dt, n, lg, 377.0, rg_seq, dist_d, dist_q,
+    return (y0[0], y0[1], dt, n, lg, wg, rg_seq, dist_d, dist_q,
             *pack(bank_d), *pack(bank_q))
 
 
@@ -82,6 +82,7 @@ def _random_case(seed):
 
 
 SATURATION = [(_kernels.SATURATION, 2.0, 1.5)]
+SINH = [(_kernels.SINH, 1.0, 1.0)]
 LINEAR_CUBIC = [(_kernels.LINEAR, 1.0, 0.0), (_kernels.CUBIC, 0.25, 0.0)]
 # runs of bit-identical inputs; the last run (3.0) ends on the last step
 PIECEWISE = np.array([0.0, 0.0, 0.0, 5.0, 6.0, 6.0, 7.0, 0.0, 0.0, 0.0, 3.0, 3.0, 3.0])
@@ -126,6 +127,9 @@ RK4_CASES = {
     # sum without its 0.0 head must not see the -0.0 disturbance as is
     "signed_zero_sum": _rk4_args([(_kernels.LINEAR, 1.0, 0.0)], [(_kernels.LINEAR, 1.0, 0.0)],
                                  n=20, y0=(0.0, -0.0), dist=0.0, lg=-3.67e-4),
+    # its mirror on the d axis: swapping d and q turns w_g into -w_g
+    "signed_zero_sum_d": _rk4_args([(_kernels.LINEAR, 1.0, 0.0)], [(_kernels.LINEAR, 1.0, 0.0)],
+                                   n=20, y0=(-0.0, 0.0), dist=-0.0, lg=-3.67e-4, wg=-377.0),
     # the state leaves a skipped zero run and overflows to inf, or meets a nan
     "abort_inf_after_skip": _rk4_args([(_kernels.LINEAR, 1.0, 0.0)], [], n=100, y0=(0.0, 0.0),
                                       dist=_pulse(100, 50, 1e308)),
@@ -138,6 +142,14 @@ RK4_CASES = {
     "abort_inf_q": _rk4_args([], [(_kernels.LINEAR, 1.0, 0.0)], n=10, y0=(0.0, 1.1e304)),
     "abort_nan": _rk4_args([(_kernels.LINEAR, 1.0, 0.0)], [(_kernels.LINEAR, 1.0, 0.0)],
                            n=10, dt=1e-4, y0=(1e307, -1e307)),
+    # math.sinh overflows: on the first step of a run after a stationary
+    # zero prefix, on the third step of such a run, and on the first step
+    # from a state far from zero
+    "sinh_overflow_first_step": _rk4_args(SINH, SINH, n=100, y0=(0.0, 0.0), dist=_pulse(100, 50, 1e6)),
+    "sinh_overflow_in_run": _rk4_args(SINH, SINH, n=200, dt=2e-5, y0=(0.0, 0.0), dist=_pulse(200, 50, 100.0)),
+    "sinh_overflow_single_run": _rk4_args(SINH, SINH, n=2000, dt=1e-4, y0=(20.0, 0.0)),
+    # runs of length 1 that are not stationary, in the middle and at the end
+    "runs_of_one": _rk4_args(LINEAR_CUBIC, KINDS, n=6, dist=np.array([1.0, 1.0, 7.0, 1.0, 1.0, 3.0, 3.0])),
 }
 
 
@@ -147,8 +159,16 @@ def test_rk4_loop_matches_python_fallback(case):
     # against the uncompiled generic kernel, bit for bit
     args = RK4_CASES[case]
     out, bad = sim.rk4_loop(*args)
+    reference = python_impl(rk4_loop)
     with np.errstate(over="ignore", invalid="ignore"):
-        ref_out, ref_bad = python_impl(rk4_loop)(*args)
+        if case.startswith("sinh_overflow"):
+            # math.sinh raises where numba's sinh returns inf: the reference
+            # raises on the step that aborts, and the steps before it match
+            assert bad > 0 and not np.all(np.isfinite(out[bad]))
+            with pytest.raises(OverflowError):
+                reference(*args[:3], bad, *args[4:])
+            args, out, bad = (*args[:3], bad - 1, *args[4:]), out[:bad], -1
+        ref_out, ref_bad = reference(*args)
     assert bad == ref_bad
     if case.startswith("abort"):
         assert bad > 0
@@ -157,19 +177,6 @@ def test_rk4_loop_matches_python_fallback(case):
         assert bad == -1
     # on the bits, so that -0.0 and 0.0 stay apart
     np.testing.assert_array_equal(out.view(np.uint64), ref_out.view(np.uint64))
-
-
-def test_sinh_overflow_aborts_at_its_step():
-    # math.sinh raises OverflowError where numba's sinh returns inf; either
-    # way the run stops at the step whose sinh overflowed
-    bank = [(_kernels.SINH, 1.0, 1.0)]
-    args = _rk4_args(bank, bank, n=2000, dt=1e-4, y0=(20.0, 0.0))
-    out, bad = sim.rk4_loop(*args)
-    assert bad > 0
-    assert not np.all(np.isfinite(out[bad]))
-    ref_out, ref_bad = python_impl(rk4_loop)(*args[:3], bad - 1, *args[4:])
-    assert ref_bad == -1
-    np.testing.assert_array_equal(out[:bad], ref_out)
 
 
 @pytest.mark.parametrize("code", [-1, _kernels.SATURATION + 1, 7])
