@@ -106,7 +106,14 @@ LENGTHS = [
     (2 * CHUNK + 1, 1),         # one row into a third chunk
     (6 * CHUNK - 2, 3),         # 2 * CHUNK decimated rows: boundary after decimation
     (3 * CHUNK + 11, 2),
+    # the same shapes at 8192-row blocks; they keep their boundaries for any
+    # power-of-two block size up to 8192
+    (16384, 1),
+    (16385, 1),
+    (49150, 3),
+    (24587, 2),
 ]
+assert 8192 % CHUNK == 0
 
 
 @pytest.mark.parametrize("with_v", [True, False], ids=["V", "no-V"])
