@@ -306,16 +306,16 @@ def specialized_rk4_loop(y0d, y0q, dt, n_steps, lg, wg, rg_seq, dist_d, dist_q,
     return out, -1
 
 
-@njit(cache=True)
 def jacobi_sweep(a, v, rel_tol):
     """Cyclic Jacobi rotations on symmetric ``a`` (modified in place).
 
     Rotations are accumulated into ``v`` (preset to identity by the caller),
     so that a_input = v @ diag(a) @ v.T on return. Sweeps stop once the
     off-diagonal Frobenius norm drops below ``rel_tol`` times the Frobenius
-    norm of the input. Returns the number of sweeps used. The package no
-    longer calls it: ``linalg.sym_eig`` uses LAPACK, and the tests use this
-    sweep as its independent reference.
+    norm of the input. Returns the number of sweeps used. No command calls
+    it, and it is plain Python: ``linalg.sym_eig`` uses LAPACK. It has two
+    roles: the independent reference the tests hold ``sym_eig`` to, and the
+    ``linalg.jacobi_sweep`` site of the ``perfbench`` trace.
     """
     n = a.shape[0]
     fro = 0.0

@@ -85,7 +85,7 @@ class VerifyReport(NamedTuple):
 
     valid: bool
     sigma: float              # lambda_min of P + sum Lambda_k
-    xi: float                 # lambda_min of the summed regularizer matrix
+    xi: float                 # smallest entry of the summed (diagonal) regularizer matrix
     psi: float                # lambda_max of D Psi D
     varsigma: float           # lambda_min of Omega_0 (state dissipation rate)
     alpha: float              # lambda_max(Phi) / l_g**2  (disturbance gain)
@@ -204,7 +204,7 @@ def sign_class_violation(cert):
         mat = getattr(cert, name)
         if not np.array_equal(mat, mat.T):
             return name, "is not symmetric"
-        if linalg.lambda_min(mat) < -linalg.TOL:
+        if linalg.sym_eig(mat)[0] < -linalg.TOL:
             return name, "is not positive semidefinite"
     return None
 
@@ -219,15 +219,15 @@ def verify_certificate(p, bank, cert):
     an asymmetric one.
     """
     _check_dims(cert, bank)
-    lmi_p = cert.p_mat + np.diag(cert.lam.sum(axis=0)) if cert.branch_count else cert.p_mat
-    sigma_ok, sigma = linalg.is_pos_def(lmi_p)
-    # the pairs are added one at a time, in row order: upsilon.sum(axis=0) rounds differently
-    xi_ok, xi = linalg.is_pos_def(np.diag(reduce(np.add, cert.upsilon, cert.omega.sum(axis=0))))
-    psi_ok, psi = max((linalg.is_neg_semidef(assemble_psi(replace(p, r_g=r), cert))
-                       for r in dict.fromkeys(cert.resistance_interval.tolist())), key=lambda check: check[1])
-    valid = bool(sign_class_violation(cert) is None and sigma_ok and xi_ok and psi_ok)
+    sigma = float(linalg.sym_eig(cert.p_mat + np.diag(cert.lam.sum(axis=0)))[0])
+    # Xi is diagonal: its smallest eigenvalue is its smallest entry. The pairs are added one at a
+    # time, in row order: upsilon.sum(axis=0) rounds differently
+    xi = float(reduce(np.add, cert.upsilon, cert.omega.sum(axis=0)).min())
+    psi = max(linalg.neg_semidef_margin(assemble_psi(replace(p, r_g=r), cert))
+              for r in dict.fromkeys(cert.resistance_interval.tolist()))
+    valid = sign_class_violation(cert) is None and sigma >= linalg.TOL and xi >= linalg.TOL and psi <= linalg.TOL
     varsigma = float(cert.omega[0].min())
-    alpha = float(linalg.lambda_max(cert.phi) / p.l_g ** 2)
+    alpha = float(linalg.sym_eig(cert.phi)[-1] / p.l_g ** 2)
     slope = math.sqrt(alpha / varsigma) if valid and varsigma > 0.0 else None
     return VerifyReport(valid, sigma, xi, psi, varsigma, alpha, slope)
 

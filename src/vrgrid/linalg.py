@@ -2,12 +2,13 @@
 
 Matrices are plain row-major ``numpy.ndarray`` values, all tiny (dimension
 <= 64). The eigenvalues come from LAPACK's symmetric driver through
-``np.linalg.eigvalsh``; the cyclic Jacobi sweep ``_kernels.jacobi_sweep`` is no
-longer called here and serves as the independent reference in the tests.
+``np.linalg.eigvalsh``. The cyclic Jacobi sweep ``_kernels.jacobi_sweep`` is
+plain Python with two roles: the reference the tests hold ``sym_eig`` to, and
+the ``linalg.jacobi_sweep`` site of the benchmark trace.
 
-Definiteness checks always report the relevant extreme eigenvalue as a
-margin so callers can see how close a certificate sits to the boundary
-instead of getting a silently rounded verdict.
+A definiteness test returns the relevant extreme eigenvalue, a margin, and the
+caller compares it with ``TOL``: the report shows how close a certificate sits
+to the boundary instead of a silently rounded verdict.
 """
 
 import numpy as np
@@ -49,32 +50,17 @@ def sym_eig(s):
     return np.linalg.eigvalsh(s)
 
 
-def lambda_min(s):
-    return float(sym_eig(s)[0])
-
-
-def lambda_max(s):
-    return float(sym_eig(s)[-1])
-
-
-def is_pos_def(s):
-    """(verdict, margin): true iff lambda_min(S) >= TOL; margin is lambda_min."""
-    margin = lambda_min(s)
-    return bool(margin >= TOL), margin
-
-
-def is_neg_semidef(s):
-    """(verdict, margin): true iff lambda_max(D S D) <= TOL; margin is that lambda_max.
+def neg_semidef_margin(s):
+    """lambda_max(D S D): S is negative semidefinite when it is at most ``TOL``.
 
     D = diag(|S_ii|^-1/2), with D_ii = 1 where S_ii = 0, is a congruence, so
-    by Sylvester's law of inertia the verdict is that of S in exact
-    arithmetic. D S D has a unit-magnitude diagonal, so its eigenvalues are
-    accurate to about dim * eps whatever the units of S, and the margin is
-    dimensionless (Demmel & Veselic, SIAM J. Matrix Anal. Appl., 1992).
+    by Sylvester's law of inertia D S D is negative semidefinite exactly when
+    S is, in exact arithmetic. D S D has a unit-magnitude diagonal, so its
+    eigenvalues are accurate to about dim * eps whatever the units of S, and
+    the margin is dimensionless (Demmel & Veselic, SIAM J. Matrix Anal.
+    Appl., 1992).
     """
     s = np.asarray(s, dtype=float)
     diag = np.abs(np.diag(s))
     d = 1.0 / np.sqrt(np.where(diag > 0.0, diag, 1.0))
-    margin = lambda_max(s * np.outer(d, d))
-    return bool(margin <= TOL), margin
-
+    return float(sym_eig(s * np.outer(d, d))[-1])

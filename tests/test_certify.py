@@ -342,6 +342,32 @@ def test_verify_checks_the_interval_the_certificate_carries():
     assert verify_certificate(replace(p, r_g=0.5 * p.r_g), cfg.bank, cert) == cert.report
 
 
+@pytest.mark.parametrize("omega, upsilon", [
+    ([[7.622e200, 4.274e200], [5.397e200, 1.22e200]], [[7.028e200, 5.305e200]]),
+    ([[3.638e-200, 7.307e-200], [3.426e-200, 4.628e-200]], [[2.072e-200, 4.225e-200]]),
+])
+def test_verify_xi_is_the_smallest_summed_diagonal_entry(omega, upsilon):
+    """Xi is diagonal, so xi is exactly its smallest entry, Omega_0 + Omega_1 + Upsilon_{0,1} added
+    in that order, also where LAPACK's eigensolver would rescale the matrix (beyond about 1e+-146)
+    and move the last bit of that entry."""
+    cert = _cert(np.eye(2), np.ones((1, 2)), np.array(omega), np.eye(2), np.array(upsilon))
+    xi = verify_certificate(nominal_params(), ONE_LINEAR, cert).xi
+    assert xi == (cert.omega[0] + cert.omega[1] + cert.upsilon[0]).min()
+
+
+@pytest.mark.parametrize("name, solves", [("certify_m0", 5), ("certify_m1_linear", 5), ("certify_rr_linear", 6)])
+def test_verify_eigen_solves_per_certificate(monkeypatch, name, solves):
+    """verify_certificate solves P and Phi for the sign class, P + sum Lambda_k for sigma, Psi at
+    each distinct resistance end and Phi again for alpha: 4 + ends LAPACK solves, none for Xi."""
+    cfg = load_config(CONFIG_DIR / f"{name}.json")
+    cert = search_certificate(cfg.grid, cfg.bank, cfg.scenario.resistance_range(cfg.grid)).certificate
+    calls = []
+    sym_eig = linalg.sym_eig
+    monkeypatch.setattr(linalg, "sym_eig", lambda s: calls.append(s) or sym_eig(s))
+    assert verify_certificate(cfg.grid, cfg.bank, cert) == cert.report
+    assert len(calls) == solves
+
+
 def test_iss_gain():
     """The report's slope is sqrt(alpha / varsigma), 2 / r_g for the closed form; None unless valid with varsigma > 0."""
     for r_g, l_g, m in [(0.0276, 3.67e-4, 0), (0.5, 2e-3, 1), (1e-3, 1e-2, 8)]:

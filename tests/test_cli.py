@@ -1316,8 +1316,9 @@ def test_readme_cli_synopsis_matches_parser():
 
 def test_ci_workflow_runs_the_bundled_configs():
     """Every configs/ path the CI workflow names exists, the fallback job's warnings-as-errors
-    step (``python -W error -m vrgrid <command> <config>``) runs every bundled certify config, and
-    every job bounds its run time. The file is read as text: PyYAML is not a dependency."""
+    step (``python -W error -m vrgrid <command> <config>``) runs every bundled certify config, its
+    perfbench loop runs exactly the workloads of BENCHMARK.json, and every job bounds its run time.
+    The file is read as text: PyYAML is not a dependency."""
     root = CONFIG_DIR.parent
     workflow = (root / ".github" / "workflows" / "tests.yml").read_text()
     jobs = re.split(r"^  ([\w-]+):\n", workflow.split("\njobs:\n", 1)[1], flags=re.M)[1:]
@@ -1331,3 +1332,6 @@ def test_ci_workflow_runs_the_bundled_configs():
     werror = [line.split() for line in fallback.splitlines() if line.strip().startswith("python -W error -m vrgrid ")]
     run = {words[6] for words in werror}
     assert {f"configs/{path.name}" for path in CONFIG_DIR.glob("certify_*.json")} <= run
+    (loop,) = re.findall(r"^ *for workload in ([\w ]+); do$", fallback, re.M)
+    benchmark = json.loads((root / "BENCHMARK.json").read_text())
+    assert sorted(loop.split()) == sorted(w["name"] for w in benchmark["workloads"])

@@ -11,7 +11,7 @@ import pytest
 
 from conftest import CONFIG_DIR, EXAMPLE_ELEMENTS, python_impl
 from vrgrid import _kernels, sim
-from vrgrid._kernels import ELEMENT_KINDS, element_value, jacobi_sweep, rk4_loop, series_sum
+from vrgrid._kernels import ELEMENT_KINDS, element_value, rk4_loop, series_sum
 
 # (code, p1, p2) of each example element, as the kernels take them
 KINDS = [(e.code, e.p1, e.p2) for e in EXAMPLE_ELEMENTS]
@@ -190,17 +190,6 @@ def test_build_rk4_loop_rejects_unknown_code():
     codes = np.array([_kernels.SATURATION + 1], dtype=np.int64)
     with pytest.raises(ValueError, match="unknown element code"):
         _kernels.build_rk4_loop(codes, np.ones(1), np.ones(1), codes, np.ones(1), np.ones(1))
-
-
-def test_jacobi_matches_python_fallback(rng):
-    s = rng.normal(size=(8, 8))
-    s = 0.5 * (s + s.T)
-    a1, v1 = s.copy(), np.eye(8)
-    a2, v2 = s.copy(), np.eye(8)
-    jacobi_sweep(a1, v1, 1e-12)
-    python_impl(jacobi_sweep)(a2, v2, 1e-12)
-    np.testing.assert_array_equal(a1, a2)
-    np.testing.assert_array_equal(v1, v2)
 
 
 def test_env_flag_selects_fallback():

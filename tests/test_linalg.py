@@ -1,15 +1,14 @@
-import functools
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from conftest import CONFIG_DIR, python_impl
+from conftest import CONFIG_DIR
 from vrgrid._kernels import jacobi_sweep
 from vrgrid.linalg import (
+    TOL,
     LinalgError,
-    is_neg_semidef,
-    is_pos_def,
+    neg_semidef_margin,
     sym_eig,
     symmetrize,
 )
@@ -53,12 +52,12 @@ def test_sym_eig_reconstruction_property(rng):
 
 def _jacobi_eigenvalues(s):
     a, v = s.copy(), np.eye(s.shape[0])
-    python_impl(jacobi_sweep)(a, v, 1e-12)
+    jacobi_sweep(a, v, 1e-12)
     return np.sort(np.diag(a))
 
 
 def _bundled_certificate_matrices():
-    """The sigma, xi and Psi matrices verified for each bundled certify config."""
+    """The sigma and Psi matrices solved for each bundled certify config (Xi is read off its diagonal)."""
     from vrgrid.certify import assemble_psi, search_certificate
     from vrgrid.cli import load_config
 
@@ -66,7 +65,6 @@ def _bundled_certificate_matrices():
         cfg = load_config(path)
         cert = search_certificate(cfg.grid, cfg.bank, cfg.scenario.resistance_range(cfg.grid)).certificate
         yield cert.p_mat + np.diag(cert.lam.sum(axis=0))
-        yield np.diag(functools.reduce(np.add, cert.upsilon, cert.omega.sum(axis=0)))  # xi, as verified
         for r_g in dict.fromkeys(cert.resistance_interval):
             yield assemble_psi(replace(cfg.grid, r_g=r_g), cert)
 
@@ -77,8 +75,8 @@ def test_sym_eig_matches_jacobi_reference(rng):
     mats = [symmetrize(rng.normal(scale=rng.uniform(0.1, 100.0), size=(n, n)))
             for n in range(1, 21) for _ in range(5)]
     mats += list(_bundled_certificate_matrices())
-    # sigma, xi and one Psi per resistance end: two nominal certify configs and one interval
-    assert len(mats) == 100 + 3 + 3 + 4
+    # sigma and one Psi per resistance end: two nominal certify configs and one interval
+    assert len(mats) == 100 + 3 + 4
     for s in mats:
         np.testing.assert_allclose(sym_eig(s), _jacobi_eigenvalues(s),
                                    rtol=0.0, atol=1e-12 * np.linalg.norm(s))
@@ -96,47 +94,26 @@ def test_sym_eig_similarity_invariance(rng):
 
 
 def test_is_neg_semidef_examples():
-    ok, margin = is_neg_semidef(-np.eye(2))
-    assert ok and margin == pytest.approx(-1.0)
-    ok, margin = is_neg_semidef(np.eye(2))
-    assert not ok and margin == pytest.approx(1.0)
-    ok, margin = is_neg_semidef(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    assert not ok and margin == pytest.approx(1.0)
+    margin = neg_semidef_margin(-np.eye(2))
+    assert margin <= TOL and margin == pytest.approx(-1.0)
+    margin = neg_semidef_margin(np.eye(2))
+    assert margin > TOL and margin == pytest.approx(1.0)
+    margin = neg_semidef_margin(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    assert margin > TOL and margin == pytest.approx(1.0)
 
 
 @pytest.mark.parametrize("scale", [1.0, 1e8, 1e150])
 def test_is_neg_semidef_is_scale_free(scale):
-    """The verdict and margin are those of D S D, D = diag(|S_ii|^-1/2):
+    """The margin, and so the verdict against TOL, is that of D S D, D = diag(|S_ii|^-1/2):
     unchanged by the units of each coordinate."""
     def scaled(s):
         d = np.array([1.0 / scale, scale])
         return s * np.outer(d, d)
 
-    ok, margin = is_neg_semidef(scaled(np.array([[-1.0, 0.5], [0.5, -1.0]])))
-    assert ok and margin == pytest.approx(-0.5, abs=1e-15)
-    ok, margin = is_neg_semidef(scaled(np.array([[-1.0, 1.5], [1.5, -1.0]])))
-    assert not ok and margin == pytest.approx(0.5, abs=1e-15)
+    margin = neg_semidef_margin(scaled(np.array([[-1.0, 0.5], [0.5, -1.0]])))
+    assert margin <= TOL and margin == pytest.approx(-0.5, abs=1e-15)
+    margin = neg_semidef_margin(scaled(np.array([[-1.0, 1.5], [1.5, -1.0]])))
+    assert margin > TOL and margin == pytest.approx(0.5, abs=1e-15)
     # a zero diagonal entry is left unscaled
-    ok, margin = is_neg_semidef(scaled(np.array([[0.0, 0.0], [0.0, -1.0]])))
-    assert ok and margin == 0.0
-
-
-def test_is_pos_def_examples():
-    ok, margin = is_pos_def(np.eye(2))
-    assert ok and margin == pytest.approx(1.0)
-    ok, margin = is_pos_def(np.diag([1.0, 0.0]))
-    assert not ok and margin == pytest.approx(0.0, abs=1e-12)
-    ok, margin = is_pos_def(np.diag([3.0, 5.0]))
-    assert ok and margin == pytest.approx(3.0)
-
-
-def test_definiteness_agreement_on_nonsingular(rng):
-    for _ in range(200):
-        n = int(rng.integers(2, 7))
-        s = symmetrize(rng.normal(size=(n, n)))
-        if np.abs(np.linalg.eigvalsh(s)).min() < 1e-6:
-            continue
-        nsd, _ = is_neg_semidef(s)
-        pd, _ = is_pos_def(-s)
-        assert nsd == pd
-
+    margin = neg_semidef_margin(scaled(np.array([[0.0, 0.0], [0.0, -1.0]])))
+    assert margin <= TOL and margin == 0.0

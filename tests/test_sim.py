@@ -4,9 +4,18 @@ from dataclasses import MISSING, fields, replace
 import numpy as np
 import pytest
 
-from conftest import both_axes, error_derivatives, nominal_params, passivity_ball, unchecked_element
+from conftest import (
+    CONFIG_DIR,
+    both_axes,
+    error_derivatives,
+    exact_linear_trajectory,
+    nominal_params,
+    passivity_ball,
+    unchecked_element,
+)
 from vrgrid.bank import VrBank, VrElement
 from vrgrid.certify import search_certificate
+from vrgrid.cli import load_config
 from vrgrid.plant import system_matrix
 from vrgrid.sim import (
     SCENARIO_KINDS,
@@ -136,6 +145,28 @@ def test_rk4_convergence_order():
     e_fine = np.linalg.norm(finals[1] - finals[2])
     order = math.log2(e_coarse / e_fine)
     assert 3.7 <= order <= 4.3
+
+
+# C of the RK4 error bound C dt^4 against the exact trajectory, in A/s^4: the largest of the
+# errors 2.2e-10, 2.3e-6 and 3.9e-5 A (scenario1) and 6.4e-13, 6.7e-9 and 1.1e-7 A (scenario2)
+# at dt = 1e-6, 1e-5 and 2e-5 s, over dt^4, rounded up
+RK4_ERROR_CONSTANT = {"scenario1": 2.4e14, "scenario2": 7e11}
+
+
+@pytest.mark.parametrize("dt", [1e-6, 1e-5, 2e-5])
+@pytest.mark.parametrize("scenario", sorted(RK4_ERROR_CONSTANT))
+def test_rk4_matches_exact_linear_propagator(scenario, dt):
+    """On both linear scenario configs, the RK4 trajectory sits within 2 C dt^4 of the exact
+    held-input one, and no nearer than C dt^4 / 4: the gap is RK4's own fourth-order error,
+    seen by a reference that shares no code with the integrator."""
+    cfg = load_config(CONFIG_DIR / scenario / "linear.json")
+    (branch,) = cfg.bank.branches
+    (element,) = branch.elements_d
+    assert branch.elements_q == branch.elements_d and element.kind == "linear"
+    sc = replace(cfg.scenario, dt=dt)
+    err = np.abs(integrate(cfg.grid, cfg.bank, sc).i_err - exact_linear_trajectory(cfg.grid, element.p1, sc)).max()
+    bound = RK4_ERROR_CONSTANT[scenario] * dt ** 4
+    assert bound / 4.0 <= err <= 2.0 * bound
 
 
 def test_scenario_voltage_pulse_profile():
