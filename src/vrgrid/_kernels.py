@@ -1,7 +1,8 @@
 """Hot numeric kernels and the element kind table.
 
 ``ELEMENT_KINDS`` has one row per element kind: its code, parameter names,
-scalar expression, vector map and primitive. It lives beside
+scalar expression, vector map and primitive, its lower sector slope and its
+slope. It lives beside
 ``element_value`` because ``vrgrid.bank`` and the integrators both import
 this module. A kind has two scalar forms: the ``element_value`` branch,
 which numba compiles with static dispatch and the tests take as the
@@ -101,21 +102,29 @@ def _saturation_primitive(k, x_sat, xs):
 # (the keys of its config record). ``expr`` is its element_value branch as a
 # Python-float expression in the same operation order, {x} the state and
 # {p1}/{p2} the locals of the loop build_rk4_loop generates. ``values`` (the
-# map) and ``primitives`` (its integral from 0) take (p1, p2, xs) on arrays.
-_Kind = namedtuple("_Kind", "code params expr values primitives")
+# map r), ``primitives`` (its integral from 0) and ``slope`` (r') take
+# (p1, p2, xs) on arrays; saturation's slope is k on the closed interval
+# |x| <= x_sat. ``kappa`` takes (p1, p2): the lower sector slope, the largest
+# kappa with x r(x) >= kappa x^2 for every x.
+_Kind = namedtuple("_Kind", "code params expr values primitives kappa slope")
 
 ELEMENT_KINDS = {
     "linear": _Kind(LINEAR, ("k",), "{p1} * {x}",
-                    lambda k, _, xs: k * xs, lambda k, _, xs: 0.5 * k * xs ** 2),
+                    lambda k, _, xs: k * xs, lambda k, _, xs: 0.5 * k * xs ** 2,
+                    lambda k, _: k, lambda k, _, xs: np.full_like(xs, k)),
     "cubic": _Kind(CUBIC, ("k",), "{p1} * {x} * {x} * {x}",
-                   lambda k, _, xs: k * xs ** 3, lambda k, _, xs: 0.25 * k * xs ** 4),
+                   lambda k, _, xs: k * xs ** 3, lambda k, _, xs: 0.25 * k * xs ** 4,
+                   lambda k, _: 0.0, lambda k, _, xs: 3.0 * k * xs ** 2),
     "sinh": _Kind(SINH, ("a", "b"), "{p1} * sinh({p2} * {x})",
-                  lambda a, b, xs: a * np.sinh(b * xs), lambda a, b, xs: (a / b) * (np.cosh(b * xs) - 1.0)),
+                  lambda a, b, xs: a * np.sinh(b * xs), lambda a, b, xs: (a / b) * (np.cosh(b * xs) - 1.0),
+                  lambda a, b: a * b, lambda a, b, xs: a * b * np.cosh(b * xs)),
     "tanh": _Kind(TANH, ("a", "b"), "{p1} * tanh({p2} * {x})",
-                  lambda a, b, xs: a * np.tanh(b * xs), _tanh_primitive),
+                  lambda a, b, xs: a * np.tanh(b * xs), _tanh_primitive,
+                  lambda a, b: 0.0, lambda a, b, xs: a * b / np.cosh(b * xs) ** 2),
     "saturation": _Kind(SATURATION, ("k", "x_sat"),
                         "({p1} * {p2} if {x} > {p2} else -{p1} * {p2} if {x} < -{p2} else {p1} * {x})",
-                        lambda k, x_sat, xs: k * np.clip(xs, -x_sat, x_sat), _saturation_primitive),
+                        lambda k, x_sat, xs: k * np.clip(xs, -x_sat, x_sat), _saturation_primitive,
+                        lambda k, x_sat: 0.0, lambda k, x_sat, xs: np.where(np.abs(xs) <= x_sat, k, 0.0)),
 }
 
 

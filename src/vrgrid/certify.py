@@ -341,10 +341,9 @@ class GradientCheckReport(NamedTuple):
     max_value: float
     max_point: tuple
     n_violations: int
-    disturbance_bound_coeff: float   # 1 / (2 l_g epsilon) multiplying |vg_err|^2
 
 
-def sampled_gradient_check(p, bank, v_spec, cfg):
+def sampled_gradient_check(p, bank, cert, cfg):
     """Evaluate the pointwise gradient condition on a square grid.
 
     The left side
@@ -352,8 +351,7 @@ def sampled_gradient_check(p, bank, v_spec, cfg):
         gradV' A x - (1/l_g) gradV' r(x) + |x|^2 + (eps / 2 l_g) |gradV|^2
 
     must be <= 0 everywhere for the condition to hold; sampling makes this
-    a falsification check, not a proof. ``v_spec`` is either a certificate
-    (composite V) or a symmetric 2x2 array (plain quadratic V = x'Px). A
+    a falsification check, not a proof. V is the composite V of ``cert``. A
     point whose left side is not <= 0 (NaN included, e.g. after an overflow)
     counts as a violation, so ``passes`` holds exactly when there are none.
 
@@ -375,19 +373,13 @@ def sampled_gradient_check(p, bank, v_spec, cfg):
     the einsum forms it, and the blocks combine by the rules of
     ``np.argmax``: the first NaN, else the first maximum.
     """
+    _check_dims(cert, bank)
     n = cfg.grid_points
     axis = np.linspace(-cfg.grid_radius, cfg.grid_radius, n)
     samples = np.column_stack([axis, axis])
-
-    lam = ()
-    if isinstance(v_spec, IssCertificate):
-        _check_dims(v_spec, bank)
-        p_mat, lam = v_spec.p_mat, v_spec.lam
-    else:
-        p_mat = linalg.symmetrize(np.asarray(v_spec, dtype=float))
     # per-axis rows: [0] is indexed by the grid row i, [1] by the grid column j
     terms = [(2.0 * lam_k * branch_values(branch, samples)).T.copy()
-             for lam_k, branch in zip(lam, bank.branches)]
+             for lam_k, branch in zip(cert.lam, bank.branches)]
     r = bank_values(bank, samples).T.copy()
     a_mat = system_matrix(p)
     sq = axis * axis
@@ -401,7 +393,7 @@ def sampled_gradient_check(p, bank, v_spec, cfg):
         x[0] = axis[i0:i1, None]
         x[1] = axis
         x = x.reshape(2, -1)
-        gd, gq = (p_mat @ (2.0 * x)).reshape(2, -1, n)
+        gd, gq = (cert.p_mat @ (2.0 * x)).reshape(2, -1, n)
         axd, axq = (a_mat @ x).reshape(2, -1, n)
         for term in terms:
             gd += term[0, i0:i1, None]
@@ -423,5 +415,4 @@ def sampled_gradient_check(p, bank, v_spec, cfg):
         max_value=worst_value,
         max_point=(float(axis[worst // n]), float(axis[worst % n])),
         n_violations=n_violations,
-        disturbance_bound_coeff=1.0 / (2.0 * p.l_g * cfg.epsilon),
     )

@@ -42,6 +42,11 @@ from .sim import SCENARIO_KINDS, Scenario, SimulationAbort, check_dissipation, c
 
 SCHEMA_VERSION = 1
 
+# the largest config or certificate file read. The largest legitimate one is the certificate of a
+# 256-branch bank (the per-axis element limit): about 2.4 MB as certify writes it with every number
+# at 17 digits, and 1.7 MB as compact JSON
+MAX_INPUT_BYTES = 4 * 2 ** 20
+
 
 class Refusal(Exception):
     """A failed command: ``main`` exits with its ``exit_code`` and reports ``kind``, ``field`` (where the
@@ -254,11 +259,19 @@ def _unique_keys(pairs):
 
 def _read_json(path, what, field):
     """(bytes, document) of the UTF-8 JSON file ``path``, no key repeated in one object; a file
-    that cannot be read or parsed is a ConfigError on ``field`` naming ``what`` and ``path``."""
+    that cannot be read, is longer than :data:`MAX_INPUT_BYTES` or cannot be parsed is a
+    ConfigError on ``field`` naming ``what`` and ``path``. At most one byte past the bound is read."""
     try:
-        raw = Path(path).read_bytes()
+        with Path(path).open("rb") as file:
+            # sized by the file's length, so a short file allocates no buffer of the bound's size
+            want = min(os.fstat(file.fileno()).st_size, MAX_INPUT_BYTES) + 1
+            raw = file.read(want)
+            if len(raw) == want:  # longer than its length said: a pipe, a device or a growing file
+                raw += file.read(MAX_INPUT_BYTES + 1 - want)
     except OSError as exc:  # missing, a directory, no permission
         raise ConfigError(field, f"cannot read {what} {path}: {exc}") from exc
+    if len(raw) > MAX_INPUT_BYTES:
+        raise ConfigError(field, f"{what} {path} is larger than {MAX_INPUT_BYTES} bytes")
     try:
         return raw, json.loads(raw.decode("utf-8"), object_pairs_hook=_unique_keys)
     except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, over-long ints, deep nesting

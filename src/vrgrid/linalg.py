@@ -24,14 +24,6 @@ class LinalgError(ValueError):
     """Raised for malformed matrix inputs (shape, symmetry, size)."""
 
 
-def symmetrize(a):
-    """Return 0.5 * (A + A^T) as a new array; validates A is square."""
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise LinalgError(f"expected a square matrix, got shape {a.shape}")
-    return 0.5 * (a + a.T)
-
-
 def _check_symmetric(s, op):
     if s.ndim != 2 or s.shape[0] != s.shape[1]:
         raise LinalgError(f"{op}: expected a square matrix, got shape {s.shape}")
@@ -40,7 +32,7 @@ def _check_symmetric(s, op):
     if not np.all(np.isfinite(s)):  # first: a NaN entry would also fail the symmetry check
         raise LinalgError(f"{op}: matrix has non-finite entries")
     if not np.array_equal(s, s.T):
-        raise LinalgError(f"{op}: matrix is not symmetric (use symmetrize() first)")
+        raise LinalgError(f"{op}: matrix is not symmetric")
 
 
 def sym_eig(s):

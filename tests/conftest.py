@@ -145,20 +145,42 @@ def upsilon_pairs(m):
     return [(s, l) for s in range(m + 1) for l in range(s + 1, m + 1)]
 
 
+def symmetrize(a):
+    """0.5 * (A + A'), the symmetric part of the square array ``a``."""
+    a = np.asarray(a, dtype=float)
+    return 0.5 * (a + a.T)
+
+
 def random_certificate(m, rng):
     """Arbitrary well-formed (not necessarily valid) certificate matrices, at the nominal r_g."""
     from vrgrid.certify import IssCertificate
 
     ups = rng.uniform(0.0, 2.0, (len(upsilon_pairs(m)), 2))
-    p_mat = rng.uniform(-1.0, 1.0, (2, 2))
-    phi = rng.uniform(-1.0, 1.0, (2, 2))
+    p_mat = symmetrize(rng.uniform(-1.0, 1.0, (2, 2)))
+    phi = symmetrize(rng.uniform(-1.0, 1.0, (2, 2)))
     p = nominal_params()
     return IssCertificate(
-        p_mat=0.5 * (p_mat + p_mat.T),
+        p_mat=p_mat,
         lam=rng.uniform(0.0, 1.0, (m, 2)),
         omega=rng.uniform(0.0, 2.0, (m + 1, 2)),
-        phi=0.5 * (phi + phi.T),
+        phi=phi,
         upsilon=ups,
+        resistance_interval=(p.r_g, p.r_g),
+    )
+
+
+def quadratic_certificate(p_mat, m=0):
+    """The certificate of the plain quadratic V = x'Px for an m-branch bank: ``p_mat`` = P and every
+    Lambda_k = 0, so V reads no branch map; the other matrices are zero, at the nominal r_g."""
+    from vrgrid.certify import IssCertificate
+
+    p = nominal_params()
+    return IssCertificate(
+        p_mat=p_mat,
+        lam=np.zeros((m, 2)),
+        omega=np.zeros((m + 1, 2)),
+        phi=np.zeros((2, 2)),
+        upsilon=np.zeros((len(upsilon_pairs(m)), 2)),
         resistance_interval=(p.r_g, p.r_g),
     )
 

@@ -21,6 +21,7 @@ from conftest import (
     error_derivatives,
     nominal_params,
     passivity_ball,
+    quadratic_certificate,
     random_certificate,
     stacked_coordinates,
     upsilon_pairs,
@@ -274,10 +275,9 @@ def test_c09_gradient_condition_threshold():
         p = nominal_params()
         threshold = p.r_g - p.l_g / 2.0
         assert threshold == pytest.approx(0.0274165)
-        below = sampled_gradient_check(p, VrBank(()), np.eye(2),
-                                       GradientCheckConfig(epsilon=0.99 * threshold))
-        above = sampled_gradient_check(p, VrBank(()), np.eye(2),
-                                       GradientCheckConfig(epsilon=1.01 * threshold))
+        v = quadratic_certificate(np.eye(2))   # V = |x|^2
+        below = sampled_gradient_check(p, VrBank(()), v, GradientCheckConfig(epsilon=0.99 * threshold))
+        above = sampled_gradient_check(p, VrBank(()), v, GradientCheckConfig(epsilon=1.01 * threshold))
         assert below.passes
         assert not above.passes
 

@@ -171,6 +171,47 @@ def test_primitive_monotonicity():
         np.testing.assert_allclose(element_primitives(e, -xs), prims, rtol=1e-13)
 
 
+SECTOR_XS = np.linspace(-20.0, 20.0, 4001)
+
+
+def _example_and_drawn(kind, rng, draws=200):
+    """The EXAMPLE_TABLE element of ``kind``, then ``draws`` elements drawn from its PARAM_RANGES."""
+    yield next(e for e in EXAMPLE_ELEMENTS if e.kind == kind)
+    for _ in range(draws):
+        yield VrElement(kind, *(float(rng.uniform(lo, hi)) for lo, hi in PARAM_RANGES[kind]))
+
+
+@pytest.mark.parametrize("kind", list(PARAM_RANGES))
+def test_kappa_column_is_a_lower_sector_slope(kind, rng):
+    """No point has x r(x) < kappa x^2."""
+    for e in _example_and_drawn(kind, rng):
+        kappa = ELEMENT_KINDS[kind].kappa(e.p1, e.p2)
+        assert kappa >= 0.0
+        xs = SECTOR_XS
+        assert np.all(xs * element_values(e, xs) >= kappa * xs * xs), e
+
+
+@pytest.mark.parametrize("kind", list(PARAM_RANGES))
+def test_slope_column_matches_central_differences(kind, rng):
+    """r' agrees with (r(x + h) - r(x - h)) / 2h, h = 1e-6, to rtol 1e-5 away from saturation's kink.
+
+    The absolute floor bounds the rounding of the two values (4 ulp each) and the h^2 r'''/6
+    truncation, which is k h^2 for cubic and below a h^2 for tanh; sinh's stays within rtol."""
+    h = 1e-6
+    for e in _example_and_drawn(kind, rng):
+        xs = SECTOR_XS
+        if kind == "saturation":
+            xs = xs[np.abs(np.abs(xs) - e.p2) > 2.0 * h]
+        xp, xm = xs + h, xs - h
+        rp, rm = element_values(e, xp), element_values(e, xm)
+        step = xp - xm
+        diff = (rp - rm) / step
+        floor = 4.0 * np.finfo(float).eps * (np.abs(rp) + np.abs(rm)) / step + e.p1 * h * h
+        slope = ELEMENT_KINDS[kind].slope(e.p1, e.p2, xs)
+        assert slope.shape == xs.shape
+        assert np.all(np.abs(slope - diff) <= 1e-5 * np.abs(diff) + floor), e
+
+
 def test_added_dissipation(rng, p_nominal):
     """Appending any sector element strictly decreases d/dt |x|^2 pointwise."""
     p = p_nominal

@@ -12,8 +12,10 @@ from conftest import (
     both_axes,
     error_derivatives,
     nominal_params,
+    quadratic_certificate,
     random_certificate,
     stacked_coordinates,
+    symmetrize,
     upsilon_pairs,
 )
 from vrgrid import linalg
@@ -37,6 +39,7 @@ from vrgrid.plant import GridParams, system_matrix
 
 EMPTY = VrBank(())
 ONE_LINEAR = VrBank((both_axes((VrElement("linear", 1.0),)),))
+UNIT_V = quadratic_certificate(np.eye(2))   # V = |x|^2 for the empty bank
 
 
 def analytic_m0_certificate(p):
@@ -503,16 +506,15 @@ def test_gradient_check_threshold_both_sides():
     p = nominal_params()
     threshold = p.r_g - p.l_g / 2.0
     assert threshold == pytest.approx(0.0274165)
-    below = sampled_gradient_check(p, EMPTY, np.eye(2), GradientCheckConfig(epsilon=0.99 * threshold))
-    above = sampled_gradient_check(p, EMPTY, np.eye(2), GradientCheckConfig(epsilon=1.01 * threshold))
+    below = sampled_gradient_check(p, EMPTY, UNIT_V, GradientCheckConfig(epsilon=0.99 * threshold))
+    above = sampled_gradient_check(p, EMPTY, UNIT_V, GradientCheckConfig(epsilon=1.01 * threshold))
     assert below.passes and below.max_value <= 0.0
     assert not above.passes and above.n_violations > 0
-    assert below.disturbance_bound_coeff == pytest.approx(1.0 / (2.0 * p.l_g * 0.99 * threshold))
 
 
 def test_gradient_check_large_epsilon_fails():
     p = nominal_params()
-    report = sampled_gradient_check(p, EMPTY, np.eye(2), GradientCheckConfig(epsilon=1.0))
+    report = sampled_gradient_check(p, EMPTY, UNIT_V, GradientCheckConfig(epsilon=1.0))
     assert isinstance(report, GradientCheckReport)
     assert not report.passes
 
@@ -521,7 +523,7 @@ def test_gradient_check_origin_contributes_zero():
     # In a passing configuration every off-origin point is strictly negative,
     # so the grid max is exactly the origin's contribution: 0.0.
     p = nominal_params()
-    report = sampled_gradient_check(p, EMPTY, np.eye(2), GradientCheckConfig(epsilon=1e-3))
+    report = sampled_gradient_check(p, EMPTY, UNIT_V, GradientCheckConfig(epsilon=1e-3))
     assert report.passes
     assert report.max_value == 0.0
     assert report.max_point == (0.0, 0.0)
@@ -562,15 +564,12 @@ def _random_axis_bank(rng, m):
     return VrBank(tuple(VrBranch(tuple(elements()), tuple(elements())) for _ in range(m)))
 
 
-def _full_grid_gradient_check(p, bank, v_spec, cfg):
+def _full_grid_gradient_check(p, bank, cert, cfg):
     """Reference: the gradient and bank maps evaluated on all n*n grid points."""
     axis = np.linspace(-cfg.grid_radius, cfg.grid_radius, cfg.grid_points)
     gd, gq = np.meshgrid(axis, axis, indexing="ij")
     pts = np.column_stack([gd.ravel(), gq.ravel()])
-    if isinstance(v_spec, IssCertificate):
-        grads = lyapunov_gradients(v_spec, bank, pts)
-    else:
-        grads = 2.0 * pts @ linalg.symmetrize(np.asarray(v_spec, dtype=float)).T
+    grads = lyapunov_gradients(cert, bank, pts)
     a = system_matrix(p)
     lhs = (
         np.einsum("ni,ni->n", grads, pts @ a.T)
@@ -585,7 +584,6 @@ def _full_grid_gradient_check(p, bank, v_spec, cfg):
         max_value=float(lhs[worst]),
         max_point=(float(pts[worst, 0]), float(pts[worst, 1])),
         n_violations=n_violations,
-        disturbance_bound_coeff=1.0 / (2.0 * p.l_g * cfg.epsilon),
     )
 
 
@@ -602,8 +600,8 @@ def test_gradient_check_matches_full_grid_oracle(rng, grid_points, grid_radius):
             specs = [
                 random_certificate(m, rng),
                 search_certificate(p, bank, (p.r_g, p.r_g)).certificate,
-                np.array([[1.5, 0.3], [0.3, 0.8]]),
-                quad + quad.T,
+                quadratic_certificate(np.array([[1.5, 0.3], [0.3, 0.8]]), m),
+                quadratic_certificate(symmetrize(quad), m),
             ]
             for epsilon in (1e-4, 1e-2):
                 cfg = GradientCheckConfig(epsilon=epsilon, grid_radius=grid_radius, grid_points=grid_points)
@@ -620,18 +618,21 @@ def test_gradient_check_block_boundaries_match_oracle(rng):
     rows = BLOCK_POINTS // cfg.grid_points
     assert cfg.grid_points > 2 * rows and cfg.grid_points % rows  # >= 3 blocks, the last partial
     bank = _random_axis_bank(rng, 3)
-    for spec in (search_certificate(p, bank, (p.r_g, p.r_g)).certificate, np.array([[1.5, 0.3], [0.3, 0.8]])):
+    for spec in (search_certificate(p, bank, (p.r_g, p.r_g)).certificate,
+                 quadratic_certificate(np.array([[1.5, 0.3], [0.3, 0.8]]), 3)):
         assert repr(sampled_gradient_check(p, bank, spec, cfg)) == repr(
             _full_grid_gradient_check(p, bank, spec, cfg))
 
-    # grad_q = 2 d is 0 only on the middle row d = 0, where it meets
-    # r_q = sinh(20 q) = inf: the first NaN of the grid lies in a later block
-    # (elsewhere r_q = inf gives +-inf), and it must still win
-    bank = VrBank((VrBranch((VrElement("linear", 1.0),), (VrElement("sinh", 1.0, 20.0),)),))
-    spec = np.array([[1.0, 1.0], [1.0, 0.0]])
+    # A = [[-a, w], [-w, -a]] with a = 1e160 >> w ~ 6e155, and grad V = (2c q, 2c d + 2c' q) with
+    # c = 1e150 >> c' = 1e147. Off the middle row (|d| >= 0.25) both terms of grad V' A x are about
+    # -2 a c d q, of one sign, and sum to a finite value or one infinity. On the row d = 0 they are
+    # 2 c w q^2 and -2 c' a q^2, which overflow to +inf and -inf for |q| >= 12: the first NaN of the
+    # grid lies in a later block, and it must still win
+    grid = GridParams(r_g=1e160, l_g=1.0, frequency_hz=1e155)
+    spec = quadratic_certificate(np.array([[0.0, 1e150], [1e150, 1e147]]))
     with np.errstate(over="ignore", invalid="ignore"):
-        report = sampled_gradient_check(p, bank, spec, cfg)
-        assert repr(report) == repr(_full_grid_gradient_check(p, bank, spec, cfg))
+        report = sampled_gradient_check(grid, EMPTY, spec, cfg)
+        assert repr(report) == repr(_full_grid_gradient_check(grid, EMPTY, spec, cfg))
     assert math.isnan(report.max_value) and report.max_point[0] == 0.0
     assert not report.passes
 
@@ -639,8 +640,8 @@ def test_gradient_check_block_boundaries_match_oracle(rng):
     # the row d = -50 (first block) recurs at -x on the row d = +50 (last
     # block); the first occurrence wins
     cfg = GradientCheckConfig(epsilon=1.0, grid_points=401)
-    report = sampled_gradient_check(p, EMPTY, np.eye(2), cfg)
-    assert repr(report) == repr(_full_grid_gradient_check(p, EMPTY, np.eye(2), cfg))
+    report = sampled_gradient_check(p, EMPTY, UNIT_V, cfg)
+    assert repr(report) == repr(_full_grid_gradient_check(p, EMPTY, UNIT_V, cfg))
     assert report.max_point[0] == -cfg.grid_radius
 
 

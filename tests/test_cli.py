@@ -940,6 +940,65 @@ def test_unreadable_file_is_a_config_error(tmp_path, loader, field, make):
     assert info.value.message.startswith(f"cannot read {loader.removeprefix('load_')} {path}: ")
 
 
+@pytest.mark.parametrize("loader, field", [("load_config", ""), ("load_certificate", "certificate")])
+def test_oversized_file_is_refused_before_parsing(tmp_path, capsys, loader, field):
+    """A valid config or certificate padded with trailing whitespace (which JSON allows) to one byte
+    past cli.MAX_INPUT_BYTES is refused on the file's field; at the bound it still loads. A padded
+    config exits 2 with a JSON error."""
+    from vrgrid import cli
+
+    cfg_path = CONFIG_DIR / "certify_m0.json"
+    bank = cli.load_config(cfg_path).bank
+    if loader == "load_config":
+        text = cfg_path.read_bytes()
+    else:
+        assert cli.main(["certify", str(cfg_path), "--out", str(tmp_path / "o")]) == 0
+        text = (tmp_path / "o" / "certificate.json").read_bytes()
+    args = () if loader == "load_config" else (bank,)
+    path = tmp_path / "padded.json"
+    path.write_bytes(text.ljust(cli.MAX_INPUT_BYTES))
+    getattr(cli, loader)(path, *args)
+    path.write_bytes(text.ljust(cli.MAX_INPUT_BYTES + 1))
+    with pytest.raises(cli.ConfigError) as info:
+        getattr(cli, loader)(path, *args)
+    assert info.value.field == field
+    assert info.value.message == f"{loader.removeprefix('load_')} {path} is larger than {cli.MAX_INPUT_BYTES} bytes"
+    if loader == "load_config":
+        capsys.readouterr()
+        assert cli.main(["certify", str(path), "--out", str(tmp_path / "big")]) == 2
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert (error["kind"], error["field"]) == ("config", "")
+        assert not (tmp_path / "big").exists()
+
+
+@pytest.mark.skipif(not hasattr(__import__("os"), "mkfifo"), reason="needs named pipes")
+@pytest.mark.parametrize("pad", [0, 1])
+def test_config_from_a_pipe_is_read_up_to_the_bound(tmp_path, pad):
+    """A pipe has no length: its config loads, and one a byte past cli.MAX_INPUT_BYTES is refused
+    after reading exactly the bound and one byte more."""
+    import hashlib
+    import os
+    import threading
+
+    from vrgrid import cli
+
+    text = (CONFIG_DIR / "certify_m0.json").read_bytes()
+    data = text.ljust(cli.MAX_INPUT_BYTES + 1) if pad else text
+    path = tmp_path / "pipe.json"
+    os.mkfifo(path)
+    writer = threading.Thread(target=path.write_bytes, args=(data,))
+    writer.start()
+    try:
+        if pad:
+            with pytest.raises(cli.ConfigError, match="is larger than"):
+                cli.load_config(path)
+        else:
+            assert cli.load_config(path).config_sha256 == hashlib.sha256(text).hexdigest()
+    finally:
+        writer.join(timeout=10)
+    assert not writer.is_alive()
+
+
 @pytest.mark.parametrize("m", range(9))
 def test_closed_form_certificate_round_trip(tmp_path, capsys, m):
     """certificate.json of a bank of m branches loads back bit for bit, and the

@@ -3,14 +3,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import CONFIG_DIR
+from conftest import CONFIG_DIR, symmetrize
 from vrgrid._kernels import jacobi_sweep
 from vrgrid.linalg import (
     TOL,
     LinalgError,
     neg_semidef_margin,
     sym_eig,
-    symmetrize,
 )
 
 
