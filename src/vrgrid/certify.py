@@ -52,7 +52,7 @@ certificate outside the float64 range.
 """
 
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from functools import reduce
 from typing import NamedTuple, Optional
 
@@ -92,7 +92,7 @@ class VerifyReport(NamedTuple):
     iss_gain_slope: Optional[float]  # sqrt(alpha / varsigma) if valid with varsigma > 0, else None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IssCertificate:
     """Candidate certificate matrices; ``report`` is attached by verification.
 
@@ -119,7 +119,7 @@ class IssCertificate:
     phi: np.ndarray
     upsilon: np.ndarray
     resistance_interval: np.ndarray
-    report: Optional[VerifyReport] = field(default=None, compare=False)
+    report: Optional[VerifyReport] = None
 
     def __post_init__(self):
         for name in ("p_mat", "lam", "omega", "phi", "upsilon", "resistance_interval"):
@@ -337,7 +337,6 @@ class GradientCheckConfig:
 
 
 class GradientCheckReport(NamedTuple):
-    passes: bool
     max_value: float
     max_point: tuple
     n_violations: int
@@ -353,7 +352,7 @@ def sampled_gradient_check(p, bank, cert, cfg):
     must be <= 0 everywhere for the condition to hold; sampling makes this
     a falsification check, not a proof. V is the composite V of ``cert``. A
     point whose left side is not <= 0 (NaN included, e.g. after an overflow)
-    counts as a violation, so ``passes`` holds exactly when there are none.
+    counts as a violation.
 
     Grid point i*n + j is (axis[i], axis[j]). Every branch map acts on one
     axis at a time, so each is evaluated once per axis sample (n*M
@@ -411,7 +410,6 @@ def sampled_gradient_check(p, bank, cert, cfg):
             worst, worst_value = i0 * n + k, value
         n_violations += int(np.count_nonzero(~(lhs <= 0.0)))
     return GradientCheckReport(
-        passes=n_violations == 0,
         max_value=worst_value,
         max_point=(float(axis[worst // n]), float(axis[worst % n])),
         n_violations=n_violations,

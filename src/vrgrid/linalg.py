@@ -20,19 +20,15 @@ MAX_DIM = 64
 TOL = 1e-9  # how far past the boundary a definiteness verdict still passes
 
 
-class LinalgError(ValueError):
-    """Raised for malformed matrix inputs (shape, symmetry, size)."""
-
-
 def _check_symmetric(s, op):
     if s.ndim != 2 or s.shape[0] != s.shape[1]:
-        raise LinalgError(f"{op}: expected a square matrix, got shape {s.shape}")
+        raise ValueError(f"{op}: expected a square matrix, got shape {s.shape}")
     if s.shape[0] > MAX_DIM:
-        raise LinalgError(f"{op}: dimension {s.shape[0]} exceeds supported maximum {MAX_DIM}")
+        raise ValueError(f"{op}: dimension {s.shape[0]} exceeds supported maximum {MAX_DIM}")
     if not np.all(np.isfinite(s)):  # first: a NaN entry would also fail the symmetry check
-        raise LinalgError(f"{op}: matrix has non-finite entries")
+        raise ValueError(f"{op}: matrix has non-finite entries")
     if not np.array_equal(s, s.T):
-        raise LinalgError(f"{op}: matrix is not symmetric")
+        raise ValueError(f"{op}: matrix is not symmetric")
 
 
 def sym_eig(s):

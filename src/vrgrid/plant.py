@@ -29,7 +29,7 @@ def as_dq(value, name="vector"):
     return v
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GridParams:
     """Physical grid/inverter constants; its fields are the config's grid keys.
 

@@ -7,7 +7,6 @@ from conftest import CONFIG_DIR, symmetrize
 from vrgrid._kernels import jacobi_sweep
 from vrgrid.linalg import (
     TOL,
-    LinalgError,
     neg_semidef_margin,
     sym_eig,
 )
@@ -27,11 +26,11 @@ def test_sym_eig_offdiagonal_pair():
 
 
 def test_sym_eig_rejects_bad_input():
-    with pytest.raises(LinalgError):
+    with pytest.raises(ValueError):
         sym_eig(np.ones((2, 3)))
-    with pytest.raises(LinalgError):
+    with pytest.raises(ValueError):
         sym_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
-    with pytest.raises(LinalgError):
+    with pytest.raises(ValueError):
         sym_eig(np.eye(65))
 
 
