@@ -12,7 +12,9 @@ Upsilon_{s,l}, Phi) entering the composite Lyapunov function
     V(x) = x' P x + 2 sum_k sum_axis Lambda_{k,axis} * Int_0^{x_axis} r_k
 
 and the quadratic-form matrix Psi over z = (x, r_1(x), ..., r_M(x), w),
-which :func:`assemble_psi` builds from this form.
+which :func:`assemble_psi` builds from this form: the blocks of the state
+row x and of w with w are dense 2x2, every other block is diagonal, and the
+pairs (0, k) of the state row lead the rows of ``upsilon``.
 
 Sign convention for the disturbance coordinate: w = phi = -(1/l_g) vg_err,
 i.e. the scale AND the sign are absorbed into w. With that choice the
@@ -160,37 +162,33 @@ def lyapunov_gradients(cert, bank, pts):
 
 
 def assemble_psi(p, cert):
-    """Assemble the symmetric 2(M+2) matrix Psi for the given grid params.
+    """Assemble the symmetric 2(M+2) matrix Psi over z = (x, r_1..r_M, w) for the grid params ``p``.
 
-    The blocks are laid out over z = (x, r_1..r_M, w); see the module
-    docstring.
+    Slices write the dense 2x2 blocks: the state row, with Upsilon_{0,k} from the leading M rows of
+    ``upsilon``, once and mirrored, and (w, w) = -Phi. Index arrays write every other block, each
+    (k, k), (k, w) and (s, l) with 1 <= s < l, as its two diagonal entries in both triangles.
     """
     m = cert.branch_count
     a_mat = system_matrix(p)
     inv_lg = 1.0 / p.l_g
     p_mat, lam, omega, upsilon = cert.p_mat, cert.lam, cert.omega, cert.upsilon
     psi = np.zeros((2 * m + 4, 2 * m + 4))
-    rows = [slice(2 * i, 2 * i + 2) for i in range(m + 2)]
-
-    def put(i, j, block):
-        psi[rows[i], rows[j]] = block
-        psi[rows[j], rows[i]] = block.T
-
+    # Lambda_k and Upsilon_{0,k} as stacked 2x2 diagonal matrices, +0.0 off the diagonal as np.diag writes
+    lam_ups = np.zeros((2, m, 2, 2))
+    lam_ups[:, :, (0, 1), (0, 1)] = lam, upsilon[:m]
     ap = a_mat.T @ p_mat
-    psi[rows[0], rows[0]] = ap + ap.T + np.diag(omega[0])
-    for k in range(1, m + 1):
-        psi[rows[k], rows[k]] = np.diag(-2.0 * inv_lg * lam[k - 1] + omega[k])
-        put(k, m + 1, np.diag(lam[k - 1]))
-    for l, ups in zip(range(1, m + 1), upsilon):  # the pairs (0, l) lead the rows of upsilon
-        put(0, l, -inv_lg * p_mat + a_mat.T @ np.diag(lam[l - 1]) + np.diag(ups))
-    # the pairs (s, l) with s >= 1 are diagonal blocks: both axes of all of them at once
+    row = np.concatenate([ap + ap.T + np.diag(omega[0]),
+                          *(-inv_lg * p_mat + a_mat.T @ lam_ups[0] + lam_ups[1]), p_mat], axis=1)
+    psi[:2] = row
+    psi[2:, :2] = row[:, 2:].T
+    psi[-2:, -2:] = -cert.phi
+    k = np.arange(1, m + 1)
     s, l = (index[m:] for index in np.triu_indices(m + 1, 1))
-    diag = -inv_lg * (lam[s - 1] + lam[l - 1]) + upsilon[m:]
-    i, j = 2 * s[:, None] + (0, 1), 2 * l[:, None] + (0, 1)
+    diag = np.concatenate([-2.0 * inv_lg * lam + omega[1:], lam, -inv_lg * (lam[s - 1] + lam[l - 1]) + upsilon[m:]])
+    i = 2 * np.concatenate([k, k, s])[:, None] + (0, 1)
+    j = 2 * np.concatenate([k, np.full(m, m + 1), l])[:, None] + (0, 1)
     psi[i, j] = diag
     psi[j, i] = diag
-    put(0, m + 1, p_mat)
-    psi[rows[m + 1], rows[m + 1]] = -cert.phi
     return psi
 
 

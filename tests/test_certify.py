@@ -194,14 +194,35 @@ def _psi_per_block(p, cert):
     return psi
 
 
+def _with_signed_zeros(cert, rng):
+    """``cert`` with about 40% of the entries of every matrix set to 0.0 or -0.0, P and Phi kept
+    symmetric: -0.0 passes the sign class, and LAPACK takes a Householder sign from an entry."""
+    def zeroed(a):
+        a = np.array(a)
+        hit = rng.random(a.shape) < 0.4
+        a[hit] = rng.choice([0.0, -0.0], hit.sum())
+        return a
+
+    def symmetric(a):
+        a = zeroed(a)
+        a[1, 0] = a[0, 1]
+        return a
+
+    return replace(cert, p_mat=symmetric(cert.p_mat), lam=zeroed(cert.lam), omega=zeroed(cert.omega),
+                   phi=symmetric(cert.phi), upsilon=zeroed(cert.upsilon))
+
+
 def test_assemble_psi_matches_per_block_construction(rng):
-    """Every branch count the certificate construction accepts, on random grids and certificates."""
+    """Every branch count the certificate construction accepts, on random grids and certificates,
+    half of them with exact zeros of both signs in every matrix."""
     for m in range(MAX_BRANCHES + 1):
-        for _ in range(4):
+        for draw in range(8):
             p = replace(nominal_params(), r_g=10.0 ** rng.uniform(-3.0, 1.0), l_g=10.0 ** rng.uniform(-5.0, -1.0))
             cert = random_certificate(m, rng)
             cert = replace(cert, lam=cert.lam * 10.0 ** rng.uniform(-3.0, 3.0, (m, 2)))
-            assert assemble_psi(p, cert).tobytes() == _psi_per_block(p, cert).tobytes(), m
+            if draw % 2:
+                cert = _with_signed_zeros(cert, rng)
+            assert assemble_psi(p, cert).tobytes() == _psi_per_block(p, cert).tobytes(), (m, draw)
 
 
 def _direct_expansion(p, bank, cert, xs, ds):
